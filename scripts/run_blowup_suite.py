@@ -7,7 +7,8 @@ the certified time bound (plus 5% slack) expires, then reports the certified
 bound T_bound, the detection time, and the worst dominance margin.
 
 Usage:
-    python3 scripts/run_blowup_suite.py [--grid-n 1024] [--dt 1e-3] [--out DIR]
+    python3 scripts/run_blowup_suite.py [--grid-n 1024] [--r-max 20]
+                                        [--dt 1e-3] [--amplitude 1]
 """
 
 import argparse

@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import bessel
 from .kernels import (
+    kernel_case,
     phi,
     phi0_weight,
     q_weight,
@@ -119,37 +121,17 @@ def _log_supermodularity(spec, r, s):
     function of r plus a pure function of s, so the stencil is identically
     zero for every h; that exact value is returned directly.  For the
     remaining cases the exponential/power prefactors likewise cancel in the
-    stencil and it is evaluated as the log of a ratio of the smooth factors,
-    which keeps the roundoff floor well below the 1e-9 tolerance.
+    stencil and it is evaluated as the log of a ratio of the smooth factors
+    (``KernelCase.phi_factor``), which keeps the roundoff floor well below
+    the 1e-9 tolerance.
     """
     keep = s - r >= 4e-3
     r, s = r[keep], s[keep]
-    if (spec.sigma, spec.k) in ((0, 1), (1, 1)):
+    case = kernel_case(spec)
+    if case.separable:
         return {"passed": True, "worst_value": 0.0, "worst_point": None}
     h = np.minimum(1e-3, (s - r) / 4.0)
-    if spec.sigma == 0:
-        n = spec.n
-        c1 = 2.0 * n * (n - 2.0)
-        c2 = 2.0 * n * (n + 2.0)
-
-        def smooth(a, b):
-            # phi = s^-n * P(r,s); the s^-n part cancels in the stencil
-            return b**2 / c1 - a**2 / c2
-
-    else:
-
-        def smooth(a, b):
-            # phi = (1/2) e^{r-s} * Phi with Phi built from scaled Bessel
-            # factors; e^{r-s} contributes nothing to the stencil
-            from . import bessel
-
-            n = spec.n
-            return (
-                n * bessel.alpha_scaled(n, a) * bessel.beta_escaled(n, b)
-                + bessel.alpha_scaled(n, a) * bessel.beta_escaled(n - 2, b) / n
-                - n * bessel.alpha_scaled(n - 2, a) * bessel.beta_escaled(n, b)
-            )
-
+    smooth = case.phi_factor
     ratio = (smooth(r + h, s + h) * smooth(r, s)) / (
         smooth(r + h, s) * smooth(r, s + h)
     )
@@ -231,10 +213,11 @@ def h2_ratio_bounds(n, r):
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0) or np.any(np.diff(r) <= 0.0):
         raise ValueError("r must be strictly positive and increasing")
-    from . import bessel
-
-    lam_a = bessel.alpha_scaled(n - 2, r) / bessel.alpha_scaled(n, r)
-    lam_b = bessel.beta_escaled(n - 2, r) / (n**2 * bessel.beta_escaled(n, r))
+    a = bessel.alpha_hat((n - 2, n), r)
+    b = bessel.beta_hat((n - 2, n), r)
+    lam_a = a[n - 2] / a[n]
+    # e^r beta_p = beta_hat_p / r^p
+    lam_b = b[n - 2] / r ** (n - 2) / (n**2 * (b[n] / r**n))
     root = np.sqrt(0.25 + (r / n) ** 2)
     checks = {
         "lam_a_upper": float(np.min(0.5 + root - lam_a)),

@@ -7,8 +7,15 @@ Verbs:
 * ``exact-hs <config>`` -- write the exact Hunter-Saxton solution table
 * ``sweep <config> --param key --values v1,v2,...`` -- one run per value
 
-Exit codes: 0 on completed/blowup_detected, 1 on config or I/O errors,
-2 when the truncation guard trips.
+Exit codes (``run`` and ``sweep``; a sweep returns the largest):
+
+* 0 -- ``completed`` or ``blowup_detected``
+* 1 -- config or I/O error
+* 2 -- ``guard_tripped``: the support reached 0.9 R_max; increase r_max
+* 3 -- ``step_rejected``: a step was still rejected after 20 halvings
+* 4 -- ``nonfinite_state``: the state became NaN or inf
+
+``certify`` exits 0 when the certificate passes and 2 when it does not.
 """
 
 import argparse

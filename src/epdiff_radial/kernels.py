@@ -12,7 +12,9 @@ The four cases (sigma, k) in {0,1} x {1,2} have closed-form phi built from
 powers of s (homogeneous) or the scaled Bessel pair alpha/beta
 (nonhomogeneous).  Every delta factors into at most two separable products
 f(r) g(s), which is what makes the solver's prefix/suffix-sum evaluation
-O(N) per output node.
+O(N) per output node.  Each case is one entry of a case table holding all
+of its formulas; ``KernelCase`` binds an entry to a spec and evaluates each
+Bessel order a formula needs once per call.
 
 Also evaluates the comparison weight Q(r) = 1/(r phi(0, r)) and the diagonal
 criterion
@@ -23,7 +25,7 @@ whose uniform lower bound C > 0 drives the blowup certificates.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -34,6 +36,8 @@ from .quadrature import deriv1_uniform, deriv2_uniform
 __all__ = [
     "KernelSpec",
     "SeparableTerm",
+    "KernelCase",
+    "kernel_case",
     "delta_terms",
     "phi",
     "delta",
@@ -45,6 +49,7 @@ __all__ = [
     "phi0_weight",
     "s_criterion",
     "s_limit_at_zero",
+    "separable_sums",
     "invert_operator",
     "apply_operator",
 ]
@@ -93,86 +98,293 @@ class SeparableTerm:
     dg: callable
 
 
+# The kernel case table: every formula of a case (sigma, k) in one entry.
+
+
+@dataclass(frozen=True)
+class _Formulas:
+    """Every formula of one (sigma, k) case; each takes the dimension n.
+
+    inner(n, r, a) gives the factors (f, df) of each separable term at inner
+    radii r and outer(n, s, b) gives (g, dg) at outer radii s, from one
+    {order: array} evaluation of the Bessel orders declared as offsets from
+    n: a = {p: alpha_p(r)}, b = {p: s^p beta_p(s)}.  phi(n, r, s) is the
+    kernel and s_generic(n, r) the criterion S for r > 0.  phi_factor(n, r, s)
+    is the factor of phi whose log is not a sum of a function of r and one
+    of s (None when ln phi is such a sum).  The smooth factor of the weight
+    Q is m = 1/(p r^p beta_p(r)) with p = n + m_offset (m = 1 when None).
+    """
+
+    alpha_offsets: tuple
+    beta_offsets: tuple
+    inner: callable
+    outer: callable
+    phi: callable
+    s_generic: callable
+    phi_factor: callable = None
+    m_offset: int = None
+
+
+def _escaled_beta(orders, s):
+    """{p: e^{s} beta_p(s)} for the given orders (s > 0)."""
+    b = bessel.beta_hat(orders, s)
+    for p in b:
+        b[p] /= s**p  # in place: beta_hat returns fresh arrays
+    return b
+
+
+# sigma = 0, k = 1: delta = (r/n) s^{1-n}.
+def _h1dot_inner(n, r, a):
+    return ((r / n, np.full_like(np.asarray(r, float), 1.0 / n)),)
+
+
+def _h1dot_outer(n, s, b):
+    return ((s ** (1.0 - n), (1.0 - n) * s ** (-float(n))),)
+
+
+def _h1dot_phi(n, r, s):
+    return s ** (-float(n)) / n
+
+
+def _h1dot_s(n, r):
+    # d1_phi = 0; phi(0,r) = r^-n / n; d2_phi(0,r) = -r^{-n-1}
+    return np.full_like(r, float(n))
+
+
+# sigma = 0, k = 2 (n >= 3): delta = r s^{3-n}/c1 - r^3 s^{1-n}/c2.
+def _h2dot_inner(n, r, a):
+    c1 = 2.0 * n * (n - 2.0)
+    c2 = 2.0 * n * (n + 2.0)
+    return (
+        (r / c1, np.full_like(np.asarray(r, float), 1.0 / c1)),
+        (-(r**3) / c2, -3.0 * r**2 / c2),
+    )
+
+
+def _h2dot_outer(n, s, b):
+    return (
+        (s ** (3.0 - n), (3.0 - n) * s ** (2.0 - n)),
+        (s ** (1.0 - n), (1.0 - n) * s ** (-float(n))),
+    )
+
+
+def _h2dot_phi(n, r, s):
+    return s ** (2.0 - n) / (2.0 * n * (n - 2.0)) - r**2 * s ** (
+        -float(n)
+    ) / (2.0 * n * (n + 2.0))
+
+
+def _h2dot_s(n, r):
+    d1 = -r ** (1.0 - n) / (n * (n + 2.0))
+    diag = r ** (2.0 - n) * (
+        1.0 / (2.0 * n * (n - 2.0)) - 1.0 / (2.0 * n * (n + 2.0))
+    )
+    phi0 = r ** (2.0 - n) / (2.0 * n * (n - 2.0))
+    d2_0 = (2.0 - n) * r ** (1.0 - n) / (2.0 * n * (n - 2.0))
+    return (r * d1 * phi0 - r * diag * d2_0) / phi0**2
+
+
+def _h2dot_phi_factor(n, r, s):
+    # phi = s^-n * (s^2/c1 - r^2/c2)
+    return s**2 / (2.0 * n * (n - 2.0)) - r**2 / (2.0 * n * (n + 2.0))
+
+
+# sigma = 1, k = 1: delta = [r alpha_n(r)] [s beta_n(s)].
+def _h1_inner(n, r, a):
+    return ((r * a[n], a[n] + r**2 * a[n + 2] / (n + 2.0)),)
+
+
+def _h1_outer(n, s, b):
+    return (
+        (
+            s ** (1.0 - n) * b[n],
+            s ** (-float(n)) * (b[n] - (n + 2.0) * b[n + 2]),
+        ),
+    )
+
+
+def _h1_phi(n, r, s):
+    # the nonhomogeneous cases compose exponentially scaled Bessel factors
+    # with e^{r-s} (bounded on D), so nothing overflows at large radii
+    return bessel.alpha_hat((n,), r)[n] * _escaled_beta((n,), s)[n] * np.exp(r - s)
+
+
+def _h1_s(n, r):
+    # All products below are at the same radius, so the scale factors of
+    # each alpha*beta pair cancel; the overall e^r is reattached at the end.
+    a = bessel.alpha_hat((n, n + 2), r)  # e^-r alpha_p
+    b = _escaled_beta((n, n + 2), r)  # e^+r beta_p
+    d1_s = r / (n + 2.0) * a[n + 2]  # e^-r alpha_n'
+    diag_s = a[n] * b[n]  # phi(r,r)
+    d2_0s = -(n + 2.0) * r * b[n + 2]  # e^r d2_phi(0,r)
+    num_s = r * d1_s * b[n] ** 2 - r * diag_s * d2_0s
+    return np.exp(r) * num_s / b[n] ** 2
+
+
+# sigma = 1, k = 1, n = 1: the Camassa-Holm kernel e^{-s} sinh r.  The
+# generic dg = s^{-1} (r beta_1 - 3 r^3 beta_3) cancels at small s.
+def _camassa_holm_inner(n, r, a):
+    return ((np.sinh(r), np.cosh(r)),)
+
+
+def _camassa_holm_outer(n, s, b):
+    return ((np.exp(-s), -np.exp(-s)),)
+
+
+# sigma = 1, k = 2 (n >= 3).  Using j(r) = n^2 (alpha_{n-2} - alpha_n)
+# = n r^2 alpha_{n+2}(r)/(n+2) (exact, cancellation-free):
+#   delta = -[r j(r)/(2n)] [s beta_n(s)] + [r alpha_n(r)/(2n)] [s beta_{n-2}(s)]
+def _h2_inner(n, r, a):
+    return (
+        (
+            -(r**3) * a[n + 2] / (2.0 * (n + 2.0)),
+            -(3.0 * r**2 * a[n + 2] + r**4 * a[n + 4] / (n + 4.0))
+            / (2.0 * (n + 2.0)),
+        ),
+        (
+            r * a[n] / (2.0 * n),
+            (a[n] + r**2 * a[n + 2] / (n + 2.0)) / (2.0 * n),
+        ),
+    )
+
+
+def _h2_outer(n, s, b):
+    return _h1_outer(n, s, b) + (
+        (
+            s ** (3.0 - n) * b[n - 2],
+            s ** (2.0 - n) * (b[n - 2] - float(n) * b[n]),
+        ),
+    )
+
+
+def _h2_phi_factor(n, r, s):
+    # phi = (1/2) e^{r-s} * Phi, Phi built from the scaled Bessel factors
+    a = bessel.alpha_hat((n - 2, n), r)
+    b = _escaled_beta((n - 2, n), s)
+    return n * a[n] * b[n] + a[n] * b[n - 2] / n - n * a[n - 2] * b[n]
+
+
+def _h2_phi(n, r, s):
+    return 0.5 * np.exp(r - s) * _h2_phi_factor(n, r, s)
+
+
+def _h2_s(n, r):
+    a = bessel.alpha_hat((n - 2, n, n + 2), r)
+    b = _escaled_beta((n - 2, n), r)
+    a_n, a_lo, a_up = a[n], a[n - 2], a[n + 2]
+    b_n, b_lo = b[n], b[n - 2]
+    # e^-r alpha' factors via the upward recurrences
+    da_n = r / (n + 2.0) * a_up
+    da_lo = r / float(n) * a_n
+    d1_s = 0.5 * (n * da_n * b_n + da_n * b_lo / n - n * da_lo * b_n)
+    diag_s = 0.5 * (n * a_n * b_n + a_n * b_lo / n - n * a_lo * b_n)
+    phi0_s = b_lo / (2.0 * n)  # e^r phi(0,r)
+    d2_0s = -r * b_n / 2.0  # e^r d2_phi(0,r)
+    num_s = r * d1_s * phi0_s - r * diag_s * d2_0s
+    return np.exp(r) * num_s / phi0_s**2
+
+
+_CASES = {
+    (0, 1): _Formulas((), (), _h1dot_inner, _h1dot_outer, _h1dot_phi, _h1dot_s),
+    (0, 2): _Formulas(
+        (), (), _h2dot_inner, _h2dot_outer, _h2dot_phi, _h2dot_s,
+        phi_factor=_h2dot_phi_factor,
+    ),
+    (1, 1): _Formulas(
+        (0, 2), (0, 2), _h1_inner, _h1_outer, _h1_phi, _h1_s, m_offset=0
+    ),
+    (1, 2): _Formulas(
+        (0, 2, 4), (-2, 0, 2), _h2_inner, _h2_outer, _h2_phi, _h2_s,
+        phi_factor=_h2_phi_factor, m_offset=-2,
+    ),
+}
+
+
+class KernelCase:
+    """Every formula of one spec's kernel, read from the case table.
+
+    ``inner(r)`` and ``outer(s)`` give the separable factors
+    delta(r, s) = sum_t f_t(r) g_t(s) of every term at once, each Bessel
+    order the case declares evaluated once per call.  ``g`` and ``dg`` may
+    be singular at s = 0 for n >= 2; callers evaluate them only where the
+    weighted momentum z_0 is nonzero (and z_0(0) = 0 for n >= 2 by
+    construction).  ``df_origin`` holds df_t(0), the only factor the solver
+    needs at the origin node.
+    """
+
+    def __init__(self, spec):
+        n = spec.n
+        formulas = _CASES[(spec.sigma, spec.k)]
+        if (spec.sigma, spec.k, n) == (1, 1, 1):
+            formulas = replace(
+                formulas, alpha_offsets=(), beta_offsets=(),
+                inner=_camassa_holm_inner, outer=_camassa_holm_outer,
+            )
+        self.spec = spec
+        self.alpha_orders = tuple(n + o for o in formulas.alpha_offsets)
+        self.beta_orders = tuple(n + o for o in formulas.beta_offsets)
+        self.separable = formulas.phi_factor is None
+        self.m_order = None if formulas.m_offset is None else n + formulas.m_offset
+        self._formulas = formulas
+        self.df_origin = tuple(float(df[0]) for _, df in self.inner(np.zeros(1)))
+
+    def inner(self, r):
+        """((f_t(r), df_t(r)) for each term t)."""
+        a = None
+        if self.alpha_orders:
+            a = bessel.alpha_hat(self.alpha_orders, r)
+            e = np.exp(np.asarray(r, dtype=float))
+            for v in a.values():
+                v *= e  # in place: alpha_hat returns fresh arrays
+        return self._formulas.inner(self.spec.n, r, a)
+
+    def outer(self, s):
+        """((g_t(s), dg_t(s)) for each term t)."""
+        b = None
+        if self.beta_orders:
+            b = bessel.beta_hat(self.beta_orders, s)
+            e = np.exp(-np.asarray(s, dtype=float))
+            for v in b.values():
+                v *= e
+        return self._formulas.outer(self.spec.n, s, b)
+
+    def phi(self, r, s):
+        """phi(r, s) for s >= r >= 0, not both 0."""
+        return self._formulas.phi(self.spec.n, r, s)
+
+    def phi_factor(self, r, s):
+        """The factor of phi whose log is not separable in (r, s).
+
+        Only for cases that are not ``separable``.
+        """
+        return self._formulas.phi_factor(self.spec.n, r, s)
+
+    def s_generic(self, r):
+        """The diagonal criterion S(r) from its generic formula, r > 0."""
+        return self._formulas.s_generic(self.spec.n, r)
+
+
+@lru_cache(maxsize=None)
+def kernel_case(spec):
+    """The spec's KernelCase, built once."""
+    return KernelCase(spec)
+
+
 @lru_cache(maxsize=None)
 def delta_terms(spec):
-    """Separable factorization delta(r, s) = sum_t f_t(r) g_t(s)."""
-    n = spec.n
-    if spec.sigma == 0 and spec.k == 1:
-        return (
-            SeparableTerm(
-                f=lambda r: r / n,
-                df=lambda r: np.full_like(np.asarray(r, float), 1.0 / n),
-                g=lambda s: s ** (1.0 - n),
-                dg=lambda s: (1.0 - n) * s ** (-float(n)),
-            ),
-        )
-    if spec.sigma == 0 and spec.k == 2:
-        c1 = 2.0 * n * (n - 2.0)
-        c2 = 2.0 * n * (n + 2.0)
-        return (
-            SeparableTerm(
-                f=lambda r: r / c1,
-                df=lambda r: np.full_like(np.asarray(r, float), 1.0 / c1),
-                g=lambda s: s ** (3.0 - n),
-                dg=lambda s: (3.0 - n) * s ** (2.0 - n),
-            ),
-            SeparableTerm(
-                f=lambda r: -(r**3) / c2,
-                df=lambda r: -3.0 * r**2 / c2,
-                g=lambda s: s ** (1.0 - n),
-                dg=lambda s: (1.0 - n) * s ** (-float(n)),
-            ),
-        )
-    if spec.sigma == 1 and spec.k == 1:
-        # delta = [r alpha_n(r)] [s beta_n(s)]; for n = 1 this is the
-        # Camassa-Holm kernel e^{-s} sinh r.
-        if n == 1:
-            return (
-                SeparableTerm(
-                    f=np.sinh,
-                    df=np.cosh,
-                    g=lambda s: np.exp(-s),
-                    dg=lambda s: -np.exp(-s),
-                ),
-            )
-        return (
-            SeparableTerm(
-                f=lambda r: r * bessel.alpha(n, r),
-                df=lambda r: bessel.alpha(n, r)
-                + r**2 * bessel.alpha(n + 2, r) / (n + 2.0),
-                g=lambda s: s ** (1.0 - n) * bessel.beta_scaled(n, s),
-                dg=lambda s: s ** (-float(n))
-                * (
-                    bessel.beta_scaled(n, s)
-                    - (n + 2.0) * bessel.beta_scaled(n + 2, s)
-                ),
-            ),
-        )
-    # sigma = 1, k = 2 (n >= 3).  Using j(r) = n^2 (alpha_{n-2} - alpha_n)
-    # = n r^2 alpha_{n+2}(r)/(n+2) (exact, cancellation-free):
-    #   delta = -[r j(r)/(2n)] [s beta_n(s)] + [r alpha_n(r)/(2n)] [s beta_{n-2}(s)]
-    return (
+    """Separable factorization delta(r, s) = sum_t f_t(r) g_t(s).
+
+    One SeparableTerm per term, whose callables read the spec's KernelCase.
+    """
+    case = kernel_case(spec)
+    return tuple(
         SeparableTerm(
-            f=lambda r: -(r**3) * bessel.alpha(n + 2, r) / (2.0 * (n + 2.0)),
-            df=lambda r: -(
-                3.0 * r**2 * bessel.alpha(n + 2, r)
-                + r**4 * bessel.alpha(n + 4, r) / (n + 4.0)
-            )
-            / (2.0 * (n + 2.0)),
-            g=lambda s: s ** (1.0 - n) * bessel.beta_scaled(n, s),
-            dg=lambda s: s ** (-float(n))
-            * (bessel.beta_scaled(n, s) - (n + 2.0) * bessel.beta_scaled(n + 2, s)),
-        ),
-        SeparableTerm(
-            f=lambda r: r * bessel.alpha(n, r) / (2.0 * n),
-            df=lambda r: (
-                bessel.alpha(n, r) + r**2 * bessel.alpha(n + 2, r) / (n + 2.0)
-            )
-            / (2.0 * n),
-            g=lambda s: s ** (3.0 - n) * bessel.beta_scaled(n - 2, s),
-            dg=lambda s: s ** (2.0 - n)
-            * (bessel.beta_scaled(n - 2, s) - float(n) * bessel.beta_scaled(n, s)),
-        ),
+            f=lambda r, t=t: case.inner(r)[t][0],
+            df=lambda r, t=t: case.inner(r)[t][1],
+            g=lambda s, t=t: case.outer(s)[t][0],
+            dg=lambda s, t=t: case.outer(s)[t][1],
+        )
+        for t in range(len(case.df_origin))
     )
 
 
@@ -194,40 +406,28 @@ def phi(spec, r, s):
     large radii.
     """
     r, s = _check_domain(r, s)
-    n = spec.n
-    if spec.sigma == 0 and spec.k == 1:
-        return s ** (-float(n)) / n
-    if spec.sigma == 0 and spec.k == 2:
-        return s ** (2.0 - n) / (2.0 * n * (n - 2.0)) - r**2 * s ** (
-            -float(n)
-        ) / (2.0 * n * (n + 2.0))
-    if spec.sigma == 1 and spec.k == 1:
-        return (
-            bessel.alpha_scaled(n, r) * bessel.beta_escaled(n, s) * np.exp(r - s)
-        )
-    a_n = bessel.alpha_scaled(n, r)
-    a_lo = bessel.alpha_scaled(n - 2, r)
-    b_n = bessel.beta_escaled(n, s)
-    b_lo = bessel.beta_escaled(n - 2, s)
-    return 0.5 * np.exp(r - s) * (n * a_n * b_n + a_n * b_lo / n - n * a_lo * b_n)
+    return kernel_case(spec).phi(r, s)
 
 
 def delta(spec, r, s):
     """delta(r, s) = r s phi(r, s), the kernel of the operator inverse."""
     r, s = _check_domain(r, s)
-    return sum(t.f(r) * t.g(s) for t in delta_terms(spec))
+    case = kernel_case(spec)
+    return sum(f * g for (f, _), (g, _) in zip(case.inner(r), case.outer(s)))
 
 
 def d1_delta(spec, r, s):
     """d delta / dr; at the diagonal this is the one-sided limit s -> r."""
     r, s = _check_domain(r, s)
-    return sum(t.df(r) * t.g(s) for t in delta_terms(spec))
+    case = kernel_case(spec)
+    return sum(df * g for (_, df), (g, _) in zip(case.inner(r), case.outer(s)))
 
 
 def d2_delta(spec, r, s):
     """d delta / ds; at the diagonal this is the one-sided limit s -> r."""
     r, s = _check_domain(r, s)
-    return sum(t.f(r) * t.dg(s) for t in delta_terms(spec))
+    case = kernel_case(spec)
+    return sum(f * dg for (f, _), (_, dg) in zip(case.inner(r), case.outer(s)))
 
 
 def q_weight_power(spec):
@@ -235,12 +435,17 @@ def q_weight_power(spec):
     return spec.n - 1 if spec.k == 1 else spec.n - 3
 
 
+def _q_weight_kappa(spec):
+    """kappa in Q(r) = kappa r^p m(r)."""
+    return float(spec.n) if spec.k == 1 else 2.0 * spec.n * (spec.n - 2.0)
+
+
 def q_weight_smooth(spec, r):
     """Smooth positive factor m with Q(r) = kappa r^p m(r); m finite at 0."""
     r = np.asarray(r, dtype=float)
-    if spec.sigma == 0:
+    order = kernel_case(spec).m_order
+    if order is None:
         return np.ones_like(r)
-    order = spec.n if spec.k == 1 else spec.n - 2
     return 1.0 / (float(order) * bessel.beta_scaled(order, r))
 
 
@@ -252,16 +457,12 @@ def q_weight(spec, r):
     (sigma=1, k=2).
     """
     r = np.asarray(r, dtype=float)
-    n = spec.n
-    with np.errstate(divide="ignore"):
-        if spec.sigma == 0 and spec.k == 1:
-            out = n * r ** (n - 1.0)
-        elif spec.sigma == 0 and spec.k == 2:
-            out = 2.0 * n * (n - 2.0) * r ** (n - 3.0)
-        elif spec.k == 1:
-            out = r ** (n - 1.0) / bessel.beta_scaled(n, r)
-        else:
-            out = 2.0 * n * r ** (n - 3.0) / bessel.beta_scaled(n - 2, r)
+    with np.errstate(divide="ignore"):  # m = inf where beta_scaled underflows
+        out = (
+            _q_weight_kappa(spec)
+            * r ** float(q_weight_power(spec))
+            * q_weight_smooth(spec, r)
+        )
     return out if np.ndim(out) else float(out)
 
 
@@ -271,15 +472,10 @@ def phi0_weight(spec, s):
     Finite at s = 0 for every case, unlike 1/Q itself.
     """
     s = np.asarray(s, dtype=float)
-    n = spec.n
-    if spec.sigma == 0 and spec.k == 1:
-        out = np.full_like(s, 1.0 / n)
-    elif spec.sigma == 0 and spec.k == 2:
-        out = s**2 / (2.0 * n * (n - 2.0))
-    elif spec.k == 1:
-        out = bessel.beta_scaled(n, s)
-    else:
-        out = s**2 * bessel.beta_scaled(n - 2, s) / (2.0 * n)
+    with np.errstate(divide="ignore"):
+        out = s ** float(spec.n - 1 - q_weight_power(spec)) / (
+            _q_weight_kappa(spec) * q_weight_smooth(spec, s)
+        )
     return out if np.ndim(out) else float(out)
 
 
@@ -305,55 +501,42 @@ def s_criterion(spec, r):
     out = np.full_like(r, s_limit_at_zero(spec))
     m = r >= 1e-3
     if np.any(m):
-        out[m] = _s_generic(spec, r[m])
+        out[m] = kernel_case(spec).s_generic(r[m])
     return float(out[0]) if scalar else out
 
 
-def _s_generic(spec, r):
-    n = spec.n
-    if spec.sigma == 0 and spec.k == 1:
-        # d1_phi = 0; phi(0,r) = r^-n / n; d2_phi(0,r) = -r^{-n-1}
-        return np.full_like(r, float(n))
-    if spec.sigma == 0 and spec.k == 2:
-        d1 = -r ** (1.0 - n) / (n * (n + 2.0))
-        diag = r ** (2.0 - n) * (
-            1.0 / (2.0 * n * (n - 2.0)) - 1.0 / (2.0 * n * (n + 2.0))
-        )
-        phi0 = r ** (2.0 - n) / (2.0 * n * (n - 2.0))
-        d2_0 = (2.0 - n) * r ** (1.0 - n) / (2.0 * n * (n - 2.0))
-        return (r * d1 * phi0 - r * diag * d2_0) / phi0**2
-    a = bessel.alpha_scaled  # e^-r alpha_p
-    b = bessel.beta_escaled  # e^+r beta_p
-    if spec.k == 1:
-        # All products below are at the same radius, so the scale factors of
-        # each alpha*beta pair cancel; the overall e^r is reattached at the end.
-        a_n, a_up = a(n, r), a(n + 2, r)
-        b_n, b_up = b(n, r), b(n + 2, r)
-        d1_s = r / (n + 2.0) * a_up  # e^-r alpha_n'
-        diag_s = a_n * b_n  # phi(r,r)
-        d2_0s = -(n + 2.0) * r * b_up  # e^r d2_phi(0,r)
-        num_s = r * d1_s * b_n**2 - r * diag_s * d2_0s
-        return np.exp(r) * num_s / b_n**2
-    a_n, a_lo, a_up = a(n, r), a(n - 2, r), a(n + 2, r)
-    b_n, b_lo = b(n, r), b(n - 2, r)
-    # e^-r alpha' factors via the upward recurrences
-    da_n = r / (n + 2.0) * a_up
-    da_lo = r / float(n) * a_n
-    d1_s = 0.5 * (n * da_n * b_n + da_n * b_lo / n - n * da_lo * b_n)
-    diag_s = 0.5 * (n * a_n * b_n + a_n * b_lo / n - n * a_lo * b_n)
-    phi0_s = b_lo / (2.0 * n)  # e^r phi(0,r)
-    d2_0s = -r * b_n / 2.0  # e^r d2_phi(0,r)
-    num_s = r * d1_s * phi0_s - r * diag_s * d2_0s
-    return np.exp(r) * num_s / phi0_s**2
+def separable_sums(case, quadrature, x, weight):
+    """The O(N) split of a kernel integral over node images x (x_0 = 0).
 
-
-def _masked_kernel_profile(func, radii, values):
-    """func(radii)*values where values != 0, without evaluating func at 0."""
-    out = np.zeros_like(values)
-    m = values != 0.0
-    if np.any(m):
-        out[m] = func(radii[m]) * values[m]
-    return out
+    Evaluates the factors of every term once, on x[1:], and integrates
+    f_t(x) weight and g_t(x) weight where weight != 0.  Returns
+    (inner, outer, sums): inner and outer as from ``case`` on x[1:], and
+    per term the prefix sums of the f part and the tail sums of the g part,
+    so that node i > 0 gets g_t(x_i) pre_t[i] + f_t(x_i) suf_t[i].
+    """
+    m = weight != 0.0
+    mi = m[1:]
+    wi = weight[1:][mi]
+    inner = case.inner(x[1:])
+    outer = case.outer(x[1:])
+    origin = None
+    if m[0]:
+        # n = 1 data with z_0(0) != 0 puts weight on the origin node, where
+        # only f and g are needed (dg may be singular there)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            origin = list(zip(case.inner(x[:1]), case.outer(x[:1])))
+    sums = []
+    for t, ((f, _), (g, _)) in enumerate(zip(inner, outer)):
+        lower = np.zeros_like(weight)
+        upper = np.zeros_like(weight)
+        lower[1:][mi] = f[mi] * wi
+        upper[1:][mi] = g[mi] * wi
+        if origin:
+            (f0, _), (g0, _) = origin[t]
+            lower[0] = f0[0] * weight[0]
+            upper[0] = g0[0] * weight[0]
+        sums.append((quadrature.prefix(lower), quadrature.tail(upper)))
+    return inner, outer, sums
 
 
 def invert_operator(spec, grid, omega):
@@ -365,22 +548,22 @@ def invert_operator(spec, grid, omega):
     factors (the split lands exactly on the node r_i).
     """
     omega = np.asarray(omega, dtype=float)
-    # Accumulate in extended precision: the separable split can produce
-    # intermediate products much larger than u itself (opposite-sign terms
-    # cancel), and downstream finite differences amplify any rounding noise
-    # left in u.
+    # The radii, the weighted momentum, the kernel factors built from them
+    # (the Bessel values inside are float64) and the final products
+    # g pre + f suf are longdouble: the separable
+    # split can produce intermediate products much larger than u itself
+    # (opposite-sign terms cancel), and downstream finite differences
+    # amplify any rounding noise left in u.  The corrected quadrature takes
+    # its integrands in float64, so the prefix and tail sums are float64.
     r = grid.r.astype(np.longdouble)
     z = r ** (spec.n - 1) * omega
     _warn_if_underresolved(grid, omega)
     u = np.zeros_like(z)
-    for t in delta_terms(spec):
-        lower = _masked_kernel_profile(t.f, r, z)
-        upper = _masked_kernel_profile(t.g, r, z)
-        pre = grid.quadrature.prefix(lower)
-        suf = grid.quadrature.tail(upper)
-        u[1:] += t.g(r[1:]) * pre[1:] + t.f(r[1:]) * suf[1:]
-        # node 0: f(0) = 0 for every case, so only the (vanishing) upper
-        # term would contribute; u(0) = 0 exactly.
+    inner, outer, sums = separable_sums(kernel_case(spec), grid.quadrature, r, z)
+    for (f, _), (g, _), (pre, suf) in zip(inner, outer, sums):
+        u[1:] += g * pre[1:] + f * suf[1:]
+    # node 0: f(0) = 0 for every case, so only the (vanishing) upper term
+    # would contribute; u(0) = 0 exactly.
     return u.astype(float)
 
 

@@ -10,6 +10,7 @@ byte-identical outputs apart from the timestamp line.
 """
 
 import datetime
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -22,6 +23,7 @@ from .kernels import KernelSpec
 from .solver import run
 
 __all__ = [
+    "EXIT_CODES",
     "ScenarioConfig",
     "RunOutput",
     "builtin_initial_data",
@@ -30,6 +32,20 @@ __all__ = [
     "parse_config",
     "serialize_config",
 ]
+
+
+# Largest r_max for sigma = 1: the solver evaluates the unscaled alpha_p(r),
+# which grows like e^r, at every node, and e^r overflows past r = 709.
+SIGMA1_R_MAX = 600.0
+
+# Process exit code of each terminal run status.
+EXIT_CODES = {
+    "completed": 0,
+    "blowup_detected": 0,
+    "guard_tripped": 2,
+    "step_rejected": 3,
+    "nonfinite_state": 4,
+}
 
 
 @dataclass
@@ -64,8 +80,19 @@ class ScenarioConfig:
             raise ValueError("need 0 <= r_lo < r_hi")
         if self.r_hi > 0.6 * self.r_max:
             raise ValueError("r_hi must be <= 0.6 * r_max (truncation margin)")
-        if self.dt <= 0 or self.horizon <= 0:
-            raise ValueError("dt and horizon must be positive")
+        if self.sigma == 1 and self.r_max > SIGMA1_R_MAX:
+            raise ValueError(
+                f"r_max must be <= {SIGMA1_R_MAX:g} for sigma = 1 "
+                "(the kernel factors overflow beyond it)"
+            )
+        # NaN must fail too, and an infinite horizon would end the run at
+        # t = 0 as "completed"
+        if not (0.0 < self.dt < math.inf and 0.0 < self.horizon < math.inf):
+            raise ValueError("dt and horizon must be positive and finite")
+        if not 0.0 < self.epsilon < 1.0:
+            raise ValueError("epsilon must lie in (0, 1)")
+        if self.record_every < 1:
+            raise ValueError("record_every must be >= 1")
         if self.spacing not in ("uniform", "graded"):
             raise ValueError("spacing must be 'uniform' or 'graded'")
         if self.family not in FAMILIES:
@@ -208,7 +235,7 @@ def run_scenario(config, output_path=None, quiet=False):
         dominance = check_dominance(cert, record)
     path = output_path or config.output
     _write_run_csv(path, config, cert, record, dominance)
-    exit_code = 0 if record.status in ("completed", "blowup_detected") else 2
+    exit_code = EXIT_CODES[record.status]
     if not quiet:
         print(
             f"[{spec.label()}] status={record.status} t_final={record.times[-1]:.6g}"

@@ -21,13 +21,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .kernels import apply_operator, delta_terms
+from .kernels import apply_operator, kernel_case, separable_sums
 
 __all__ = [
     "FlowState",
     "TrajectoryRecord",
     "GuardError",
     "StepRejected",
+    "NonFiniteState",
     "rhs",
     "step",
     "run",
@@ -44,7 +45,11 @@ class GuardError(RuntimeError):
 
 
 class StepRejected(RuntimeError):
-    """A stage state lost monotonicity of gamma or tripped the guard."""
+    """A stage state lost strict monotonicity of gamma."""
+
+
+class NonFiniteState(RuntimeError):
+    """A stage state holds NaN or inf (e.g. a kernel factor overflowed)."""
 
 
 @dataclass
@@ -77,8 +82,12 @@ class TrajectoryRecord:
             self.snapshots.append((gamma.copy(), rho.copy()))
 
 
-def _validate(grid, init, gamma):
-    if np.any(np.diff(gamma) <= 0):
+def _validate(grid, init, gamma, rho):
+    # NaN compares False, so it would pass the two checks below.  One NaN or
+    # inf makes a sum non-finite, and these sums are far from overflowing.
+    if not np.isfinite(gamma.sum() + rho.sum()):
+        raise NonFiniteState("gamma or rho is not finite")
+    if (np.diff(gamma) <= 0).any():
         raise StepRejected("gamma lost strict monotonicity")
     if gamma[init.support_index] >= GUARD_FRACTION * grid.r_max:
         raise GuardError(
@@ -89,33 +98,26 @@ def _validate(grid, init, gamma):
 
 def rhs(spec, grid, init, gamma, rho):
     """(d gamma/dt, d ln rho/dt) at one state, via prefix/suffix sums."""
-    _validate(grid, init, gamma)
-    quad = grid.quadrature
-    z0 = init.z0
-    m = z0 != 0.0
-    w = np.zeros_like(gamma)
-    w[m] = z0[m] / rho[m]
+    _validate(grid, init, gamma, rho)
+    w = init.z0 / rho  # zero off the support of z_0
+    case = kernel_case(spec)
+    inner, outer, sums = separable_sums(case, grid.quadrature, gamma, w)
     dgamma = np.zeros_like(gamma)
     dlnrho = np.zeros_like(gamma)
-    gm = gamma[m]
-    for term in delta_terms(spec):
-        lower = np.zeros_like(gamma)
-        upper = np.zeros_like(gamma)
-        lower[m] = term.f(gm) * w[m]
-        upper[m] = term.g(gm) * w[m]
-        pre = quad.prefix(lower)
-        suf = quad.tail(upper)
-        gi = gamma[1:]
-        dgamma[1:] += term.g(gi) * pre[1:] + term.f(gi) * suf[1:]
-        dlnrho[1:] += term.dg(gi) * pre[1:] + term.df(gi) * suf[1:]
+    for (f, df), (g, dg), (pre, suf), df0 in zip(inner, outer, sums, case.df_origin):
+        dgamma[1:] += g * pre[1:] + f * suf[1:]
+        dlnrho[1:] += dg * pre[1:] + df * suf[1:]
         # Origin node: gamma(t,0) = 0 and f(0) = 0 for every kernel, so
         # dgamma(0) = 0 exactly; only the upper d1 term moves ln rho there.
-        dlnrho[0] += float(np.atleast_1d(term.df(np.zeros(1)))[0]) * suf[0]
+        dlnrho[0] += df0 * suf[0]
     return dgamma, dlnrho
 
 
 def step(spec, grid, init, state, dt):
-    """One RK4 step on (gamma, ln rho); raises StepRejected/GuardError."""
+    """One RK4 step on (gamma, ln rho).
+
+    Raises StepRejected, GuardError or NonFiniteState.
+    """
     g0, lr0 = state.gamma, np.log(state.rho)
 
     def f(gamma, lnrho):
@@ -127,9 +129,9 @@ def step(spec, grid, init, state, dt):
     k3g, k3r = f(g0 + 0.5 * dt * k2g, lr0 + 0.5 * dt * k2r)
     k4g, k4r = f(g0 + dt * k3g, lr0 + dt * k3r)
     gamma = g0 + dt / 6.0 * (k1g + 2 * k2g + 2 * k3g + k4g)
-    lnrho = lr0 + dt / 6.0 * (k1r + 2 * k2r + 2 * k3r + k4r)
-    _validate(grid, init, gamma)
-    return FlowState(t=state.t + dt, gamma=gamma, rho=np.exp(lnrho))
+    rho = np.exp(lr0 + dt / 6.0 * (k1r + 2 * k2r + 2 * k3r + k4r))
+    _validate(grid, init, gamma, rho)
+    return FlowState(t=state.t + dt, gamma=gamma, rho=rho)
 
 
 def energy(grid, init, rho, dgamma):
@@ -153,8 +155,14 @@ def run(
     """Integrate until the horizon or until min rho <= blowup_threshold.
 
     Fixed-step RK4 with step rejection: a step whose stages lose
-    monotonicity of gamma is retried at half the step, up to 20 halvings.
-    The final step is shortened to land on the horizon exactly.
+    monotonicity of gamma is retried at half the step, up to MAX_HALVINGS
+    halvings.  The final step is shortened to land on the horizon exactly.
+
+    The record's status is ``completed``, ``blowup_detected``,
+    ``guard_tripped`` (the support reached 0.9 R_max), ``step_rejected``
+    (a step was still rejected after MAX_HALVINGS halvings) or
+    ``nonfinite_state`` (a stage produced NaN or inf).  On the last three
+    the terminal state is the last accepted one.
 
     Returns (TrajectoryRecord, terminal FlowState).
     """
@@ -180,8 +188,11 @@ def run(
             except GuardError:
                 record.status = "guard_tripped"
                 return record, state
+            except NonFiniteState:
+                record.status = "nonfinite_state"
+                return record, state
         else:
-            record.status = "guard_tripped"
+            record.status = "step_rejected"
             return record, state
         state = new_state
         accepted += 1

@@ -34,6 +34,41 @@ BETA_ORACLE = [
 ]
 
 
+# (p, r, alpha_p, e^{-r} alpha_p, r^p beta_p) from the same oracle, for the
+# even orders and the odd orders above 3, at r = 1e-3, just below and just
+# above the series cutoff of alpha (4), and at r = 40
+ORDER_ORACLE = [
+    (2, 1e-3, 1.0000001250000052083, 0.99900062470844267397, 0.49999811907804278714),
+    (2, 3.999, 4.876522717543828549, 0.089405990429573065077, 0.0249893268229685456),
+    (2, 4.001, 4.882944907572318101, 0.08934486608726323568, 0.024944688113265932466),
+    (2, 40, 735369808162967.63694, 0.0031241114537221030374, 1.6994263909722077302e-17),
+    (4, 1e-3, 1.0000000833333359375, 0.99900058308341924601, 0.24999993750012146387),
+    (4, 3.999, 3.2094266122709525872, 0.058841510970267504598, 0.034827826096921692202),
+    (4, 4.001, 3.2127638883105281297, 0.058785008801954838419, 0.034777892098630123992),
+    (4, 40, 70797024926284.661436, 0.00030077084210756613613, 1.7635435395685237933e-16),
+    (5, 1e-3, 1.0000000714285734127, 0.99900057119055553334, 0.19999996666667499556),
+    (5, 3.999, 2.7937558762370130735, 0.051220618789450964535, 0.037876747938450521528),
+    (5, 4.001, 2.7963709159417513769, 0.051166128175578474441, 0.037827906233119173671),
+    (5, 40, 25567115531198.777224, 0.0001086181640625, 4.8799429212449385593e-16),
+    (6, 1e-3, 1.0000000625000015625, 0.99900056227090779219, 0.1666666458333359375),
+    (6, 3.999, 2.5018949490153873229, 0.04586965114767898348, 0.039869773212207786643),
+    (6, 4.001, 2.5040193627101197277, 0.045816874627094384506, 0.039823369409997131002),
+    (6, 40, 9968591748550.2446326, 0.000042350109174218053519, 1.2505204966193734063e-15),
+    (7, 1e-3, 1.0000000555555568182, 0.99900055533340402155, 0.1428571285714297619),
+    (7, 3.999, 2.2872727580597365235, 0.041934775691952685339, 0.041013778350667482197),
+    (7, 4.001, 2.2890469200506066999, 0.041883452385921656632, 0.040970518555726273411),
+    (7, 40, 4147275342372.1988197, 0.0000176190948486328125, 3.0027772481568121647e-15),
+    (8, 1e-3, 1.0000000500000010417, 0.99900054978340102396, 0.12499998958333398437),
+    (8, 3.999, 2.1236566853808433782, 0.038935044556603580359, 0.041505801362693294121),
+    (8, 4.001, 2.1251708585487721607, 0.038884957615463778885, 0.041465954796930413324),
+    (8, 40, 1824852995332.0325041, 7.7526219880004424782e-6, 6.8163688376929426989e-15),
+    (9, 1e-3, 1.0000000454545463287, 0.99900054524248949371, 0.11111110317460357143),
+    (9, 3.999, 1.995274790513608813, 0.03658129555784742568, 0.041514287779224687403),
+    (9, 4.001, 1.9965898141274550553, 0.036532267504754623762, 0.041477850318067704165),
+    (9, 40, 843406207435.04652465, 3.5830883502960205078e-6, 1.4728999246966253422e-14),
+]
+
+
 @pytest.mark.parametrize("p,r,expected", ALPHA_ORACLE)
 def test_alpha_against_mpmath(p, r, expected):
     assert bessel.alpha(p, r) == pytest.approx(expected, rel=1e-13)
@@ -55,6 +90,48 @@ def test_scaled_variants_against_mpmath():
     assert bessel.beta_scaled(4, 0.01) == pytest.approx(
         0.24999375085486763279, rel=1e-13
     )
+
+
+@pytest.mark.parametrize("p,r,a,a_scaled,b_scaled", ORDER_ORACLE)
+def test_orders_against_mpmath(p, r, a, a_scaled, b_scaled):
+    assert bessel.alpha(p, r) == pytest.approx(a, rel=1e-13)
+    assert bessel.alpha_scaled(p, r) == pytest.approx(a_scaled, rel=1e-13)
+    assert bessel.beta_scaled(p, r) == pytest.approx(b_scaled, rel=1e-13)
+
+
+def test_order_oracle_brackets_the_series_cutoff():
+    assert 3.999 < bessel.SERIES_CUTOFF < 4.001
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_multi_order_calls_equal_single_order_wrappers(parity):
+    r = np.concatenate([[0.0], np.geomspace(1e-4, 50.0, 400)])
+    pos = r[1:]
+    orders = tuple(range(parity, 12, 2))
+    a = bessel.alpha_hat(orders, r)
+    b = bessel.beta_hat(orders, r)
+    for p in orders:
+        np.testing.assert_array_equal(a[p], bessel.alpha_scaled(p, r))
+        np.testing.assert_array_equal(a[p] * np.exp(r), bessel.alpha(p, r))
+        np.testing.assert_array_equal(b[p][1:] / pos**p, bessel.beta_escaled(p, pos))
+        if p > 0:
+            np.testing.assert_array_equal(
+                b[p] * np.exp(-r), bessel.beta_scaled(p, r)
+            )
+        # a value does not depend on which other orders were asked for
+        np.testing.assert_array_equal(bessel.alpha_hat((p,), r)[p], a[p])
+        np.testing.assert_array_equal(bessel.beta_hat((p,), pos)[p], b[p][1:])
+
+
+def test_orders_must_be_nonnegative_integers_of_one_parity():
+    with pytest.raises(ValueError):
+        bessel.alpha(2.5, 1.0)
+    with pytest.raises(ValueError):
+        bessel.beta_scaled(-1, 1.0)
+    with pytest.raises(ValueError):
+        bessel.alpha_hat((2, 3), np.ones(3))
+    # an integral float order is an integer order
+    assert bessel.alpha(3.0, 1.0) == bessel.alpha(3, 1.0)
 
 
 def test_half_integer_closed_forms():

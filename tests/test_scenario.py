@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epdiff_radial import solver
 from epdiff_radial.cli import main
 from epdiff_radial.grid import RadialGrid
 from epdiff_radial.scenario import (
@@ -72,6 +73,18 @@ def test_validation_errors():
         ScenarioConfig(family="nope").validate()
     with pytest.raises(ValueError):
         ScenarioConfig(dt=-1.0).validate()
+    for bad in ({"horizon": float("inf")}, {"horizon": float("nan")},
+                {"dt": float("nan")}):
+        with pytest.raises(ValueError):
+            ScenarioConfig(**bad).validate()
+    with pytest.raises(ValueError):
+        ScenarioConfig(record_every=0).validate()
+    for epsilon in (0.0, 1.0, float("nan")):
+        with pytest.raises(ValueError):
+            ScenarioConfig(epsilon=epsilon).validate()
+    with pytest.raises(ValueError, match="r_max"):
+        ScenarioConfig(sigma=1, n=3, r_max=2000.0, r_hi=8.0).validate()
+    ScenarioConfig(sigma=0, n=3, r_max=2000.0).validate()
 
 
 # ---------------------------------------------------------------- families
@@ -192,3 +205,28 @@ def test_cli_bad_config_exits_1(tmp_path, capsys):
 
 def test_cli_missing_file_exits_1(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.cfg"), "--quiet"]) == 1
+
+
+@pytest.mark.parametrize("text", ["record_every = 0\n", "epsilon = 1.5\n",
+                                  "sigma = 1\nr_max = 2000\n"])
+def test_cli_rejects_bad_run_settings_without_traceback(tmp_path, capsys, text):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(serialize_config(ScenarioConfig(**FAST)) + text)
+    assert main(["run", str(bad), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("error,status,code", [
+    (solver.StepRejected, "step_rejected", 3),
+    (solver.NonFiniteState, "nonfinite_state", 4),
+])
+def test_cli_exit_code_per_failure_status(tmp_path, monkeypatch, error, status,
+                                          code):
+    def failing_step(spec, grid, init, state, dt):
+        raise error("injected")
+
+    monkeypatch.setattr(solver, "step", failing_step)
+    _, cfg = write_config(tmp_path, output=str(tmp_path / "run.csv"))
+    assert main(["run", str(cfg), "--quiet"]) == code
+    assert f"# status = {status}" in (tmp_path / "run.csv").read_text()

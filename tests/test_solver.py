@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from scipy.special import erfc
 
 from epdiff_radial.grid import InitialData, RadialGrid
 from epdiff_radial.hunter_saxton import HSExactSolution
 from epdiff_radial.kernels import KernelSpec
+from epdiff_radial import solver
 from epdiff_radial.solver import (
     FlowState,
     GuardError,
+    NonFiniteState,
+    StepRejected,
     energy,
     rhs,
     run,
@@ -59,6 +63,25 @@ def test_initial_dgamma_is_velocity_field(grid):
     dgamma, _ = rhs(spec, grid, init, grid.r.copy(), np.ones(grid.num))
     u0 = invert_operator(spec, grid, init.omega0)
     np.testing.assert_allclose(dgamma, u0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec,expected",
+    [
+        # int_0^inf -e^{-s^2} ds
+        (KernelSpec(0, 1, 1), -0.5 * np.sqrt(np.pi)),
+        # int_0^inf -e^{-s} e^{-s^2} ds
+        (KernelSpec(1, 1, 1), -0.5 * np.sqrt(np.pi) * np.exp(0.25) * erfc(0.5)),
+    ],
+    ids=lambda v: v.label() if isinstance(v, KernelSpec) else "",
+)
+def test_momentum_on_the_origin_node(grid, spec, expected):
+    # n = 1 data with omega_0(0) != 0: the origin node carries weight, and
+    # d ln rho/dt(0) = df(0) int_0^inf g z_0 ds with df(0) = 1, g = 1 or e^{-s}
+    omega0 = np.where(grid.r < 6.0, -np.exp(-grid.r**2), 0.0)  # jump 2e-16
+    init = InitialData.from_omega0(omega0, grid, 1)
+    _, dlnrho = rhs(spec, grid, init, grid.r.copy(), np.ones(grid.num))
+    assert dlnrho[0] == pytest.approx(expected, rel=1e-5)
 
 
 def test_rk4_temporal_order(grid):
@@ -151,3 +174,44 @@ def test_run_validates_threshold(grid):
     init = make_init(grid, 3)
     with pytest.raises(ValueError):
         run(spec, grid, init, dt=1e-3, horizon=0.1, blowup_threshold=1.5)
+
+
+def test_exhausted_halvings_are_not_a_guard_trip(grid, monkeypatch):
+    # a step still rejected after MAX_HALVINGS halvings has its own status;
+    # guard_tripped would tell the user to increase R_max
+    calls = []
+
+    def always_rejected(spec, grid, init, state, dt):
+        calls.append(dt)
+        raise StepRejected("gamma lost strict monotonicity")
+
+    monkeypatch.setattr(solver, "step", always_rejected)
+    spec = KernelSpec(0, 1, 3)
+    record, state = run(spec, grid, make_init(grid, 3), dt=1e-2, horizon=0.1)
+    assert record.status == "step_rejected"
+    assert len(calls) == solver.MAX_HALVINGS + 1
+    assert calls[-1] == 1e-2 * 0.5**solver.MAX_HALVINGS
+    assert state.t == 0.0
+
+
+def test_overflowing_state_is_not_a_success():
+    # sigma = 1 with R_max = 2000: the unscaled alpha_3 in f overflows at the
+    # far nodes; NaN compares False in the monotonicity and guard checks, so
+    # only the finite-state check keeps the run from ending as "completed"
+    grid = RadialGrid.uniform(512, 2000.0)
+    spec = KernelSpec(1, 1, 3)
+    init = make_init(grid, 3, lo=50.0, hi=800.0)
+    with np.errstate(all="ignore"):
+        record, state = run(spec, grid, init, dt=1e-3, horizon=0.01)
+    assert record.status == "nonfinite_state"
+    assert np.all(np.isfinite(state.gamma)) and np.all(np.isfinite(state.rho))
+
+
+def test_step_raises_on_nonfinite_state(grid):
+    spec = KernelSpec(0, 1, 3)
+    init = make_init(grid, 3)
+    rho = np.ones(grid.num)
+    rho[7] = np.nan
+    state = FlowState(t=0.0, gamma=grid.r.copy(), rho=rho)
+    with pytest.raises(NonFiniteState):
+        step(spec, grid, init, state, 1e-3)
