@@ -17,18 +17,13 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from epdiff_radial.grid import InitialData, RadialGrid
+from epdiff_radial.grid import RadialGrid
 from epdiff_radial.hunter_saxton import HSExactSolution
 from epdiff_radial.kernels import KernelSpec
+from epdiff_radial.scenario import builtin_initial_data
 from epdiff_radial.solver import run
 
-
-def neg_bump(r, lo=2.0, hi=8.0):
-    x = 2.0 * (r - lo) / (hi - lo) - 1.0
-    out = np.zeros_like(r)
-    inside = np.abs(x) < 1.0
-    out[inside] = -np.exp(1.0 - 1.0 / (1.0 - x[inside] ** 2))
-    return out
+BUMP = {"amplitude": 1.0, "r_lo": 2.0, "r_hi": 8.0}
 
 
 def main(argv=None):
@@ -42,9 +37,8 @@ def main(argv=None):
     prev = None
     for num in (256, 512, 1024, 2048):
         grid = RadialGrid.uniform(num, args.r_max)
-        omega0 = neg_bump(grid.r)
-        init = InitialData.from_omega0(omega0, grid, args.n)
-        exact = HSExactSolution(args.n, grid, omega0)
+        init = builtin_initial_data("neg_bump", BUMP, grid, args.n)
+        exact = HSExactSolution(args.n, grid, init.omega0)
         t_half = 0.5 * exact.breakdown_time()
         _, state = run(spec, grid, init, dt=5e-4, horizon=t_half)
         err = np.max(np.abs(state.rho - exact.flow(t_half)[1]))
@@ -54,9 +48,8 @@ def main(argv=None):
 
     print("temporal refinement (N = 512, error vs dt = T/4096 reference):")
     grid = RadialGrid.uniform(512, args.r_max)
-    omega0 = neg_bump(grid.r)
-    init = InitialData.from_omega0(omega0, grid, args.n)
-    exact = HSExactSolution(args.n, grid, omega0)
+    init = builtin_initial_data("neg_bump", BUMP, grid, args.n)
+    exact = HSExactSolution(args.n, grid, init.omega0)
     t_half = 0.5 * exact.breakdown_time()
     _, ref = run(spec, grid, init, dt=t_half / 4096, horizon=t_half)
     prev = None

@@ -16,13 +16,12 @@ import pathlib
 import sys
 import time
 
-import numpy as np
-
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from epdiff_radial.certify import certify, check_dominance
-from epdiff_radial.grid import InitialData, RadialGrid
+from epdiff_radial.grid import RadialGrid
 from epdiff_radial.kernels import KernelSpec
+from epdiff_radial.scenario import builtin_initial_data
 from epdiff_radial.solver import run
 
 SPECS = [
@@ -36,14 +35,6 @@ SPECS = [
 ]
 
 
-def neg_bump(r, lo=2.0, hi=8.0, amplitude=1.0):
-    x = 2.0 * (r - lo) / (hi - lo) - 1.0
-    out = np.zeros_like(r)
-    inside = np.abs(x) < 1.0
-    out[inside] = -amplitude * np.exp(1.0 - 1.0 / (1.0 - x[inside] ** 2))
-    return out
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--grid-n", type=int, default=1024)
@@ -53,16 +44,16 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     grid = RadialGrid.uniform(args.grid_n, args.r_max)
-    omega0 = neg_bump(grid.r, amplitude=args.amplitude)
+    bump = {"amplitude": args.amplitude, "r_lo": 2.0, "r_hi": 8.0}
     print(f"{'spec':>10} {'C':>10} {'T_bound':>10} {'t_detect':>10} "
           f"{'min_margin':>11} {'status':>16} {'secs':>6}")
     for spec in SPECS:
         t0 = time.time()
-        cert = certify(spec, grid, omega0)
+        init = builtin_initial_data("neg_bump", bump, grid, spec.n)
+        cert = certify(spec, grid, init.omega0)
         if not (cert.passed and cert.applicable):
             print(f"{spec.label():>10}  certificate not applicable -- skipped")
             continue
-        init = InitialData.from_omega0(omega0, grid, spec.n)
         record, _ = run(spec, grid, init, dt=args.dt,
                         horizon=1.05 * cert.t_bound, record_every=10)
         margin = check_dominance(cert, record)["min_margin"]

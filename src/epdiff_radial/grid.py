@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import CorrectedTrapezoid, trapezoid_weights
+from .quadrature import CorrectedTrapezoid
 
 __all__ = ["RadialGrid", "InitialData"]
 
@@ -19,23 +19,21 @@ class RadialGrid:
     the grid -- the solver guards gamma(t, r_support) < 0.9 R_max).
 
     ``quadrature`` is the corrected cumulative trapezoid rule bound to these
-    nodes, built once with the grid like ``weights``.
+    nodes, built once with the grid.
     """
 
     r: np.ndarray
     r_support: float
     spacing: str = "uniform"
     grade: float = 1.0
-    weights: np.ndarray = field(init=False, repr=False)
     quadrature: CorrectedTrapezoid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.r = np.asarray(self.r, dtype=float)
-        if self.r[0] != 0.0 or np.any(np.diff(self.r) <= 0):
+        if self.r[0] != 0.0 or (self.r[1:] <= self.r[:-1]).any():
             raise ValueError("grid nodes must start at 0 and strictly increase")
         if not 0 < self.r_support <= 0.6 * self.r_max:
             raise ValueError("r_support must lie in (0, 0.6*R_max]")
-        self.weights = trapezoid_weights(self.r)
         self.quadrature = CorrectedTrapezoid(self.r)
 
     @property

@@ -509,34 +509,41 @@ def separable_sums(case, quadrature, x, weight):
     """The O(N) split of a kernel integral over node images x (x_0 = 0).
 
     Evaluates the factors of every term once, on x[1:], and integrates
-    f_t(x) weight and g_t(x) weight where weight != 0.  Returns
-    (inner, outer, sums): inner and outer as from ``case`` on x[1:], and
-    per term the prefix sums of the f part and the tail sums of the g part,
-    so that node i > 0 gets g_t(x_i) pre_t[i] + f_t(x_i) suf_t[i].
+    f_t(x) weight and g_t(x) weight over the support [a, b] of weight (its
+    first to last nonzero node), all 2T integrands in one windowed
+    ``quadrature.prefix`` call.  Returns (inner, outer, pre, suf): inner and
+    outer as from ``case`` on x[1:], and (T, N) arrays of the prefix sums of
+    the f parts and the tail sums of the g parts, so that node i > 0 gets
+    g_t(x_i) pre[t, i] + f_t(x_i) suf[t, i].  The sums keep the dtype of
+    the integrands (longdouble weights give longdouble sums).
     """
-    m = weight != 0.0
-    mi = m[1:]
-    wi = weight[1:][mi]
     inner = case.inner(x[1:])
     outer = case.outer(x[1:])
-    origin = None
-    if m[0]:
+    terms = len(inner)
+    factors = [f for f, _ in inner] + [g for g, _ in outer]
+    dtype = np.result_type(weight, *factors)
+    nonzero = weight.nonzero()[0]
+    if not len(nonzero):
+        zeros = np.zeros((terms, len(weight)), dtype=dtype)
+        return inner, outer, zeros, zeros.copy()
+    a, b = int(nonzero[0]), int(nonzero[-1]) + 1
+    integrands = np.empty((2 * terms, b - a), dtype=dtype)
+    lo = max(a, 1)
+    w = weight[lo:b]
+    for row, factor in zip(integrands, factors):
+        np.multiply(factor[lo - 1 : b - 1], w, out=row[lo - a :])
+    if a == 0:
         # n = 1 data with z_0(0) != 0 puts weight on the origin node, where
         # only f and g are needed (dg may be singular there)
         with np.errstate(divide="ignore", invalid="ignore"):
-            origin = list(zip(case.inner(x[:1]), case.outer(x[:1])))
-    sums = []
-    for t, ((f, _), (g, _)) in enumerate(zip(inner, outer)):
-        lower = np.zeros_like(weight)
-        upper = np.zeros_like(weight)
-        lower[1:][mi] = f[mi] * wi
-        upper[1:][mi] = g[mi] * wi
-        if origin:
-            (f0, _), (g0, _) = origin[t]
-            lower[0] = f0[0] * weight[0]
-            upper[0] = g0[0] * weight[0]
-        sums.append((quadrature.prefix(lower), quadrature.tail(upper)))
-    return inner, outer, sums
+            origin = [f for f, _ in case.inner(x[:1])]
+            origin += [g for g, _ in case.outer(x[:1])]
+        for row, factor in zip(integrands, origin):
+            row[0] = factor[0] * weight[0]
+    sums = quadrature.prefix(integrands, start=a)
+    pre = sums[:terms]
+    suf = sums[terms:, -1:] - sums[terms:]
+    return inner, outer, pre, suf
 
 
 def invert_operator(spec, grid, omega):
@@ -549,19 +556,20 @@ def invert_operator(spec, grid, omega):
     """
     omega = np.asarray(omega, dtype=float)
     # The radii, the weighted momentum, the kernel factors built from them
-    # (the Bessel values inside are float64) and the final products
-    # g pre + f suf are longdouble: the separable
-    # split can produce intermediate products much larger than u itself
+    # (the Bessel values inside are float64), the prefix and tail sums and
+    # the final products g pre + f suf are longdouble: the separable split
+    # can produce intermediate products much larger than u itself
     # (opposite-sign terms cancel), and downstream finite differences
-    # amplify any rounding noise left in u.  The corrected quadrature takes
-    # its integrands in float64, so the prefix and tail sums are float64.
+    # amplify any rounding noise left in u.
     r = grid.r.astype(np.longdouble)
     z = r ** (spec.n - 1) * omega
     _warn_if_underresolved(grid, omega)
     u = np.zeros_like(z)
-    inner, outer, sums = separable_sums(kernel_case(spec), grid.quadrature, r, z)
-    for (f, _), (g, _), (pre, suf) in zip(inner, outer, sums):
-        u[1:] += g * pre[1:] + f * suf[1:]
+    inner, outer, pre, suf = separable_sums(
+        kernel_case(spec), grid.quadrature, r, z
+    )
+    for (f, _), (g, _), p, q in zip(inner, outer, pre, suf):
+        u[1:] += g * p[1:] + f * q[1:]
     # node 0: f(0) = 0 for every case, so only the (vanishing) upper term
     # would contribute; u(0) = 0 exactly.
     return u.astype(float)

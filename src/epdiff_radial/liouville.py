@@ -58,9 +58,14 @@ def liouville_picard_oracle(z0, horizon, grid, dt=None):
     """
     z0 = np.asarray(z0, dtype=float)
     tail = grid.quadrature.tail
+    # integrate over the support [a, b) of z_0 only: the same sums, fewer
+    # operations per call
+    nonzero = z0.nonzero()[0]
+    a, b = (nonzero[0], nonzero[-1] + 1) if len(nonzero) else (0, len(z0))
+    z0_support = z0[a:b]
 
     def rhs(lnq):
-        return tail(z0 * np.exp(-lnq))
+        return tail(z0_support * np.exp(-lnq[a:b]), start=a)
 
     lnq = np.zeros_like(z0)
     if dt is None:

@@ -8,10 +8,13 @@ cumulative trapezoid rule with the Euler-Maclaurin endpoint correction
     int_a^b f = h/2 (f_a + f_b) - h^2/12 (f'_b - f'_a) + O(h^4),
 
 applied per interval, which upgrades plain trapezoid from O(h^2) to O(h^4)
-on smooth integrands at the cost of one gradient evaluation.  It works on
-non-uniform (graded) grids as well.  ``CorrectedTrapezoid`` holds the rule
-bound to one set of nodes; every grid carries one as
-``RadialGrid.quadrature``.
+on smooth integrands.  It works on non-uniform (graded) grids as well.
+``CorrectedTrapezoid`` holds the rule bound to one set of nodes, with the
+second-order gradient stencil for f' folded into four weights per interval,
+and every grid carries one as ``RadialGrid.quadrature``.  One call integrates
+a whole stack of integrands, and an integrand that vanishes outside a node
+range is passed on that range only (the solver's integrands vanish off the
+support of z_0); the sums are the full-grid ones bit for bit.
 
 Also houses the 4th-order uniform-grid finite differences used by the
 operator application path (odd extension through r = 0, polynomial
@@ -50,15 +53,34 @@ def cumtrapz(f, r):
     return out
 
 
+def _as_float_array(u):
+    u = np.asarray(u)
+    return u if u.dtype.kind == "f" else u.astype(float)
+
+
 class CorrectedTrapezoid:
     """Endpoint-corrected cumulative trapezoid rule bound to fixed nodes.
 
-    Everything that depends only on the nodes is built once: the interval
-    weights of both terms and the edge-order-2 gradient stencil (three
-    interior coefficient arrays and two 3-point edge rows, the same ones
-    NumPy's ``gradient`` uses with ``edge_order=2`` on non-uniform spacing).
-    A solver run or an oracle integrates thousands of integrands on one grid,
-    and rebuilding that stencil per call used to cost more than the rule.
+    Everything that depends only on the nodes is built once.  With f'
+    estimated by the edge-order-2 gradient stencil (three interior
+    coefficient arrays and two 3-point edge rows, the same ones NumPy's
+    ``gradient`` uses with ``edge_order=2`` on non-uniform spacing), the
+    integral over interval i = [r_i, r_{i+1}] is a fixed linear form in four
+    samples,
+
+        seg_i = W0_i f_{i-1} + W1_i f_i + W2_i f_{i+1} + W3_i f_{i+2},
+
+    so the rule is a four-band linear map (on a uniform grid the bands are
+    h/24 (-1, 13, 13, -1)).  The first interval has no f_{-1} and the last no
+    f_N: there the one-sided edge rows of the stencil fold into the other
+    three bands.  A solver run or an oracle integrates thousands of
+    integrands on one grid, so ``prefix`` costs a few vector operations per
+    call whatever the number of integrands stacked in it.
+
+    An integrand that vanishes outside the nodes [a, b] can be passed as its
+    samples on [a, b] only (``start = a``).  Only the intervals a - 2 to
+    b + 1 are summed; every other interval adds an exact zero, so the
+    result equals the full-grid one bit for bit.
 
     Fewer than three nodes are accepted, but then f' cannot be estimated and
     ``gradient`` (so any integral without an explicit ``df``) raises
@@ -68,9 +90,11 @@ class CorrectedTrapezoid:
     def __init__(self, r):
         r = np.asarray(r, dtype=float)
         h = np.diff(r)
+        self._num = len(r)
         self._half_h = 0.5 * h
         self._h2_12 = h * h / 12.0
         self._stencil = None
+        self._bands = None
         if len(r) >= 3:
             dx1, dx2 = h[:-1], h[1:]
             lo = -dx2 / (dx1 * (dx1 + dx2))
@@ -89,6 +113,28 @@ class CorrectedTrapezoid:
                 (2.0 * d2 + d1) / (d2 * (d1 + d2)),
             )
             self._stencil = (lo, mid, hi, first, last)
+            # seg_i = h_i/2 (f_i + f_{i+1}) - h_i^2/12 (f'_{i+1} - f'_i) on the
+            # bands (f_{i-1}, f_i, f_{i+1}, f_{i+2}): the interior row
+            # (lo, mid, hi) of the left node i sits on bands 0-2 and that of
+            # the right node i + 1 on bands 1-3.  The one-sided rows of nodes
+            # 0 and N - 1 sit on bands 1-3 and 0-2, inside the grid.
+            bands = np.empty((4, len(h)))
+            w0, w1, w2, w3 = bands
+            w0[0] = 0.0
+            w0[1:] = lo
+            w1[0] = -lo[0]
+            np.subtract(mid[:-1], lo[1:], out=w1[1:-1])
+            w1[-1] = mid[-1]
+            w2[0] = -mid[0]
+            np.subtract(hi[:-1], mid[1:], out=w2[1:-1])
+            w2[-1] = hi[-1]
+            np.negative(hi, out=w3[:-1])
+            w3[-1] = 0.0
+            bands[1:, 0] += first
+            bands[:3, -1] -= last
+            bands *= self._h2_12
+            bands[1:3] += self._half_h
+            self._bands = bands
 
     def gradient(self, f):
         """Second-order estimate of f' at every node, one-sided at the edges."""
@@ -102,27 +148,61 @@ class CorrectedTrapezoid:
         df[-1] = a1 * f[-3] + b1 * f[-2] + c1 * f[-1]
         return df
 
-    def prefix(self, f, df=None):
-        """out[i] = int_{r_0}^{r_i} f, out[0] = 0 (O(h^4) on smooth f).
+    def prefix(self, f, df=None, start=0):
+        """out[..., i] = int_{r_0}^{r_i} f, out[..., 0] = 0 (O(h^4) on smooth f).
 
-        ``df`` holds samples of f'; it is estimated with ``gradient`` when
-        omitted.  Second order is enough, but it matters that the one-sided
-        edge estimates are second order too: the cumulative correction
-        telescopes to the endpoint df values, so a first-order edge estimate
+        Integrates along the last axis of a 1-D array or of an (m, L) stack
+        of integrands.  ``f`` holds the samples on the nodes start to
+        start + L - 1 and the integrand is zero on every other node; the
+        output always covers all N nodes.  The float dtype of ``f`` is kept
+        (longdouble samples give longdouble sums).
+
+        ``df`` holds samples of f' on all nodes (``start`` must be 0 then).
+        Without it f' is the gradient stencil's, folded into the bands.
+        Second order is enough, but it matters that the one-sided edge
+        estimates are second order too: the cumulative correction
+        telescopes to the endpoint f' values, so a first-order edge estimate
         would drop the whole rule to O(h^3).
         """
-        f = np.asarray(f, dtype=float)
-        if df is None:
-            df = self.gradient(f)
-        seg = self._half_h * (f[:-1] + f[1:]) - self._h2_12 * (df[1:] - df[:-1])
-        out = np.zeros(f.shape)
-        seg.cumsum(out=out[1:])
+        f = _as_float_array(f)
+        num = self._num
+        if df is not None:
+            if start != 0 or f.shape[-1] != num:
+                raise ValueError("an explicit df needs samples on every node")
+            df = np.asarray(df)
+            seg = self._half_h * (f[..., :-1] + f[..., 1:]) - self._h2_12 * (
+                df[..., 1:] - df[..., :-1]
+            )
+            out = np.zeros(f.shape, dtype=seg.dtype)
+            seg.cumsum(axis=-1, out=out[..., 1:])
+            return out
+        if self._bands is None:
+            raise ValueError("need at least 3 nodes to estimate f'")
+        stop = start + f.shape[-1]
+        if not 0 <= start < stop <= num:
+            raise ValueError("samples must lie on a node range inside the grid")
+        # intervals i0 <= i < i1 can see a nonzero sample; the padded copy
+        # holds the nodes i0 - 1 to i1 + 1 with zeros off the samples
+        i0 = max(start - 2, 0)
+        i1 = min(stop + 1, num - 1)
+        padded = np.zeros(f.shape[:-1] + (i1 - i0 + 3,), dtype=f.dtype)
+        padded[..., start - i0 + 1 : stop - i0 + 1] = f
+        # in the dtype of f, so that longdouble products need no casting
+        w0, w1, w2, w3 = self._bands[:, i0:i1].astype(f.dtype, copy=False)
+        seg = w0 * padded[..., :-3]
+        seg += w1 * padded[..., 1:-2]
+        seg += w2 * padded[..., 2:-1]
+        seg += w3 * padded[..., 3:]
+        out = np.zeros(f.shape[:-1] + (num,), dtype=seg.dtype)
+        seg.cumsum(axis=-1, out=out[..., i0 + 1 : i1 + 1])
+        if i1 + 1 < num:
+            out[..., i1 + 1 :] = out[..., i1 : i1 + 1]
         return out
 
-    def tail(self, f, df=None):
-        """Suffix integrals out[i] = int_{r_i}^{r_max} f; out[-1] = 0."""
-        pre = self.prefix(f, df)
-        return pre[-1] - pre
+    def tail(self, f, df=None, start=0):
+        """Suffix integrals out[..., i] = int_{r_i}^{r_max} f; out[..., -1] = 0."""
+        pre = self.prefix(f, df, start)
+        return pre[..., -1:] - pre
 
 
 def cumtrapz_corrected(f, r, df=None):
@@ -157,11 +237,6 @@ def tail_cumtrapz(f, r, df=None, corrected=True):
 # (u(-r) = -u(r) for velocities, v(-r) = v(r) for profiles like u/r); right
 # ghosts from degree-4 polynomial extrapolation (vanishing 5th difference),
 # which preserves the interior order at the outer edge.
-
-
-def _as_float_array(u):
-    u = np.asarray(u)
-    return u if np.issubdtype(u.dtype, np.floating) else u.astype(float)
 
 
 def _padded(u, parity):

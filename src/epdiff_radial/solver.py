@@ -54,11 +54,17 @@ class NonFiniteState(RuntimeError):
 
 @dataclass
 class FlowState:
-    """Lagrangian flow sampled on the grid at one time."""
+    """Lagrangian flow sampled on the grid at one time.
+
+    ``rate`` is (d gamma/dt, d ln rho/dt) at this state once some caller has
+    evaluated it (``run`` does for the energy); ``step`` then uses it as its
+    first stage instead of evaluating it again.
+    """
 
     t: float
     gamma: np.ndarray
     rho: np.ndarray
+    rate: tuple | None = None
 
 
 @dataclass
@@ -87,7 +93,7 @@ def _validate(grid, init, gamma, rho):
     # inf makes a sum non-finite, and these sums are far from overflowing.
     if not np.isfinite(gamma.sum() + rho.sum()):
         raise NonFiniteState("gamma or rho is not finite")
-    if (np.diff(gamma) <= 0).any():
+    if (gamma[1:] <= gamma[:-1]).any():
         raise StepRejected("gamma lost strict monotonicity")
     if gamma[init.support_index] >= GUARD_FRACTION * grid.r_max:
         raise GuardError(
@@ -101,15 +107,15 @@ def rhs(spec, grid, init, gamma, rho):
     _validate(grid, init, gamma, rho)
     w = init.z0 / rho  # zero off the support of z_0
     case = kernel_case(spec)
-    inner, outer, sums = separable_sums(case, grid.quadrature, gamma, w)
+    inner, outer, pre, suf = separable_sums(case, grid.quadrature, gamma, w)
     dgamma = np.zeros_like(gamma)
     dlnrho = np.zeros_like(gamma)
-    for (f, df), (g, dg), (pre, suf), df0 in zip(inner, outer, sums, case.df_origin):
-        dgamma[1:] += g * pre[1:] + f * suf[1:]
-        dlnrho[1:] += dg * pre[1:] + df * suf[1:]
+    for (f, df), (g, dg), p, q, df0 in zip(inner, outer, pre, suf, case.df_origin):
+        dgamma[1:] += g * p[1:] + f * q[1:]
+        dlnrho[1:] += dg * p[1:] + df * q[1:]
         # Origin node: gamma(t,0) = 0 and f(0) = 0 for every kernel, so
         # dgamma(0) = 0 exactly; only the upper d1 term moves ln rho there.
-        dlnrho[0] += df0 * suf[0]
+        dlnrho[0] += df0 * q[0]
     return dgamma, dlnrho
 
 
@@ -124,7 +130,7 @@ def step(spec, grid, init, state, dt):
         dg, dlr = rhs(spec, grid, init, gamma, np.exp(lnrho))
         return dg, dlr
 
-    k1g, k1r = f(g0, lr0)
+    k1g, k1r = state.rate if state.rate is not None else f(g0, lr0)
     k2g, k2r = f(g0 + 0.5 * dt * k1g, lr0 + 0.5 * dt * k1r)
     k3g, k3r = f(g0 + 0.5 * dt * k2g, lr0 + 0.5 * dt * k2r)
     k4g, k4r = f(g0 + dt * k3g, lr0 + dt * k3r)
@@ -172,8 +178,8 @@ def run(
     record = TrajectoryRecord()
 
     def diagnose(st):
-        dgamma, _ = rhs(spec, grid, init, st.gamma, st.rho)
-        return energy(grid, init, st.rho, dgamma)
+        st.rate = rhs(spec, grid, init, st.gamma, st.rho)
+        return energy(grid, init, st.rho, st.rate[0])
 
     record.append(0.0, grid, state.gamma, state.rho, diagnose(state), record_snapshots)
     accepted = 0

@@ -21,11 +21,13 @@ from epdiff_radial.kernels import (
     delta,
     delta_terms,
     invert_operator,
+    kernel_case,
     phi,
     phi0_weight,
     q_weight,
     s_criterion,
     s_limit_at_zero,
+    separable_sums,
 )
 from epdiff_radial.quadrature import deriv1_uniform, tail_cumtrapz
 from conftest import neg_cos_bump, neg_exp_bump
@@ -272,3 +274,34 @@ def test_inverted_field_of_negative_momentum_is_negative(amp, lo, width):
     om = neg_exp_bump(grid.r, lo, min(lo + width, 11.9), amplitude=amp)
     u = invert_operator(KernelSpec(1, 1, 2), grid, om)
     assert np.all(u <= 1e-14)
+
+
+@pytest.mark.parametrize(
+    "spec,lo",
+    [(KernelSpec(1, 2, 3), 2.0), (KernelSpec(0, 1, 1), 0.0),
+     (KernelSpec(1, 1, 1), 0.0), (KernelSpec(0, 2, 4), 15.0)],
+    ids=["H2_n3", "H1dot_n1_origin", "H1_n1_origin", "H2dot_n4_edge"],
+)
+def test_separable_sums_window_equals_full_grid_sums(spec, lo):
+    # one windowed call over the support of the weight gives, bit for bit,
+    # the per-term prefix and tail sums of the integrands on every node
+    # (including the origin node when z_0(0) != 0, and a support that ends
+    # on the last node)
+    grid = RadialGrid.uniform(300, 20.0)
+    r = grid.r
+    weight = np.where((r >= lo) & (r <= lo + 5.0), -np.exp(-((r - lo) ** 2)), 0.0)
+    case = kernel_case(spec)
+    inner, outer, pre, suf = separable_sums(case, grid.quadrature, r, weight)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        at_origin = (case.inner(r[:1]), case.outer(r[:1]))
+    q = grid.quadrature
+    for t, ((f, _), (g, _)) in enumerate(zip(inner, outer)):
+        lower = np.zeros(grid.num)
+        upper = np.zeros(grid.num)
+        lower[1:] = f * weight[1:]
+        upper[1:] = g * weight[1:]
+        if weight[0] != 0.0:
+            lower[0] = at_origin[0][t][0][0] * weight[0]
+            upper[0] = at_origin[1][t][0][0] * weight[0]
+        np.testing.assert_array_equal(pre[t], q.prefix(lower))
+        np.testing.assert_array_equal(suf[t], q.tail(upper))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from epdiff_radial.grid import RadialGrid
+from epdiff_radial.kernels import KernelSpec, kernel_case, separable_sums
 from epdiff_radial.quadrature import (
     cumtrapz,
     cumtrapz_corrected,
@@ -104,10 +105,87 @@ def test_fewer_than_three_nodes():
         cumtrapz_corrected(f, grid.r)
     with pytest.raises(ValueError):
         tail_cumtrapz(f, grid.r)
+    with pytest.raises(ValueError):
+        grid.quadrature.prefix(f[1:], start=1)
     # with f' given the rule needs no stencil
     np.testing.assert_allclose(
         cumtrapz_corrected(f, grid.r, df=np.array([1.0, 1.0])), [0.0, 1.5]
     )
+
+
+BAND_GRIDS = [RadialGrid.uniform(96, 20.0), RadialGrid.graded(81, 20.0, 1.7)]
+
+
+@pytest.mark.parametrize("grid", BAND_GRIDS, ids=["uniform", "graded"])
+def test_stacked_prefix_equals_each_row(grid):
+    rng = np.random.default_rng(3)
+    stack = rng.standard_normal((3, grid.num))
+    pre = grid.quadrature.prefix(stack)
+    tail = grid.quadrature.tail(stack)
+    assert pre.shape == tail.shape == stack.shape
+    for row, got_pre, got_tail in zip(stack, pre, tail):
+        np.testing.assert_array_equal(got_pre, grid.quadrature.prefix(row))
+        np.testing.assert_array_equal(got_tail, grid.quadrature.tail(row))
+
+
+@pytest.mark.parametrize("grid", BAND_GRIDS, ids=["uniform", "graded"])
+@pytest.mark.parametrize(
+    "window",
+    [(0, 11), (30, -1), (0, -1), (40, 40), (0, 0), (-1, -1), (1, 1), (2, 3),
+     (25, 60)],
+    ids=lambda w: f"{w[0]}:{w[1]}",
+)
+def test_windowed_prefix_is_the_full_grid_prefix_bit_for_bit(grid, window):
+    # the integrand vanishes off nodes [a, b]; passing only those samples
+    # must give exactly the full-grid sums (the skipped intervals add zeros)
+    a, b = (i % grid.num for i in window)
+    rng = np.random.default_rng(a + 7 * b)
+    samples = rng.standard_normal((2, b - a + 1))
+    full = np.zeros((2, grid.num))
+    full[:, a : b + 1] = samples
+    q = grid.quadrature
+    np.testing.assert_array_equal(q.prefix(samples, start=a), q.prefix(full))
+    np.testing.assert_array_equal(q.tail(samples, start=a), q.tail(full))
+    np.testing.assert_array_equal(
+        q.prefix(samples[0], start=a), q.prefix(full[0])
+    )
+
+
+def test_window_must_lie_on_the_grid():
+    q = BAND_GRIDS[0].quadrature
+    for start, width in [(-1, 3), (95, 2), (0, 97), (5, 0)]:
+        with pytest.raises(ValueError):
+            q.prefix(np.ones(width), start=start)
+
+
+@pytest.mark.parametrize("spec", [KernelSpec(0, 1, 3), KernelSpec(1, 2, 3)],
+                         ids=lambda s: s.label())
+def test_zero_weight_gives_zero_sums(spec):
+    grid = BAND_GRIDS[0]
+    assert not grid.quadrature.prefix(np.zeros(grid.num)).any()
+    inner, _, pre, suf = separable_sums(
+        kernel_case(spec), grid.quadrature, grid.r, np.zeros(grid.num)
+    )
+    assert pre.shape == suf.shape == (len(inner), grid.num)
+    assert not pre.any() and not suf.any()
+
+
+@pytest.mark.parametrize("grid", BAND_GRIDS, ids=["uniform", "graded"])
+def test_longdouble_in_gives_longdouble_out(grid):
+    f = np.exp(-grid.r) * np.cos(grid.r)
+    q = grid.quadrature
+    ld = f.astype(np.longdouble)
+    windowed = np.zeros_like(f)
+    windowed[10:50] = f[10:50]
+    for got, ref in [
+        (q.prefix(ld), q.prefix(f)),
+        (q.tail(ld), q.tail(f)),
+        (q.prefix(ld[10:50], start=10), q.prefix(windowed)),
+    ]:
+        assert got.dtype == np.longdouble
+        np.testing.assert_allclose(got.astype(float), ref, rtol=0, atol=1e-15)
+    # integer samples are integrated as float64
+    assert q.prefix(np.ones(grid.num, dtype=int)).dtype == np.float64
 
 
 @pytest.mark.parametrize("parity", [-1, +1])

@@ -1,5 +1,9 @@
 """Config round-trip, initial-data families, CSV output, and the CLI."""
 
+import contextlib
+import io
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +13,7 @@ from epdiff_radial import solver
 from epdiff_radial.cli import main
 from epdiff_radial.grid import RadialGrid
 from epdiff_radial.scenario import (
+    EXIT_CODES,
     FAMILIES,
     ScenarioConfig,
     builtin_initial_data,
@@ -230,3 +235,59 @@ def test_cli_exit_code_per_failure_status(tmp_path, monkeypatch, error, status,
     _, cfg = write_config(tmp_path, output=str(tmp_path / "run.csv"))
     assert main(["run", str(cfg), "--quiet"]) == code
     assert f"# status = {status}" in (tmp_path / "run.csv").read_text()
+
+
+# ---------------------------------------------------------------- fuzz
+
+
+@given(
+    sigma=st.sampled_from([0, 1]),
+    k=st.sampled_from([1, 2]),
+    n=st.integers(min_value=1, max_value=5),
+    grid_n=st.integers(min_value=128, max_value=160),
+    r_max=st.floats(min_value=4.0, max_value=640.0),
+    spacing=st.sampled_from(["uniform", "graded"]),
+    grade=st.floats(min_value=1.0, max_value=2.0),
+    family=st.sampled_from(sorted(FAMILIES)),
+    amplitude=st.floats(min_value=0.0, max_value=4.0),
+    lo_frac=st.floats(min_value=0.0, max_value=0.4),
+    width_frac=st.floats(min_value=0.02, max_value=0.25),
+    bias=st.floats(min_value=-1.0, max_value=2.0),
+    dt=st.floats(min_value=1e-3, max_value=0.2),
+    steps=st.integers(min_value=1, max_value=4),
+    epsilon=st.floats(min_value=0.01, max_value=0.9),
+    record_every=st.integers(min_value=1, max_value=3),
+)
+@settings(max_examples=40, deadline=None)
+def test_fuzz_config_through_the_cli(tmp_path_factory, sigma, k, n, grid_n,
+                                     r_max, spacing, grade, family, amplitude,
+                                     lo_frac, width_frac, bias, dt, steps,
+                                     epsilon, record_every):
+    # parse_config -> run_scenario on tiny grids for a few steps: a run ends
+    # in a documented status with finite rows, or the CLI exits 1 with a
+    # one-line error and no traceback
+    config = ScenarioConfig(
+        sigma=sigma, k=k, n=n, grid_n=grid_n, r_max=r_max, spacing=spacing,
+        grade=grade, family=family, amplitude=amplitude,
+        r_lo=lo_frac * r_max, r_hi=(lo_frac + width_frac) * r_max, bias=bias,
+        dt=dt, horizon=steps * dt, epsilon=epsilon, record_every=record_every,
+    )
+    workdir = tmp_path_factory.mktemp("fuzz")
+    cfg = workdir / "fuzz.cfg"
+    out = workdir / "fuzz.csv"
+    cfg.write_text(serialize_config(config))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with np.errstate(all="ignore"):
+            code = main(["run", str(cfg), "--output", str(out), "--quiet"])
+    if code == 1:
+        assert err.getvalue().startswith("error:")
+        assert "Traceback" not in err.getvalue()
+        return
+    text = out.read_text()
+    status = text.split("# status = ", 1)[1].split("\n", 1)[0]
+    assert EXIT_CODES[status] == code
+    rows = [l.split(",") for l in text.splitlines() if not l.startswith("#")][1:]
+    assert rows and rows[-1][-1] == status
+    for row in rows:
+        assert all(math.isfinite(float(v)) for v in row[:4])

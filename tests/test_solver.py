@@ -169,6 +169,24 @@ def test_step_raises_guard_directly(grid):
         step(spec, grid, init, state, 1e-3)
 
 
+def test_energy_rhs_is_the_next_first_stage(grid, monkeypatch):
+    # every recorded state's RHS (evaluated for the energy) is the first RK4
+    # stage of the step that leaves it: s accepted steps recorded at every
+    # step cost 4 s + 1 RHS evaluations, not 5 s + 1
+    calls = []
+
+    def counting_rhs(*args):
+        calls.append(args)
+        return rhs(*args)
+
+    monkeypatch.setattr(solver, "rhs", counting_rhs)
+    record, _ = run(KernelSpec(0, 1, 3), grid, make_init(grid, 3), dt=1e-2,
+                    horizon=0.05, record_every=1)
+    steps = len(record.times) - 1
+    assert record.status == "completed" and steps == 5
+    assert len(calls) == 4 * steps + 1
+
+
 def test_run_validates_threshold(grid):
     spec = KernelSpec(0, 1, 3)
     init = make_init(grid, 3)
