@@ -8,9 +8,8 @@ from the pair
 
 normalized so that alpha_p(0) = 1 and r^p beta_p(r) -> 1/p as r -> 0.
 alpha_p grows like e^r and beta_p decays like e^{-r}; every kernel only ever
-needs products alpha_p(r) beta_q(s) with s >= r, so the exponentially scaled
-variants ``alpha_scaled`` (e^{-r} alpha_p) and ``beta_escaled`` (e^{r} beta_p)
-are provided for overflow-free composition.
+needs products alpha_p(r) beta_q(s) with s >= r, so the kernels compose the
+exponentially scaled pair below with e^{r-s}, which never overflows.
 
 Only nonnegative integer orders p occur (p = n, n +- 2, n + 4 for dimension
 n), so every value comes from the scaled pair
@@ -18,12 +17,16 @@ n), so every value comes from the scaled pair
     alpha_hat_p(r) = e^{-r} alpha_p(r),   beta_hat_p(r) = e^{r} r^p beta_p(r),
 
 evaluated for a whole set of orders of one parity at once by
-:func:`alpha_hat` and :func:`beta_hat`; the single-order functions are thin
-wrappers over them.  Both families obey three-term recurrences in p
-(DLMF 10.29.1 in this normalization):
+:func:`alpha_hat` and :func:`beta_hat`.  ``alpha``, ``beta`` and
+``beta_scaled`` (r^p beta_p, finite at r = 0) give one order unscaled.  Both
+families obey three-term recurrences in p (DLMF 10.29.1 in this
+normalization):
 
     alpha_{p+2} = p (p + 2) (alpha_{p-2} - alpha_p) / r^2,
-    beta_hat_{p+2} = (p beta_hat_p + r^2 beta_hat_{p-2} / p) / (p + 2).
+    beta_hat_{p+2} = (p beta_hat_p + r^2 beta_hat_{p-2} / p) / (p + 2),
+
+and the derivatives follow from alpha_p' = r alpha_{p+2} / (p + 2) and
+beta_p' = -(p + 2) r beta_{p+2}.
 
 The beta recurrence adds positive terms and is run upward from the
 elementary half-integer forms (DLMF 10.49: beta_hat_1 = 1,
@@ -37,23 +40,17 @@ relative error is below 1e-14 for p <= 9 on 1e-4 <= r <= 40; frozen mpmath
 values pin it in the test suite.
 """
 
-import math
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import i0e, i1e, k0e, k1e
 
 __all__ = [
-    "coeff",
     "alpha_hat",
     "beta_hat",
     "alpha",
     "beta",
     "beta_scaled",
-    "alpha_scaled",
-    "beta_escaled",
-    "alpha_prime",
-    "beta_prime",
     "wronskian_residual",
 ]
 
@@ -62,11 +59,6 @@ __all__ = [
 SERIES_CUTOFF = 4.0
 SERIES_TERMS = 18
 SERIES_BLOCK = 1024
-
-
-def coeff(p):
-    """Normalization constant c_p = 2^{p/2} Gamma(p/2 + 1)."""
-    return 2.0 ** (p / 2.0) * math.gamma(p / 2.0 + 1.0)
 
 
 def _check_orders(orders):
@@ -193,17 +185,6 @@ def alpha(p, r):
     return _like(alpha_hat((p,), r)[p] * np.exp(r), r)
 
 
-def alpha_scaled(p, r):
-    """e^{-r} alpha_p(r): overflow-free for arbitrarily large r."""
-    return _like(alpha_hat((p,), r)[p], r)
-
-
-def _beta_hat_positive(p, r, name):
-    if np.any(np.asarray(r) <= 0):
-        raise ValueError(f"{name} requires r > 0; use beta_scaled near r = 0")
-    return beta_hat((p,), r)[p]
-
-
 def beta(p, r):
     """beta_p(r) = c_p^{-1} r^{-p/2} K_{p/2}(r); diverges at r = 0.
 
@@ -213,15 +194,11 @@ def beta(p, r):
         If any r <= 0 (use :func:`beta_scaled` for the product r^p beta_p
         near the origin).
     """
-    b = _beta_hat_positive(p, r, "beta")
+    if np.any(np.asarray(r) <= 0):
+        raise ValueError("beta requires r > 0; use beta_scaled near r = 0")
+    b = beta_hat((p,), r)[p]
     r = np.asarray(r, dtype=float)
     return _like(b * np.exp(-r) / r**p, r)
-
-
-def beta_escaled(p, r):
-    """e^{r} beta_p(r): the exponentially scaled decaying solution."""
-    b = _beta_hat_positive(p, r, "beta_escaled")
-    return _like(b / np.asarray(r, dtype=float) ** p, r)
 
 
 def beta_scaled(p, r):
@@ -233,16 +210,6 @@ def beta_scaled(p, r):
     if p <= 0 and np.any(np.asarray(r) == 0):
         raise ValueError("beta_scaled undefined at r = 0 for p = 0")
     return _like(beta_hat((p,), r)[p] * np.exp(-np.asarray(r, dtype=float)), r)
-
-
-def alpha_prime(p, r):
-    """alpha_p'(r) = (r / (p+2)) alpha_{p+2}(r)  (recurrence, not FD)."""
-    return _like(np.asarray(r, dtype=float) / (p + 2.0) * alpha(p + 2, r), r)
-
-
-def beta_prime(p, r):
-    """beta_p'(r) = -(p+2) r beta_{p+2}(r)  (recurrence, not FD)."""
-    return _like(-(p + 2.0) * np.asarray(r, dtype=float) * beta(p + 2, r), r)
 
 
 def wronskian_residual(p, r):

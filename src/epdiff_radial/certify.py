@@ -26,10 +26,8 @@ from .kernels import (
     phi,
     phi0_weight,
     q_weight,
-    q_weight_power,
     q_weight_smooth,
     s_criterion,
-    s_limit_at_zero,
 )
 
 __all__ = [
@@ -249,7 +247,7 @@ def monitored_quantity(cert, state):
     spec = cert.spec
     r = cert.grid.r
     gamma, rho = state.gamma, state.rho
-    p = q_weight_power(spec)
+    p = kernel_case(spec).q_power
     q = np.empty_like(rho)
     q[0] = rho[0] ** (p + 1)
     ratio = gamma[1:] / r[1:]

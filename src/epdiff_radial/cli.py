@@ -9,8 +9,8 @@ Verbs:
 
 Exit codes (``run`` and ``sweep``; a sweep returns the largest):
 
-* 0 -- ``completed`` or ``blowup_detected``
-* 1 -- config or I/O error
+* 0 -- ``completed`` or ``blowup_detected`` (and ``-h``)
+* 1 -- usage, config or I/O error
 * 2 -- ``guard_tripped``: the support reached 0.9 R_max; increase r_max
 * 3 -- ``step_rejected``: a step was still rejected after 20 halvings
 * 4 -- ``nonfinite_state``: the state became NaN or inf
@@ -19,6 +19,7 @@ Exit codes (``run`` and ``sweep``; a sweep returns the largest):
 """
 
 import argparse
+import os
 import sys
 
 from .certify import certify
@@ -26,16 +27,12 @@ from .scenario import parse_config, run_scenario, write_exact_hs_table
 
 
 def _load_config(args):
-    path = args.config_file or args.config
-    if path is None:
-        raise ValueError("a config path is required (positional or --config)")
-    with open(path) as fh:
+    with open(args.config_file) as fh:
         return parse_config(fh.read())
 
 
 def _add_common(sub):
-    sub.add_argument("config_file", nargs="?", help="path to key=value config")
-    sub.add_argument("--config", help="alternative way to pass the config path")
+    sub.add_argument("config_file", help="path to key=value config")
     sub.add_argument("--output", help="override the config's output path")
     sub.add_argument("--quiet", action="store_true", help="suppress progress lines")
 
@@ -98,17 +95,19 @@ def _cmd_sweep(args):
     for raw in args.values.split(","):
         value = caster(raw.strip())
         variant = dataclasses.replace(config, **{args.param: value})
-        base = args.output or config.output
-        stem, dot, ext = base.rpartition(".")
-        suffix = f"{args.param}_{value}"
-        path = f"{stem}__{suffix}.{ext}" if dot else f"{base}__{suffix}"
+        stem, ext = os.path.splitext(args.output or config.output)
+        path = f"{stem}__{args.param}_{value}{ext}"
         out = run_scenario(variant.validate(), output_path=path, quiet=args.quiet)
         worst = max(worst, out.exit_code)
     return worst
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, and 2 means guard_tripped here
+        return 1 if exc.code else 0
     handler = {
         "run": _cmd_run,
         "certify": _cmd_certify,

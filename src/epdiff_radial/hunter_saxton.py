@@ -15,17 +15,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import RadialGrid
-from .liouville import liouville_blowup_time, liouville_exact, theta_tail
+from .liouville import liouville_blowup_time, liouville_exact
 
-__all__ = ["HSExactSolution", "hs_q", "hs_flow", "hs_breakdown_time"]
+__all__ = ["HSExactSolution"]
 
 
 @dataclass
 class HSExactSolution:
     """Exact Hunter-Saxton solution for one (n, omega_0) on a grid.
 
-    Theta_0 is computed once from omega_0 samples by right-to-left cumulative
-    trapezoid (never from derivatives of u_0; the identity
+    Theta_0 is computed once from omega_0 samples as the tail sums of the
+    grid's corrected trapezoid rule (never from derivatives of u_0; the identity
     Theta_0 = u_0' + (n-1) u_0 / r is a test, not a code path).
     """
 
@@ -36,7 +36,7 @@ class HSExactSolution:
 
     def __post_init__(self):
         self.omega0 = np.asarray(self.omega0, dtype=float)
-        self.theta0 = theta_tail(self.omega0, self.grid.r)
+        self.theta0 = self.grid.quadrature.tail(self.omega0)
 
     def q(self, t):
         return liouville_exact(self.theta0, t)
@@ -63,17 +63,3 @@ class HSExactSolution:
     def breakdown_time(self):
         return liouville_blowup_time(self.theta0)
 
-
-def hs_q(n, omega0, grid, t):
-    """q(t, .) = (1 + (t/2) Theta_0)^2 sampled on the grid."""
-    return HSExactSolution(n, grid, omega0).q(t)
-
-
-def hs_flow(n, omega0, grid, t):
-    """Exact (gamma, rho) at time t."""
-    return HSExactSolution(n, grid, omega0).flow(t)
-
-
-def hs_breakdown_time(n, omega0, grid):
-    """T* = 2/K, infinite iff omega_0 has nonnegative tail integrals."""
-    return HSExactSolution(n, grid, omega0).breakdown_time()

@@ -35,20 +35,16 @@ from .quadrature import deriv1_uniform, deriv2_uniform
 
 __all__ = [
     "KernelSpec",
-    "SeparableTerm",
     "KernelCase",
     "kernel_case",
-    "delta_terms",
     "phi",
     "delta",
     "d1_delta",
     "d2_delta",
     "q_weight",
-    "q_weight_power",
     "q_weight_smooth",
     "phi0_weight",
     "s_criterion",
-    "s_limit_at_zero",
     "separable_sums",
     "invert_operator",
     "apply_operator",
@@ -83,22 +79,8 @@ class KernelSpec:
         return f"{name[(self.sigma, self.k)]}_n{self.n}"
 
 
-@dataclass(frozen=True)
-class SeparableTerm:
-    """One product f(r) g(s) of a kernel delta, with derivatives.
-
-    ``g`` and ``dg`` may be singular at s = 0 for n >= 2; callers evaluate
-    them only where the weighted momentum z_0 is nonzero (and z_0(0) = 0
-    for n >= 2 by construction).
-    """
-
-    f: callable
-    df: callable
-    g: callable
-    dg: callable
-
-
-# The kernel case table: every formula of a case (sigma, k) in one entry.
+# The kernel case table: every formula of a case (sigma, k) in one entry,
+# keyed (sigma, k, n) where one dimension has factors of its own.
 
 
 @dataclass(frozen=True)
@@ -111,8 +93,10 @@ class _Formulas:
     n: a = {p: alpha_p(r)}, b = {p: s^p beta_p(s)}.  phi(n, r, s) is the
     kernel and s_generic(n, r) the criterion S for r > 0.  phi_factor(n, r, s)
     is the factor of phi whose log is not a sum of a function of r and one
-    of s (None when ln phi is such a sum).  The smooth factor of the weight
-    Q is m = 1/(p r^p beta_p(r)) with p = n + m_offset (m = 1 when None).
+    of s (None when ln phi is such a sum).  The weight is
+    Q(r) = kappa(n) r^p m(r) with p = n + q_offset, and its smooth factor is
+    m = 1/(p' r^p' beta_p'(r)) with p' = n + m_offset (m = 1 when None).
+    s_origin(n) is the r -> 0 limit of S.
     """
 
     alpha_offsets: tuple
@@ -121,6 +105,9 @@ class _Formulas:
     outer: callable
     phi: callable
     s_generic: callable
+    q_offset: int
+    kappa: callable
+    s_origin: callable
     phi_factor: callable = None
     m_offset: int = None
 
@@ -284,20 +271,39 @@ def _h2_s(n, r):
     return np.exp(r) * num_s / phi0_s**2
 
 
+# Near the origin Q ~ kappa r^p and S -> S(0); all three depend on k only.
+_FIRST_ORDER = dict(
+    q_offset=-1, kappa=lambda n: float(n), s_origin=lambda n: float(n)
+)
+_SECOND_ORDER = dict(
+    q_offset=-3,
+    kappa=lambda n: 2.0 * n * (n - 2.0),
+    s_origin=lambda n: 2.0 * (n - 2.0) / (n + 2.0),
+)
+
 _CASES = {
-    (0, 1): _Formulas((), (), _h1dot_inner, _h1dot_outer, _h1dot_phi, _h1dot_s),
+    (0, 1): _Formulas(
+        (), (), _h1dot_inner, _h1dot_outer, _h1dot_phi, _h1dot_s,
+        **_FIRST_ORDER,
+    ),
     (0, 2): _Formulas(
         (), (), _h2dot_inner, _h2dot_outer, _h2dot_phi, _h2dot_s,
-        phi_factor=_h2dot_phi_factor,
+        **_SECOND_ORDER, phi_factor=_h2dot_phi_factor,
     ),
     (1, 1): _Formulas(
-        (0, 2), (0, 2), _h1_inner, _h1_outer, _h1_phi, _h1_s, m_offset=0
+        (0, 2), (0, 2), _h1_inner, _h1_outer, _h1_phi, _h1_s,
+        **_FIRST_ORDER, m_offset=0,
     ),
     (1, 2): _Formulas(
         (0, 2, 4), (-2, 0, 2), _h2_inner, _h2_outer, _h2_phi, _h2_s,
-        phi_factor=_h2_phi_factor, m_offset=-2,
+        **_SECOND_ORDER, phi_factor=_h2_phi_factor, m_offset=-2,
     ),
 }
+# Camassa-Holm (sigma = 1, k = 1, n = 1): its own factors, no Bessel orders
+_CASES[(1, 1, 1)] = replace(
+    _CASES[(1, 1)], alpha_offsets=(), beta_offsets=(),
+    inner=_camassa_holm_inner, outer=_camassa_holm_outer,
+)
 
 
 class KernelCase:
@@ -309,22 +315,23 @@ class KernelCase:
     be singular at s = 0 for n >= 2; callers evaluate them only where the
     weighted momentum z_0 is nonzero (and z_0(0) = 0 for n >= 2 by
     construction).  ``df_origin`` holds df_t(0), the only factor the solver
-    needs at the origin node.
+    needs at the origin node.  ``q_power`` and ``kappa`` give the weight's
+    leading behaviour Q(r) ~ kappa r^q_power near 0, and ``s_origin`` the
+    limit S(0).
     """
 
     def __init__(self, spec):
         n = spec.n
-        formulas = _CASES[(spec.sigma, spec.k)]
-        if (spec.sigma, spec.k, n) == (1, 1, 1):
-            formulas = replace(
-                formulas, alpha_offsets=(), beta_offsets=(),
-                inner=_camassa_holm_inner, outer=_camassa_holm_outer,
-            )
+        key = (spec.sigma, spec.k)
+        formulas = _CASES.get(key + (n,)) or _CASES[key]
         self.spec = spec
         self.alpha_orders = tuple(n + o for o in formulas.alpha_offsets)
         self.beta_orders = tuple(n + o for o in formulas.beta_offsets)
         self.separable = formulas.phi_factor is None
         self.m_order = None if formulas.m_offset is None else n + formulas.m_offset
+        self.q_power = n + formulas.q_offset
+        self.kappa = formulas.kappa(n)
+        self.s_origin = formulas.s_origin(n)
         self._formulas = formulas
         self.df_origin = tuple(float(df[0]) for _, df in self.inner(np.zeros(1)))
 
@@ -370,24 +377,6 @@ def kernel_case(spec):
     return KernelCase(spec)
 
 
-@lru_cache(maxsize=None)
-def delta_terms(spec):
-    """Separable factorization delta(r, s) = sum_t f_t(r) g_t(s).
-
-    One SeparableTerm per term, whose callables read the spec's KernelCase.
-    """
-    case = kernel_case(spec)
-    return tuple(
-        SeparableTerm(
-            f=lambda r, t=t: case.inner(r)[t][0],
-            df=lambda r, t=t: case.inner(r)[t][1],
-            g=lambda s, t=t: case.outer(s)[t][0],
-            dg=lambda s, t=t: case.outer(s)[t][1],
-        )
-        for t in range(len(case.df_origin))
-    )
-
-
 def _check_domain(r, s):
     r = np.asarray(r, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -430,16 +419,6 @@ def d2_delta(spec, r, s):
     return sum(f * dg for (f, _), (_, dg) in zip(case.inner(r), case.outer(s)))
 
 
-def q_weight_power(spec):
-    """Leading power p with Q(r) ~ r^p near the origin."""
-    return spec.n - 1 if spec.k == 1 else spec.n - 3
-
-
-def _q_weight_kappa(spec):
-    """kappa in Q(r) = kappa r^p m(r)."""
-    return float(spec.n) if spec.k == 1 else 2.0 * spec.n * (spec.n - 2.0)
-
-
 def q_weight_smooth(spec, r):
     """Smooth positive factor m with Q(r) = kappa r^p m(r); m finite at 0."""
     r = np.asarray(r, dtype=float)
@@ -457,12 +436,9 @@ def q_weight(spec, r):
     (sigma=1, k=2).
     """
     r = np.asarray(r, dtype=float)
+    case = kernel_case(spec)
     with np.errstate(divide="ignore"):  # m = inf where beta_scaled underflows
-        out = (
-            _q_weight_kappa(spec)
-            * r ** float(q_weight_power(spec))
-            * q_weight_smooth(spec, r)
-        )
+        out = case.kappa * r ** float(case.q_power) * q_weight_smooth(spec, r)
     return out if np.ndim(out) else float(out)
 
 
@@ -472,17 +448,12 @@ def phi0_weight(spec, s):
     Finite at s = 0 for every case, unlike 1/Q itself.
     """
     s = np.asarray(s, dtype=float)
+    case = kernel_case(spec)
     with np.errstate(divide="ignore"):
-        out = s ** float(spec.n - 1 - q_weight_power(spec)) / (
-            _q_weight_kappa(spec) * q_weight_smooth(spec, s)
+        out = s ** float(spec.n - 1 - case.q_power) / (
+            case.kappa * q_weight_smooth(spec, s)
         )
     return out if np.ndim(out) else float(out)
-
-
-def s_limit_at_zero(spec):
-    """Analytic r -> 0 limit of S(r)."""
-    n = spec.n
-    return float(n) if spec.k == 1 else 2.0 * (n - 2.0) / (n + 2.0)
 
 
 def s_criterion(spec, r):
@@ -491,17 +462,18 @@ def s_criterion(spec, r):
     Evaluated through the exponentially scaled Bessel pair, so the common
     e^{+-r} factors cancel analytically and only the genuinely growing
     part of S (e.g. e^r for Camassa-Holm) remains.  Below r = 1e-3 the
-    hard-coded analytic limit is returned.
+    analytic limit S(0) of the case table is returned.
     """
     r = np.asarray(r, dtype=float)
     scalar = r.ndim == 0
     r = np.atleast_1d(r)
     if np.any(r < 0):
         raise ValueError("s_criterion requires r >= 0")
-    out = np.full_like(r, s_limit_at_zero(spec))
+    case = kernel_case(spec)
+    out = np.full_like(r, case.s_origin)
     m = r >= 1e-3
     if np.any(m):
-        out[m] = kernel_case(spec).s_generic(r[m])
+        out[m] = case.s_generic(r[m])
     return float(out[0]) if scalar else out
 
 

@@ -13,7 +13,7 @@ to validate it and is only used in tests.
 
 import numpy as np
 
-from .quadrature import tail_cumtrapz
+from .quadrature import CorrectedTrapezoid
 
 __all__ = [
     "theta_tail",
@@ -25,7 +25,7 @@ __all__ = [
 
 def theta_tail(z0, r):
     """Tail integrals Theta_0(r_i) = int_{r_i}^{R_max} z_0, computed once."""
-    return tail_cumtrapz(np.asarray(z0, dtype=float), np.asarray(r, dtype=float))
+    return CorrectedTrapezoid(r).tail(np.asarray(z0, dtype=float))
 
 
 def liouville_exact(theta0, t):

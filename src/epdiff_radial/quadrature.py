@@ -9,10 +9,11 @@ cumulative trapezoid rule with the Euler-Maclaurin endpoint correction
 
 applied per interval, which upgrades plain trapezoid from O(h^2) to O(h^4)
 on smooth integrands.  It works on non-uniform (graded) grids as well.
-``CorrectedTrapezoid`` holds the rule bound to one set of nodes, with the
-second-order gradient stencil for f' folded into four weights per interval,
-and every grid carries one as ``RadialGrid.quadrature``.  One call integrates
-a whole stack of integrands, and an integrand that vanishes outside a node
+The rule is ``CorrectedTrapezoid``, built once for one set of nodes with the
+second-order gradient stencil for f' folded into four weights per interval;
+every grid carries one as ``RadialGrid.quadrature``.  Its ``prefix`` and
+``tail`` take samples only: f' is never passed in.  One call integrates a
+whole stack of integrands, and an integrand that vanishes outside a node
 range is passed on that range only (the solver's integrands vanish off the
 support of z_0); the sums are the full-grid ones bit for bit.
 
@@ -23,34 +24,7 @@ extrapolation ghosts at the outer edge).
 
 import numpy as np
 
-__all__ = [
-    "trapezoid_weights",
-    "cumtrapz",
-    "CorrectedTrapezoid",
-    "cumtrapz_corrected",
-    "tail_cumtrapz",
-    "deriv1_uniform",
-    "deriv2_uniform",
-]
-
-
-def trapezoid_weights(r):
-    """Composite trapezoid weights w with sum(w * f) = int f over the grid."""
-    r = np.asarray(r, dtype=float)
-    w = np.zeros_like(r)
-    dr = np.diff(r)
-    w[:-1] += 0.5 * dr
-    w[1:] += 0.5 * dr
-    return w
-
-
-def cumtrapz(f, r):
-    """Plain cumulative trapezoid: out[i] = int_{r_0}^{r_i} f, out[0] = 0."""
-    f = np.asarray(f, dtype=float)
-    r = np.asarray(r, dtype=float)
-    out = np.zeros_like(f)
-    np.cumsum(0.5 * np.diff(r) * (f[:-1] + f[1:]), out=out[1:])
-    return out
+__all__ = ["CorrectedTrapezoid", "deriv1_uniform", "deriv2_uniform"]
 
 
 def _as_float_array(u):
@@ -83,17 +57,13 @@ class CorrectedTrapezoid:
     result equals the full-grid one bit for bit.
 
     Fewer than three nodes are accepted, but then f' cannot be estimated and
-    ``gradient`` (so any integral without an explicit ``df``) raises
-    ``ValueError``.
+    every integral raises ``ValueError``.
     """
 
     def __init__(self, r):
         r = np.asarray(r, dtype=float)
         h = np.diff(r)
         self._num = len(r)
-        self._half_h = 0.5 * h
-        self._h2_12 = h * h / 12.0
-        self._stencil = None
         self._bands = None
         if len(r) >= 3:
             dx1, dx2 = h[:-1], h[1:]
@@ -112,7 +82,6 @@ class CorrectedTrapezoid:
                 -(d2 + d1) / (d1 * d2),
                 (2.0 * d2 + d1) / (d2 * (d1 + d2)),
             )
-            self._stencil = (lo, mid, hi, first, last)
             # seg_i = h_i/2 (f_i + f_{i+1}) - h_i^2/12 (f'_{i+1} - f'_i) on the
             # bands (f_{i-1}, f_i, f_{i+1}, f_{i+2}): the interior row
             # (lo, mid, hi) of the left node i sits on bands 0-2 and that of
@@ -132,23 +101,11 @@ class CorrectedTrapezoid:
             w3[-1] = 0.0
             bands[1:, 0] += first
             bands[:3, -1] -= last
-            bands *= self._h2_12
-            bands[1:3] += self._half_h
+            bands *= h * h / 12.0
+            bands[1:3] += 0.5 * h
             self._bands = bands
 
-    def gradient(self, f):
-        """Second-order estimate of f' at every node, one-sided at the edges."""
-        if self._stencil is None:
-            raise ValueError("need at least 3 nodes to estimate f'")
-        f = np.asarray(f, dtype=float)
-        lo, mid, hi, (a0, b0, c0), (a1, b1, c1) = self._stencil
-        df = np.empty(f.shape)
-        df[1:-1] = lo * f[:-2] + mid * f[1:-1] + hi * f[2:]
-        df[0] = a0 * f[0] + b0 * f[1] + c0 * f[2]
-        df[-1] = a1 * f[-3] + b1 * f[-2] + c1 * f[-1]
-        return df
-
-    def prefix(self, f, df=None, start=0):
+    def prefix(self, f, start=0):
         """out[..., i] = int_{r_0}^{r_i} f, out[..., 0] = 0 (O(h^4) on smooth f).
 
         Integrates along the last axis of a 1-D array or of an (m, L) stack
@@ -157,25 +114,14 @@ class CorrectedTrapezoid:
         output always covers all N nodes.  The float dtype of ``f`` is kept
         (longdouble samples give longdouble sums).
 
-        ``df`` holds samples of f' on all nodes (``start`` must be 0 then).
-        Without it f' is the gradient stencil's, folded into the bands.
-        Second order is enough, but it matters that the one-sided edge
-        estimates are second order too: the cumulative correction
-        telescopes to the endpoint f' values, so a first-order edge estimate
-        would drop the whole rule to O(h^3).
+        f' is the gradient stencil's, folded into the bands.  Second order
+        is enough, but it matters that the one-sided edge estimates are
+        second order too: the cumulative correction telescopes to the
+        endpoint f' values, so a first-order edge estimate would drop the
+        whole rule to O(h^3).
         """
         f = _as_float_array(f)
         num = self._num
-        if df is not None:
-            if start != 0 or f.shape[-1] != num:
-                raise ValueError("an explicit df needs samples on every node")
-            df = np.asarray(df)
-            seg = self._half_h * (f[..., :-1] + f[..., 1:]) - self._h2_12 * (
-                df[..., 1:] - df[..., :-1]
-            )
-            out = np.zeros(f.shape, dtype=seg.dtype)
-            seg.cumsum(axis=-1, out=out[..., 1:])
-            return out
         if self._bands is None:
             raise ValueError("need at least 3 nodes to estimate f'")
         stop = start + f.shape[-1]
@@ -199,37 +145,10 @@ class CorrectedTrapezoid:
             out[..., i1 + 1 :] = out[..., i1 : i1 + 1]
         return out
 
-    def tail(self, f, df=None, start=0):
+    def tail(self, f, start=0):
         """Suffix integrals out[..., i] = int_{r_i}^{r_max} f; out[..., -1] = 0."""
-        pre = self.prefix(f, df, start)
+        pre = self.prefix(f, start)
         return pre[..., -1:] - pre
-
-
-def cumtrapz_corrected(f, r, df=None):
-    """Endpoint-corrected cumulative trapezoid (O(h^4) on smooth f).
-
-    Parameters
-    ----------
-    f : ndarray
-        Integrand samples on the grid ``r``.
-    r : ndarray
-        Strictly increasing nodes.
-    df : ndarray, optional
-        Samples of f'; estimated with the rule's second-order gradient
-        stencil when omitted.
-
-    Builds a ``CorrectedTrapezoid`` for this one call; callers that
-    integrate repeatedly on one grid use ``RadialGrid.quadrature`` instead.
-    """
-    return CorrectedTrapezoid(r).prefix(f, df)
-
-
-def tail_cumtrapz(f, r, df=None, corrected=True):
-    """Suffix integrals out[i] = int_{r_i}^{r_max} f; out[-1] = 0."""
-    if corrected:
-        return CorrectedTrapezoid(r).tail(f, df)
-    pre = cumtrapz(f, r)
-    return pre[-1] - pre
 
 
 # 4th-order centered stencils on a uniform grid including r_0 = 0.

@@ -127,8 +127,7 @@ def step(spec, grid, init, state, dt):
     g0, lr0 = state.gamma, np.log(state.rho)
 
     def f(gamma, lnrho):
-        dg, dlr = rhs(spec, grid, init, gamma, np.exp(lnrho))
-        return dg, dlr
+        return rhs(spec, grid, init, gamma, np.exp(lnrho))
 
     k1g, k1r = state.rate if state.rate is not None else f(g0, lr0)
     k2g, k2r = f(g0 + 0.5 * dt * k1g, lr0 + 0.5 * dt * k1r)

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epdiff_radial import bessel
+from epdiff_radial.kernels import _escaled_beta
 
 # (p, r, value) triples from the mpmath oracle
 ALPHA_ORACLE = [
@@ -79,11 +80,21 @@ def test_beta_against_mpmath(p, r, expected):
     assert bessel.beta(p, r) == pytest.approx(expected, rel=1e-13)
 
 
+def _alpha_hat_at(p, r):
+    """e^{-r} alpha_p(r) as a float."""
+    return float(bessel.alpha_hat((p,), r)[p])
+
+
+def _escaled_beta_at(p, r):
+    """e^{r} beta_p(r) as a float (r > 0), from the kernels' helper."""
+    return float(_escaled_beta((p,), r)[p])
+
+
 def test_scaled_variants_against_mpmath():
     # e^{-40} alpha_3(40) and e^{40} beta_3(40): the unscaled values would
     # overflow/underflow in these products, the scaled ones are O(1)
-    assert bessel.alpha_scaled(3, 40.0) == pytest.approx(0.0009140625, rel=1e-13)
-    assert bessel.beta_escaled(3, 40.0) == pytest.approx(
+    assert _alpha_hat_at(3, 40.0) == pytest.approx(0.0009140625, rel=1e-13)
+    assert _escaled_beta_at(3, 40.0) == pytest.approx(
         0.00021354166666666666667, rel=1e-13
     )
     # r^p beta_p near the origin: 0.24999375085486763279 at r = 0.01, p = 4
@@ -95,7 +106,7 @@ def test_scaled_variants_against_mpmath():
 @pytest.mark.parametrize("p,r,a,a_scaled,b_scaled", ORDER_ORACLE)
 def test_orders_against_mpmath(p, r, a, a_scaled, b_scaled):
     assert bessel.alpha(p, r) == pytest.approx(a, rel=1e-13)
-    assert bessel.alpha_scaled(p, r) == pytest.approx(a_scaled, rel=1e-13)
+    assert _alpha_hat_at(p, r) == pytest.approx(a_scaled, rel=1e-13)
     assert bessel.beta_scaled(p, r) == pytest.approx(b_scaled, rel=1e-13)
 
 
@@ -111,9 +122,13 @@ def test_multi_order_calls_equal_single_order_wrappers(parity):
     a = bessel.alpha_hat(orders, r)
     b = bessel.beta_hat(orders, r)
     for p in orders:
-        np.testing.assert_array_equal(a[p], bessel.alpha_scaled(p, r))
         np.testing.assert_array_equal(a[p] * np.exp(r), bessel.alpha(p, r))
-        np.testing.assert_array_equal(b[p][1:] / pos**p, bessel.beta_escaled(p, pos))
+        np.testing.assert_array_equal(
+            b[p][1:] * np.exp(-pos) / pos**p, bessel.beta(p, pos)
+        )
+        np.testing.assert_array_equal(
+            b[p][1:] / pos**p, _escaled_beta((p,), pos)[p]
+        )
         if p > 0:
             np.testing.assert_array_equal(
                 b[p] * np.exp(-r), bessel.beta_scaled(p, r)
@@ -151,7 +166,7 @@ def test_half_integer_closed_forms():
 def test_normalization_at_origin():
     for p in (1, 2, 3, 4, 5, 6):
         assert bessel.alpha(p, 0.0) == 1.0  # exact by construction
-        assert bessel.alpha_scaled(p, 0.0) == 1.0
+        assert _alpha_hat_at(p, 0.0) == 1.0
         assert bessel.beta_scaled(p, 0.0) == 1.0 / p
 
 
@@ -165,11 +180,13 @@ def test_beta_scaled_small_r_limit():
 
 
 def test_derivative_recurrences_against_mpmath():
-    # alpha_1'(1) = cosh(1) - sinh(1) = e^{-1}; beta_1'(1) = -3 beta_3(1)
-    assert bessel.alpha_prime(1, 1.0) == pytest.approx(
+    # alpha_p' = r alpha_{p+2} / (p+2) and beta_p' = -(p+2) r beta_{p+2}:
+    # alpha_1'(1) = alpha_3(1)/3 = cosh(1) - sinh(1) = e^{-1};
+    # beta_1'(1) = -3 beta_3(1)
+    assert bessel.alpha(3, 1.0) / 3.0 == pytest.approx(
         0.3678794411714423216, rel=1e-13
     )
-    assert bessel.beta_prime(1, 1.0) == pytest.approx(
+    assert -3.0 * bessel.beta(3, 1.0) == pytest.approx(
         -0.73575888234288464319, rel=1e-13
     )
 
@@ -182,19 +199,13 @@ def test_wronskian_identity_sweep():
         assert rel.max() < 1e-10, (p, rel.max())
 
 
-def test_coeff():
-    assert bessel.coeff(2) == pytest.approx(2.0)  # 2 * Gamma(2)
-    assert bessel.coeff(1) == pytest.approx(math.sqrt(math.pi / 2.0))
-    assert bessel.coeff(4) == pytest.approx(8.0)  # 4 * Gamma(3)
-
-
 def test_domain_errors():
     with pytest.raises(ValueError):
         bessel.alpha(3, -0.5)
     with pytest.raises(ValueError):
         bessel.beta(3, 0.0)
     with pytest.raises(ValueError):
-        bessel.beta_escaled(3, np.array([1.0, 0.0]))
+        bessel.beta(3, np.array([1.0, 0.0]))
 
 
 @given(
@@ -208,8 +219,8 @@ def test_positivity_and_scaling_consistency(p, r):
     assert a >= 1.0  # alpha is increasing from alpha(0) = 1
     assert b > 0.0
     # scaled variants are consistent with the plain ones
-    assert bessel.alpha_scaled(p, r) == pytest.approx(a * math.exp(-r), rel=1e-12)
-    assert bessel.beta_escaled(p, r) == pytest.approx(b * math.exp(r), rel=1e-12)
+    assert _alpha_hat_at(p, r) == pytest.approx(a * math.exp(-r), rel=1e-12)
+    assert _escaled_beta_at(p, r) == pytest.approx(b * math.exp(r), rel=1e-12)
     assert bessel.beta_scaled(p, r) == pytest.approx(r**p * b, rel=1e-12)
 
 
@@ -220,5 +231,7 @@ def test_positivity_and_scaling_consistency(p, r):
 )
 @settings(max_examples=100, deadline=None)
 def test_prime_matches_central_difference(p, r, h):
+    # alpha_p' = r alpha_{p+2} / (p+2), the recurrence the kernels use
     fd = (bessel.alpha(p, r + h) - bessel.alpha(p, r - h)) / (2.0 * h)
-    assert bessel.alpha_prime(p, r) == pytest.approx(fd, rel=1e-5, abs=1e-10)
+    prime = r / (p + 2.0) * bessel.alpha(p + 2, r)
+    assert prime == pytest.approx(fd, rel=1e-5, abs=1e-10)

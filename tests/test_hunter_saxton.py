@@ -10,14 +10,9 @@ import numpy as np
 import pytest
 
 from epdiff_radial.grid import RadialGrid
-from epdiff_radial.hunter_saxton import (
-    HSExactSolution,
-    hs_breakdown_time,
-    hs_flow,
-    hs_q,
-)
+from epdiff_radial.hunter_saxton import HSExactSolution
 from epdiff_radial.kernels import KernelSpec, invert_operator
-from epdiff_radial.quadrature import cumtrapz_corrected, deriv1_uniform
+from epdiff_radial.quadrature import deriv1_uniform
 from conftest import neg_exp_bump
 
 
@@ -62,11 +57,15 @@ def test_rho_consistency(grid, n):
 def test_breakdown_iff_negative_theta(grid):
     r = grid.r
     neg = neg_exp_bump(r, 2.0, 8.0)
-    assert np.isfinite(hs_breakdown_time(3, neg, grid))
+
+    def breakdown_time(omega0):
+        return HSExactSolution(3, grid, omega0).breakdown_time()
+
+    assert np.isfinite(breakdown_time(neg))
     # positive momentum: tail integrals are >= -1e-9 up to quadrature
     # roundoff, so the reported time is effectively infinite
-    assert hs_breakdown_time(3, -neg, grid) > 1e8
-    assert hs_breakdown_time(3, np.zeros_like(r), grid) == np.inf
+    assert breakdown_time(-neg) > 1e8
+    assert breakdown_time(np.zeros_like(r)) == np.inf
 
 
 def test_rho_vanishes_at_breakdown(grid):
@@ -119,13 +118,3 @@ def test_theta_identity_with_velocity(grid):
     theta_from_u[0] = n * du0[0]
     np.testing.assert_allclose(theta_from_u, sol.theta0, rtol=0, atol=1e-6)
 
-
-def test_wrappers_match_class(grid):
-    omega0 = neg_exp_bump(grid.r)
-    sol = HSExactSolution(2, grid, omega0)
-    t = 0.2 * sol.breakdown_time()
-    np.testing.assert_array_equal(hs_q(2, omega0, grid, t), sol.q(t))
-    g1, r1 = hs_flow(2, omega0, grid, t)
-    g2, r2 = sol.flow(t)
-    np.testing.assert_array_equal(g1, g2)
-    np.testing.assert_array_equal(r1, r2)

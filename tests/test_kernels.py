@@ -19,17 +19,15 @@ from epdiff_radial.kernels import (
     d1_delta,
     d2_delta,
     delta,
-    delta_terms,
     invert_operator,
     kernel_case,
     phi,
     phi0_weight,
     q_weight,
     s_criterion,
-    s_limit_at_zero,
     separable_sums,
 )
-from epdiff_radial.quadrature import deriv1_uniform, tail_cumtrapz
+from epdiff_radial.quadrature import deriv1_uniform
 from conftest import neg_cos_bump, neg_exp_bump
 
 ALL_SPECS = [
@@ -176,7 +174,7 @@ def test_s_criterion_closed_forms():
 def test_s_criterion_origin_limits():
     for spec in ALL_SPECS:
         expected = spec.n if spec.k == 1 else 2.0 * (spec.n - 2.0) / (spec.n + 2.0)
-        assert s_limit_at_zero(spec) == pytest.approx(expected)
+        assert kernel_case(spec).s_origin == pytest.approx(expected)
         assert s_criterion(spec, 0.0) == pytest.approx(expected)
         # the generic formula approaches the hard-coded limit continuously
         # (S itself varies O(r) near 0, e.g. e^r for the n = 1 full metric)
@@ -220,7 +218,7 @@ def test_h1dot_n1_antiderivative_identity(grid_1024):
     om = neg_exp_bump(r, 2.0, 8.0)
     u = invert_operator(spec, grid_1024, om)
     du = deriv1_uniform(u, r[1] - r[0])
-    tail = tail_cumtrapz(om, r)
+    tail = grid_1024.quadrature.tail(om)
     np.testing.assert_allclose(du, tail, rtol=0, atol=5e-6)
 
 

@@ -201,6 +201,32 @@ def test_cli_sweep(tmp_path):
     assert (tmp_path / "sweep__amplitude_1.0.csv").exists()
 
 
+def test_cli_sweep_output_in_a_dotted_directory(tmp_path):
+    # the variant suffix goes on the file name, never at a dot of a directory
+    (tmp_path / "runs.d").mkdir()
+    _, cfg = write_config(tmp_path, output=str(tmp_path / "runs.d" / "sweep"))
+    code = main(["sweep", str(cfg), "--param", "amplitude",
+                 "--values", "0.5", "--quiet"])
+    assert code == 0
+    assert (tmp_path / "runs.d" / "sweep__amplitude_0.5").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "x.cfg"], ["integrate", "x.cfg"], ["run"]],
+    ids=["sweep_without_param", "unknown_verb", "no_config"],
+)
+def test_cli_usage_error_exits_1(argv, capsys):
+    # argparse's own exit code 2 would read as guard_tripped
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_help_exits_0(capsys):
+    assert main(["-h"]) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_cli_bad_config_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("sigma = 7\n")
