@@ -65,12 +65,19 @@ class RadialGrid:
 
 @dataclass
 class InitialData:
-    """Initial momentum omega_0 and its weighted form z_0 = r^{n-1} omega_0."""
+    """Initial momentum omega_0 and its weighted form z_0 = r^{n-1} omega_0.
+
+    z_0 vanishes off the nodes support_start to support_index (its first
+    and last nonzero node); for z_0 = 0 that range is empty, with
+    support_start = support_index + 1 = 1.  The solver's nodes are
+    Lagrangian and rho > 0, so z_0/rho keeps this support for a whole run.
+    """
 
     omega0: np.ndarray
     z0: np.ndarray
     all_nonpositive: bool
     support_index: int
+    support_start: int
 
     @classmethod
     def from_omega0(cls, omega0, grid, n):
@@ -80,6 +87,7 @@ class InitialData:
         z0 = grid.r ** (n - 1) * omega0
         nz = np.nonzero(z0)[0]
         support_index = int(nz[-1]) if len(nz) else 0
+        support_start = int(nz[0]) if len(nz) else 1
         if len(nz) and grid.r[support_index] > grid.r_support:
             raise ValueError(
                 "initial momentum must be supported inside r_support "
@@ -90,4 +98,5 @@ class InitialData:
             z0=z0,
             all_nonpositive=bool(np.all(omega0 <= 0.0)),
             support_index=support_index,
+            support_start=support_start,
         )

@@ -11,9 +11,10 @@ D = {s >= r >= 0} \\ {(0,0)}:
 The four cases (sigma, k) in {0,1} x {1,2} have closed-form phi built from
 powers of s (homogeneous) or the scaled Bessel pair alpha/beta
 (nonhomogeneous).  Every delta factors into at most two separable products
-f(r) g(s), which is what makes the solver's prefix/suffix-sum evaluation
-O(N) per output node.  Each case is one entry of a case table holding all
-of its formulas; ``KernelCase`` binds an entry to a spec and evaluates each
+f(r) g(s), so one pass of prefix and suffix sums gives the kernel integral
+at every node in O(N) (``kernel_sums``, which works over the support window
+of the weight only).  Each case is one entry of a case table holding all of
+its formulas; ``KernelCase`` binds an entry to a spec and evaluates each
 Bessel order a formula needs once per call.
 
 Also evaluates the comparison weight Q(r) = 1/(r phi(0, r)) and the diagonal
@@ -45,7 +46,7 @@ __all__ = [
     "q_weight_smooth",
     "phi0_weight",
     "s_criterion",
-    "separable_sums",
+    "kernel_sums",
     "invert_operator",
     "apply_operator",
 ]
@@ -310,12 +311,14 @@ class KernelCase:
     """Every formula of one spec's kernel, read from the case table.
 
     ``inner(r)`` and ``outer(s)`` give the separable factors
-    delta(r, s) = sum_t f_t(r) g_t(s) of every term at once, each Bessel
+    delta(r, s) = sum_t f_t(r) g_t(s) of every term at once, as one
+    (T, 2, ...) array with rows (f_t, df_t) or (g_t, dg_t), each Bessel
     order the case declares evaluated once per call.  ``g`` and ``dg`` may
-    be singular at s = 0 for n >= 2; callers evaluate them only where the
-    weighted momentum z_0 is nonzero (and z_0(0) = 0 for n >= 2 by
-    construction).  ``df_origin`` holds df_t(0), the only factor the solver
-    needs at the origin node.  ``q_power`` and ``kappa`` give the weight's
+    be singular at s = 0 for n >= 2: ``kernel_sums`` evaluates them on the
+    nodes past i0 = max(a - 2, 0) for a weight supported from node a on,
+    and at the origin node only when the weight is nonzero there (n = 1;
+    z_0(0) = 0 for n >= 2 by construction).  ``df_origin`` holds df_t(0),
+    the only factor the solver needs at the origin node.  ``q_power`` and ``kappa`` give the weight's
     leading behaviour Q(r) ~ kappa r^q_power near 0, and ``s_origin`` the
     limit S(0).
     """
@@ -333,27 +336,27 @@ class KernelCase:
         self.kappa = formulas.kappa(n)
         self.s_origin = formulas.s_origin(n)
         self._formulas = formulas
-        self.df_origin = tuple(float(df[0]) for _, df in self.inner(np.zeros(1)))
+        self.df_origin = tuple(float(v) for v in self.inner(np.zeros(1))[:, 1, 0])
 
     def inner(self, r):
-        """((f_t(r), df_t(r)) for each term t)."""
+        """[[f_t(r), df_t(r)] for each term t], one (T, 2, *r.shape) array."""
         a = None
         if self.alpha_orders:
             a = bessel.alpha_hat(self.alpha_orders, r)
             e = np.exp(np.asarray(r, dtype=float))
             for v in a.values():
                 v *= e  # in place: alpha_hat returns fresh arrays
-        return self._formulas.inner(self.spec.n, r, a)
+        return np.array(self._formulas.inner(self.spec.n, r, a))
 
     def outer(self, s):
-        """((g_t(s), dg_t(s)) for each term t)."""
+        """[[g_t(s), dg_t(s)] for each term t], one (T, 2, *s.shape) array."""
         b = None
         if self.beta_orders:
             b = bessel.beta_hat(self.beta_orders, s)
             e = np.exp(-np.asarray(s, dtype=float))
             for v in b.values():
                 v *= e
-        return self._formulas.outer(self.spec.n, s, b)
+        return np.array(self._formulas.outer(self.spec.n, s, b))
 
     def phi(self, r, s):
         """phi(r, s) for s >= r >= 0, not both 0."""
@@ -477,45 +480,78 @@ def s_criterion(spec, r):
     return float(out[0]) if scalar else out
 
 
-def separable_sums(case, quadrature, x, weight):
-    """The O(N) split of a kernel integral over node images x (x_0 = 0).
+def kernel_sums(case, quadrature, x, weight, start=0, derivatives=False):
+    """The split kernel integrals at every node image x (x_0 = 0), in one pass.
 
-    Evaluates the factors of every term once, on x[1:], and integrates
-    f_t(x) weight and g_t(x) weight over the support [a, b] of weight (its
-    first to last nonzero node), all 2T integrands in one windowed
-    ``quadrature.prefix`` call.  Returns (inner, outer, pre, suf): inner and
-    outer as from ``case`` on x[1:], and (T, N) arrays of the prefix sums of
-    the f parts and the tail sums of the g parts, so that node i > 0 gets
-    g_t(x_i) pre[t, i] + f_t(x_i) suf[t, i].  The sums keep the dtype of
-    the integrands (longdouble weights give longdouble sums).
+    ``weight`` holds the samples on the nodes start to start + L - 1 and is
+    zero on every other node.  Row 0 of the output gives, at node i,
+    sum_t g_t(x_i) pre_t(i) + f_t(x_i) suf_t(i), where pre_t(i) integrates
+    f_t(x) weight up to node i and suf_t(i) integrates g_t(x) weight from
+    node i on; with ``derivatives`` a row 1 gives the same with dg_t and
+    df_t.  Only the window does work.  With (i0, i1) the quadrature's reach
+    of the samples, pre_t is 0 up to node i0 and suf_t is 0 from node i1
+    on, so f and df are evaluated on nodes 1 to i1 - 1 (and on the
+    samples), g and dg on nodes i0 + 1 to N - 1, and the 2T integrands are
+    summed over intervals i0 to i1 - 1 only, in one ``running`` call.  Node
+    i0 and below take the tail term alone, node i1 and above the prefix term
+    alone.  At node 0, where every f_t vanishes, row 0 is 0 and row 1 is
+    sum_t df_t(0) suf_t(0).  The sums keep the dtype of the integrands
+    (longdouble weights give longdouble sums).
     """
-    inner = case.inner(x[1:])
-    outer = case.outer(x[1:])
+    num = len(x)
+    stop = start + len(weight)
+    rows = 2 if derivatives else 1
+    if stop == start:
+        return np.zeros((rows, num), dtype=np.result_type(x, weight))
+    i0, i1 = quadrature.reach(start, stop)
+    inner = case.inner(x[1 : max(i1, stop)])  # node i at index i - 1
+    outer = case.outer(x[i0 + 1 :])  # node i at index i - i0 - 1
     terms = len(inner)
-    factors = [f for f, _ in inner] + [g for g, _ in outer]
-    dtype = np.result_type(weight, *factors)
-    nonzero = weight.nonzero()[0]
-    if not len(nonzero):
-        zeros = np.zeros((terms, len(weight)), dtype=dtype)
-        return inner, outer, zeros, zeros.copy()
-    a, b = int(nonzero[0]), int(nonzero[-1]) + 1
-    integrands = np.empty((2 * terms, b - a), dtype=dtype)
-    lo = max(a, 1)
-    w = weight[lo:b]
-    for row, factor in zip(integrands, factors):
-        np.multiply(factor[lo - 1 : b - 1], w, out=row[lo - a :])
-    if a == 0:
+    dtype = np.result_type(weight, inner, outer)
+    integrands = np.empty((2 * terms, stop - start), dtype=dtype)
+    lo = max(start, 1)
+    w = weight[lo - start :]
+    np.multiply(inner[:, 0, lo - 1 : stop - 1], w, out=integrands[:terms, lo - start :])
+    np.multiply(
+        outer[:, 0, lo - i0 - 1 : stop - i0 - 1], w, out=integrands[terms:, lo - start :]
+    )
+    if start == 0:
         # n = 1 data with z_0(0) != 0 puts weight on the origin node, where
-        # only f and g are needed (dg may be singular there)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            origin = [f for f, _ in case.inner(x[:1])]
-            origin += [g for g, _ in case.outer(x[:1])]
-        for row, factor in zip(integrands, origin):
-            row[0] = factor[0] * weight[0]
-    sums = quadrature.prefix(integrands, start=a)
-    pre = sums[:terms]
-    suf = sums[terms:, -1:] - sums[terms:]
-    return inner, outer, pre, suf
+        # only f and g are needed (dg may be singular there, and g too for
+        # n >= 2, where z_0(0) = 0)
+        integrands[:, 0] = 0.0
+        if weight[0] != 0.0:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                integrands[:terms, 0] = case.inner(x[:1])[:, 0, 0] * weight[0]
+                integrands[terms:, 0] = case.outer(x[:1])[:, 0, 0] * weight[0]
+    sums = quadrature.running(integrands, start)
+    # nodes i0 + 1 to i1 - 1 see both sums: pre on them, and suf = total - pre
+    width = i1 - i0 - 1
+    pre = sums[:terms, :width]
+    suf = sums[terms:, -1:] - sums[terms:, :width]
+    pre_total, suf_total = sums[:terms, -1], sums[terms:, -1]
+    out = np.empty((rows, num), dtype=dtype)
+    out[:, 0] = 0.0
+    if derivatives:
+        out[1, 0] = sum(d * s for d, s in zip(case.df_origin, suf_total))
+    # every row at once: rows (f, df) of inner and (g, dg) of outer
+    low, both, high = out[:, 1 : i0 + 1], out[:, i0 + 1 : i1], out[:, i1:]
+    for t in range(terms):
+        f, g = inner[t, :rows], outer[t, :rows]
+        if t == 0:
+            np.multiply(f[:, :i0], suf_total[t], out=low)
+            np.multiply(g[:, :width], pre[t], out=both)
+            both += f[:, i0 : i1 - 1] * suf[t]
+            np.multiply(g[:, width:], pre_total[t], out=high)
+        else:
+            low += f[:, :i0] * suf_total[t]
+            both += g[:, :width] * pre[t] + f[:, i0 : i1 - 1] * suf[t]
+            high += g[:, width:] * pre_total[t]
+    # a sum never ends in -0 when it starts from +0, but a product alone
+    # does (dg = 0 for sigma = 0, k = 1, n = 1); + 0 turns -0 into +0 and
+    # leaves every other value as it is
+    out += 0.0
+    return out
 
 
 def invert_operator(spec, grid, omega):
@@ -528,7 +564,7 @@ def invert_operator(spec, grid, omega):
     """
     omega = np.asarray(omega, dtype=float)
     # The radii, the weighted momentum, the kernel factors built from them
-    # (the Bessel values inside are float64), the prefix and tail sums and
+    # (the Bessel values inside are float64), the window's running sums and
     # the final products g pre + f suf are longdouble: the separable split
     # can produce intermediate products much larger than u itself
     # (opposite-sign terms cancel), and downstream finite differences
@@ -536,14 +572,10 @@ def invert_operator(spec, grid, omega):
     r = grid.r.astype(np.longdouble)
     z = r ** (spec.n - 1) * omega
     _warn_if_underresolved(grid, omega)
-    u = np.zeros_like(z)
-    inner, outer, pre, suf = separable_sums(
-        kernel_case(spec), grid.quadrature, r, z
-    )
-    for (f, _), (g, _), p, q in zip(inner, outer, pre, suf):
-        u[1:] += g * p[1:] + f * q[1:]
-    # node 0: f(0) = 0 for every case, so only the (vanishing) upper term
-    # would contribute; u(0) = 0 exactly.
+    support = np.flatnonzero(z)
+    a, b = (int(support[0]), int(support[-1]) + 1) if len(support) else (0, 0)
+    u = kernel_sums(kernel_case(spec), grid.quadrature, r, z[a:b], start=a)[0]
+    # node 0: f(0) = 0 for every case, so u(0) = 0 exactly
     return u.astype(float)
 
 

@@ -15,7 +15,9 @@ every grid carries one as ``RadialGrid.quadrature``.  Its ``prefix`` and
 ``tail`` take samples only: f' is never passed in.  One call integrates a
 whole stack of integrands, and an integrand that vanishes outside a node
 range is passed on that range only (the solver's integrands vanish off the
-support of z_0); the sums are the full-grid ones bit for bit.
+support of z_0); the sums are the full-grid ones bit for bit.  ``running``
+returns only the sums that change across that range, which is all the
+kernel sums need.
 
 Also houses the 4th-order uniform-grid finite differences used by the
 operator application path (odd extension through r = 0, polynomial
@@ -54,7 +56,9 @@ class CorrectedTrapezoid:
     An integrand that vanishes outside the nodes [a, b] can be passed as its
     samples on [a, b] only (``start = a``).  Only the intervals a - 2 to
     b + 1 are summed; every other interval adds an exact zero, so the
-    result equals the full-grid one bit for bit.
+    result equals the full-grid one bit for bit.  ``running`` returns just
+    those intervals' running sums; ``prefix`` and ``tail`` spread them over
+    all N nodes.
 
     Fewer than three nodes are accepted, but then f' cannot be estimated and
     every integral raises ``ValueError``.
@@ -105,14 +109,28 @@ class CorrectedTrapezoid:
             bands[1:3] += 0.5 * h
             self._bands = bands
 
-    def prefix(self, f, start=0):
-        """out[..., i] = int_{r_0}^{r_i} f, out[..., 0] = 0 (O(h^4) on smooth f).
+    def reach(self, start, stop):
+        """(i0, i1): the intervals i0 <= i < i1 that samples on nodes start to
+        stop - 1 enter (the four bands reach two nodes back and one ahead).
 
-        Integrates along the last axis of a 1-D array or of an (m, L) stack
-        of integrands.  ``f`` holds the samples on the nodes start to
-        start + L - 1 and the integrand is zero on every other node; the
-        output always covers all N nodes.  The float dtype of ``f`` is kept
-        (longdouble samples give longdouble sums).
+        The integrals of such an integrand are 0 up to node i0 and constant
+        from node i1 on.
+        """
+        if self._bands is None:
+            raise ValueError("need at least 3 nodes to estimate f'")
+        if not 0 <= start < stop <= self._num:
+            raise ValueError("samples must lie on a node range inside the grid")
+        return max(start - 2, 0), min(stop + 1, self._num - 1)
+
+    def running(self, f, start=0):
+        """The window's running sums: out[..., j] = int_{r_i0}^{r_{i0+j+1}} f.
+
+        ``f`` holds the samples on the nodes start to start + L - 1 and the
+        integrand is zero on every other node; (i0, i1) is ``reach(start,
+        start + L)`` and the output has i1 - i0 entries along the last axis,
+        the prefix integrals on nodes i0 + 1 to i1 (the last is the total).
+        Works on a 1-D array or an (m, L) stack and keeps the float dtype of
+        ``f`` (longdouble samples give longdouble sums).
 
         f' is the gradient stencil's, folded into the bands.  Second order
         is enough, but it matters that the one-sided edge estimates are
@@ -121,28 +139,36 @@ class CorrectedTrapezoid:
         whole rule to O(h^3).
         """
         f = _as_float_array(f)
-        num = self._num
-        if self._bands is None:
-            raise ValueError("need at least 3 nodes to estimate f'")
-        stop = start + f.shape[-1]
-        if not 0 <= start < stop <= num:
-            raise ValueError("samples must lie on a node range inside the grid")
-        # intervals i0 <= i < i1 can see a nonzero sample; the padded copy
-        # holds the nodes i0 - 1 to i1 + 1 with zeros off the samples
-        i0 = max(start - 2, 0)
-        i1 = min(stop + 1, num - 1)
+        i0, i1 = self.reach(start, start + f.shape[-1])
+        # the padded copy holds the nodes i0 - 1 to i1 + 1 with zeros off
+        # the samples
         padded = np.zeros(f.shape[:-1] + (i1 - i0 + 3,), dtype=f.dtype)
-        padded[..., start - i0 + 1 : stop - i0 + 1] = f
-        # in the dtype of f, so that longdouble products need no casting
-        w0, w1, w2, w3 = self._bands[:, i0:i1].astype(f.dtype, copy=False)
-        seg = w0 * padded[..., :-3]
-        seg += w1 * padded[..., 1:-2]
-        seg += w2 * padded[..., 2:-1]
-        seg += w3 * padded[..., 3:]
-        out = np.zeros(f.shape[:-1] + (num,), dtype=seg.dtype)
-        seg.cumsum(axis=-1, out=out[..., i0 + 1 : i1 + 1])
-        if i1 + 1 < num:
-            out[..., i1 + 1 :] = out[..., i1 : i1 + 1]
+        padded[..., start - i0 + 1 : start - i0 + 1 + f.shape[-1]] = f
+        # taps[..., k, j] is node i0 - 1 + j + k, the sample that band k of
+        # interval i0 + j weighs: a view, built without the overhead of
+        # numpy's stride_tricks (this runs once per solver RHS)
+        step = padded.strides[-1]
+        taps = np.ndarray(
+            f.shape[:-1] + (4, i1 - i0), padded.dtype, padded, 0,
+            padded.strides[:-1] + (step, step),
+        )
+        # seg = ((W0 f_{i-1} + W1 f_i) + W2 f_{i+1}) + W3 f_{i+2}: the reduce
+        # adds the four products in band order
+        seg = np.add.reduce(self._bands[:, i0:i1] * taps, axis=-2)
+        return np.add.accumulate(seg, axis=-1, out=seg)
+
+    def prefix(self, f, start=0):
+        """out[..., i] = int_{r_0}^{r_i} f, out[..., 0] = 0 (O(h^4) on smooth f).
+
+        ``f`` and ``start`` as in ``running``; the output covers all N
+        nodes.
+        """
+        f = _as_float_array(f)
+        i0, i1 = self.reach(start, start + f.shape[-1])
+        sums = self.running(f, start)
+        out = np.zeros(f.shape[:-1] + (self._num,), dtype=sums.dtype)
+        out[..., i0 + 1 : i1 + 1] = sums
+        out[..., i1 + 1 :] = sums[..., -1:]
         return out
 
     def tail(self, f, start=0):

@@ -13,15 +13,21 @@ structurally; blowup is detected when min rho falls to a threshold.
 Because every kernel delta factors into separable products f(r) g(s), each
 RHS evaluation is O(N) per term: one corrected prefix sum of f(gamma) z_0/rho
 and one suffix sum of g(gamma) z_0/rho serve all output nodes, with the
-quadrature split landing exactly on the diagonal node.
+quadrature split landing exactly on the diagonal node.  The nodes are
+Lagrangian and rho > 0, so z_0/rho keeps the support [a, b] of z_0 for the
+whole run (``InitialData.support_start``/``support_index``).  One windowed
+pass (``kernels.kernel_sums``) therefore sums over that window only: below
+it the prefix sums vanish and above it the suffix sums do, so f and df are
+evaluated only up to the window's end and g and dg only from its start.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .kernels import apply_operator, kernel_case, separable_sums
+from .kernels import apply_operator, kernel_case, kernel_sums
 
 __all__ = [
     "FlowState",
@@ -56,15 +62,15 @@ class NonFiniteState(RuntimeError):
 class FlowState:
     """Lagrangian flow sampled on the grid at one time.
 
-    ``rate`` is (d gamma/dt, d ln rho/dt) at this state once some caller has
-    evaluated it (``run`` does for the energy); ``step`` then uses it as its
-    first stage instead of evaluating it again.
+    ``rate`` is ``rhs`` at this state, rows (d gamma/dt, d ln rho/dt), once
+    some caller has evaluated it (``run`` does for the energy); ``step``
+    then uses it as its first stage instead of evaluating it again.
     """
 
     t: float
     gamma: np.ndarray
     rho: np.ndarray
-    rate: tuple | None = None
+    rate: np.ndarray | None = None
 
 
 @dataclass
@@ -91,7 +97,7 @@ class TrajectoryRecord:
 def _validate(grid, init, gamma, rho):
     # NaN compares False, so it would pass the two checks below.  One NaN or
     # inf makes a sum non-finite, and these sums are far from overflowing.
-    if not np.isfinite(gamma.sum() + rho.sum()):
+    if not math.isfinite(gamma.sum() + rho.sum()):
         raise NonFiniteState("gamma or rho is not finite")
     if (gamma[1:] <= gamma[:-1]).any():
         raise StepRejected("gamma lost strict monotonicity")
@@ -103,48 +109,44 @@ def _validate(grid, init, gamma, rho):
 
 
 def rhs(spec, grid, init, gamma, rho):
-    """(d gamma/dt, d ln rho/dt) at one state, via prefix/suffix sums."""
+    """(d gamma/dt, d ln rho/dt) at one state as the rows of one (2, N) array."""
     _validate(grid, init, gamma, rho)
-    w = init.z0 / rho  # zero off the support of z_0
-    case = kernel_case(spec)
-    inner, outer, pre, suf = separable_sums(case, grid.quadrature, gamma, w)
-    dgamma = np.zeros_like(gamma)
-    dlnrho = np.zeros_like(gamma)
-    for (f, df), (g, dg), p, q, df0 in zip(inner, outer, pre, suf, case.df_origin):
-        dgamma[1:] += g * p[1:] + f * q[1:]
-        dlnrho[1:] += dg * p[1:] + df * q[1:]
-        # Origin node: gamma(t,0) = 0 and f(0) = 0 for every kernel, so
-        # dgamma(0) = 0 exactly; only the upper d1 term moves ln rho there.
-        dlnrho[0] += df0 * q[0]
-    return dgamma, dlnrho
+    a, b = init.support_start, init.support_index + 1
+    return kernel_sums(
+        kernel_case(spec), grid.quadrature, gamma, init.z0[a:b] / rho[a:b],
+        start=a, derivatives=True,
+    )
 
 
 def step(spec, grid, init, state, dt):
-    """One RK4 step on (gamma, ln rho).
+    """One RK4 step on (gamma, ln rho), held as the rows of one array.
 
     Raises StepRejected, GuardError or NonFiniteState.
     """
-    g0, lr0 = state.gamma, np.log(state.rho)
+    y0 = np.empty((2, len(state.gamma)))
+    y0[0] = state.gamma
+    np.log(state.rho, out=y0[1])
 
-    def f(gamma, lnrho):
-        return rhs(spec, grid, init, gamma, np.exp(lnrho))
+    def f(y):
+        return rhs(spec, grid, init, y[0], np.exp(y[1]))
 
-    k1g, k1r = state.rate if state.rate is not None else f(g0, lr0)
-    k2g, k2r = f(g0 + 0.5 * dt * k1g, lr0 + 0.5 * dt * k1r)
-    k3g, k3r = f(g0 + 0.5 * dt * k2g, lr0 + 0.5 * dt * k2r)
-    k4g, k4r = f(g0 + dt * k3g, lr0 + dt * k3r)
-    gamma = g0 + dt / 6.0 * (k1g + 2 * k2g + 2 * k3g + k4g)
-    rho = np.exp(lr0 + dt / 6.0 * (k1r + 2 * k2r + 2 * k3r + k4r))
+    k1 = state.rate if state.rate is not None else f(y0)
+    k2 = f(y0 + 0.5 * dt * k1)
+    k3 = f(y0 + 0.5 * dt * k2)
+    k4 = f(y0 + dt * k3)
+    y = y0 + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    gamma, rho = y[0], np.exp(y[1])
     _validate(grid, init, gamma, rho)
     return FlowState(t=state.t + dt, gamma=gamma, rho=rho)
 
 
 def energy(grid, init, rho, dgamma):
     """E(t) = int z_0 (d gamma/dt) / rho dr, the pulled-back metric energy."""
-    integrand = np.zeros_like(rho)
-    m = init.z0 != 0.0
-    integrand[m] = init.z0[m] * dgamma[m] / rho[m]
-    return float(grid.quadrature.prefix(integrand)[-1])
+    a, b = init.support_start, init.support_index + 1
+    if a == b:
+        return 0.0
+    integrand = init.z0[a:b] * dgamma[a:b] / rho[a:b]
+    return float(grid.quadrature.running(integrand, start=a)[-1])
 
 
 def run(

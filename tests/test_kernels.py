@@ -25,7 +25,7 @@ from epdiff_radial.kernels import (
     phi0_weight,
     q_weight,
     s_criterion,
-    separable_sums,
+    kernel_sums,
 )
 from epdiff_radial.quadrature import deriv1_uniform
 from conftest import neg_cos_bump, neg_exp_bump
@@ -274,32 +274,61 @@ def test_inverted_field_of_negative_momentum_is_negative(amp, lo, width):
     assert np.all(u <= 1e-14)
 
 
-@pytest.mark.parametrize(
-    "spec,lo",
-    [(KernelSpec(1, 2, 3), 2.0), (KernelSpec(0, 1, 1), 0.0),
-     (KernelSpec(1, 1, 1), 0.0), (KernelSpec(0, 2, 4), 15.0)],
-    ids=["H2_n3", "H1dot_n1_origin", "H1_n1_origin", "H2dot_n4_edge"],
-)
-def test_separable_sums_window_equals_full_grid_sums(spec, lo):
-    # one windowed call over the support of the weight gives, bit for bit,
-    # the per-term prefix and tail sums of the integrands on every node
-    # (including the origin node when z_0(0) != 0, and a support that ends
-    # on the last node)
-    grid = RadialGrid.uniform(300, 20.0)
-    r = grid.r
-    weight = np.where((r >= lo) & (r <= lo + 5.0), -np.exp(-((r - lo) ** 2)), 0.0)
-    case = kernel_case(spec)
-    inner, outer, pre, suf = separable_sums(case, grid.quadrature, r, weight)
+def full_grid_kernel_sums(case, grid, weight):
+    """The kernel sums the long way: every factor on every node, full-grid
+    prefix and tail sums, accumulated into zeros term by term."""
+    r, q = grid.r, grid.quadrature
+    inner, outer = case.inner(r[1:]), case.outer(r[1:])
     with np.errstate(divide="ignore", invalid="ignore"):
-        at_origin = (case.inner(r[:1]), case.outer(r[:1]))
-    q = grid.quadrature
-    for t, ((f, _), (g, _)) in enumerate(zip(inner, outer)):
+        at_origin = case.inner(r[:1]), case.outer(r[:1])
+    out = np.zeros((2, grid.num))
+    for t in range(len(inner)):
         lower = np.zeros(grid.num)
         upper = np.zeros(grid.num)
-        lower[1:] = f * weight[1:]
-        upper[1:] = g * weight[1:]
+        lower[1:] = inner[t, 0] * weight[1:]
+        upper[1:] = outer[t, 0] * weight[1:]
         if weight[0] != 0.0:
-            lower[0] = at_origin[0][t][0][0] * weight[0]
-            upper[0] = at_origin[1][t][0][0] * weight[0]
-        np.testing.assert_array_equal(pre[t], q.prefix(lower))
-        np.testing.assert_array_equal(suf[t], q.tail(upper))
+            lower[0] = at_origin[0][t, 0, 0] * weight[0]
+            upper[0] = at_origin[1][t, 0, 0] * weight[0]
+        pre, suf = q.prefix(lower), q.tail(upper)
+        out[0, 1:] += outer[t, 0] * pre[1:] + inner[t, 0] * suf[1:]
+        out[1, 1:] += outer[t, 1] * pre[1:] + inner[t, 1] * suf[1:]
+        out[1, 0] += case.df_origin[t] * suf[0]
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec,a,b",
+    [
+        # support on the origin node
+        pytest.param(KernelSpec(0, 1, 1), 0, 80, id="H1dot_n1_origin"),
+        pytest.param(KernelSpec(1, 1, 1), 0, 80, id="H1_n1_origin"),
+        pytest.param(KernelSpec(0, 1, 3), 1, 60, id="H1dot_n3_node1"),
+        pytest.param(KernelSpec(1, 2, 3), 1, 60, id="H2_n3_node1"),
+        pytest.param(KernelSpec(0, 2, 3), 100, 101, id="H2dot_n3_one_node"),
+        pytest.param(KernelSpec(1, 1, 2), 100, 101, id="H1_n2_one_node"),
+        pytest.param(KernelSpec(0, 1, 2), 150, 152, id="H1dot_n2_two_nodes"),
+        pytest.param(KernelSpec(1, 2, 4), 150, 152, id="H2_n4_two_nodes"),
+        # support ending on the last node
+        pytest.param(KernelSpec(0, 2, 4), 200, 300, id="H2dot_n4_edge"),
+        pytest.param(KernelSpec(1, 1, 3), 200, 300, id="H1_n3_edge"),
+        # two terms, support inside
+        pytest.param(KernelSpec(1, 2, 3), 30, 120, id="H2_n3"),
+        pytest.param(KernelSpec(0, 2, 5), 30, 120, id="H2dot_n5"),
+    ],
+)
+def test_separable_sums_window_equals_full_grid_sums(spec, a, b):
+    # one windowed pass over the support [a, b) of the weight gives, bit for
+    # bit, the sums built from every factor on every node and the full-grid
+    # prefix and tail sums
+    grid = RadialGrid.uniform(300, 20.0)
+    weight = np.zeros(grid.num)
+    weight[a:b] = -np.exp(-((grid.r[a:b] - grid.r[a]) ** 2)) - 0.5
+    case = kernel_case(spec)
+    ref = full_grid_kernel_sums(case, grid, weight)
+    got = kernel_sums(case, grid.quadrature, grid.r, weight[a:b], start=a,
+                      derivatives=True)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()
+    alone = kernel_sums(case, grid.quadrature, grid.r, weight[a:b], start=a)
+    assert alone.tobytes() == got[:1].tobytes()

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 
 from epdiff_radial.grid import RadialGrid
-from epdiff_radial.kernels import KernelSpec, kernel_case, separable_sums
+from epdiff_radial.kernels import KernelSpec, kernel_case, kernel_sums
 from epdiff_radial.quadrature import (
     CorrectedTrapezoid,
     deriv1_uniform,
@@ -131,11 +131,51 @@ def test_window_must_lie_on_the_grid():
 def test_zero_weight_gives_zero_sums(spec):
     grid = BAND_GRIDS[0]
     assert not grid.quadrature.prefix(np.zeros(grid.num)).any()
-    inner, _, pre, suf = separable_sums(
-        kernel_case(spec), grid.quadrature, grid.r, np.zeros(grid.num)
-    )
-    assert pre.shape == suf.shape == (len(inner), grid.num)
-    assert not pre.any() and not suf.any()
+    case = kernel_case(spec)
+    # an empty support window, and a window of zeros
+    for weight, start in [(np.zeros(0), 1), (np.zeros(grid.num), 0)]:
+        sums = kernel_sums(case, grid.quadrature, grid.r, weight, start=start,
+                           derivatives=True)
+        assert sums.shape == (2, grid.num)
+        assert not sums.any() and not np.signbit(sums).any()
+
+
+@pytest.mark.parametrize("grid", BAND_GRIDS, ids=["uniform", "graded"])
+@pytest.mark.parametrize(
+    "window", [(0, 11), (30, -1), (0, -1), (40, 41), (0, 1), (-2, -1), (1, 2),
+               (2, 4), (25, 61)],
+    ids=lambda w: f"{w[0]}:{w[1]}",
+)
+def test_running_sums_are_the_window_of_the_prefix(grid, window):
+    # the running sums are the prefix on nodes i0 + 1 to i1, and the prefix
+    # is 0 up to node i0 and the total from node i1 on (-1 stands for N)
+    start, stop = (i if i >= 0 else grid.num + 1 + i for i in window)
+    q = grid.quadrature
+    i0, i1 = q.reach(start, stop)
+    assert (i0, i1) == (max(start - 2, 0), min(stop + 1, grid.num - 1))
+    samples = np.random.default_rng(start).standard_normal((2, stop - start))
+    pre = q.prefix(samples, start=start)
+    run = q.running(samples, start=start)
+    assert run.shape == (2, i1 - i0)
+    assert run.tobytes() == pre[:, i0 + 1 : i1 + 1].tobytes()
+    assert not pre[:, : i0 + 1].any()
+    assert (pre[:, i1:] == run[:, -1:]).all()
+
+
+def test_running_adds_the_four_bands_in_order():
+    # seg_i = ((W0 f_{i-1} + W1 f_i) + W2 f_{i+1}) + W3 f_{i+2}, then a
+    # cumulative sum: the order the rule has always summed in
+    q = BAND_GRIDS[1].quadrature
+    f = np.random.default_rng(5).standard_normal((3, 81)) * 10.0 ** np.arange(-6, 6, 12 / 81)
+    # nodes -1 to N: one zero past each end of the grid
+    padded = np.zeros((3, 83))
+    padded[:, 1:-1] = f
+    w0, w1, w2, w3 = q._bands
+    seg = w0 * padded[:, :-3]
+    seg += w1 * padded[:, 1:-2]
+    seg += w2 * padded[:, 2:-1]
+    seg += w3 * padded[:, 3:]
+    assert q.running(f).tobytes() == np.cumsum(seg, axis=-1).tobytes()
 
 
 @pytest.mark.parametrize("grid", BAND_GRIDS, ids=["uniform", "graded"])

@@ -33,6 +33,29 @@ def make_init(grid, n, amplitude=1.0, lo=2.0, hi=8.0):
     )
 
 
+def test_support_window_is_recorded(grid):
+    # z_0 vanishes off nodes support_start .. support_index; the range is
+    # empty for z_0 = 0
+    init = make_init(grid, 3)
+    nonzero = np.flatnonzero(init.z0)
+    assert (init.support_start, init.support_index) == (nonzero[0], nonzero[-1])
+    zero = InitialData.from_omega0(np.zeros(grid.num), grid, 3)
+    assert zero.support_start == zero.support_index + 1 == 1
+
+
+def test_energy_over_the_window_is_the_full_grid_integral(grid):
+    spec = KernelSpec(1, 2, 3)
+    init = make_init(grid, 3)
+    _, state = run(spec, grid, init, dt=0.01, horizon=0.05,
+                   record_snapshots=False)
+    dgamma, _ = rhs(spec, grid, init, state.gamma, state.rho)
+    inside = init.z0 != 0.0
+    integrand = np.zeros(grid.num)
+    integrand[inside] = init.z0[inside] * dgamma[inside] / state.rho[inside]
+    full = float(grid.quadrature.prefix(integrand)[-1])
+    assert energy(grid, init, state.rho, dgamma) == full
+
+
 def test_zero_momentum_is_stationary(grid):
     spec = KernelSpec(1, 1, 2)
     init = InitialData.from_omega0(np.zeros(grid.num), grid, spec.n)
