@@ -121,13 +121,31 @@ def _escaled_beta(orders, s):
     return b
 
 
+def _reciprocal_powers(s, lo, hi):
+    """{k: s^-k for lo <= k <= hi} from one reciprocal and products.
+
+    A general float power costs several times a product per point, and the
+    sigma = 0 outer factors are evaluated on every solver RHS.
+    """
+    inv = 1.0 / s
+    power = np.ones_like(inv) if lo == 0 else inv
+    for _ in range(lo - 1):
+        power = power * inv
+    out = {lo: power}
+    for k in range(lo + 1, hi + 1):
+        power = power * inv
+        out[k] = power
+    return out
+
+
 # sigma = 0, k = 1: delta = (r/n) s^{1-n}.
 def _h1dot_inner(n, r, a):
     return ((r / n, np.full_like(np.asarray(r, float), 1.0 / n)),)
 
 
 def _h1dot_outer(n, s, b):
-    return ((s ** (1.0 - n), (1.0 - n) * s ** (-float(n))),)
+    p = _reciprocal_powers(s, n - 1, n)
+    return ((p[n - 1], (1.0 - n) * p[n]),)
 
 
 def _h1dot_phi(n, r, s):
@@ -150,9 +168,10 @@ def _h2dot_inner(n, r, a):
 
 
 def _h2dot_outer(n, s, b):
+    p = _reciprocal_powers(s, n - 3, n)
     return (
-        (s ** (3.0 - n), (3.0 - n) * s ** (2.0 - n)),
-        (s ** (1.0 - n), (1.0 - n) * s ** (-float(n))),
+        (p[n - 3], (3.0 - n) * p[n - 2]),
+        (p[n - 1], (1.0 - n) * p[n]),
     )
 
 
