@@ -337,9 +337,9 @@ class KernelCase:
     nodes past i0 = max(a - 2, 0) for a weight supported from node a on,
     and at the origin node only when the weight is nonzero there (n = 1;
     z_0(0) = 0 for n >= 2 by construction).  ``df_origin`` holds df_t(0),
-    the only factor the solver needs at the origin node.  ``q_power`` and ``kappa`` give the weight's
-    leading behaviour Q(r) ~ kappa r^q_power near 0, and ``s_origin`` the
-    limit S(0).
+    the only factor the solver needs at the origin node.  ``q_power`` and
+    ``kappa`` give the weight's leading behaviour Q(r) ~ kappa r^q_power
+    near 0, and ``s_origin`` the limit S(0).
     """
 
     def __init__(self, spec):
@@ -530,10 +530,9 @@ def kernel_sums(case, quadrature, x, weight, start=0, derivatives=False):
     integrands = np.empty((2 * terms, stop - start), dtype=dtype)
     lo = max(start, 1)
     w = weight[lo - start :]
-    np.multiply(inner[:, 0, lo - 1 : stop - 1], w, out=integrands[:terms, lo - start :])
-    np.multiply(
-        outer[:, 0, lo - i0 - 1 : stop - i0 - 1], w, out=integrands[terms:, lo - start :]
-    )
+    fw, gw = integrands[:terms, lo - start :], integrands[terms:, lo - start :]
+    np.multiply(inner[:, 0, lo - 1 : stop - 1], w, out=fw)
+    np.multiply(outer[:, 0, lo - i0 - 1 : stop - i0 - 1], w, out=gw)
     if start == 0:
         # n = 1 data with z_0(0) != 0 puts weight on the origin node, where
         # only f and g are needed (dg may be singular there, and g too for

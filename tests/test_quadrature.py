@@ -166,7 +166,8 @@ def test_running_adds_the_four_bands_in_order():
     # seg_i = ((W0 f_{i-1} + W1 f_i) + W2 f_{i+1}) + W3 f_{i+2}, then a
     # cumulative sum: the order the rule has always summed in
     q = BAND_GRIDS[1].quadrature
-    f = np.random.default_rng(5).standard_normal((3, 81)) * 10.0 ** np.arange(-6, 6, 12 / 81)
+    scales = 10.0 ** np.linspace(-6, 6, 81)  # so that rounding differs by order
+    f = np.random.default_rng(5).standard_normal((3, 81)) * scales
     # nodes -1 to N: one zero past each end of the grid
     padded = np.zeros((3, 83))
     padded[:, 1:-1] = f
