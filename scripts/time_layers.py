@@ -9,21 +9,25 @@ negative bump on [2, 8] after ``solver.run`` to t = 0.2 in steps of 0.02.
 Then prints the best-of-k time of ``invert_operator`` at N = 4096 for a
 negative bump on [0.5, 2].
 
-Each sample is the mean over enough calls to take about 20 ms; the best of
-``--repeat`` samples is reported, in microseconds.  ``--src DIR`` imports
-the library from DIR instead of this checkout's ``src/``, so that two
-versions can be timed by the same script (run them alternately: this
-machine's speed drifts).
+Each sample is the mean over enough calls to take about 10 ms; the best of
+``--repeat`` samples is reported, in microseconds.  ``--against DIR`` also
+loads the library from DIR (a ``src`` directory of another checkout) and
+times both versions in this one process, alternating sample by sample, with
+a column for each and their ratio: this machine's speed drifts by up to 2x
+between processes, so timings from separate runs do not compare.
 
 Usage:
-    python3 scripts/time_layers.py [--repeat 5] [--src DIR]
+    python3 scripts/time_layers.py [--repeat 7] [--against DIR]
 """
 
 import argparse
+import importlib
+import importlib.util
 import pathlib
 import sys
 import timeit
 
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 IN_SCOPE = (
     [(0, 1, n) for n in range(1, 6)]
     + [(0, 2, n) for n in range(3, 6)]
@@ -37,62 +41,99 @@ BUMP = {"amplitude": 1.0, "r_lo": 2.0, "r_hi": 8.0}
 INVERT_BUMP = {"amplitude": 1.0, "r_lo": 0.5, "r_hi": 2.0}
 WARP_STEPS, WARP_DT = 10, 0.02
 STEP_DT = 1e-3
-SAMPLE_S = 0.02
+SAMPLE_S = 0.01
+LAYERS = ("grid", "kernels", "scenario", "solver")
 
 
-def best_us(func, repeat):
-    """Best of ``repeat`` samples of the mean time of one call, in us."""
-    timer = timeit.Timer(func)
-    number, took = timer.autorange()
+def load(src, name):
+    """The library's layers from src/epdiff_radial, imported as package name."""
+    package = pathlib.Path(src).resolve() / "epdiff_radial"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)])
+    if spec is None:
+        raise SystemExit(f"no epdiff_radial package in {src}")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return {layer: importlib.import_module(f"{name}.{layer}") for layer in LAYERS}
+
+
+def best_us(funcs, repeat):
+    """Best mean time of one call of each function, in us, sampled in turn."""
+    timers = [timeit.Timer(f) for f in funcs]
+    number, took = timers[0].autorange()
     number = max(1, int(number * SAMPLE_S / max(took, 1e-9)))
-    return min(timer.repeat(repeat=repeat, number=number)) / number * 1e6
+    best = [float("inf")] * len(funcs)
+    for _ in range(repeat):
+        for i, timer in enumerate(timers):
+            best[i] = min(best[i], timer.timeit(number) / number * 1e6)
+    return best
+
+
+def cells(times):
+    """One column per version, then this/against when there are two."""
+    out = "".join(f" {t:>10.1f}" for t in times)
+    return out + (f" {times[0] / times[1]:>6.2f}" if len(times) == 2 else "")
+
+
+def heading(what, names):
+    cols = "".join(f" {f'{what}_{name}':>10}" for name in names)
+    return cols + (f" {'ratio':>6}" if len(names) == 2 else "")
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--repeat", type=int, default=5,
+    ap.add_argument("--repeat", type=int, default=7,
                     help="samples per timing; the best is reported")
-    ap.add_argument("--src", type=pathlib.Path,
-                    default=pathlib.Path(__file__).resolve().parents[1] / "src",
-                    help="directory to import epdiff_radial from")
+    ap.add_argument("--against", type=pathlib.Path,
+                    help="src directory of another checkout to time alongside")
     args = ap.parse_args(argv)
     if args.repeat < 1:
         ap.error("--repeat must be >= 1")
-    sys.path.insert(0, str(args.src.resolve()))
+    versions = [load(SRC, "epdiff_radial")]
+    names = ["this"]
+    if args.against is not None:
+        versions.append(load(args.against, "epdiff_against"))
+        names.append("vs")
 
-    from epdiff_radial import solver
-    from epdiff_radial.grid import RadialGrid
-    from epdiff_radial.kernels import KernelSpec, invert_operator
-    from epdiff_radial.scenario import builtin_initial_data
-
-    print(f"# epdiff_radial from {args.src.resolve()}; best of {args.repeat}, us")
-    print(f"{'spec':<10} {'N':>5} {'rhs_us':>10} {'step_us':>10}")
+    print(f"# this = {SRC}"
+          + (f", vs = {args.against.resolve()}, ratio = this/vs"
+             if args.against else "")
+          + f"; best of {args.repeat}, us per call")
+    print(f"{'spec':<10} {'N':>5}" + heading("rhs", names) + heading("step", names))
     for num in RHS_GRID_N:
-        grid = RadialGrid.uniform(num, R_MAX)
         for sigma, k, n in IN_SCOPE:
-            spec = KernelSpec(sigma, k, n)
-            init = builtin_initial_data("neg_bump", BUMP, grid, n)
-            _, warped = solver.run(spec, grid, init, dt=WARP_DT,
-                                   horizon=WARP_STEPS * WARP_DT,
-                                   record_snapshots=False)
-            # without the stored rate, so that step evaluates all four stages
-            state = solver.FlowState(warped.t, warped.gamma, warped.rho)
-            rhs_us = best_us(
-                lambda: solver.rhs(spec, grid, init, state.gamma, state.rho),
-                args.repeat)
-            step_us = best_us(
-                lambda: solver.step(spec, grid, init, state, STEP_DT),
-                args.repeat)
-            print(f"{spec.label():<10} {num:>5} {rhs_us:>10.1f} {step_us:>10.1f}")
+            rhs_calls, step_calls = [], []
+            for lib in versions:
+                solver = lib["solver"]
+                spec = lib["kernels"].KernelSpec(sigma, k, n)
+                grid = lib["grid"].RadialGrid.uniform(num, R_MAX)
+                init = lib["scenario"].builtin_initial_data("neg_bump", BUMP, grid, n)
+                _, warped = solver.run(spec, grid, init, dt=WARP_DT,
+                                       horizon=WARP_STEPS * WARP_DT,
+                                       record_snapshots=False)
+                # without the stored rate, so that step evaluates four stages
+                state = solver.FlowState(warped.t, warped.gamma, warped.rho)
+                args_ = (spec, grid, init, state)
+                rhs_calls.append(lambda s=solver, a=args_:
+                                 s.rhs(*a[:3], a[3].gamma, a[3].rho))
+                step_calls.append(lambda s=solver, a=args_: s.step(*a, STEP_DT))
+            print(f"{spec.label():<10} {num:>5}"
+                  + cells(best_us(rhs_calls, args.repeat))
+                  + cells(best_us(step_calls, args.repeat)))
 
-    grid = RadialGrid.uniform(INVERT_GRID_N, R_MAX)
-    print(f"{'spec':<10} {'N':>5} {'invert_us':>10}")
+    print(f"{'spec':<10} {'N':>5}" + heading("invert", names))
     for sigma, k, n in IN_SCOPE:
-        spec = KernelSpec(sigma, k, n)
-        omega = builtin_initial_data("neg_bump", INVERT_BUMP, grid, n).omega0
-        invert_us = best_us(
-            lambda: invert_operator(spec, grid, omega), args.repeat)
-        print(f"{spec.label():<10} {INVERT_GRID_N:>5} {invert_us:>10.1f}")
+        calls = []
+        for lib in versions:
+            spec = lib["kernels"].KernelSpec(sigma, k, n)
+            grid = lib["grid"].RadialGrid.uniform(INVERT_GRID_N, R_MAX)
+            omega = lib["scenario"].builtin_initial_data(
+                "neg_bump", INVERT_BUMP, grid, n).omega0
+            calls.append(lambda f=lib["kernels"].invert_operator,
+                         a=(spec, grid, omega): f(*a))
+        print(f"{spec.label():<10} {INVERT_GRID_N:>5}"
+              + cells(best_us(calls, args.repeat)))
     return 0
 
 
