@@ -114,10 +114,10 @@ def main(argv=None):
                                        record_snapshots=False)
                 # without the stored rate, so that step evaluates four stages
                 state = solver.FlowState(warped.t, warped.gamma, warped.rho)
-                args_ = (spec, grid, init, state)
-                rhs_calls.append(lambda s=solver, a=args_:
+                call = (spec, grid, init, state)
+                rhs_calls.append(lambda s=solver, a=call:
                                  s.rhs(*a[:3], a[3].gamma, a[3].rho))
-                step_calls.append(lambda s=solver, a=args_: s.step(*a, STEP_DT))
+                step_calls.append(lambda s=solver, a=call: s.step(*a, STEP_DT))
             print(f"{spec.label():<10} {num:>5}"
                   + cells(best_us(rhs_calls, args.repeat))
                   + cells(best_us(step_calls, args.repeat)))
