@@ -10,14 +10,14 @@ Then prints the best-of-k time of ``invert_operator`` at N = 4096 for a
 negative bump on [0.5, 2].
 
 Each sample is the mean over enough calls to take about 10 ms; the best of
-``--repeat`` samples is reported, in microseconds.  ``--against DIR`` also
+7 samples is reported, in microseconds.  ``--against DIR`` also
 loads the library from DIR (a ``src`` directory of another checkout) and
 times both versions in this one process, alternating sample by sample, with
 a column for each and their ratio: this machine's speed drifts by up to 2x
 between processes, so timings from separate runs do not compare.
 
 Usage:
-    python3 scripts/time_layers.py [--repeat 7] [--against DIR]
+    python3 scripts/time_layers.py [--against DIR]
 """
 
 import argparse
@@ -42,6 +42,7 @@ INVERT_BUMP = {"amplitude": 1.0, "r_lo": 0.5, "r_hi": 2.0}
 WARP_STEPS, WARP_DT = 10, 0.02
 STEP_DT = 1e-3
 SAMPLE_S = 0.01
+REPEAT = 7
 LAYERS = ("grid", "kernels", "scenario", "solver")
 
 
@@ -58,13 +59,13 @@ def load(src, name):
     return {layer: importlib.import_module(f"{name}.{layer}") for layer in LAYERS}
 
 
-def best_us(funcs, repeat):
+def best_us(funcs):
     """Best mean time of one call of each function, in us, sampled in turn."""
     timers = [timeit.Timer(f) for f in funcs]
     number, took = timers[0].autorange()
     number = max(1, int(number * SAMPLE_S / max(took, 1e-9)))
     best = [float("inf")] * len(funcs)
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         for i, timer in enumerate(timers):
             best[i] = min(best[i], timer.timeit(number) / number * 1e6)
     return best
@@ -83,13 +84,9 @@ def heading(what, names):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--repeat", type=int, default=7,
-                    help="samples per timing; the best is reported")
     ap.add_argument("--against", type=pathlib.Path,
                     help="src directory of another checkout to time alongside")
     args = ap.parse_args(argv)
-    if args.repeat < 1:
-        ap.error("--repeat must be >= 1")
     versions = [load(SRC, "epdiff_radial")]
     names = ["this"]
     if args.against is not None:
@@ -99,7 +96,7 @@ def main(argv=None):
     print(f"# this = {SRC}"
           + (f", vs = {args.against.resolve()}, ratio = this/vs"
              if args.against else "")
-          + f"; best of {args.repeat}, us per call")
+          + f"; best of {REPEAT}, us per call")
     print(f"{'spec':<10} {'N':>5}" + heading("rhs", names) + heading("step", names))
     for num in RHS_GRID_N:
         for sigma, k, n in IN_SCOPE:
@@ -119,8 +116,8 @@ def main(argv=None):
                                  s.rhs(*a[:3], a[3].gamma, a[3].rho))
                 step_calls.append(lambda s=solver, a=call: s.step(*a, STEP_DT))
             print(f"{spec.label():<10} {num:>5}"
-                  + cells(best_us(rhs_calls, args.repeat))
-                  + cells(best_us(step_calls, args.repeat)))
+                  + cells(best_us(rhs_calls))
+                  + cells(best_us(step_calls)))
 
     print(f"{'spec':<10} {'N':>5}" + heading("invert", names))
     for sigma, k, n in IN_SCOPE:
@@ -133,7 +130,7 @@ def main(argv=None):
             calls.append(lambda f=lib["kernels"].invert_operator,
                          a=(spec, grid, omega): f(*a))
         print(f"{spec.label():<10} {INVERT_GRID_N:>5}"
-              + cells(best_us(calls, args.repeat)))
+              + cells(best_us(calls)))
     return 0
 
 
