@@ -21,7 +21,6 @@ it the prefix sums vanish and above it the suffix sums do, so f and df are
 evaluated only up to the window's end and g and dg only from its start.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,7 +96,7 @@ class TrajectoryRecord:
 def _validate(grid, init, gamma, rho):
     # NaN compares False, so it would pass the two checks below.  One NaN or
     # inf makes a sum non-finite, and these sums are far from overflowing.
-    if not math.isfinite(gamma.sum() + rho.sum()):
+    if not np.isfinite(gamma.sum() + rho.sum()):
         raise NonFiniteState("gamma or rho is not finite")
     if (gamma[1:] <= gamma[:-1]).any():
         raise StepRejected("gamma lost strict monotonicity")
@@ -146,7 +145,8 @@ def energy(grid, init, rho, dgamma):
     if a == b:
         return 0.0
     integrand = init.z0[a:b] * dgamma[a:b] / rho[a:b]
-    return float(grid.quadrature.running(integrand, start=a)[-1])
+    q = grid.quadrature
+    return float(q.running(integrand, a, q.reach(a, b))[-1])
 
 
 def run(

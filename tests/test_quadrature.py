@@ -155,7 +155,7 @@ def test_running_sums_are_the_window_of_the_prefix(grid, window):
     assert (i0, i1) == (max(start - 2, 0), min(stop + 1, grid.num - 1))
     samples = np.random.default_rng(start).standard_normal((2, stop - start))
     pre = q.prefix(samples, start=start)
-    run = q.running(samples, start=start)
+    run = q.running(samples, start, (i0, i1))
     assert run.shape == (2, i1 - i0)
     assert run.tobytes() == pre[:, i0 + 1 : i1 + 1].tobytes()
     assert not pre[:, : i0 + 1].any()
@@ -176,7 +176,8 @@ def test_running_adds_the_four_bands_in_order():
     seg += w1 * padded[:, 1:-2]
     seg += w2 * padded[:, 2:-1]
     seg += w3 * padded[:, 3:]
-    assert q.running(f).tobytes() == np.cumsum(seg, axis=-1).tobytes()
+    run = q.running(f, 0, q.reach(0, 81))
+    assert run.tobytes() == np.cumsum(seg, axis=-1).tobytes()
 
 
 @pytest.mark.parametrize("grid", BAND_GRIDS, ids=["uniform", "graded"])
