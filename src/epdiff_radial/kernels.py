@@ -330,9 +330,9 @@ class KernelCase:
     """Every formula of one spec's kernel, read from the case table.
 
     ``inner(r)`` and ``outer(s)`` give the separable factors
-    delta(r, s) = sum_t f_t(r) g_t(s) of every term at once, as one
-    (T, 2, ...) array with rows (f_t, df_t) or (g_t, dg_t), each Bessel
-    order the case declares evaluated once per call.  ``g`` and ``dg`` may
+    delta(r, s) = sum_t f_t(r) g_t(s) of every term at once, as the pairs
+    (f_t, df_t) or (g_t, dg_t), each Bessel order the case declares
+    evaluated once per call.  ``g`` and ``dg`` may
     be singular at s = 0 for n >= 2: ``kernel_sums`` evaluates them on the
     nodes past i0 = max(a - 2, 0) for a weight supported from node a on,
     and at the origin node only when the weight is nonzero there (n = 1;
@@ -355,27 +355,27 @@ class KernelCase:
         self.kappa = formulas.kappa(n)
         self.s_origin = formulas.s_origin(n)
         self._formulas = formulas
-        self.df_origin = tuple(float(v) for v in self.inner(np.zeros(1))[:, 1, 0])
+        self.df_origin = tuple(float(df[0]) for _, df in self.inner(np.zeros(1)))
 
     def inner(self, r):
-        """[[f_t(r), df_t(r)] for each term t], one (T, 2, *r.shape) array."""
+        """((f_t(r), df_t(r)) for each term t)."""
         a = None
         if self.alpha_orders:
             a = bessel.alpha_hat(self.alpha_orders, r)
             e = np.exp(np.asarray(r, dtype=float))
             for v in a.values():
                 v *= e  # in place: alpha_hat returns fresh arrays
-        return np.array(self._formulas.inner(self.spec.n, r, a))
+        return self._formulas.inner(self.spec.n, r, a)
 
     def outer(self, s):
-        """[[g_t(s), dg_t(s)] for each term t], one (T, 2, *s.shape) array."""
+        """((g_t(s), dg_t(s)) for each term t)."""
         b = None
         if self.beta_orders:
             b = bessel.beta_hat(self.beta_orders, s)
             e = np.exp(-np.asarray(s, dtype=float))
             for v in b.values():
                 v *= e
-        return np.array(self._formulas.outer(self.spec.n, s, b))
+        return self._formulas.outer(self.spec.n, s, b)
 
     def phi(self, r, s):
         """phi(r, s) for s >= r >= 0, not both 0."""
@@ -522,17 +522,19 @@ def kernel_sums(case, quadrature, x, weight, start=0, derivatives=False):
     rows = 2 if derivatives else 1
     if stop == start:
         return np.zeros((rows, num), dtype=np.result_type(x, weight))
-    i0, i1 = quadrature.reach(start, stop)
+    window = quadrature.reach(start, stop)
+    i0, i1 = window
     inner = case.inner(x[1 : max(i1, stop)])  # node i at index i - 1
     outer = case.outer(x[i0 + 1 :])  # node i at index i - i0 - 1
     terms = len(inner)
-    dtype = np.result_type(weight, inner, outer)
+    dtype = np.result_type(weight, *(f for f, _ in inner), *(g for g, _ in outer))
     integrands = np.empty((2 * terms, stop - start), dtype=dtype)
     lo = max(start, 1)
     w = weight[lo - start :]
-    fw, gw = integrands[:terms, lo - start :], integrands[terms:, lo - start :]
-    np.multiply(inner[:, 0, lo - 1 : stop - 1], w, out=fw)
-    np.multiply(outer[:, 0, lo - i0 - 1 : stop - i0 - 1], w, out=gw)
+    for t, ((f, _), (g, _)) in enumerate(zip(inner, outer)):
+        np.multiply(f[lo - 1 : stop - 1], w, out=integrands[t, lo - start :])
+        np.multiply(g[lo - i0 - 1 : stop - i0 - 1], w,
+                    out=integrands[terms + t, lo - start :])
     if start == 0:
         # n = 1 data with z_0(0) != 0 puts weight on the origin node, where
         # only f and g are needed (dg may be singular there, and g too for
@@ -540,35 +542,23 @@ def kernel_sums(case, quadrature, x, weight, start=0, derivatives=False):
         integrands[:, 0] = 0.0
         if weight[0] != 0.0:
             with np.errstate(divide="ignore", invalid="ignore"):
-                integrands[:terms, 0] = case.inner(x[:1])[:, 0, 0] * weight[0]
-                integrands[terms:, 0] = case.outer(x[:1])[:, 0, 0] * weight[0]
-    sums = quadrature.running(integrands, start)
+                factors = case.inner(x[:1]) + case.outer(x[:1])
+                integrands[:, 0] = [f[0] * weight[0] for f, _ in factors]
+    sums = quadrature.running(integrands, start, window)
     # nodes i0 + 1 to i1 - 1 see both sums: pre on them, and suf = total - pre
     width = i1 - i0 - 1
     pre = sums[:terms, :width]
     suf = sums[terms:, -1:] - sums[terms:, :width]
     pre_total, suf_total = sums[:terms, -1], sums[terms:, -1]
-    out = np.empty((rows, num), dtype=dtype)
-    out[:, 0] = 0.0
+    out = np.zeros((rows, num), dtype=dtype)
     if derivatives:
         out[1, 0] = sum(d * s for d, s in zip(case.df_origin, suf_total))
-    # every row at once: rows (f, df) of inner and (g, dg) of outer
-    low, both, high = out[:, 1 : i0 + 1], out[:, i0 + 1 : i1], out[:, i1:]
+    # row 0 pairs f with g, row 1 df with dg
     for t in range(terms):
-        f, g = inner[t, :rows], outer[t, :rows]
-        if t == 0:
-            np.multiply(f[:, :i0], suf_total[t], out=low)
-            np.multiply(g[:, :width], pre[t], out=both)
-            both += f[:, i0 : i1 - 1] * suf[t]
-            np.multiply(g[:, width:], pre_total[t], out=high)
-        else:
-            low += f[:, :i0] * suf_total[t]
-            both += g[:, :width] * pre[t] + f[:, i0 : i1 - 1] * suf[t]
-            high += g[:, width:] * pre_total[t]
-    # a sum never ends in -0 when it starts from +0, but a product alone
-    # does (dg = 0 for sigma = 0, k = 1, n = 1); + 0 turns -0 into +0 and
-    # leaves every other value as it is
-    out += 0.0
+        for f, g, row in zip(inner[t], outer[t], out):
+            row[1 : i0 + 1] += f[:i0] * suf_total[t]
+            row[i0 + 1 : i1] += g[:width] * pre[t] + f[i0 : i1 - 1] * suf[t]
+            row[i1:] += g[width:] * pre_total[t]
     return out
 
 

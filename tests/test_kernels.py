@@ -285,14 +285,15 @@ def full_grid_kernel_sums(case, grid, weight):
     for t in range(len(inner)):
         lower = np.zeros(grid.num)
         upper = np.zeros(grid.num)
-        lower[1:] = inner[t, 0] * weight[1:]
-        upper[1:] = outer[t, 0] * weight[1:]
+        (f, df), (g, dg) = inner[t], outer[t]
+        lower[1:] = f * weight[1:]
+        upper[1:] = g * weight[1:]
         if weight[0] != 0.0:
-            lower[0] = at_origin[0][t, 0, 0] * weight[0]
-            upper[0] = at_origin[1][t, 0, 0] * weight[0]
+            lower[0] = at_origin[0][t][0][0] * weight[0]
+            upper[0] = at_origin[1][t][0][0] * weight[0]
         pre, suf = q.prefix(lower), q.tail(upper)
-        out[0, 1:] += outer[t, 0] * pre[1:] + inner[t, 0] * suf[1:]
-        out[1, 1:] += outer[t, 1] * pre[1:] + inner[t, 1] * suf[1:]
+        out[0, 1:] += g * pre[1:] + f * suf[1:]
+        out[1, 1:] += dg * pre[1:] + df * suf[1:]
         out[1, 0] += case.df_origin[t] * suf[0]
     return out
 
