@@ -332,9 +332,9 @@ class KernelCase:
     ``inner(r)`` and ``outer(s)`` give the separable factors
     delta(r, s) = sum_t f_t(r) g_t(s) of every term at once, as the pairs
     (f_t, df_t) or (g_t, dg_t), each Bessel order the case declares
-    evaluated once per call.  ``g`` and ``dg`` may
-    be singular at s = 0 for n >= 2: ``kernel_sums`` evaluates them on the
-    nodes past i0 = max(a - 2, 0) for a weight supported from node a on,
+    evaluated once per call.  ``g`` and ``dg`` may be singular at s = 0
+    for n >= 2: ``kernel_sums`` evaluates them on the nodes past
+    i0 = max(a - 2, 0) for a weight supported from node a on,
     and at the origin node only when the weight is nonzero there (n = 1;
     z_0(0) = 0 for n >= 2 by construction).  ``df_origin`` holds df_t(0),
     the only factor the solver needs at the origin node.  ``q_power`` and
