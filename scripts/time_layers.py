@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time one rhs, one RK4 step and invert_operator for every in-scope kernel.
+"""Time rhs, an RK4 step, invert_operator and certify for every in-scope kernel.
 
 For each of the 16 in-scope operators (H1dot n = 1-5, H2dot n = 3-5,
 H1 n = 1-5, H2 n = 3-5) at N = 256, 512 and 2048 nodes on [0, 20], prints
@@ -7,7 +7,9 @@ the best-of-k wall time of one ``solver.rhs`` and of one RK4
 ``solver.step`` of 1e-3 (four rhs calls) on a deformed state: the standard
 negative bump on [2, 8] after ``solver.run`` to t = 0.2 in steps of 0.02.
 Then prints the best-of-k time of ``invert_operator`` at N = 4096 for a
-negative bump on [0.5, 2].
+negative bump on [0.5, 2], and of ``certify.certify`` at N = 512 for the
+standard bump, after the time of the first ``certify`` call of the process
+(H1dot_n1), which builds the condition mesh.
 
 Each sample is the mean over enough calls to take about 10 ms; the best of
 7 samples is reported, in microseconds.  ``--against DIR`` also
@@ -25,6 +27,7 @@ import importlib
 import importlib.util
 import pathlib
 import sys
+import time
 import timeit
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -36,6 +39,7 @@ IN_SCOPE = (
 )
 RHS_GRID_N = (256, 512, 2048)
 INVERT_GRID_N = 4096
+CERTIFY_GRID_N = 512
 R_MAX = 20.0
 BUMP = {"amplitude": 1.0, "r_lo": 2.0, "r_hi": 8.0}
 INVERT_BUMP = {"amplitude": 1.0, "r_lo": 0.5, "r_hi": 2.0}
@@ -43,7 +47,7 @@ WARP_STEPS, WARP_DT = 10, 0.02
 STEP_DT = 1e-3
 SAMPLE_S = 0.01
 REPEAT = 7
-LAYERS = ("grid", "kernels", "scenario", "solver")
+LAYERS = ("certify", "grid", "kernels", "scenario", "solver")
 
 
 def load(src, name):
@@ -131,6 +135,27 @@ def main(argv=None):
                          a=(spec, grid, omega): f(*a))
         print(f"{spec.label():<10} {INVERT_GRID_N:>5}"
               + cells(best_us(calls)))
+
+    print(f"{'spec':<10} {'N':>5}" + heading("certify", names))
+    certify_calls = []
+    for sigma, k, n in IN_SCOPE:
+        calls = []
+        for lib in versions:
+            spec = lib["kernels"].KernelSpec(sigma, k, n)
+            grid = lib["grid"].RadialGrid.uniform(CERTIFY_GRID_N, R_MAX)
+            omega = lib["scenario"].builtin_initial_data(
+                "neg_bump", BUMP, grid, n).omega0
+            calls.append(lambda f=lib["certify"].certify,
+                         a=(spec, grid, omega): f(*a))
+        certify_calls.append((spec.label(), calls))
+    first = []
+    for call in certify_calls[0][1]:
+        start = time.perf_counter()
+        call()
+        first.append((time.perf_counter() - start) * 1e6)
+    print(f"{'first':<10} {CERTIFY_GRID_N:>5}" + cells(first))
+    for label, calls in certify_calls:
+        print(f"{label:<10} {CERTIFY_GRID_N:>5}" + cells(best_us(calls)))
     return 0
 
 

@@ -14,16 +14,23 @@ Liouville majorant
 
 which dominates the monitored quantity q = Q(gamma) rho / Q(r) and bounds
 the blowup time by T_bound = 2 / (C M(0)).
+
+Conditions (a) and (b) are sampled on a mesh of D that depends on R_max
+only.  It is built on the first certificate for an R_max and kept, read
+only, with the distinct values of each of its radius arrays: about 21,000
+points lie on 200 distinct r and 800 distinct s, so the Bessel pair that
+phi needs is evaluated once per distinct radius and gathered by index.
+Nothing that depends on the kernel spec is kept between calls.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from . import bessel
 from .kernels import (
     kernel_case,
-    phi,
     phi0_weight,
     q_weight,
     q_weight_smooth,
@@ -81,9 +88,45 @@ class BlowupCertificate:
         return "\n".join(lines)
 
 
-def _condition_mesh(r_max, num=200):
-    """Log-spaced (r, s) sample of D with a refined near-diagonal band."""
-    v = np.geomspace(1e-3, r_max, num)
+@dataclass(frozen=True)
+class _Radii:
+    """Read-only mesh radii and their distinct values: values = distinct[index]."""
+
+    values: np.ndarray
+    distinct: np.ndarray
+    index: np.ndarray
+
+
+def _radii(values):
+    distinct, index = np.unique(values, return_inverse=True)
+    for a in (values, distinct, index):
+        a.flags.writeable = False
+    return _Radii(values, distinct, index)
+
+
+@dataclass(frozen=True)
+class _ConditionMesh:
+    """Where the kernel conditions are sampled for one r_max; geometry only.
+
+    Positivity is checked at the points (r, s) of a log-spaced sample of D
+    with a refined near-diagonal band, followed by the exact diagonal.
+    Log-supermodularity is checked at the sample points with s - r >= 4e-3
+    (near_r, near_s) with the step h and the shifted radii r + h and s + h.
+    """
+
+    r: _Radii
+    s: _Radii
+    near_r: _Radii
+    near_s: _Radii
+    near_r_h: _Radii
+    near_s_h: _Radii
+    h: np.ndarray
+
+
+@lru_cache(maxsize=8)  # a mesh takes about 2 MB; a sweep may vary r_max
+def _condition_mesh(r_max):
+    """The condition mesh for r_max, built on first use."""
+    v = np.geomspace(1e-3, r_max, 200)
     r, s = np.meshgrid(v, v, indexing="ij")
     keep = s >= r
     pairs = [(r[keep], s[keep])]
@@ -93,52 +136,91 @@ def _condition_mesh(r_max, num=200):
     for gap in (4e-3, 1e-2, 1e-1):
         rv = v[v + gap <= r_max]
         pairs.append((rv, rv + gap))
-    return (np.concatenate([p[0] for p in pairs]),
-            np.concatenate([p[1] for p in pairs]))
-
-
-def _positivity(spec, r, s):
-    vals = phi(spec, r, s)
-    # include exact-diagonal points, excluded from the supermodularity set
+    r = np.concatenate([p[0] for p in pairs])
+    s = np.concatenate([p[1] for p in pairs])
+    near = s - r >= 4e-3
+    r_near, s_near = r[near], s[near]
+    h = np.minimum(1e-3, (s_near - r_near) / 4.0)
+    h.flags.writeable = False
+    # exact-diagonal points, excluded from the supermodularity set
     diag = np.geomspace(1e-3, s[-1], 200)
-    vals = np.concatenate([vals, phi(spec, diag, diag)])
-    rr = np.concatenate([r, diag])
-    ss = np.concatenate([s, diag])
+    return _ConditionMesh(
+        r=_radii(np.concatenate([r, diag])),
+        s=_radii(np.concatenate([s, diag])),
+        near_r=_radii(r_near),
+        near_s=_radii(s_near),
+        near_r_h=_radii(r_near + h),
+        near_s_h=_radii(s_near + h),
+        h=h,
+    )
+
+
+def _gather(values, radii):
+    """Bessel values at the distinct radii, spread to every mesh point."""
+    return None if values is None else {p: v[radii.index] for p, v in values.items()}
+
+
+def _alpha(case, radii):
+    return _gather(case.phi_alpha(radii.distinct), radii)
+
+
+def _beta(case, radii):
+    return _gather(case.phi_beta(radii.distinct), radii)
+
+
+def _positivity_values(case, mesh):
+    """phi at every positivity point of the mesh."""
+    return case.phi(mesh.r.values, mesh.s.values, _alpha(case, mesh.r),
+                    _beta(case, mesh.s))
+
+
+def _positivity(case, mesh):
+    vals = _positivity_values(case, mesh)
     i = int(np.argmin(vals))
     return {
         "passed": bool(vals[i] > 0.0),
         "worst_value": float(vals[i]),
-        "worst_point": (float(rr[i]), float(ss[i])),
+        "worst_point": (float(mesh.r.values[i]), float(mesh.s.values[i])),
     }
 
 
-def _log_supermodularity(spec, r, s):
+def _log_supermodularity_values(case, mesh):
     """Discrete mixed second difference of ln phi, h = min(1e-3, (s-r)/4).
+
+    The exponential/power prefactors of phi cancel in the stencil, so it is
+    evaluated as the log of a ratio of the factors ``KernelCase.phi_factor``,
+    which keeps the roundoff floor well below the 1e-9 tolerance.  Only for
+    cases that are not ``separable``.
+    """
+    r, s = mesh.near_r, mesh.near_s
+    r_h, s_h = mesh.near_r_h, mesh.near_s_h
+    a, a_h = _alpha(case, r), _alpha(case, r_h)
+    b, b_h = _beta(case, s), _beta(case, s_h)
+    factor = case.phi_factor
+    ratio = (factor(r_h.values, s_h.values, a_h, b_h)
+             * factor(r.values, s.values, a, b)) / (
+        factor(r_h.values, s.values, a_h, b)
+        * factor(r.values, s_h.values, a, b_h)
+    )
+    return np.log(ratio) / mesh.h**2
+
+
+def _log_supermodularity(case, mesh):
+    """Condition (b), the minimum of the stencil over the mesh.
 
     For the separable kernels ((0,1) and (1,1)) ln phi splits into a pure
     function of r plus a pure function of s, so the stencil is identically
-    zero for every h; that exact value is returned directly.  For the
-    remaining cases the exponential/power prefactors likewise cancel in the
-    stencil and it is evaluated as the log of a ratio of the smooth factors
-    (``KernelCase.phi_factor``), which keeps the roundoff floor well below
-    the 1e-9 tolerance.
+    zero for every h; that exact value is returned directly.
     """
-    keep = s - r >= 4e-3
-    r, s = r[keep], s[keep]
-    case = kernel_case(spec)
     if case.separable:
         return {"passed": True, "worst_value": 0.0, "worst_point": None}
-    h = np.minimum(1e-3, (s - r) / 4.0)
-    smooth = case.phi_factor
-    ratio = (smooth(r + h, s + h) * smooth(r, s)) / (
-        smooth(r + h, s) * smooth(r, s + h)
-    )
-    vals = np.log(ratio) / h**2
+    vals = _log_supermodularity_values(case, mesh)
     i = int(np.argmin(vals))
     return {
         "passed": bool(vals[i] >= -1e-9),
         "worst_value": float(vals[i]),
-        "worst_point": (float(r[i]), float(s[i])),
+        "worst_point": (float(mesh.near_r.values[i]),
+                        float(mesh.near_s.values[i])),
     }
 
 
@@ -163,9 +245,10 @@ def certify(spec, grid, omega0):
     """
     omega0 = np.asarray(omega0, dtype=float)
     applicable = bool(np.all(omega0 <= 0.0)) and bool(np.any(omega0 != 0.0))
-    r_mesh, s_mesh = _condition_mesh(grid.r_max)
-    cond_a = _positivity(spec, r_mesh, s_mesh)
-    cond_b = _log_supermodularity(spec, r_mesh, s_mesh)
+    case = kernel_case(spec)
+    mesh = _condition_mesh(grid.r_max)
+    cond_a = _positivity(case, mesh)
+    cond_b = _log_supermodularity(case, mesh)
     c_bound, s_loc, cond_c = _s_bound(spec, grid.r_max)
     conditions = {
         "positivity": cond_a,

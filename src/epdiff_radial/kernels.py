@@ -91,10 +91,12 @@ class _Formulas:
     inner(n, r, a) gives the factors (f, df) of each separable term at inner
     radii r and outer(n, s, b) gives (g, dg) at outer radii s, from one
     {order: array} evaluation of the Bessel orders declared as offsets from
-    n: a = {p: alpha_p(r)}, b = {p: s^p beta_p(s)}.  phi(n, r, s) is the
-    kernel and s_generic(n, r) the criterion S for r > 0.  phi_factor(n, r, s)
-    is the factor of phi whose log is not a sum of a function of r and one
-    of s (None when ln phi is such a sum).  The weight is
+    n: a = {p: alpha_p(r)}, b = {p: s^p beta_p(s)}.  phi(n, r, s, a, b) is
+    the kernel and phi_factor(n, r, s, a, b) the factor of phi whose log is
+    not a sum of a function of r and one of s (None when ln phi is such a
+    sum); both take the exponentially scaled values a = {p: e^-r alpha_p(r)}
+    and b = {p: e^s beta_p(s)} of the orders phi_offsets (None when there
+    are none).  s_generic(n, r) is the criterion S for r > 0.  The weight is
     Q(r) = kappa(n) r^p m(r) with p = n + q_offset, and its smooth factor is
     m = 1/(p' r^p' beta_p'(r)) with p' = n + m_offset (m = 1 when None).
     s_origin(n) is the r -> 0 limit of S.
@@ -111,6 +113,7 @@ class _Formulas:
     s_origin: callable
     phi_factor: callable = None
     m_offset: int = None
+    phi_offsets: tuple = ()
 
 
 def _escaled_beta(orders, s):
@@ -125,7 +128,7 @@ def _reciprocal_powers(s, lo, hi):
     """{k: s^-k for lo <= k <= hi} from one reciprocal and products.
 
     A general float power costs several times a product per point, and the
-    sigma = 0 outer factors are evaluated on every solver RHS.
+    outer factors are evaluated on every solver RHS.
     """
     inv = 1.0 / s
     power = np.ones_like(inv) if lo == 0 else inv
@@ -148,7 +151,7 @@ def _h1dot_outer(n, s, b):
     return ((p[n - 1], (1.0 - n) * p[n]),)
 
 
-def _h1dot_phi(n, r, s):
+def _h1dot_phi(n, r, s, a, b):
     return s ** (-float(n)) / n
 
 
@@ -175,7 +178,7 @@ def _h2dot_outer(n, s, b):
     )
 
 
-def _h2dot_phi(n, r, s):
+def _h2dot_phi(n, r, s, a, b):
     return s ** (2.0 - n) / (2.0 * n * (n - 2.0)) - r**2 * s ** (
         -float(n)
     ) / (2.0 * n * (n + 2.0))
@@ -191,7 +194,7 @@ def _h2dot_s(n, r):
     return (r * d1 * phi0 - r * diag * d2_0) / phi0**2
 
 
-def _h2dot_phi_factor(n, r, s):
+def _h2dot_phi_factor(n, r, s, a, b):
     # phi = s^-n * (s^2/c1 - r^2/c2)
     return s**2 / (2.0 * n * (n - 2.0)) - r**2 / (2.0 * n * (n + 2.0))
 
@@ -201,19 +204,19 @@ def _h1_inner(n, r, a):
     return ((r * a[n], a[n] + r**2 * a[n + 2] / (n + 2.0)),)
 
 
+def _h1_outer_term(n, p, b):
+    # p = {k: s^-k}, holding k = n - 1 and n
+    return (p[n - 1] * b[n], p[n] * (b[n] - (n + 2.0) * b[n + 2]))
+
+
 def _h1_outer(n, s, b):
-    return (
-        (
-            s ** (1.0 - n) * b[n],
-            s ** (-float(n)) * (b[n] - (n + 2.0) * b[n + 2]),
-        ),
-    )
+    return (_h1_outer_term(n, _reciprocal_powers(s, n - 1, n), b),)
 
 
-def _h1_phi(n, r, s):
+def _h1_phi(n, r, s, a, b):
     # the nonhomogeneous cases compose exponentially scaled Bessel factors
     # with e^{r-s} (bounded on D), so nothing overflows at large radii
-    return bessel.alpha_hat((n,), r)[n] * _escaled_beta((n,), s)[n] * np.exp(r - s)
+    return a[n] * b[n] * np.exp(r - s)
 
 
 def _h1_s(n, r):
@@ -256,23 +259,20 @@ def _h2_inner(n, r, a):
 
 
 def _h2_outer(n, s, b):
-    return _h1_outer(n, s, b) + (
-        (
-            s ** (3.0 - n) * b[n - 2],
-            s ** (2.0 - n) * (b[n - 2] - float(n) * b[n]),
-        ),
+    p = _reciprocal_powers(s, n - 3, n)
+    return (
+        _h1_outer_term(n, p, b),
+        (p[n - 3] * b[n - 2], p[n - 2] * (b[n - 2] - float(n) * b[n])),
     )
 
 
-def _h2_phi_factor(n, r, s):
+def _h2_phi_factor(n, r, s, a, b):
     # phi = (1/2) e^{r-s} * Phi, Phi built from the scaled Bessel factors
-    a = bessel.alpha_hat((n - 2, n), r)
-    b = _escaled_beta((n - 2, n), s)
     return n * a[n] * b[n] + a[n] * b[n - 2] / n - n * a[n - 2] * b[n]
 
 
-def _h2_phi(n, r, s):
-    return 0.5 * np.exp(r - s) * _h2_phi_factor(n, r, s)
+def _h2_phi(n, r, s, a, b):
+    return 0.5 * np.exp(r - s) * _h2_phi_factor(n, r, s, a, b)
 
 
 def _h2_s(n, r):
@@ -312,14 +312,16 @@ _CASES = {
     ),
     (1, 1): _Formulas(
         (0, 2), (0, 2), _h1_inner, _h1_outer, _h1_phi, _h1_s,
-        **_FIRST_ORDER, m_offset=0,
+        **_FIRST_ORDER, m_offset=0, phi_offsets=(0,),
     ),
     (1, 2): _Formulas(
         (0, 2, 4), (-2, 0, 2), _h2_inner, _h2_outer, _h2_phi, _h2_s,
         **_SECOND_ORDER, phi_factor=_h2_phi_factor, m_offset=-2,
+        phi_offsets=(-2, 0),
     ),
 }
 # Camassa-Holm (sigma = 1, k = 1, n = 1): its own factors, no Bessel orders
+# (phi keeps the generic formula and its order n)
 _CASES[(1, 1, 1)] = replace(
     _CASES[(1, 1)], alpha_offsets=(), beta_offsets=(),
     inner=_camassa_holm_inner, outer=_camassa_holm_outer,
@@ -332,9 +334,12 @@ class KernelCase:
     ``inner(r)`` and ``outer(s)`` give the separable factors
     delta(r, s) = sum_t f_t(r) g_t(s) of every term at once, as the pairs
     (f_t, df_t) or (g_t, dg_t), each Bessel order the case declares
-    evaluated once per call.  ``g`` and ``dg`` may be singular at s = 0
-    for n >= 2: ``kernel_sums`` evaluates them on the nodes past
-    i0 = max(a - 2, 0) for a weight supported from node a on,
+    evaluated once per call.  ``phi`` and ``phi_factor`` take the Bessel
+    values of the orders ``phi_orders`` as arguments, from ``phi_alpha(r)``
+    and ``phi_beta(s)``, so that a caller with many points on few radii
+    can evaluate them once per distinct radius.  ``g`` and ``dg`` may be
+    singular at s = 0 for n >= 2: ``kernel_sums`` evaluates them on the
+    nodes past i0 = max(a - 2, 0) for a weight supported from node a on,
     and at the origin node only when the weight is nonzero there (n = 1;
     z_0(0) = 0 for n >= 2 by construction).  ``df_origin`` holds df_t(0),
     the only factor the solver needs at the origin node.  ``q_power`` and
@@ -349,6 +354,7 @@ class KernelCase:
         self.spec = spec
         self.alpha_orders = tuple(n + o for o in formulas.alpha_offsets)
         self.beta_orders = tuple(n + o for o in formulas.beta_offsets)
+        self.phi_orders = tuple(n + o for o in formulas.phi_offsets)
         self.separable = formulas.phi_factor is None
         self.m_order = None if formulas.m_offset is None else n + formulas.m_offset
         self.q_power = n + formulas.q_offset
@@ -377,16 +383,27 @@ class KernelCase:
                 v *= e
         return self._formulas.outer(self.spec.n, s, b)
 
-    def phi(self, r, s):
-        """phi(r, s) for s >= r >= 0, not both 0."""
-        return self._formulas.phi(self.spec.n, r, s)
+    def phi_alpha(self, r):
+        """{p: e^-r alpha_p(r)} for the ``phi_orders`` (None if none)."""
+        return bessel.alpha_hat(self.phi_orders, r) if self.phi_orders else None
 
-    def phi_factor(self, r, s):
+    def phi_beta(self, s):
+        """{p: e^s beta_p(s)} for the ``phi_orders``, s > 0 (None if none)."""
+        return _escaled_beta(self.phi_orders, s) if self.phi_orders else None
+
+    def phi(self, r, s, a, b):
+        """phi(r, s) for s >= r >= 0, not both 0.
+
+        a = phi_alpha(r) and b = phi_beta(s).
+        """
+        return self._formulas.phi(self.spec.n, r, s, a, b)
+
+    def phi_factor(self, r, s, a, b):
         """The factor of phi whose log is not separable in (r, s).
 
-        Only for cases that are not ``separable``.
+        Only for cases that are not ``separable``; a and b as for ``phi``.
         """
-        return self._formulas.phi_factor(self.spec.n, r, s)
+        return self._formulas.phi_factor(self.spec.n, r, s, a, b)
 
     def s_generic(self, r):
         """The diagonal criterion S(r) from its generic formula, r > 0."""
@@ -417,7 +434,8 @@ def phi(spec, r, s):
     large radii.
     """
     r, s = _check_domain(r, s)
-    return kernel_case(spec).phi(r, s)
+    case = kernel_case(spec)
+    return case.phi(r, s, case.phi_alpha(r), case.phi_beta(s))
 
 
 def delta(spec, r, s):
@@ -578,7 +596,11 @@ def invert_operator(spec, grid, omega):
     # (opposite-sign terms cancel), and downstream finite differences
     # amplify any rounding noise left in u.
     r = grid.r.astype(np.longdouble)
-    z = r ** (spec.n - 1) * omega
+    # r^(n-1) by products: a general longdouble power is a powl per point
+    power = np.ones_like(r)
+    for _ in range(spec.n - 1):
+        power = power * r
+    z = power * omega
     _warn_if_underresolved(grid, omega)
     support = np.flatnonzero(z)
     a, b = (int(support[0]), int(support[-1]) + 1) if len(support) else (0, 0)

@@ -1,5 +1,10 @@
 """Blowup certificates: kernel conditions, majorant algebra, dominance."""
 
+import dataclasses
+import importlib
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -11,9 +16,12 @@ from epdiff_radial.certify import (
     monitored_quantity,
 )
 from epdiff_radial.grid import InitialData, RadialGrid
-from epdiff_radial.kernels import KernelSpec
+from epdiff_radial.kernels import KernelSpec, kernel_case, phi
 from epdiff_radial.solver import FlowState, run
 from conftest import neg_exp_bump
+
+# the module, not the certify() function the package exports under its name
+certify_module = importlib.import_module("epdiff_radial.certify")
 
 IN_SCOPE = (
     [KernelSpec(0, 1, n) for n in range(1, 6)]
@@ -131,3 +139,110 @@ def test_report_format(grid, omega0):
     for key in ("condition_positivity", "condition_log_supermodularity",
                 "condition_S_bound", "T_bound", "applicable = yes"):
         assert key in text
+
+
+# The reports of the 16 in-scope certificates on the grid fixture, written
+# when every condition value was evaluated point by point.
+REPORTS = json.loads(
+    (pathlib.Path(__file__).parent / "certify_reports_n512.json").read_text())
+
+
+@pytest.mark.parametrize("spec", IN_SCOPE, ids=lambda s: s.label())
+def test_reports_equal_the_point_by_point_reports(grid, omega0, spec):
+    lines = certify(spec, grid, omega0).report().split("\n")
+    assert lines == REPORTS[spec.label()]
+
+
+def _ulps(x, ref):
+    return float(np.max(np.abs(x - ref) / np.spacing(np.abs(ref))))
+
+
+# Largest differences measured between the distinct-radius values and the
+# point-by-point ones.  beta and the sigma = 0 kernels match bit for bit;
+# alpha below the series cutoff is a BLAS matrix-vector product in blocks,
+# whose last rounding depends on where a radius falls in its block, so it
+# moves by up to 2 ulp, the H2 positivity values (which cancel) by up to
+# 24 ulp, and the supermodularity stencil ln(ratio) by up to 9 eps.
+ALPHA_ULPS = 2
+POSITIVITY_ULPS = 24
+STENCIL_EPS = 9
+
+
+@pytest.mark.parametrize("spec", IN_SCOPE, ids=lambda s: s.label())
+def test_distinct_radius_values_equal_point_by_point(spec):
+    mesh = certify_module._condition_mesh(20.0)
+    case = kernel_case(spec)
+    for radii in (mesh.r, mesh.near_r, mesh.near_r_h):
+        gathered = certify_module._alpha(case, radii)
+        if gathered is not None:
+            for p, v in case.phi_alpha(radii.values).items():
+                assert _ulps(gathered[p], v) <= ALPHA_ULPS
+    for radii in (mesh.s, mesh.near_s, mesh.near_s_h):
+        gathered = certify_module._beta(case, radii)
+        if gathered is not None:
+            for p, v in case.phi_beta(radii.values).items():
+                np.testing.assert_array_equal(gathered[p], v)
+
+    exact = spec.sigma == 0
+    vals = certify_module._positivity_values(case, mesh)
+    ref = phi(spec, mesh.r.values, mesh.s.values)
+    if exact:
+        np.testing.assert_array_equal(vals, ref)
+    assert _ulps(vals, ref) <= POSITIVITY_ULPS
+    assert np.argmin(vals) == np.argmin(ref)
+    if case.separable:
+        return
+
+    r, s, h = mesh.near_r.values, mesh.near_s.values, mesh.h
+    np.testing.assert_array_equal(mesh.near_r_h.values, r + h)
+    np.testing.assert_array_equal(mesh.near_s_h.values, s + h)
+
+    def factor(x, y):
+        return case.phi_factor(x, y, case.phi_alpha(x), case.phi_beta(y))
+
+    ref = np.log((factor(r + h, s + h) * factor(r, s))
+                 / (factor(r + h, s) * factor(r, s + h))) / h**2
+    vals = certify_module._log_supermodularity_values(case, mesh)
+    if exact:
+        np.testing.assert_array_equal(vals, ref)
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(vals - ref) * h**2) <= STENCIL_EPS * eps
+    assert np.argmin(vals) == np.argmin(ref)
+
+
+def test_condition_mesh_is_shared_read_only_geometry():
+    mesh = certify_module._condition_mesh(20.0)
+    assert certify_module._condition_mesh(20.0) is mesh
+    assert certify_module._condition_mesh(15.0) is not mesh
+    # geometry only: certifying specs of every case leaves it as built
+    grid = RadialGrid.uniform(256, 20.0)
+    for spec in (KernelSpec(0, 2, 3), KernelSpec(1, 1, 1), KernelSpec(1, 2, 4)):
+        certify(spec, grid, neg_exp_bump(grid.r))
+    fresh = certify_module._condition_mesh.__wrapped__(20.0)
+    arrays = []
+    for field in dataclasses.fields(mesh):
+        value, built = getattr(mesh, field.name), getattr(fresh, field.name)
+        if isinstance(value, np.ndarray):
+            arrays.append((value, built))
+        else:
+            arrays += [(getattr(value, f.name), getattr(built, f.name))
+                       for f in dataclasses.fields(value)]
+    for value, built in arrays:
+        assert isinstance(value, np.ndarray)
+        np.testing.assert_array_equal(value, built)
+        assert not value.flags.writeable
+        with pytest.raises(ValueError):
+            value[0] = 0
+    for radii in (mesh.r, mesh.s, mesh.near_r, mesh.near_s):
+        np.testing.assert_array_equal(radii.distinct[radii.index], radii.values)
+        assert np.all(np.diff(radii.distinct) > 0.0)
+
+
+@pytest.mark.parametrize("spec", [KernelSpec(0, 2, 4), KernelSpec(1, 1, 3),
+                                  KernelSpec(1, 2, 3)], ids=lambda s: s.label())
+def test_conditions_depend_on_r_max_only(spec):
+    conditions = []
+    for num in (256, 1024):
+        grid = RadialGrid.uniform(num, 20.0)
+        conditions.append(certify(spec, grid, neg_exp_bump(grid.r)).conditions)
+    assert conditions[0] == conditions[1]
