@@ -16,10 +16,10 @@ which dominates the monitored quantity q = Q(gamma) rho / Q(r) and bounds
 the blowup time by T_bound = 2 / (C M(0)).
 
 Conditions (a) and (b) are sampled on a mesh of D that depends on R_max
-only.  It is built on the first certificate for an R_max and kept, read
-only, with the distinct values of each of its radius arrays: about 21,000
-points lie on 200 distinct r and 800 distinct s, so the Bessel pair that
-phi needs is evaluated once per distinct radius and gathered by index.
+only.  The mesh of the latest R_max is kept, read only, with the distinct
+values of each of its radius arrays: the 20,897 positivity points lie on
+about 400 distinct r and 1,000 distinct s, so the Bessel pair that phi
+needs is evaluated once per distinct radius and gathered by index.
 Nothing that depends on the kernel spec is kept between calls.
 """
 
@@ -123,7 +123,7 @@ class _ConditionMesh:
     h: np.ndarray
 
 
-@lru_cache(maxsize=8)  # a mesh takes about 2 MB; a sweep may vary r_max
+@lru_cache(maxsize=1)
 def _condition_mesh(r_max):
     """The condition mesh for r_max, built on first use."""
     v = np.geomspace(1e-3, r_max, 200)

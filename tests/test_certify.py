@@ -213,11 +213,12 @@ def test_distinct_radius_values_equal_point_by_point(spec):
 def test_condition_mesh_is_shared_read_only_geometry():
     mesh = certify_module._condition_mesh(20.0)
     assert certify_module._condition_mesh(20.0) is mesh
-    assert certify_module._condition_mesh(15.0) is not mesh
     # geometry only: certifying specs of every case leaves it as built
     grid = RadialGrid.uniform(256, 20.0)
     for spec in (KernelSpec(0, 2, 3), KernelSpec(1, 1, 1), KernelSpec(1, 2, 4)):
         certify(spec, grid, neg_exp_bump(grid.r))
+    assert certify_module._condition_mesh(20.0) is mesh
+    assert certify_module._condition_mesh(15.0) is not mesh
     fresh = certify_module._condition_mesh.__wrapped__(20.0)
     arrays = []
     for field in dataclasses.fields(mesh):
