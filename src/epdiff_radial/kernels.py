@@ -13,9 +13,10 @@ powers of s (homogeneous) or the scaled Bessel pair alpha/beta
 (nonhomogeneous).  Every delta factors into at most two separable products
 f(r) g(s), so one pass of prefix and suffix sums gives the kernel integral
 at every node in O(N) (``kernel_sums``, which works over the support window
-of the weight only).  Each case is one entry of a case table holding all of
-its formulas; ``KernelCase`` binds an entry to a spec and evaluates each
-Bessel order a formula needs once per call.
+of the weight only).  Each case is one subclass of ``KernelCase`` holding
+all of its formulas (Camassa-Holm, n = 1 of H^1, is a subclass of the H^1
+case with factors of its own); ``kernel_case`` builds the spec's instance,
+which evaluates each Bessel order a formula needs once per call.
 
 Also evaluates the comparison weight Q(r) = 1/(r phi(0, r)) and the diagonal
 criterion
@@ -26,7 +27,7 @@ whose uniform lower bound C > 0 drives the blowup certificates.
 """
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -80,42 +81,6 @@ class KernelSpec:
         return f"{name[(self.sigma, self.k)]}_n{self.n}"
 
 
-# The kernel case table: every formula of a case (sigma, k) in one entry,
-# keyed (sigma, k, n) where one dimension has factors of its own.
-
-
-@dataclass(frozen=True)
-class _Formulas:
-    """Every formula of one (sigma, k) case; each takes the dimension n.
-
-    inner(n, r, a) gives the factors (f, df) of each separable term at inner
-    radii r and outer(n, s, b) gives (g, dg) at outer radii s, from one
-    {order: array} evaluation of the Bessel orders declared as offsets from
-    n: a = {p: alpha_p(r)}, b = {p: s^p beta_p(s)}.  phi(n, r, s, a, b) is
-    the kernel and phi_factor(n, r, s, a, b) the factor of phi whose log is
-    not a sum of a function of r and one of s (None when ln phi is such a
-    sum); both take the exponentially scaled values a = {p: e^-r alpha_p(r)}
-    and b = {p: e^s beta_p(s)} of the orders phi_offsets (None when there
-    are none).  s_generic(n, r) is the criterion S for r > 0.  The weight is
-    Q(r) = kappa(n) r^p m(r) with p = n + q_offset, and its smooth factor is
-    m = 1/(p' r^p' beta_p'(r)) with p' = n + m_offset (m = 1 when None).
-    s_origin(n) is the r -> 0 limit of S.
-    """
-
-    alpha_offsets: tuple
-    beta_offsets: tuple
-    inner: callable
-    outer: callable
-    phi: callable
-    s_generic: callable
-    q_offset: int
-    kappa: callable
-    s_origin: callable
-    phi_factor: callable = None
-    m_offset: int = None
-    phi_offsets: tuple = ()
-
-
 def _escaled_beta(orders, s):
     """{p: e^{s} beta_p(s)} for the given orders (s > 0)."""
     b = bessel.beta_hat(orders, s)
@@ -141,226 +106,50 @@ def _reciprocal_powers(s, lo, hi):
     return out
 
 
-# sigma = 0, k = 1: delta = (r/n) s^{1-n}.
-def _h1dot_inner(n, r, a):
-    return ((r / n, np.full_like(np.asarray(r, float), 1.0 / n)),)
-
-
-def _h1dot_outer(n, s, b):
-    p = _reciprocal_powers(s, n - 1, n)
-    return ((p[n - 1], (1.0 - n) * p[n]),)
-
-
-def _h1dot_phi(n, r, s, a, b):
-    return s ** (-float(n)) / n
-
-
-def _h1dot_s(n, r):
-    # d1_phi = 0; phi(0,r) = r^-n / n; d2_phi(0,r) = -r^{-n-1}
-    return np.full_like(r, float(n))
-
-
-# sigma = 0, k = 2 (n >= 3): delta = r s^{3-n}/c1 - r^3 s^{1-n}/c2.
-def _h2dot_inner(n, r, a):
-    c1 = 2.0 * n * (n - 2.0)
-    c2 = 2.0 * n * (n + 2.0)
-    return (
-        (r / c1, np.full_like(np.asarray(r, float), 1.0 / c1)),
-        (-(r**3) / c2, -3.0 * r**2 / c2),
-    )
-
-
-def _h2dot_outer(n, s, b):
-    p = _reciprocal_powers(s, n - 3, n)
-    return (
-        (p[n - 3], (3.0 - n) * p[n - 2]),
-        (p[n - 1], (1.0 - n) * p[n]),
-    )
-
-
-def _h2dot_phi(n, r, s, a, b):
-    return s ** (2.0 - n) / (2.0 * n * (n - 2.0)) - r**2 * s ** (
-        -float(n)
-    ) / (2.0 * n * (n + 2.0))
-
-
-def _h2dot_s(n, r):
-    d1 = -r ** (1.0 - n) / (n * (n + 2.0))
-    diag = r ** (2.0 - n) * (
-        1.0 / (2.0 * n * (n - 2.0)) - 1.0 / (2.0 * n * (n + 2.0))
-    )
-    phi0 = r ** (2.0 - n) / (2.0 * n * (n - 2.0))
-    d2_0 = (2.0 - n) * r ** (1.0 - n) / (2.0 * n * (n - 2.0))
-    return (r * d1 * phi0 - r * diag * d2_0) / phi0**2
-
-
-def _h2dot_phi_factor(n, r, s, a, b):
-    # phi = s^-n * (s^2/c1 - r^2/c2)
-    return s**2 / (2.0 * n * (n - 2.0)) - r**2 / (2.0 * n * (n + 2.0))
-
-
-# sigma = 1, k = 1: delta = [r alpha_n(r)] [s beta_n(s)].
-def _h1_inner(n, r, a):
-    return ((r * a[n], a[n] + r**2 * a[n + 2] / (n + 2.0)),)
-
-
-def _h1_outer_term(n, p, b):
-    # p = {k: s^-k}, holding k = n - 1 and n
-    return (p[n - 1] * b[n], p[n] * (b[n] - (n + 2.0) * b[n + 2]))
-
-
-def _h1_outer(n, s, b):
-    return (_h1_outer_term(n, _reciprocal_powers(s, n - 1, n), b),)
-
-
-def _h1_phi(n, r, s, a, b):
-    # the nonhomogeneous cases compose exponentially scaled Bessel factors
-    # with e^{r-s} (bounded on D), so nothing overflows at large radii
-    return a[n] * b[n] * np.exp(r - s)
-
-
-def _h1_s(n, r):
-    # All products below are at the same radius, so the scale factors of
-    # each alpha*beta pair cancel; the overall e^r is reattached at the end.
-    a = bessel.alpha_hat((n, n + 2), r)  # e^-r alpha_p
-    b = _escaled_beta((n, n + 2), r)  # e^+r beta_p
-    d1_s = r / (n + 2.0) * a[n + 2]  # e^-r alpha_n'
-    diag_s = a[n] * b[n]  # phi(r,r)
-    d2_0s = -(n + 2.0) * r * b[n + 2]  # e^r d2_phi(0,r)
-    num_s = r * d1_s * b[n] ** 2 - r * diag_s * d2_0s
-    return np.exp(r) * num_s / b[n] ** 2
-
-
-# sigma = 1, k = 1, n = 1: the Camassa-Holm kernel e^{-s} sinh r.  The
-# generic dg = s^{-1} (r beta_1 - 3 r^3 beta_3) cancels at small s.
-def _camassa_holm_inner(n, r, a):
-    return ((np.sinh(r), np.cosh(r)),)
-
-
-def _camassa_holm_outer(n, s, b):
-    return ((np.exp(-s), -np.exp(-s)),)
-
-
-# sigma = 1, k = 2 (n >= 3).  Using j(r) = n^2 (alpha_{n-2} - alpha_n)
-# = n r^2 alpha_{n+2}(r)/(n+2) (exact, cancellation-free):
-#   delta = -[r j(r)/(2n)] [s beta_n(s)] + [r alpha_n(r)/(2n)] [s beta_{n-2}(s)]
-def _h2_inner(n, r, a):
-    return (
-        (
-            -(r**3) * a[n + 2] / (2.0 * (n + 2.0)),
-            -(3.0 * r**2 * a[n + 2] + r**4 * a[n + 4] / (n + 4.0))
-            / (2.0 * (n + 2.0)),
-        ),
-        (
-            r * a[n] / (2.0 * n),
-            (a[n] + r**2 * a[n + 2] / (n + 2.0)) / (2.0 * n),
-        ),
-    )
-
-
-def _h2_outer(n, s, b):
-    p = _reciprocal_powers(s, n - 3, n)
-    return (
-        _h1_outer_term(n, p, b),
-        (p[n - 3] * b[n - 2], p[n - 2] * (b[n - 2] - float(n) * b[n])),
-    )
-
-
-def _h2_phi_factor(n, r, s, a, b):
-    # phi = (1/2) e^{r-s} * Phi, Phi built from the scaled Bessel factors
-    return n * a[n] * b[n] + a[n] * b[n - 2] / n - n * a[n - 2] * b[n]
-
-
-def _h2_phi(n, r, s, a, b):
-    return 0.5 * np.exp(r - s) * _h2_phi_factor(n, r, s, a, b)
-
-
-def _h2_s(n, r):
-    a = bessel.alpha_hat((n - 2, n, n + 2), r)
-    b = _escaled_beta((n - 2, n), r)
-    a_n, a_lo, a_up = a[n], a[n - 2], a[n + 2]
-    b_n, b_lo = b[n], b[n - 2]
-    # e^-r alpha' factors via the upward recurrences
-    da_n = r / (n + 2.0) * a_up
-    da_lo = r / float(n) * a_n
-    d1_s = 0.5 * (n * da_n * b_n + da_n * b_lo / n - n * da_lo * b_n)
-    diag_s = 0.5 * (n * a_n * b_n + a_n * b_lo / n - n * a_lo * b_n)
-    phi0_s = b_lo / (2.0 * n)  # e^r phi(0,r)
-    d2_0s = -r * b_n / 2.0  # e^r d2_phi(0,r)
-    num_s = r * d1_s * phi0_s - r * diag_s * d2_0s
-    return np.exp(r) * num_s / phi0_s**2
-
-
-# Near the origin Q ~ kappa r^p and S -> S(0); all three depend on k only.
-_FIRST_ORDER = dict(
-    q_offset=-1, kappa=lambda n: float(n), s_origin=lambda n: float(n)
-)
-_SECOND_ORDER = dict(
-    q_offset=-3,
-    kappa=lambda n: 2.0 * n * (n - 2.0),
-    s_origin=lambda n: 2.0 * (n - 2.0) / (n + 2.0),
-)
-
-_CASES = {
-    (0, 1): _Formulas(
-        (), (), _h1dot_inner, _h1dot_outer, _h1dot_phi, _h1dot_s,
-        **_FIRST_ORDER,
-    ),
-    (0, 2): _Formulas(
-        (), (), _h2dot_inner, _h2dot_outer, _h2dot_phi, _h2dot_s,
-        **_SECOND_ORDER, phi_factor=_h2dot_phi_factor,
-    ),
-    (1, 1): _Formulas(
-        (0, 2), (0, 2), _h1_inner, _h1_outer, _h1_phi, _h1_s,
-        **_FIRST_ORDER, m_offset=0, phi_offsets=(0,),
-    ),
-    (1, 2): _Formulas(
-        (0, 2, 4), (-2, 0, 2), _h2_inner, _h2_outer, _h2_phi, _h2_s,
-        **_SECOND_ORDER, phi_factor=_h2_phi_factor, m_offset=-2,
-        phi_offsets=(-2, 0),
-    ),
-}
-# Camassa-Holm (sigma = 1, k = 1, n = 1): its own factors, no Bessel orders
-# (phi keeps the generic formula and its order n)
-_CASES[(1, 1, 1)] = replace(
-    _CASES[(1, 1)], alpha_offsets=(), beta_offsets=(),
-    inner=_camassa_holm_inner, outer=_camassa_holm_outer,
-)
-
-
 class KernelCase:
-    """Every formula of one spec's kernel, read from the case table.
+    """Every formula of one spec's kernel; one subclass per case (sigma, k).
 
     ``inner(r)`` and ``outer(s)`` give the separable factors
     delta(r, s) = sum_t f_t(r) g_t(s) of every term at once, as the pairs
-    (f_t, df_t) or (g_t, dg_t), each Bessel order the case declares
-    evaluated once per call.  ``phi`` and ``phi_factor`` take the Bessel
-    values of the orders ``phi_orders`` as arguments, from ``phi_alpha(r)``
-    and ``phi_beta(s)``, so that a caller with many points on few radii
-    can evaluate them once per distinct radius.  ``g`` and ``dg`` may be
-    singular at s = 0 for n >= 2: ``kernel_sums`` evaluates them on the
-    nodes past i0 = max(a - 2, 0) for a weight supported from node a on,
-    and at the origin node only when the weight is nonzero there (n = 1;
-    z_0(0) = 0 for n >= 2 by construction).  ``df_origin`` holds df_t(0),
-    the only factor the solver needs at the origin node.  ``q_power`` and
-    ``kappa`` give the weight's leading behaviour Q(r) ~ kappa r^q_power
-    near 0, and ``s_origin`` the limit S(0).
+    (f_t, df_t) or (g_t, dg_t).  Each evaluates the Bessel orders its case
+    declares (``alpha_offsets`` and ``beta_offsets``, from n) once per call
+    and passes them to the case's factor formulas ``_inner(r, a)`` and
+    ``_outer(s, b)`` as a = {p: alpha_p(r)} and b = {p: s^p beta_p(s)}.
+
+    ``phi(r, s, a, b)`` is the kernel and ``phi_factor(r, s, a, b)`` the
+    factor of phi whose log is not a sum of a function of r and one of s;
+    only the cases that are not ``separable`` have one.  Both take the
+    exponentially scaled values a = ``phi_alpha(r)`` = {p: e^-r alpha_p(r)}
+    and b = ``phi_beta(s)`` = {p: e^s beta_p(s)} of the orders
+    ``phi_offsets`` (None when there are none), so that a caller with many
+    points on few radii can evaluate them once per distinct radius.
+    ``s_generic(r)`` is the diagonal criterion S for r > 0.
+
+    ``g`` and ``dg`` may be singular at s = 0 for n >= 2: ``kernel_sums``
+    evaluates them on the nodes past i0 = max(a - 2, 0) for a weight
+    supported from node a on, and at the origin node only when the weight
+    is nonzero there (n = 1; z_0(0) = 0 for n >= 2 by construction).
+    ``df_origin`` holds df_t(0), the only factor the solver needs at the
+    origin node.  The weight is Q(r) = kappa r^q_power m(r) with
+    q_power = n + q_offset, so Q ~ kappa r^q_power near 0; its smooth factor
+    is m = 1/(p r^p beta_p(r)) with p = ``m_order`` = n + m_offset (m = 1
+    when m_offset is None).  ``s_origin`` is the limit S(0); ``_origin(n)``
+    gives (kappa, S(0)).
     """
 
+    alpha_offsets = beta_offsets = phi_offsets = ()
+    m_offset = None
+
     def __init__(self, spec):
-        n = spec.n
-        key = (spec.sigma, spec.k)
-        formulas = _CASES.get(key + (n,)) or _CASES[key]
+        n = self.n = spec.n
         self.spec = spec
-        self.alpha_orders = tuple(n + o for o in formulas.alpha_offsets)
-        self.beta_orders = tuple(n + o for o in formulas.beta_offsets)
-        self.phi_orders = tuple(n + o for o in formulas.phi_offsets)
-        self.separable = formulas.phi_factor is None
-        self.m_order = None if formulas.m_offset is None else n + formulas.m_offset
-        self.q_power = n + formulas.q_offset
-        self.kappa = formulas.kappa(n)
-        self.s_origin = formulas.s_origin(n)
-        self._formulas = formulas
+        self.alpha_orders = tuple(n + o for o in self.alpha_offsets)
+        self.beta_orders = tuple(n + o for o in self.beta_offsets)
+        self.phi_orders = tuple(n + o for o in self.phi_offsets)
+        self.separable = not hasattr(self, "phi_factor")
+        self.m_order = None if self.m_offset is None else n + self.m_offset
+        self.q_power = n + self.q_offset
+        self.kappa, self.s_origin = self._origin(n)
         self.df_origin = tuple(float(df[0]) for _, df in self.inner(np.zeros(1)))
 
     def inner(self, r):
@@ -371,7 +160,7 @@ class KernelCase:
             e = np.exp(np.asarray(r, dtype=float))
             for v in a.values():
                 v *= e  # in place: alpha_hat returns fresh arrays
-        return self._formulas.inner(self.spec.n, r, a)
+        return self._inner(r, a)
 
     def outer(self, s):
         """((g_t(s), dg_t(s)) for each term t)."""
@@ -381,7 +170,7 @@ class KernelCase:
             e = np.exp(-np.asarray(s, dtype=float))
             for v in b.values():
                 v *= e
-        return self._formulas.outer(self.spec.n, s, b)
+        return self._outer(s, b)
 
     def phi_alpha(self, r):
         """{p: e^-r alpha_p(r)} for the ``phi_orders`` (None if none)."""
@@ -391,29 +180,199 @@ class KernelCase:
         """{p: e^s beta_p(s)} for the ``phi_orders``, s > 0 (None if none)."""
         return _escaled_beta(self.phi_orders, s) if self.phi_orders else None
 
+
+class _H1dot(KernelCase):
+    """sigma = 0, k = 1: delta = (r/n) s^{1-n}."""
+
+    q_offset = -1
+    _origin = staticmethod(lambda n: (float(n), float(n)))
+
+    def _inner(self, r, a):
+        n = self.n
+        return ((r / n, np.full_like(np.asarray(r, float), 1.0 / n)),)
+
+    def _outer(self, s, b):
+        n = self.n
+        p = _reciprocal_powers(s, n - 1, n)
+        return ((p[n - 1], (1.0 - n) * p[n]),)
+
     def phi(self, r, s, a, b):
-        """phi(r, s) for s >= r >= 0, not both 0.
-
-        a = phi_alpha(r) and b = phi_beta(s).
-        """
-        return self._formulas.phi(self.spec.n, r, s, a, b)
-
-    def phi_factor(self, r, s, a, b):
-        """The factor of phi whose log is not separable in (r, s).
-
-        Only for cases that are not ``separable``; a and b as for ``phi``.
-        """
-        return self._formulas.phi_factor(self.spec.n, r, s, a, b)
+        return s ** (-float(self.n)) / self.n
 
     def s_generic(self, r):
-        """The diagonal criterion S(r) from its generic formula, r > 0."""
-        return self._formulas.s_generic(self.spec.n, r)
+        # d1_phi = 0; phi(0,r) = r^-n / n; d2_phi(0,r) = -r^{-n-1}
+        return np.full_like(r, float(self.n))
+
+
+class _H2dot(KernelCase):
+    """sigma = 0, k = 2 (n >= 3): delta = r s^{3-n}/c1 - r^3 s^{1-n}/c2."""
+
+    q_offset = -3
+    _origin = staticmethod(
+        lambda n: (2.0 * n * (n - 2.0), 2.0 * (n - 2.0) / (n + 2.0)))
+
+    def _inner(self, r, a):
+        c1 = 2.0 * self.n * (self.n - 2.0)
+        c2 = 2.0 * self.n * (self.n + 2.0)
+        return (
+            (r / c1, np.full_like(np.asarray(r, float), 1.0 / c1)),
+            (-(r**3) / c2, -3.0 * r**2 / c2),
+        )
+
+    def _outer(self, s, b):
+        n = self.n
+        p = _reciprocal_powers(s, n - 3, n)
+        return (
+            (p[n - 3], (3.0 - n) * p[n - 2]),
+            (p[n - 1], (1.0 - n) * p[n]),
+        )
+
+    def phi(self, r, s, a, b):
+        n = self.n
+        return s ** (2.0 - n) / (2.0 * n * (n - 2.0)) - r**2 * s ** (
+            -float(n)
+        ) / (2.0 * n * (n + 2.0))
+
+    def phi_factor(self, r, s, a, b):
+        # phi = s^-n * (s^2/c1 - r^2/c2)
+        n = self.n
+        return s**2 / (2.0 * n * (n - 2.0)) - r**2 / (2.0 * n * (n + 2.0))
+
+    def s_generic(self, r):
+        n = self.n
+        d1 = -r ** (1.0 - n) / (n * (n + 2.0))
+        diag = r ** (2.0 - n) * (
+            1.0 / (2.0 * n * (n - 2.0)) - 1.0 / (2.0 * n * (n + 2.0))
+        )
+        phi0 = r ** (2.0 - n) / (2.0 * n * (n - 2.0))
+        d2_0 = (2.0 - n) * r ** (1.0 - n) / (2.0 * n * (n - 2.0))
+        return (r * d1 * phi0 - r * diag * d2_0) / phi0**2
+
+
+def _h1_outer_term(n, p, b):
+    # p = {k: s^-k}, holding k = n - 1 and n
+    return (p[n - 1] * b[n], p[n] * (b[n] - (n + 2.0) * b[n + 2]))
+
+
+class _H1(KernelCase):
+    """sigma = 1, k = 1: delta = [r alpha_n(r)] [s beta_n(s)]."""
+
+    alpha_offsets = beta_offsets = (0, 2)
+    phi_offsets = (0,)
+    m_offset = 0
+    q_offset = -1
+    _origin = staticmethod(lambda n: (float(n), float(n)))
+
+    def _inner(self, r, a):
+        n = self.n
+        return ((r * a[n], a[n] + r**2 * a[n + 2] / (n + 2.0)),)
+
+    def _outer(self, s, b):
+        n = self.n
+        return (_h1_outer_term(n, _reciprocal_powers(s, n - 1, n), b),)
+
+    def phi(self, r, s, a, b):
+        # the nonhomogeneous cases compose exponentially scaled Bessel factors
+        # with e^{r-s} (bounded on D), so nothing overflows at large radii
+        return a[self.n] * b[self.n] * np.exp(r - s)
+
+    def s_generic(self, r):
+        # All products below are at the same radius, so the scale factors of
+        # each alpha*beta pair cancel; the overall e^r is reattached at the end.
+        n = self.n
+        a = bessel.alpha_hat((n, n + 2), r)  # e^-r alpha_p
+        b = _escaled_beta((n, n + 2), r)  # e^+r beta_p
+        d1_s = r / (n + 2.0) * a[n + 2]  # e^-r alpha_n'
+        diag_s = a[n] * b[n]  # phi(r,r)
+        d2_0s = -(n + 2.0) * r * b[n + 2]  # e^r d2_phi(0,r)
+        num_s = r * d1_s * b[n] ** 2 - r * diag_s * d2_0s
+        return np.exp(r) * num_s / b[n] ** 2
+
+
+class _CamassaHolm(_H1):
+    """sigma = 1, k = 1, n = 1: the kernel e^{-s} sinh r, from its own
+    factors and no Bessel orders (phi keeps the H1 formula and its order).
+    The H1 dg = s^{-1} (r beta_1 - 3 r^3 beta_3) cancels at small s.
+    """
+
+    alpha_offsets = beta_offsets = ()
+
+    def _inner(self, r, a):
+        return ((np.sinh(r), np.cosh(r)),)
+
+    def _outer(self, s, b):
+        return ((np.exp(-s), -np.exp(-s)),)
+
+
+class _H2(KernelCase):
+    """sigma = 1, k = 2 (n >= 3).  Using j(r) = n^2 (alpha_{n-2} - alpha_n)
+    = n r^2 alpha_{n+2}(r)/(n+2) (exact, cancellation-free):
+
+        delta = -[r j(r)/(2n)] [s beta_n(s)] + [r alpha_n(r)/(2n)] [s beta_{n-2}(s)]
+    """
+
+    alpha_offsets = (0, 2, 4)
+    beta_offsets = (-2, 0, 2)
+    phi_offsets = (-2, 0)
+    m_offset = -2
+    q_offset = -3
+    _origin = staticmethod(
+        lambda n: (2.0 * n * (n - 2.0), 2.0 * (n - 2.0) / (n + 2.0)))
+
+    def _inner(self, r, a):
+        n = self.n
+        return (
+            (
+                -(r**3) * a[n + 2] / (2.0 * (n + 2.0)),
+                -(3.0 * r**2 * a[n + 2] + r**4 * a[n + 4] / (n + 4.0))
+                / (2.0 * (n + 2.0)),
+            ),
+            (
+                r * a[n] / (2.0 * n),
+                (a[n] + r**2 * a[n + 2] / (n + 2.0)) / (2.0 * n),
+            ),
+        )
+
+    def _outer(self, s, b):
+        n = self.n
+        p = _reciprocal_powers(s, n - 3, n)
+        return (
+            _h1_outer_term(n, p, b),
+            (p[n - 3] * b[n - 2], p[n - 2] * (b[n - 2] - float(n) * b[n])),
+        )
+
+    def phi(self, r, s, a, b):
+        return 0.5 * np.exp(r - s) * self.phi_factor(r, s, a, b)
+
+    def phi_factor(self, r, s, a, b):
+        # phi = (1/2) e^{r-s} * Phi, Phi built from the scaled Bessel factors
+        n = self.n
+        return n * a[n] * b[n] + a[n] * b[n - 2] / n - n * a[n - 2] * b[n]
+
+    def s_generic(self, r):
+        n = self.n
+        a = bessel.alpha_hat((n - 2, n, n + 2), r)
+        b = _escaled_beta((n - 2, n), r)
+        a_n, a_lo, a_up = a[n], a[n - 2], a[n + 2]
+        b_n, b_lo = b[n], b[n - 2]
+        # e^-r alpha' factors via the upward recurrences
+        da_n = r / (n + 2.0) * a_up
+        da_lo = r / float(n) * a_n
+        d1_s = 0.5 * (n * da_n * b_n + da_n * b_lo / n - n * da_lo * b_n)
+        diag_s = 0.5 * (n * a_n * b_n + a_n * b_lo / n - n * a_lo * b_n)
+        phi0_s = b_lo / (2.0 * n)  # e^r phi(0,r)
+        d2_0s = -r * b_n / 2.0  # e^r d2_phi(0,r)
+        num_s = r * d1_s * phi0_s - r * diag_s * d2_0s
+        return np.exp(r) * num_s / phi0_s**2
 
 
 @lru_cache(maxsize=None)
 def kernel_case(spec):
     """The spec's KernelCase, built once."""
-    return KernelCase(spec)
+    if (spec.sigma, spec.k, spec.n) == (1, 1, 1):
+        return _CamassaHolm(spec)
+    cls = {(0, 1): _H1dot, (0, 2): _H2dot, (1, 1): _H1, (1, 2): _H2}
+    return cls[(spec.sigma, spec.k)](spec)
 
 
 def _check_domain(r, s):
