@@ -74,10 +74,13 @@ def _check_orders(orders):
 
 
 @lru_cache(maxsize=None)
-def _series_coefficients(p):
-    """1 / (j! (p/2 + 1)_j) for j < SERIES_TERMS."""
+def _series_coefficients(orders):
+    """Row i holds 1 / (j! (p/2 + 1)_j) for j < SERIES_TERMS, p = orders[i]."""
     j = np.arange(1, SERIES_TERMS, dtype=float)
-    return np.cumprod(np.concatenate([[1.0], 1.0 / (j * (0.5 * p + j))]))
+    return np.array([
+        np.cumprod(np.concatenate([[1.0], 1.0 / (j * (0.5 * p + j))]))
+        for p in orders
+    ])
 
 
 def _alpha_recurrence(pmax, r):
@@ -122,10 +125,11 @@ def alpha_hat(orders, r):
             powers[:, 0] = 1.0
             powers[:, 1:] = x[:, None]
             np.cumprod(powers, axis=1, out=powers)
-            # one matrix-vector product per order, so that a value does not
-            # depend on which other orders were asked for
-            for i, p in enumerate(orders):
-                series[i, rows] = powers @ _series_coefficients(p)
+            # one sum per order and row, without BLAS (whose rounding
+            # depends on where a row falls in its block), so that a value
+            # depends only on its order and radius
+            series[:, rows] = np.einsum(
+                "ij,kj->ki", powers, _series_coefficients(orders))
         series *= np.exp(-rs)
         out[:, small] = series
     if not small.all():

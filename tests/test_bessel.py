@@ -138,6 +138,31 @@ def test_multi_order_calls_equal_single_order_wrappers(parity):
         np.testing.assert_array_equal(bessel.beta_hat((p,), pos)[p], b[p][1:])
 
 
+@pytest.mark.parametrize("parity", [0, 1])
+def test_alpha_value_depends_only_on_order_and_radius(parity):
+    # radii on both sides of the series cutoff, over more than two blocks of
+    # the series, evaluated in one batch, one by one, permuted and as a
+    # slice at an offset: every value is byte for byte the same
+    rng = np.random.default_rng(7)
+    r = rng.uniform(0.0, 1.5 * bessel.SERIES_CUTOFF, 2 * bessel.SERIES_BLOCK + 300)
+    orders = tuple(range(parity, 10, 2))
+    batch = bessel.alpha_hat(orders, r)
+    for i in range(0, r.size, 37):
+        alone = bessel.alpha_hat(orders, r[i])
+        for p in orders:
+            assert alone[p].tobytes() == batch[p][i].tobytes()
+    perm = rng.permutation(r.size)
+    permuted = bessel.alpha_hat(orders, r[perm])
+    wider = bessel.alpha_hat(orders, np.concatenate([rng.uniform(0, 4, 333), r]))
+    for offset in (1, 5, 511):
+        sliced = bessel.alpha_hat(orders, r[offset:])
+        for p in orders:
+            assert sliced[p].tobytes() == batch[p][offset:].tobytes()
+    for p in orders:
+        assert permuted[p].tobytes() == batch[p][perm].tobytes()
+        assert wider[p][333:].tobytes() == batch[p].tobytes()
+
+
 def test_orders_must_be_nonnegative_integers_of_one_parity():
     with pytest.raises(ValueError):
         bessel.alpha(2.5, 1.0)
