@@ -23,7 +23,7 @@ import os
 import sys
 
 from .certify import certify
-from .scenario import parse_config, run_scenario, write_exact_hs_table
+from .scenario import parse_config, parse_value, run_scenario, write_exact_hs_table
 
 
 def _load_config(args):
@@ -85,15 +85,9 @@ def _cmd_sweep(args):
     import dataclasses
 
     config = _load_config(args)
-    field_types = {f.name: f.type for f in dataclasses.fields(config)}
-    if args.param not in field_types:
-        raise ValueError(f"unknown sweep parameter {args.param!r}")
-    caster = field_types[args.param]
-    if isinstance(caster, str):  # stringified annotation
-        caster = {"int": int, "float": float, "str": str}[caster]
+    values = [parse_value(args.param, raw) for raw in args.values.split(",")]
     worst = 0
-    for raw in args.values.split(","):
-        value = caster(raw.strip())
+    for value in values:
         variant = dataclasses.replace(config, **{args.param: value})
         stem, ext = os.path.splitext(args.output or config.output)
         path = f"{stem}__{args.param}_{value}{ext}"
@@ -116,8 +110,8 @@ def main(argv=None):
     }[args.verb]
     try:
         return handler(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

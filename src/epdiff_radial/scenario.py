@@ -30,6 +30,7 @@ __all__ = [
     "run_scenario",
     "write_exact_hs_table",
     "parse_config",
+    "parse_value",
     "serialize_config",
 ]
 
@@ -74,6 +75,11 @@ class ScenarioConfig:
 
     def validate(self):
         KernelSpec(self.sigma, self.k, self.n)  # raises on bad (sigma, k, n)
+        # NaN fails every comparison below, and a NaN or inf amplitude or
+        # bias would fail later under a wrong name (NaN * 0 is not 0)
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.grid_n < 128:
             raise ValueError("grid_n must be >= 128")
         if not 0.0 <= self.r_lo < self.r_hi:
@@ -85,10 +91,8 @@ class ScenarioConfig:
                 f"r_max must be <= {SIGMA1_R_MAX:g} for sigma = 1 "
                 "(the kernel factors overflow beyond it)"
             )
-        # NaN must fail too, and an infinite horizon would end the run at
-        # t = 0 as "completed"
-        if not (0.0 < self.dt < math.inf and 0.0 < self.horizon < math.inf):
-            raise ValueError("dt and horizon must be positive and finite")
+        if not (0.0 < self.dt and 0.0 < self.horizon):
+            raise ValueError("dt and horizon must be positive")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
         if self.record_every < 1:
@@ -113,6 +117,20 @@ def serialize_config(config):
     return "\n".join(lines) + "\n"
 
 
+def parse_value(key, text):
+    """The typed value of one config entry ``key = text``.
+
+    A string may be quoted; an unknown key is an error.
+    """
+    if key not in _FIELD_TYPES:
+        raise ValueError(f"unknown key {key!r}")
+    ftype = _FIELD_TYPES[key]
+    text = text.strip()
+    if ftype is str and len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"":
+        return text[1:-1]
+    return ftype(text)
+
+
 def parse_config(text):
     """Parse the flat key = value format; unknown keys are an error."""
     values = {}
@@ -123,18 +141,10 @@ def parse_config(text):
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key not in _FIELD_TYPES:
-            raise ValueError(f"line {lineno}: unknown key {key!r}")
-        ftype = _FIELD_TYPES[key]
-        if ftype is str or ftype == "str":
-            if len(val) >= 2 and val[0] == val[-1] and val[0] in "'\"":
-                val = val[1:-1]
-            values[key] = val
-        elif ftype is int or ftype == "int":
-            values[key] = int(val)
-        else:
-            values[key] = float(val)
+        try:
+            values[key.strip()] = parse_value(key.strip(), val)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return ScenarioConfig(**values).validate()
 
 
@@ -180,8 +190,8 @@ def builtin_initial_data(family, params, grid, n):
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     amplitude = params["amplitude"]
-    if amplitude < 0:
-        raise ValueError("amplitude must be >= 0")
+    if not 0.0 <= amplitude < math.inf:
+        raise ValueError("amplitude must be finite and >= 0")
     omega0 = FAMILIES[family](
         grid.r, amplitude, params["r_lo"], params["r_hi"], params.get("bias", 0.0)
     )

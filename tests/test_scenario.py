@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epdiff_radial import solver
+from epdiff_radial import cli, solver
 from epdiff_radial.cli import main
 from epdiff_radial.grid import RadialGrid
 from epdiff_radial.scenario import (
@@ -201,6 +201,24 @@ def test_cli_sweep(tmp_path):
     assert (tmp_path / "sweep__amplitude_1.0.csv").exists()
 
 
+def test_cli_sweep_strips_quotes_as_a_config_file_does(tmp_path):
+    # the value is parsed as the same key = value line in the file would be
+    _, cfg = write_config(tmp_path, output=str(tmp_path / "sweep.csv"))
+    code = main(["sweep", str(cfg), "--param", "family",
+                 "--values", "'neg_poly_bump',\"neg_bump\"", "--quiet"])
+    assert code == 0
+    assert (tmp_path / "sweep__family_neg_poly_bump.csv").exists()
+    assert (tmp_path / "sweep__family_neg_bump.csv").exists()
+
+
+def test_cli_sweep_unknown_parameter_exits_1(tmp_path, capsys):
+    _, cfg = write_config(tmp_path, output=str(tmp_path / "sweep.csv"))
+    assert main(["sweep", str(cfg), "--param", "width", "--values", "1",
+                 "--quiet"]) == 1
+    assert "unknown key 'width'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("sweep*"))
+
+
 def test_cli_sweep_output_in_a_dotted_directory(tmp_path):
     # the variant suffix goes on the file name, never at a dot of a directory
     (tmp_path / "runs.d").mkdir()
@@ -246,6 +264,42 @@ def test_cli_rejects_bad_run_settings_without_traceback(tmp_path, capsys, text):
     assert main(["run", str(bad), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key,text", [
+    ("amplitude", "amplitude = nan\n"),
+    ("amplitude", "amplitude = inf\n"),
+    ("bias", "family = hs_mixed_sign\nbias = nan\n"),
+    ("r_max", "r_max = nan\n"),
+])
+def test_cli_rejects_a_nonfinite_value_by_its_key(tmp_path, capsys, key, text):
+    # NaN * 0 is NaN, so a NaN amplitude used to fail as unsupported data
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(serialize_config(ScenarioConfig(**FAST)) + text)
+    assert main(["run", str(bad), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {key} must be finite\n"
+
+
+def test_builtin_data_rejects_a_nonfinite_amplitude():
+    grid = RadialGrid.uniform(128, 20.0)
+    for amplitude in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="amplitude"):
+            builtin_initial_data("neg_bump", {"amplitude": amplitude, "r_lo": 2.0,
+                                              "r_hi": 8.0}, grid, 3)
+
+
+def test_cli_out_of_memory_exits_1_with_one_line(tmp_path, monkeypatch, capsys):
+    # the stand-in raises what numpy raises for an array too large to
+    # allocate, without allocating anything
+    def out_of_memory(config, output_path=None, quiet=False):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(cli, "run_scenario", out_of_memory)
+    _, cfg = write_config(tmp_path)
+    assert main(["run", str(cfg), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: Unable to allocate 745. GiB for an array\n"
 
 
 @pytest.mark.parametrize("error,status,code", [
