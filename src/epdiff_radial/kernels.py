@@ -461,7 +461,7 @@ def s_criterion(spec, r):
     Evaluated through the exponentially scaled Bessel pair, so the common
     e^{+-r} factors cancel analytically and only the genuinely growing
     part of S (e.g. e^r for Camassa-Holm) remains.  Below r = 1e-3 the
-    analytic limit S(0) of the case table is returned.
+    analytic limit S(0) of the kernel case is returned.
     """
     r = np.asarray(r, dtype=float)
     scalar = r.ndim == 0

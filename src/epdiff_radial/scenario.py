@@ -75,8 +75,9 @@ class ScenarioConfig:
 
     def validate(self):
         KernelSpec(self.sigma, self.k, self.n)  # raises on bad (sigma, k, n)
-        # NaN fails every comparison below, and a NaN or inf amplitude or
-        # bias would fail later under a wrong name (NaN * 0 is not 0)
+        # NaN fails every comparison below, an infinite horizon would end
+        # the run at t = 0 as "completed", and a NaN or inf amplitude or bias
+        # would fail later under a wrong name (NaN * 0 is not 0)
         for f in fields(self):
             if f.type is float and not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite")
@@ -141,8 +142,9 @@ def parse_config(text):
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
+        key = key.strip()
         try:
-            values[key.strip()] = parse_value(key.strip(), val)
+            values[key] = parse_value(key, val)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     return ScenarioConfig(**values).validate()
