@@ -16,7 +16,12 @@ Each sample is the mean over enough calls to take about 10 ms; the best of
 loads the library from DIR (a ``src`` directory of another checkout) and
 times both versions in this one process, alternating sample by sample, with
 a column for each and their ratio: this machine's speed drifts by up to 2x
-between processes, so timings from separate runs do not compare.
+between processes, so timings from separate runs do not compare.  It also
+compares what the two versions return: a last column says ``same`` when
+every output of the row is byte for byte equal (``rhs``, ``step`` from the
+state with and without its stored rate, ``invert_operator``, the
+certificate report) and ``DIFFER`` otherwise, and the script exits with
+status 1 if any row differs.
 
 Usage:
     python3 scripts/time_layers.py [--against DIR]
@@ -86,6 +91,14 @@ def heading(what, names):
     return cols + (f" {'ratio':>6}" if len(names) == 2 else "")
 
 
+def bytes_heading(names):
+    return f" {'output':>6}" if len(names) == 2 else ""
+
+
+def as_bytes(*arrays):
+    return b"".join(a.dtype.str.encode() + a.tobytes() for a in arrays)
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--against", type=pathlib.Path,
@@ -101,10 +114,21 @@ def main(argv=None):
           + (f", vs = {args.against.resolve()}, ratio = this/vs"
              if args.against else "")
           + f"; best of {REPEAT}, us per call")
-    print(f"{'spec':<10} {'N':>5}" + heading("rhs", names) + heading("step", names))
+    differing = []
+
+    def compare(row, outputs):
+        """The output column: '' for one version, else same or DIFFER."""
+        if len(outputs) < 2:
+            return ""
+        if outputs[0] != outputs[1]:
+            differing.append(row)
+        return f" {'same' if outputs[0] == outputs[1] else 'DIFFER':>6}"
+
+    print(f"{'spec':<10} {'N':>5}" + heading("rhs", names) + heading("step", names)
+          + bytes_heading(names))
     for num in RHS_GRID_N:
         for sigma, k, n in IN_SCOPE:
-            rhs_calls, step_calls = [], []
+            rhs_calls, step_calls, outputs = [], [], []
             for lib in versions:
                 solver = lib["solver"]
                 spec = lib["kernels"].KernelSpec(sigma, k, n)
@@ -119,11 +143,20 @@ def main(argv=None):
                 rhs_calls.append(lambda s=solver, a=call:
                                  s.rhs(*a[:3], a[3].gamma, a[3].rho))
                 step_calls.append(lambda s=solver, a=call: s.step(*a, STEP_DT))
+                rate = rhs_calls[-1]()
+                rated = solver.FlowState(state.t, state.gamma, state.rho,
+                                         rate=rate.copy())
+                steps = [step_calls[-1](),
+                         solver.step(spec, grid, init, rated, STEP_DT)]
+                outputs.append(as_bytes(
+                    rate, *(a for st in steps for a in (st.gamma, st.rho))))
             print(f"{spec.label():<10} {num:>5}"
                   + cells(best_us(rhs_calls))
-                  + cells(best_us(step_calls)))
+                  + cells(best_us(step_calls))
+                  + compare(f"rhs/step {spec.label()} {num}", outputs))
 
-    print(f"{'spec':<10} {'N':>5}" + heading("invert", names))
+    print(f"{'spec':<10} {'N':>5}" + heading("invert", names)
+          + bytes_heading(names))
     for sigma, k, n in IN_SCOPE:
         calls = []
         for lib in versions:
@@ -134,9 +167,12 @@ def main(argv=None):
             calls.append(lambda f=lib["kernels"].invert_operator,
                          a=(spec, grid, omega): f(*a))
         print(f"{spec.label():<10} {INVERT_GRID_N:>5}"
-              + cells(best_us(calls)))
+              + cells(best_us(calls))
+              + compare(f"invert {spec.label()}",
+                        [as_bytes(call()) for call in calls]))
 
-    print(f"{'spec':<10} {'N':>5}" + heading("certify", names))
+    print(f"{'spec':<10} {'N':>5}" + heading("certify", names)
+          + bytes_heading(names))
     certify_calls = []
     for sigma, k, n in IN_SCOPE:
         calls = []
@@ -155,8 +191,11 @@ def main(argv=None):
         first.append((time.perf_counter() - start) * 1e6)
     print(f"{'first':<10} {CERTIFY_GRID_N:>5}" + cells(first))
     for label, calls in certify_calls:
-        print(f"{label:<10} {CERTIFY_GRID_N:>5}" + cells(best_us(calls)))
-    return 0
+        print(f"{label:<10} {CERTIFY_GRID_N:>5}" + cells(best_us(calls))
+              + compare(f"certify {label}", [call().report() for call in calls]))
+    if differing:
+        print(f"# outputs differ in {len(differing)} rows: " + ", ".join(differing))
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":

@@ -476,6 +476,14 @@ def s_criterion(spec, r):
     return float(out[0]) if scalar else out
 
 
+# The set-up window of the latest kernel_sums call and its key: a solver run
+# sums over one window with one key on every stage.  A call takes it out of
+# the slot while it writes the integrands, so two threads never share its
+# buffer, and puts it back (replacing any other) when done: at most one
+# window is kept.
+_spare_window = []
+
+
 def kernel_sums(case, quadrature, x, weight, start=0, derivatives=False):
     """The split kernel integrals at every node image x (x_0 = 0), in one pass.
 
@@ -488,24 +496,38 @@ def kernel_sums(case, quadrature, x, weight, start=0, derivatives=False):
     of the samples, pre_t is 0 up to node i0 and suf_t is 0 from node i1
     on, so f and df are evaluated on nodes 1 to i1 - 1 (and on the
     samples), g and dg on nodes i0 + 1 to N - 1, and the 2T integrands are
-    summed over intervals i0 to i1 - 1 only, in one ``running`` call.  Node
-    i0 and below take the tail term alone, node i1 and above the prefix term
-    alone.  At node 0, where every f_t vanishes, row 0 is 0 and row 1 is
-    sum_t df_t(0) suf_t(0).  The sums keep the dtype of the integrands
-    (longdouble weights give longdouble sums).
+    summed over intervals i0 to i1 - 1 only, in one pass of a
+    ``quadrature.SumWindow``.  Node i0 and below take the tail term alone,
+    node i1 and above the prefix term alone.  At node 0, where every f_t
+    vanishes, row 0 is 0 and row 1 is sum_t df_t(0) suf_t(0).  The sums
+    keep the dtype of the integrands (longdouble weights give longdouble
+    sums).
+
+    The window (reach, bands, padded sample buffer) depends only on the
+    case, the quadrature, the node range and the dtypes of x and weight.
+    It is built on the first call for them and kept until a call with
+    another key, so the stages of a solver run set it up once; the
+    integrands are written straight into its buffer.  Each call returns a
+    fresh array.
     """
     num = len(x)
     stop = start + len(weight)
     rows = 2 if derivatives else 1
     if stop == start:
         return np.zeros((rows, num), dtype=np.result_type(x, weight))
-    window = quadrature.reach(start, stop)
-    i0, i1 = window
+    key = (case, quadrature, start, stop, x.dtype, weight.dtype)
+    spare_key, window = _spare_window.pop() if _spare_window else (None, None)
+    if spare_key != key:
+        window = None
+    i0, i1 = quadrature.reach(start, stop) if window is None else window.reach
     inner = case.inner(x[1 : max(i1, stop)])  # node i at index i - 1
     outer = case.outer(x[i0 + 1 :])  # node i at index i - i0 - 1
     terms = len(inner)
-    dtype = np.result_type(weight, *(f for f, _ in inner), *(g for g, _ in outer))
-    integrands = np.empty((2 * terms, stop - start), dtype=dtype)
+    if window is None:
+        dtype = np.result_type(
+            weight, *(f for f, _ in inner), *(g for g, _ in outer))
+        window = quadrature.window(start, stop, (2 * terms,), dtype)
+    integrands = window.samples
     lo = max(start, 1)
     w = weight[lo - start :]
     for t, ((f, _), (g, _)) in enumerate(zip(inner, outer)):
@@ -521,21 +543,33 @@ def kernel_sums(case, quadrature, x, weight, start=0, derivatives=False):
             with np.errstate(divide="ignore", invalid="ignore"):
                 factors = case.inner(x[:1]) + case.outer(x[:1])
                 integrands[:, 0] = [f[0] * weight[0] for f, _ in factors]
-    sums = quadrature.running(integrands, start, window)
+    sums = window.sums()
+    _spare_window[:] = [(key, window)]
     # nodes i0 + 1 to i1 - 1 see both sums: pre on them, and suf = total - pre
     width = i1 - i0 - 1
     pre = sums[:terms, :width]
     suf = sums[terms:, -1:] - sums[terms:, :width]
     pre_total, suf_total = sums[:terms, -1], sums[terms:, -1]
-    out = np.zeros((rows, num), dtype=dtype)
+    out = np.zeros((rows, num), dtype=integrands.dtype)
     if derivatives:
         out[1, 0] = sum(d * s for d, s in zip(case.df_origin, suf_total))
-    # row 0 pairs f with g, row 1 df with dg
+    # row 0 pairs f with g, row 1 df with dg.  Each region of a row is
+    # written by its first term and the later terms are added in order;
+    # the closing + 0 turns -0 into +0, so the rows are bit for bit the
+    # sums of the terms added into zeros
     for t in range(terms):
         for f, g, row in zip(inner[t], outer[t], out):
-            row[1 : i0 + 1] += f[:i0] * suf_total[t]
-            row[i0 + 1 : i1] += g[:width] * pre[t] + f[i0 : i1 - 1] * suf[t]
-            row[i1:] += g[width:] * pre_total[t]
+            below, both, above = row[1 : i0 + 1], row[i0 + 1 : i1], row[i1:]
+            if t == 0:
+                np.multiply(f[:i0], suf_total[t], out=below)
+                np.multiply(g[:width], pre[t], out=both)
+                both += f[i0 : i1 - 1] * suf[t]
+                np.multiply(g[width:], pre_total[t], out=above)
+            else:
+                below += f[:i0] * suf_total[t]
+                both += g[:width] * pre[t] + f[i0 : i1 - 1] * suf[t]
+                above += g[width:] * pre_total[t]
+    out += 0.0
     return out
 
 

@@ -17,7 +17,8 @@ whole stack of integrands, and an integrand that vanishes outside a node
 range is passed on that range only (the solver's integrands vanish off the
 support of z_0); the sums are the full-grid ones bit for bit.  ``running``
 returns only the sums that change across that range, which is all the
-kernel sums need.
+kernel sums need, and a ``SumWindow`` holds the set-up of one such range
+for callers that sum over it again and again.
 
 Also houses the 4th-order uniform-grid finite differences used by the
 operator application path (odd extension through r = 0, polynomial
@@ -26,7 +27,7 @@ extrapolation ghosts at the outer edge).
 
 import numpy as np
 
-__all__ = ["CorrectedTrapezoid", "deriv1_uniform", "deriv2_uniform"]
+__all__ = ["CorrectedTrapezoid", "SumWindow", "deriv1_uniform", "deriv2_uniform"]
 
 
 def _as_float_array(u):
@@ -59,6 +60,8 @@ class CorrectedTrapezoid:
     result equals the full-grid one bit for bit.  ``reach`` checks the node
     range and names those intervals, ``running`` returns just their running
     sums, and ``prefix`` and ``tail`` spread them over all N nodes.
+    ``window`` sets up those intervals once as a ``SumWindow``, which
+    ``running`` builds on every call.
 
     Fewer than three nodes are accepted, but then f' cannot be estimated and
     every integral raises ``ValueError``.
@@ -122,6 +125,12 @@ class CorrectedTrapezoid:
             raise ValueError("samples must lie on a node range inside the grid")
         return max(start - 2, 0), min(stop + 1, self._num - 1)
 
+    def window(self, start, stop, stack, dtype):
+        """A ``SumWindow`` for samples on the nodes start to stop - 1, in a
+        stack of shape ``stack`` (a tuple) and of float dtype ``dtype``."""
+        reach = self.reach(start, stop)
+        return SumWindow(self._bands, reach, start, stop, stack, dtype)
+
     def running(self, f, start, reach):
         """The window's running sums: out[..., j] = int_{r_i0}^{r_{i0+j+1}} f.
 
@@ -140,24 +149,10 @@ class CorrectedTrapezoid:
         whole rule to O(h^3).
         """
         f = _as_float_array(f)
-        i0, i1 = reach
-        # the padded copy holds the nodes i0 - 1 to i1 + 1 with zeros off
-        # the samples
-        padded = np.zeros(f.shape[:-1] + (i1 - i0 + 3,), dtype=f.dtype)
-        padded[..., start - i0 + 1 : start - i0 + 1 + f.shape[-1]] = f
-        # taps[..., k, j] is node i0 - 1 + j + k, the sample that band k of
-        # interval i0 + j weighs: a view of padded (the constructor checks
-        # that it lies inside padded).  One multiply and one reduce over it
-        # take about 5 us less per call than four slices and seven ufuncs
-        step = padded.strides[-1]
-        taps = np.ndarray(
-            f.shape[:-1] + (4, i1 - i0), padded.dtype, padded, 0,
-            padded.strides[:-1] + (step, step),
-        )
-        # seg = ((W0 f_{i-1} + W1 f_i) + W2 f_{i+1}) + W3 f_{i+2}: the reduce
-        # adds the four products in band order
-        seg = np.add.reduce(self._bands[:, i0:i1] * taps, axis=-2)
-        return np.add.accumulate(seg, axis=-1, out=seg)
+        window = SumWindow(self._bands, reach, start, start + f.shape[-1],
+                           f.shape[:-1], f.dtype)
+        window.samples[...] = f
+        return window.sums()
 
     def prefix(self, f, start=0):
         """out[..., i] = int_{r_0}^{r_i} f, out[..., 0] = 0 (O(h^4) on smooth f).
@@ -178,6 +173,43 @@ class CorrectedTrapezoid:
         """Suffix integrals out[..., i] = int_{r_i}^{r_max} f; out[..., -1] = 0."""
         pre = self.prefix(f, start)
         return pre[..., -1:] - pre
+
+
+class SumWindow:
+    """The set-up of the running sums over one node range, built once.
+
+    Holds what depends only on the rule, the node range start to stop - 1,
+    the stack shape and the dtype: the reach (i0, i1), the bands of the
+    intervals i0 to i1 - 1, and a zero-padded sample buffer over the nodes
+    i0 - 1 to i1 + 1 with its four-tap view.  ``samples`` is the writable
+    part of the buffer on the nodes start to stop - 1; write the integrands
+    there (every entry, on every use) and ``sums()`` gives their running
+    sums, as ``CorrectedTrapezoid.running`` does.  Nothing writes the
+    padding, so it stays zero from one use to the next, and each ``sums()``
+    returns a fresh array.
+    """
+
+    def __init__(self, bands, reach, start, stop, stack, dtype):
+        i0, i1 = self.reach = reach
+        self._bands = bands[:, i0:i1]
+        padded = np.zeros(stack + (i1 - i0 + 3,), dtype=dtype)
+        self.samples = padded[..., start - i0 + 1 : stop - i0 + 1]
+        # taps[..., k, j] is node i0 - 1 + j + k, the sample that band k of
+        # interval i0 + j weighs: a view of padded (the constructor checks
+        # that it lies inside padded).  One multiply and one reduce over it
+        # take about 5 us less per call than four slices and seven ufuncs
+        step = padded.strides[-1]
+        self._taps = np.ndarray(
+            stack + (4, i1 - i0), padded.dtype, padded, 0,
+            padded.strides[:-1] + (step, step),
+        )
+
+    def sums(self):
+        """out[..., j] = int_{r_i0}^{r_{i0+j+1}} of the samples (fresh)."""
+        # seg = ((W0 f_{i-1} + W1 f_i) + W2 f_{i+1}) + W3 f_{i+2}: the reduce
+        # adds the four products in band order
+        seg = np.add.reduce(self._bands * self._taps, axis=-2)
+        return np.add.accumulate(seg, axis=-1, out=seg)
 
 
 # 4th-order centered stencils on a uniform grid including r_0 = 0.

@@ -19,8 +19,14 @@ whole run (``InitialData.support_start``/``support_index``).  One windowed
 pass (``kernels.kernel_sums``) therefore sums over that window only: below
 it the prefix sums vanish and above it the suffix sums do, so f and df are
 evaluated only up to the window's end and g and dg only from its start.
+The window's set-up (its reach, bands and zero-padded sample buffer) depends
+only on the kernel, the grid and the window, so the run's first RHS builds
+it and every later stage reuses it; ``step`` builds its stage states and the
+RK4 combination in place.
 """
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,11 +135,27 @@ def step(spec, grid, init, state, dt):
     def f(y):
         return rhs(spec, grid, init, y[0], np.exp(y[1]))
 
+    # The stage states and the combination are built in place, with the
+    # operations of y0 + 0.5 * dt * k and y0 + dt / 6 * (k1 + 2 k2 + 2 k3 +
+    # k4) in their order.  k1 may be state.rate, which run reuses when it
+    # retries a halved step, so it is only read.
     k1 = state.rate if state.rate is not None else f(y0)
-    k2 = f(y0 + 0.5 * dt * k1)
-    k3 = f(y0 + 0.5 * dt * k2)
-    k4 = f(y0 + dt * k3)
-    y = y0 + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    y = np.multiply(k1, 0.5 * dt)
+    y += y0
+    k2 = f(y)
+    np.multiply(k2, 0.5 * dt, out=y)
+    y += y0
+    k3 = f(y)
+    np.multiply(k3, dt, out=y)
+    y += y0
+    k4 = f(y)
+    k2 *= 2
+    k2 += k1
+    k3 *= 2
+    k2 += k3
+    k2 += k4
+    np.multiply(k2, dt / 6.0, out=y)
+    y += y0
     gamma, rho = y[0], np.exp(y[1])
     _validate(grid, init, gamma, rho)
     return FlowState(t=state.t + dt, gamma=gamma, rho=rho)
@@ -171,10 +193,24 @@ def run(
     ``nonfinite_state`` (a stage produced NaN or inf).  On the last three
     the terminal state is the last accepted one.
 
+    Raises ValueError unless dt is finite and positive, the horizon finite
+    and >= 0, record_every an integer >= 1 and blowup_threshold in (0, 1).
+
     Returns (TrajectoryRecord, terminal FlowState).
     """
+    # NaN fails every comparison, dt = 0 never advances, an infinite
+    # horizon ends at t = 0 as "completed" and record_every = 0 divides by 0
     if not 0.0 < blowup_threshold < 1.0:
         raise ValueError("blowup_threshold must lie in (0, 1)")
+    for name, value in (("dt", dt), ("horizon", horizon)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
+    if not horizon >= 0.0:
+        raise ValueError("horizon must be >= 0")
+    if not (isinstance(record_every, numbers.Integral) and record_every >= 1):
+        raise ValueError("record_every must be an integer >= 1")
     state = FlowState(t=0.0, gamma=grid.r.copy(), rho=np.ones_like(grid.r))
     record = TrajectoryRecord()
 

@@ -6,13 +6,18 @@ built directly from the Bessel-pair definition of the kernels; rational values
 come from evaluating the power-law kernels by hand.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epdiff_radial import bessel
-from epdiff_radial.grid import RadialGrid
+from epdiff_radial import bessel, kernels, solver
+from epdiff_radial.grid import InitialData, RadialGrid
 from epdiff_radial.kernels import (
     KernelSpec,
     apply_operator,
@@ -274,17 +279,18 @@ def test_inverted_field_of_negative_momentum_is_negative(amp, lo, width):
     assert np.all(u <= 1e-14)
 
 
-def full_grid_kernel_sums(case, grid, weight):
+def full_grid_kernel_sums(case, grid, weight, r):
     """The kernel sums the long way: every factor on every node, full-grid
     prefix and tail sums, accumulated into zeros term by term."""
-    r, q = grid.r, grid.quadrature
+    q = grid.quadrature
+    dtype = np.result_type(r, weight)
     inner, outer = case.inner(r[1:]), case.outer(r[1:])
     with np.errstate(divide="ignore", invalid="ignore"):
         at_origin = case.inner(r[:1]), case.outer(r[:1])
-    out = np.zeros((2, grid.num))
+    out = np.zeros((2, grid.num), dtype=dtype)
     for t in range(len(inner)):
-        lower = np.zeros(grid.num)
-        upper = np.zeros(grid.num)
+        lower = np.zeros(grid.num, dtype=dtype)
+        upper = np.zeros(grid.num, dtype=dtype)
         (f, df), (g, dg) = inner[t], outer[t]
         lower[1:] = f * weight[1:]
         upper[1:] = g * weight[1:]
@@ -299,37 +305,110 @@ def full_grid_kernel_sums(case, grid, weight):
 
 
 @pytest.mark.parametrize(
-    "spec,a,b",
+    "spec,a,b,dtype",
     [
         # support on the origin node
-        pytest.param(KernelSpec(0, 1, 1), 0, 80, id="H1dot_n1_origin"),
-        pytest.param(KernelSpec(1, 1, 1), 0, 80, id="H1_n1_origin"),
-        pytest.param(KernelSpec(0, 1, 3), 1, 60, id="H1dot_n3_node1"),
-        pytest.param(KernelSpec(1, 2, 3), 1, 60, id="H2_n3_node1"),
-        pytest.param(KernelSpec(0, 2, 3), 100, 101, id="H2dot_n3_one_node"),
-        pytest.param(KernelSpec(1, 1, 2), 100, 101, id="H1_n2_one_node"),
-        pytest.param(KernelSpec(0, 1, 2), 150, 152, id="H1dot_n2_two_nodes"),
-        pytest.param(KernelSpec(1, 2, 4), 150, 152, id="H2_n4_two_nodes"),
+        pytest.param(KernelSpec(0, 1, 1), 0, 80, float, id="H1dot_n1_origin"),
+        pytest.param(KernelSpec(1, 1, 1), 0, 80, float, id="H1_n1_origin"),
+        pytest.param(KernelSpec(0, 1, 3), 1, 60, float, id="H1dot_n3_node1"),
+        pytest.param(KernelSpec(1, 2, 3), 1, 60, float, id="H2_n3_node1"),
+        pytest.param(KernelSpec(0, 2, 3), 100, 101, float, id="H2dot_n3_one_node"),
+        pytest.param(KernelSpec(1, 1, 2), 100, 101, float, id="H1_n2_one_node"),
+        pytest.param(KernelSpec(0, 1, 2), 150, 152, float, id="H1dot_n2_two_nodes"),
+        pytest.param(KernelSpec(1, 2, 4), 150, 152, float, id="H2_n4_two_nodes"),
         # support ending on the last node
-        pytest.param(KernelSpec(0, 2, 4), 200, 300, id="H2dot_n4_edge"),
-        pytest.param(KernelSpec(1, 1, 3), 200, 300, id="H1_n3_edge"),
+        pytest.param(KernelSpec(0, 2, 4), 200, 300, float, id="H2dot_n4_edge"),
+        pytest.param(KernelSpec(1, 1, 3), 200, 300, float, id="H1_n3_edge"),
         # two terms, support inside
-        pytest.param(KernelSpec(1, 2, 3), 30, 120, id="H2_n3"),
-        pytest.param(KernelSpec(0, 2, 5), 30, 120, id="H2dot_n5"),
+        pytest.param(KernelSpec(1, 2, 3), 30, 120, float, id="H2_n3"),
+        pytest.param(KernelSpec(0, 2, 5), 30, 120, float, id="H2dot_n5"),
+        # longdouble radii and weight, as invert_operator sums
+        pytest.param(KernelSpec(1, 2, 3), 30, 120, np.longdouble,
+                     id="H2_n3_longdouble"),
+        pytest.param(KernelSpec(0, 2, 5), 30, 120, np.longdouble,
+                     id="H2dot_n5_longdouble"),
+        pytest.param(KernelSpec(1, 1, 1), 0, 80, np.longdouble,
+                     id="H1_n1_origin_longdouble"),
     ],
 )
-def test_separable_sums_window_equals_full_grid_sums(spec, a, b):
+def test_separable_sums_window_equals_full_grid_sums(spec, a, b, dtype):
     # one windowed pass over the support [a, b) of the weight gives, bit for
     # bit, the sums built from every factor on every node and the full-grid
     # prefix and tail sums
     grid = RadialGrid.uniform(300, 20.0)
-    weight = np.zeros(grid.num)
-    weight[a:b] = -np.exp(-((grid.r[a:b] - grid.r[a]) ** 2)) - 0.5
+    r = grid.r.astype(dtype)
+    weight = np.zeros(grid.num, dtype=dtype)
+    weight[a:b] = -np.exp(-((r[a:b] - r[a]) ** 2)) - 0.5
     case = kernel_case(spec)
-    ref = full_grid_kernel_sums(case, grid, weight)
-    got = kernel_sums(case, grid.quadrature, grid.r, weight[a:b], start=a,
+    ref = full_grid_kernel_sums(case, grid, weight, r)
+    got = kernel_sums(case, grid.quadrature, r, weight[a:b], start=a,
                       derivatives=True)
-    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert got.shape == ref.shape and got.dtype == ref.dtype == dtype
     assert got.tobytes() == ref.tobytes()
-    alone = kernel_sums(case, grid.quadrature, grid.r, weight[a:b], start=a)
+    alone = kernel_sums(case, grid.quadrature, r, weight[a:b], start=a)
     assert alone.tobytes() == got[:1].tobytes()
+
+
+def test_kernel_sums_results_never_share_memory():
+    # the window's buffers are reused from call to call; the results are not
+    grid = RadialGrid.uniform(300, 20.0)
+    case = kernel_case(KernelSpec(1, 2, 3))
+    weight = -np.exp(-((grid.r[30:120] - 4.0) ** 2))
+    results, copies = [], []
+    for scale in (1.0, 1.1, 0.9):
+        for derivatives in (True, False):
+            out = kernel_sums(case, grid.quadrature, grid.r * scale,
+                              weight / scale, start=30, derivatives=derivatives)
+            assert not any(np.shares_memory(out, prev) for prev in results)
+            results.append(out)
+            copies.append(out.copy())
+    for out, copy in zip(results, copies):
+        assert out.tobytes() == copy.tobytes()
+
+
+FRESH_PROCESS = """
+import sys
+import numpy as np
+from epdiff_radial import kernels, solver
+from epdiff_radial.grid import InitialData, RadialGrid
+sys.path.insert(0, {tests!r})
+from conftest import neg_exp_bump
+spec = kernels.KernelSpec(1, 2, 3)
+grid = RadialGrid.uniform(400, 20.0)
+init = InitialData.from_omega0(neg_exp_bump(grid.r, 2.0, 8.0), grid, 3)
+out = (kernels.invert_operator(spec, grid, init.omega0) if {what!r} == "invert"
+       else solver.rhs(spec, grid, init, grid.r * 0.9, np.full(grid.num, 0.9)))
+sys.stdout.write(out.tobytes().hex())
+"""
+
+
+def test_window_cache_keeps_one_window_keyed_on_dtype_and_rows():
+    # invert_operator (longdouble, one row) and rhs (float64, two rows) sum
+    # over the same support window of one grid; in one process, taking
+    # turns, each gives what it gives alone in a fresh process
+    tests = pathlib.Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(tests.parent / "src"), env.get("PYTHONPATH")]))
+    children = {
+        what: subprocess.Popen(
+            [sys.executable, "-c", FRESH_PROCESS.format(tests=str(tests), what=what)],
+            stdout=subprocess.PIPE, text=True, env=env)
+        for what in ("invert", "rhs")
+    }
+    fresh = {what: child.communicate(timeout=120)[0]
+             for what, child in children.items()}
+    assert all(child.returncode == 0 for child in children.values())
+    spec = KernelSpec(1, 2, 3)
+    grid = RadialGrid.uniform(400, 20.0)
+    init = InitialData.from_omega0(neg_exp_bump(grid.r, 2.0, 8.0), grid, 3)
+    nodes = (init.support_start, init.support_index + 1)
+    for _ in range(2):
+        u = kernels.invert_operator(spec, grid, init.omega0)
+        assert u.tobytes().hex() == fresh["invert"]
+        [(key, _)] = kernels._spare_window
+        assert key[2:4] == nodes and key[4] == np.longdouble
+        rate = solver.rhs(spec, grid, init, grid.r * 0.9, np.full(grid.num, 0.9))
+        assert rate.tobytes().hex() == fresh["rhs"]
+        [(key, _)] = kernels._spare_window
+        assert key[2:4] == nodes and key[4] == np.float64

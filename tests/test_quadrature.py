@@ -162,6 +162,25 @@ def test_running_sums_are_the_window_of_the_prefix(grid, window):
     assert (pre[:, i1:] == run[:, -1:]).all()
 
 
+@pytest.mark.parametrize("grid", BAND_GRIDS, ids=["uniform", "graded"])
+@pytest.mark.parametrize("start,stop", [(0, 11), (20, 50), (70, 81)])
+def test_reused_window_gives_fresh_running_sums(grid, start, stop):
+    # nothing writes the window's padding, so every use equals a fresh
+    # running call, and no result shares memory with another
+    q = grid.quadrature
+    window = q.window(start, stop, (3,), float)
+    assert window.reach == q.reach(start, stop)
+    rng = np.random.default_rng(stop)
+    results = []
+    for _ in range(3):
+        samples = rng.standard_normal((3, stop - start))
+        window.samples[...] = samples
+        got = window.sums()
+        assert got.tobytes() == q.running(samples, start, window.reach).tobytes()
+        assert not any(np.shares_memory(got, prev) for prev in results)
+        results.append(got)
+
+
 def test_running_adds_the_four_bands_in_order():
     # seg_i = ((W0 f_{i-1} + W1 f_i) + W2 f_{i+1}) + W3 f_{i+2}, then a
     # cumulative sum: the order the rule has always summed in

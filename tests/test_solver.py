@@ -217,6 +217,59 @@ def test_run_validates_threshold(grid):
         run(spec, grid, init, dt=1e-3, horizon=0.1, blowup_threshold=1.5)
 
 
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("dt", 0.0, "dt must be positive"),  # would never advance
+        ("dt", -1e-3, "dt must be positive"),
+        ("dt", np.nan, "dt must be finite"),  # would end as nonfinite_state
+        ("dt", np.inf, "dt must be finite"),
+        ("horizon", np.inf, "horizon must be finite"),  # would complete at t = 0
+        ("horizon", np.nan, "horizon must be finite"),
+        ("horizon", -0.1, "horizon must be >= 0"),
+        ("record_every", 0, "record_every must be an integer >= 1"),  # 0 divides
+        ("record_every", 2.5, "record_every must be an integer >= 1"),
+    ],
+    ids=["dt=0", "dt<0", "dt=nan", "dt=inf", "horizon=inf", "horizon=nan",
+         "horizon<0", "record_every=0", "record_every=2.5"],
+)
+def test_run_rejects_arguments_that_break_it(grid, key, value, message):
+    args = {"dt": 1e-2, "horizon": 0.05, key: value}
+    with pytest.raises(ValueError, match=message):
+        run(KernelSpec(0, 1, 3), grid, make_init(grid, 3), **args)
+
+
+def test_rhs_results_are_not_overwritten_by_the_next_call(grid):
+    spec = KernelSpec(1, 2, 3)
+    init = make_init(grid, 3)
+    first = rhs(spec, grid, init, grid.r.copy(), np.ones(grid.num))
+    kept = first.copy()
+    second = rhs(spec, grid, init, 0.9 * grid.r, np.full(grid.num, 0.9))
+    assert not np.shares_memory(first, second)
+    assert first.tobytes() == kept.tobytes()
+    assert second.tobytes() != kept.tobytes()
+
+
+@pytest.mark.parametrize("spec", [KernelSpec(0, 1, 3), KernelSpec(1, 2, 3)],
+                         ids=lambda s: s.label())
+def test_step_from_a_stored_rate_equals_a_fresh_step(grid, spec):
+    # the first stage taken from state.rate is the stage step would evaluate,
+    # and the step writes nothing into it (run reuses it for a halved retry)
+    init = make_init(grid, 3)
+    _, state = run(spec, grid, init, dt=0.02, horizon=0.1,
+                   record_snapshots=False)
+    bare = FlowState(state.t, state.gamma, state.rho)
+    rate = rhs(spec, grid, init, state.gamma, state.rho)
+    rated = FlowState(state.t, state.gamma, state.rho, rate=rate)
+    kept = rate.copy()
+    for dt in (1e-3, 5e-4):
+        fresh = step(spec, grid, init, bare, dt)
+        reused = step(spec, grid, init, rated, dt)
+        assert fresh.gamma.tobytes() == reused.gamma.tobytes()
+        assert fresh.rho.tobytes() == reused.rho.tobytes()
+        assert rated.rate is rate and rate.tobytes() == kept.tobytes()
+
+
 def test_exhausted_halvings_are_not_a_guard_trip(grid, monkeypatch):
     # a step still rejected after MAX_HALVINGS halvings has its own status;
     # guard_tripped would tell the user to increase R_max
