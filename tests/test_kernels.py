@@ -382,7 +382,7 @@ sys.stdout.write(out.tobytes().hex())
 """
 
 
-def test_window_cache_keeps_one_window_keyed_on_dtype_and_rows():
+def test_window_cache_keeps_one_window_across_dtypes_and_rows():
     # invert_operator (longdouble, one row) and rhs (float64, two rows) sum
     # over the same support window of one grid; in one process, taking
     # turns, each gives what it gives alone in a fresh process
