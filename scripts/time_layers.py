@@ -91,7 +91,7 @@ def heading(what, names):
     return cols + (f" {'ratio':>6}" if len(names) == 2 else "")
 
 
-def bytes_heading(names):
+def output_heading(names):
     return f" {'output':>6}" if len(names) == 2 else ""
 
 
@@ -120,12 +120,13 @@ def main(argv=None):
         """The output column: '' for one version, else same or DIFFER."""
         if len(outputs) < 2:
             return ""
-        if outputs[0] != outputs[1]:
+        same = outputs[0] == outputs[1]
+        if not same:
             differing.append(row)
-        return f" {'same' if outputs[0] == outputs[1] else 'DIFFER':>6}"
+        return f" {'same' if same else 'DIFFER':>6}"
 
     print(f"{'spec':<10} {'N':>5}" + heading("rhs", names) + heading("step", names)
-          + bytes_heading(names))
+          + output_heading(names))
     for num in RHS_GRID_N:
         for sigma, k, n in IN_SCOPE:
             rhs_calls, step_calls, outputs = [], [], []
@@ -156,7 +157,7 @@ def main(argv=None):
                   + compare(f"rhs/step {spec.label()} {num}", outputs))
 
     print(f"{'spec':<10} {'N':>5}" + heading("invert", names)
-          + bytes_heading(names))
+          + output_heading(names))
     for sigma, k, n in IN_SCOPE:
         calls = []
         for lib in versions:
@@ -172,7 +173,7 @@ def main(argv=None):
                         [as_bytes(call()) for call in calls]))
 
     print(f"{'spec':<10} {'N':>5}" + heading("certify", names)
-          + bytes_heading(names))
+          + output_heading(names))
     certify_calls = []
     for sigma, k, n in IN_SCOPE:
         calls = []

@@ -516,7 +516,10 @@ def kernel_sums(case, quadrature, x, weight, start=0, derivatives=False):
     if stop == start:
         return np.zeros((rows, num), dtype=np.result_type(x, weight))
     key = (case, quadrature, start, stop, x.dtype, weight.dtype)
-    spare_key, window = _spare_window.pop() if _spare_window else (None, None)
+    try:
+        spare_key, window = _spare_window.pop()
+    except IndexError:  # none kept yet, or another thread holds it
+        spare_key = window = None
     if spare_key != key:
         window = None
     i0, i1 = quadrature.reach(start, stop) if window is None else window.reach

@@ -205,9 +205,9 @@ def run(
     for name, value in (("dt", dt), ("horizon", horizon)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite")
-    if not dt > 0.0:
+    if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if not horizon >= 0.0:
+    if horizon < 0.0:
         raise ValueError("horizon must be >= 0")
     if not (isinstance(record_every, numbers.Integral) and record_every >= 1):
         raise ValueError("record_every must be an integer >= 1")

@@ -10,6 +10,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -364,6 +365,37 @@ def test_kernel_sums_results_never_share_memory():
             copies.append(out.copy())
     for out, copy in zip(results, copies):
         assert out.tobytes() == copy.tobytes()
+
+
+def test_kernel_sums_from_threads_equal_the_serial_results():
+    # threads summing over one window never write into each other's buffer
+    grid = RadialGrid.uniform(2048, 20.0)
+    case = kernel_case(KernelSpec(0, 2, 3))
+    weights = [-np.exp(-((grid.r[200:800] - c) ** 2)) for c in (3.0, 4.0, 5.0, 6.0)]
+    serial = [kernel_sums(case, grid.quadrature, grid.r, w, start=200,
+                          derivatives=True).tobytes() for w in weights]
+    wrong = []
+
+    def work(i):
+        for _ in range(100):
+            got = kernel_sums(case, grid.quadrature, grid.r, weights[i],
+                              start=200, derivatives=True)
+            if got.tobytes() != serial[i]:
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong
+    assert len(kernels._spare_window) <= 1
 
 
 FRESH_PROCESS = """
