@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time rhs, an RK4 step, invert_operator and certify for every in-scope kernel.
+"""Time rhs, an RK4 step, invert_operator and certify for every in-scope
+kernel, and the Liouville oracle.
 
 For each of the 16 in-scope operators (H1dot n = 1-5, H2dot n = 3-5,
 H1 n = 1-5, H2 n = 3-5) at N = 256, 512 and 2048 nodes on [0, 20], prints
@@ -9,19 +10,21 @@ negative bump on [2, 8] after ``solver.run`` to t = 0.2 in steps of 0.02.
 Then prints the best-of-k time of ``invert_operator`` at N = 4096 for a
 negative bump on [0.5, 2], and of ``certify.certify`` at N = 512 for the
 standard bump, after the time of the first ``certify`` call of the process
-(H1dot_n1), which builds the condition mesh.
+(H1dot_n1), which builds the condition mesh.  Last comes the time of one
+``liouville.liouville_picard_oracle`` run at N = 512 with z_0 the standard
+bump (n = 1), to half its blowup time.
 
-Each sample is the mean over enough calls to take about 10 ms; the best of
-7 samples is reported, in microseconds.  ``--against DIR`` also
-loads the library from DIR (a ``src`` directory of another checkout) and
-times both versions in this one process, alternating sample by sample, with
-a column for each and their ratio: this machine's speed drifts by up to 2x
+Each sample is the mean over enough calls (at least one) to take about
+10 ms; the best of 7 samples is reported, in microseconds.  ``--against
+DIR`` also loads the library from DIR (a ``src`` directory of another
+checkout) and times both versions in this one process, alternating sample
+by sample, with a column for each and their ratio: this machine's speed drifts by up to 2x
 between processes, so timings from separate runs do not compare.  It also
 compares what the two versions return: a last column says ``same`` when
 every output of the row is byte for byte equal (``rhs``, ``step`` from the
 state with and without its stored rate, ``invert_operator``, the
-certificate report) and ``DIFFER`` otherwise, and the script exits with
-status 1 if any row differs.
+certificate report, the oracle's times and q history) and ``DIFFER``
+otherwise, and the script exits with status 1 if any row differs.
 
 Usage:
     python3 scripts/time_layers.py [--against DIR]
@@ -45,6 +48,7 @@ IN_SCOPE = (
 RHS_GRID_N = (256, 512, 2048)
 INVERT_GRID_N = 4096
 CERTIFY_GRID_N = 512
+ORACLE_GRID_N = 512
 R_MAX = 20.0
 BUMP = {"amplitude": 1.0, "r_lo": 2.0, "r_hi": 8.0}
 INVERT_BUMP = {"amplitude": 1.0, "r_lo": 0.5, "r_hi": 2.0}
@@ -52,7 +56,7 @@ WARP_STEPS, WARP_DT = 10, 0.02
 STEP_DT = 1e-3
 SAMPLE_S = 0.01
 REPEAT = 7
-LAYERS = ("certify", "grid", "kernels", "scenario", "solver")
+LAYERS = ("certify", "grid", "kernels", "liouville", "scenario", "solver")
 
 
 def load(src, name):
@@ -194,6 +198,20 @@ def main(argv=None):
     for label, calls in certify_calls:
         print(f"{label:<10} {CERTIFY_GRID_N:>5}" + cells(best_us(calls))
               + compare(f"certify {label}", [call().report() for call in calls]))
+
+    print(f"{'job':<10} {'N':>5}" + heading("oracle", names)
+          + output_heading(names))
+    calls = []
+    for lib in versions:
+        liouville = lib["liouville"]
+        grid = lib["grid"].RadialGrid.uniform(ORACLE_GRID_N, R_MAX)
+        z0 = lib["scenario"].builtin_initial_data("neg_bump", BUMP, grid, 1).z0
+        horizon = 0.5 * liouville.liouville_blowup_time(
+            liouville.theta_tail(z0, grid.r))
+        calls.append(lambda f=liouville.liouville_picard_oracle,
+                     a=(z0, horizon, grid): f(*a))
+    print(f"{'liouville':<10} {ORACLE_GRID_N:>5}" + cells(best_us(calls))
+          + compare("oracle", [as_bytes(*call()) for call in calls]))
     if differing:
         print(f"# outputs differ in {len(differing)} rows: " + ", ".join(differing))
     return 1 if differing else 0

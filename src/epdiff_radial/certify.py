@@ -188,9 +188,14 @@ def _log_supermodularity_values(case, mesh):
     """Discrete mixed second difference of ln phi, h = min(1e-3, (s-r)/4).
 
     The exponential/power prefactors of phi cancel in the stencil, so it is
-    evaluated as the log of a ratio of the factors ``KernelCase.phi_factor``,
-    which keeps the roundoff floor well below the 1e-9 tolerance.  Only for
-    cases that are not ``separable``.
+    evaluated as the log of a ratio of the factors ``KernelCase.phi_factor``.
+    Its roundoff floor is not below the -1e-9 tolerance but at it: a 1-ulp
+    change of alpha moves (ln ratio)/h^2 by up to about 9 eps/h^2 = 2.0e-9 at
+    h = 1e-3 (measured on H2_n5), so a kernel whose true stencil is within a
+    few 1e-9 of 0 could pass or fail by rounding.  The worst values of the
+    in-scope kernels are far above it: 1.50e-7 to 3.22e-7 for H2dot and
+    1.29e-6 to 1.65e-6 for H2 (n = 3-5, r_max = 20).  Only for cases that
+    are not ``separable``.
     """
     r, s = mesh.near_r, mesh.near_s
     r_h, s_h = mesh.near_r_h, mesh.near_s_h

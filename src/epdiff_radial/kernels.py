@@ -26,6 +26,8 @@ criterion
 whose uniform lower bound C > 0 drives the blowup certificates.
 """
 
+import math
+import mmap
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -89,21 +91,34 @@ def _escaled_beta(orders, s):
     return b
 
 
-def _reciprocal_powers(s, lo, hi):
-    """{k: s^-k for lo <= k <= hi} from one reciprocal and products.
+def _reciprocal_powers(s, lo, rows):
+    """Write s^-(lo + j) into rows[j], from one reciprocal and products.
 
     A general float power costs several times a product per point, and the
-    outer factors are evaluated on every solver RHS.
+    outer factors are evaluated on every solver RHS.  The last row holds
+    the reciprocal until it is overwritten last.
     """
-    inv = 1.0 / s
-    power = np.ones_like(inv) if lo == 0 else inv
-    for _ in range(lo - 1):
-        power = power * inv
-    out = {lo: power}
-    for k in range(lo + 1, hi + 1):
-        power = power * inv
-        out[k] = power
-    return out
+    inv = rows[-1]
+    np.divide(1.0, s, out=inv)
+    first = rows[0]
+    if lo == 0:
+        first.fill(1.0)
+    elif lo == 1:
+        np.copyto(first, inv)
+    else:
+        np.multiply(inv, inv, out=first)
+        for _ in range(lo - 2):
+            first *= inv
+    for below, row in zip(rows, rows[1:]):
+        np.multiply(below, inv, out=row)
+
+
+def _fresh_factors(method, terms, x):
+    """method(x, out) on a fresh array of shape (terms, 2) + x.shape."""
+    x = np.asarray(x)
+    factors = np.empty((terms, 2, x.size), dtype=np.result_type(x, float))
+    method(x.reshape(-1), tuple((f, df) for f, df in factors))
+    return factors.reshape((terms, 2) + x.shape)
 
 
 class KernelCase:
@@ -111,10 +126,16 @@ class KernelCase:
 
     ``inner(r)`` and ``outer(s)`` give the separable factors
     delta(r, s) = sum_t f_t(r) g_t(s) of every term at once, as the pairs
-    (f_t, df_t) or (g_t, dg_t).  Each evaluates the Bessel orders its case
-    declares (``alpha_offsets`` and ``beta_offsets``, from n) once per call
-    and passes them to the case's factor formulas ``_inner(r, a)`` and
-    ``_outer(s, b)`` as a = {p: alpha_p(r)} and b = {p: s^p beta_p(s)}.
+    (f_t, df_t) or (g_t, dg_t), fresh or written into the rows of a
+    caller's buffer (``kernel_sums`` keeps one per window).  Each evaluates
+    the Bessel orders its case declares (``alpha_offsets`` and
+    ``beta_offsets``, from n) once per call and passes them to the case's
+    factor formulas ``_inner(r, a, out)`` and ``_outer(s, b, out)`` as
+    a = {p: alpha_p(r)} and b = {p: s^p beta_p(s)}.  The formulas write
+    each factor into its row of ``out`` with the operations, in the order
+    and dtype, of the expression they stand for, so a factor is the same
+    bit for bit as that expression; the sigma = 0 ones make no temporary
+    arrays.  ``_terms`` is the number of terms T.
 
     ``phi(r, s, a, b)`` is the kernel and ``phi_factor(r, s, a, b)`` the
     factor of phi whose log is not a sum of a function of r and one of s;
@@ -139,6 +160,7 @@ class KernelCase:
 
     alpha_offsets = beta_offsets = phi_offsets = ()
     m_offset = None
+    _terms = 1
 
     def __init__(self, spec):
         n = self.n = spec.n
@@ -152,25 +174,36 @@ class KernelCase:
         self.kappa, self.s_origin = self._origin(n)
         self.df_origin = tuple(float(df[0]) for _, df in self.inner(np.zeros(1)))
 
-    def inner(self, r):
-        """((f_t(r), df_t(r)) for each term t)."""
+    def inner(self, r, out=None):
+        """out[t] = (f_t(r), df_t(r)) for each term t.
+
+        Without ``out`` the result is a fresh array of shape (terms, 2) +
+        r.shape.  ``out``, one pair of writable rows of len(r) per term, is
+        written in place and returned.
+        """
+        if out is None:
+            return _fresh_factors(self.inner, self._terms, r)
         a = None
         if self.alpha_orders:
             a = bessel.alpha_hat(self.alpha_orders, r)
             e = np.exp(np.asarray(r, dtype=float))
             for v in a.values():
                 v *= e  # in place: alpha_hat returns fresh arrays
-        return self._inner(r, a)
+        self._inner(r, a, out)
+        return out
 
-    def outer(self, s):
-        """((g_t(s), dg_t(s)) for each term t)."""
+    def outer(self, s, out=None):
+        """out[t] = (g_t(s), dg_t(s)) for each term t; ``out`` as in ``inner``."""
+        if out is None:
+            return _fresh_factors(self.outer, self._terms, s)
         b = None
         if self.beta_orders:
             b = bessel.beta_hat(self.beta_orders, s)
             e = np.exp(-np.asarray(s, dtype=float))
             for v in b.values():
                 v *= e
-        return self._outer(s, b)
+        self._outer(s, b, out)
+        return out
 
     def phi_alpha(self, r):
         """{p: e^-r alpha_p(r)} for the ``phi_orders`` (None if none)."""
@@ -187,14 +220,17 @@ class _H1dot(KernelCase):
     q_offset = -1
     _origin = staticmethod(lambda n: (float(n), float(n)))
 
-    def _inner(self, r, a):
+    def _inner(self, r, a, out):
         n = self.n
-        return ((r / n, np.full_like(np.asarray(r, float), 1.0 / n)),)
+        (f, df), = out
+        np.divide(r, n, out=f)
+        df.fill(1.0 / n)
 
-    def _outer(self, s, b):
+    def _outer(self, s, b, out):
         n = self.n
-        p = _reciprocal_powers(s, n - 1, n)
-        return ((p[n - 1], (1.0 - n) * p[n]),)
+        (g, dg), = out
+        _reciprocal_powers(s, n - 1, (g, dg))
+        dg *= 1.0 - n
 
     def phi(self, r, s, a, b):
         return s ** (-float(self.n)) / self.n
@@ -211,21 +247,28 @@ class _H2dot(KernelCase):
     _origin = staticmethod(
         lambda n: (2.0 * n * (n - 2.0), 2.0 * (n - 2.0) / (n + 2.0)))
 
-    def _inner(self, r, a):
+    _terms = 2
+
+    def _inner(self, r, a, out):
         c1 = 2.0 * self.n * (self.n - 2.0)
         c2 = 2.0 * self.n * (self.n + 2.0)
-        return (
-            (r / c1, np.full_like(np.asarray(r, float), 1.0 / c1)),
-            (-(r**3) / c2, -3.0 * r**2 / c2),
-        )
+        (f1, df1), (f2, df2) = out
+        np.divide(r, c1, out=f1)
+        df1.fill(1.0 / c1)
+        # -(r^3) / c2 and -3 r^2 / c2
+        np.power(r, 3, out=f2)
+        np.negative(f2, out=f2)
+        f2 /= c2
+        np.square(r, out=df2)
+        df2 *= -3.0
+        df2 /= c2
 
-    def _outer(self, s, b):
+    def _outer(self, s, b, out):
         n = self.n
-        p = _reciprocal_powers(s, n - 3, n)
-        return (
-            (p[n - 3], (3.0 - n) * p[n - 2]),
-            (p[n - 1], (1.0 - n) * p[n]),
-        )
+        (g1, dg1), (g2, dg2) = out
+        _reciprocal_powers(s, n - 3, (g1, dg1, g2, dg2))
+        dg1 *= 3.0 - n
+        dg2 *= 1.0 - n
 
     def phi(self, r, s, a, b):
         n = self.n
@@ -249,9 +292,11 @@ class _H2dot(KernelCase):
         return (r * d1 * phi0 - r * diag * d2_0) / phi0**2
 
 
-def _h1_outer_term(n, p, b):
-    # p = {k: s^-k}, holding k = n - 1 and n
-    return (p[n - 1] * b[n], p[n] * (b[n] - (n + 2.0) * b[n + 2]))
+def _h1_outer_term(n, b, out):
+    # out holds (s^(1-n), s^-n) on entry
+    g, dg = out
+    g *= b[n]
+    dg *= b[n] - (n + 2.0) * b[n + 2]
 
 
 class _H1(KernelCase):
@@ -263,13 +308,15 @@ class _H1(KernelCase):
     q_offset = -1
     _origin = staticmethod(lambda n: (float(n), float(n)))
 
-    def _inner(self, r, a):
+    def _inner(self, r, a, out):
         n = self.n
-        return ((r * a[n], a[n] + r**2 * a[n + 2] / (n + 2.0)),)
+        (f, df), = out
+        np.multiply(r, a[n], out=f)
+        np.add(a[n], r**2 * a[n + 2] / (n + 2.0), out=df)
 
-    def _outer(self, s, b):
-        n = self.n
-        return (_h1_outer_term(n, _reciprocal_powers(s, n - 1, n), b),)
+    def _outer(self, s, b, out):
+        _reciprocal_powers(s, self.n - 1, out[0])
+        _h1_outer_term(self.n, b, out[0])
 
     def phi(self, r, s, a, b):
         # the nonhomogeneous cases compose exponentially scaled Bessel factors
@@ -297,11 +344,16 @@ class _CamassaHolm(_H1):
 
     alpha_offsets = beta_offsets = ()
 
-    def _inner(self, r, a):
-        return ((np.sinh(r), np.cosh(r)),)
+    def _inner(self, r, a, out):
+        (f, df), = out
+        np.sinh(r, out=f)
+        np.cosh(r, out=df)
 
-    def _outer(self, s, b):
-        return ((np.exp(-s), -np.exp(-s)),)
+    def _outer(self, s, b, out):
+        (g, dg), = out
+        np.negative(s, out=g)
+        np.exp(g, out=g)
+        np.negative(g, out=dg)
 
 
 class _H2(KernelCase):
@@ -319,27 +371,25 @@ class _H2(KernelCase):
     _origin = staticmethod(
         lambda n: (2.0 * n * (n - 2.0), 2.0 * (n - 2.0) / (n + 2.0)))
 
-    def _inner(self, r, a):
-        n = self.n
-        return (
-            (
-                -(r**3) * a[n + 2] / (2.0 * (n + 2.0)),
-                -(3.0 * r**2 * a[n + 2] + r**4 * a[n + 4] / (n + 4.0))
-                / (2.0 * (n + 2.0)),
-            ),
-            (
-                r * a[n] / (2.0 * n),
-                (a[n] + r**2 * a[n + 2] / (n + 2.0)) / (2.0 * n),
-            ),
-        )
+    _terms = 2
 
-    def _outer(self, s, b):
+    def _inner(self, r, a, out):
         n = self.n
-        p = _reciprocal_powers(s, n - 3, n)
-        return (
-            _h1_outer_term(n, p, b),
-            (p[n - 3] * b[n - 2], p[n - 2] * (b[n - 2] - float(n) * b[n])),
-        )
+        (f1, df1), (f2, df2) = out
+        np.divide(-(r**3) * a[n + 2], 2.0 * (n + 2.0), out=f1)
+        np.divide(
+            -(3.0 * r**2 * a[n + 2] + r**4 * a[n + 4] / (n + 4.0)),
+            2.0 * (n + 2.0), out=df1)
+        np.divide(r * a[n], 2.0 * n, out=f2)
+        np.divide(a[n] + r**2 * a[n + 2] / (n + 2.0), 2.0 * n, out=df2)
+
+    def _outer(self, s, b, out):
+        n = self.n
+        (g1, dg1), (g2, dg2) = out
+        _reciprocal_powers(s, n - 3, (g2, dg2, g1, dg1))
+        _h1_outer_term(n, b, out[0])
+        g2 *= b[n - 2]
+        dg2 *= b[n - 2] - float(n) * b[n]
 
     def phi(self, r, s, a, b):
         return 0.5 * np.exp(r - s) * self.phi_factor(r, s, a, b)
@@ -476,11 +526,157 @@ def s_criterion(spec, r):
     return float(out[0]) if scalar else out
 
 
-# The set-up window of the latest kernel_sums call and its key: a solver run
-# sums over one window with one key on every stage.  A call takes it out of
-# the slot while it writes the integrands, so two threads never share its
-# buffer, and puts it back (replacing any other) when done: at most one
-# window is kept.
+def _carve(shapes, arena):
+    """(map, arrays): arrays of the given (shape, dtype) pairs laid out,
+    64-byte aligned, in one anonymous memory map: ``arena`` when it is
+    large enough, else a new map."""
+    offsets, size = [], 0
+    for shape, dtype in shapes:
+        size = -(-size // 64) * 64
+        offsets.append(size)
+        size += math.prod(shape) * dtype.itemsize
+    if arena is None or len(arena) < size:
+        arena = mmap.mmap(-1, size)
+    return arena, [np.ndarray(shape, dtype, arena, offset)
+                   for (shape, dtype), offset in zip(shapes, offsets)]
+
+
+class _SumPlan:
+    """Everything a ``kernel_sums`` call over one window needs besides the
+    values of x and the weight, set up once.
+
+    For a case with T terms, samples on the nodes start to stop - 1 of an
+    N-node grid and (i0, i1) the quadrature's reach of them, the plan holds
+
+    - the ``quadrature.SumWindow`` of the 2T integrands and a buffer for
+      their running sums;
+    - the factor buffers: f_t and df_t on the nodes 0 to max(i1, stop) - 1
+      (node 0 of df_t holds df_t(0), which the formulas never write), g_t
+      and dg_t on the nodes i0 + 1 to N - 1, as the row views the case's
+      formulas write into;
+    - the integrand sources (f_t and g_t on the nodes lo = max(start, 1)
+      to stop - 1) paired with their sample slots;
+    - a buffer for the tail sums inside the window;
+    - a (2, N) result buffer, the three regions of each row (nodes 1 to
+      i0, or 0 to i0 in row 1, i0 + 1 to i1 - 1 and i1 to N - 1), the
+      factor and sum slices that fill them and scratch rows for the
+      products that are added into a region.  Node 0 of row 0 is never
+      written and stays 0.
+
+    The buffers lie in one anonymous memory map (``arena``), outside the
+    heap that other arrays come from, and a plan built to replace
+    ``spare`` takes over its map when it is large enough.  Kept in the heap
+    between calls, the few hundred kB of an N = 4096 longdouble plan split
+    its free space, and the certificates that ran next faulted in about
+    half as many pages again (certify_invert: 16.7k minor faults in the
+    H2 certificates over ten passes against 11.7k with the map).
+    """
+
+    def __init__(self, case, quadrature, num, start, stop, x_dtype, w_dtype,
+                 spare=None):
+        i0, i1 = quadrature.reach(start, stop)
+        terms = case._terms
+        fdtype = np.result_type(x_dtype, float)
+        dtype = np.result_type(w_dtype, fdtype)
+        self.window = quadrature.window(start, stop, (2 * terms,), dtype)
+        m, width = max(i1, stop), i1 - i0 - 1
+        # scratch rows: f_t suf_t inside the window, and with two terms the
+        # second term's products below, inside and above it, formed before
+        # they are added
+        shapes = [((terms, 2, m), fdtype), ((terms, 2, num - i0 - 1), fdtype),
+                  ((2 * terms, i1 - i0), dtype), ((terms, width), dtype),
+                  ((2, num), dtype), ((width,), dtype)]
+        if terms > 1:
+            shapes += [((i0 + 1,), dtype), ((width,), dtype), ((num - i1,), dtype)]
+        self.arena, (inner, outer, run, suf, out, f_suf, *second) = _carve(
+            shapes, None if spare is None else spare.arena)
+        inner[:, 1, 0] = case.df_origin
+        out[0, 0] = 0.0
+        self.nodes = slice(1, m), slice(i0 + 1, None)
+        self.factors = (tuple((f[1:], df[1:]) for f, df in inner),
+                        tuple((g, dg) for g, dg in outer))
+        lo = max(start, 1)
+        self.weight = slice(lo - start, None)
+        samples = self.window.samples
+        self.integrands = [
+            pair for t in range(terms) for pair in (
+                (inner[t, 0, lo:stop], samples[t, lo - start :]),
+                (outer[t, 0, lo - i0 - 1 : stop - i0 - 1],
+                 samples[terms + t, lo - start :]),
+            )
+        ]
+        self.origin = samples[:, 0] if start == 0 else None
+        # the running sums: pre_t on the nodes i0 + 1 to i1 - 1 in row t
+        # (its total last), those of g_t in row T + t
+        self.run, self.suf = run, suf
+        self.suf_parts = run[terms:, -1:], run[terms:, :width]
+        self.out, self.f_suf = out, f_suf
+        below_t = second[0] if second else None
+        self.second = second[1:]
+        self.views = []
+        for t in range(terms):
+            sums = run[terms + t, -1:], run[t, :width], suf[t], run[t, -1:]
+            rows = [
+                (f[first : i0 + 1], row[first : i0 + 1],
+                 None if below_t is None else below_t[first:],
+                 g[:width], f[i0 + 1 : i1], row[i0 + 1 : i1], g[width:],
+                 row[i1:])
+                for first, row, f, g in zip((1, 0), out, inner[t], outer[t])
+            ]
+            self.views.append((sums, rows))
+
+    def sums(self, case, x, weight, rows):
+        """The kernel sums of ``kernel_sums``, into a fresh (rows, N) array."""
+        inner, outer = self.factors
+        case.inner(x[self.nodes[0]], out=inner)
+        case.outer(x[self.nodes[1]], out=outer)
+        w = weight[self.weight]
+        for source, slot in self.integrands:
+            np.multiply(source, w, out=slot)
+        if self.origin is not None:
+            # n = 1 data with z_0(0) != 0 puts weight on the origin node,
+            # where only f and g are needed (dg may be singular there, and
+            # g too for n >= 2, where z_0(0) = 0)
+            self.origin[:] = 0.0
+            if weight[0] != 0.0:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    at_origin = case.inner(x[:1]), case.outer(x[:1])
+                self.origin[:] = [
+                    f[0] * weight[0] for factors in at_origin for f, _ in factors]
+        self.window.sums(out=self.run)
+        # nodes i0 + 1 to i1 - 1 see both sums: pre on them, and suf = total - pre
+        np.subtract(*self.suf_parts, out=self.suf)
+        out = self.out[:rows]
+        # row 0 pairs f with g, row 1 df with dg (its node 0 takes
+        # df_t(0) suf_t(0)).  Each region is written by the first term and
+        # the later terms are added in order; the closing + 0 into zeros
+        # turns -0 into +0 (and leaves the padding bytes of a longdouble
+        # zero), so the rows are bit for bit the sums of the terms added
+        # into zeros
+        for t, ((suf_total, pre, suf, pre_total), row_views) in enumerate(
+                self.views):
+            for (f_below, below, below_t, g_both, f_both, both, g_above,
+                 above) in row_views[:rows]:
+                if t == 0:
+                    np.multiply(f_below, suf_total, out=below)
+                    np.multiply(g_both, pre, out=both)
+                    both += np.multiply(f_both, suf, out=self.f_suf)
+                    np.multiply(g_above, pre_total, out=above)
+                else:
+                    g_pre, above_t = self.second
+                    below += np.multiply(f_below, suf_total, out=below_t)
+                    np.multiply(g_both, pre, out=g_pre)
+                    g_pre += np.multiply(f_both, suf, out=self.f_suf)
+                    both += g_pre
+                    above += np.multiply(g_above, pre_total, out=above_t)
+        return np.add(out, 0.0, out=np.zeros(out.shape, dtype=out.dtype))
+
+
+# The plan of the latest kernel_sums call and its key: a solver run sums
+# over one window with one key on every stage.  A call takes the plan out
+# of the slot while it writes into its buffers, so two threads never share
+# them, and puts it back (replacing any other) when done: at most one plan
+# is kept.
 _spare_window = []
 
 
@@ -503,12 +699,17 @@ def kernel_sums(case, quadrature, x, weight, start=0, derivatives=False):
     keep the dtype of the integrands (longdouble weights give longdouble
     sums).
 
-    The window (reach, bands, padded sample buffer) depends only on the
-    case, the quadrature, the node range and the dtypes of x and weight.
-    It is built on the first call for them and kept until a call with
-    another key, so the stages of a solver run set it up once; the
-    integrands are written straight into its buffer.  Each call returns a
-    fresh array.
+    Everything but the values (the window, the factor buffers, the sample
+    slots, the output regions and every slice between them) depends only
+    on the case, the quadrature, the node range and the dtypes of x and
+    weight, and the output regions on the row count too.  It is set up as
+    one plan on the first call for them (the regions on the first call
+    with that row count) and kept until a call with another key, so the
+    stages of a solver run set it up once and a call is its ufuncs alone:
+    the case's factor formulas write into the plan's buffers, one multiply
+    per integrand writes into the window, then the window's sums, one
+    subtraction for the tail sums and the region products.  Each call
+    returns a fresh array.
     """
     num = len(x)
     stop = start + len(weight)
@@ -517,62 +718,14 @@ def kernel_sums(case, quadrature, x, weight, start=0, derivatives=False):
         return np.zeros((rows, num), dtype=np.result_type(x, weight))
     key = (case, quadrature, start, stop, x.dtype, weight.dtype)
     try:
-        spare_key, window = _spare_window.pop()
+        spare_key, plan = _spare_window.pop()
     except IndexError:  # none kept yet, or another thread holds it
-        spare_key = window = None
+        spare_key = plan = None
     if spare_key != key:
-        window = None
-    i0, i1 = quadrature.reach(start, stop) if window is None else window.reach
-    inner = case.inner(x[1 : max(i1, stop)])  # node i at index i - 1
-    outer = case.outer(x[i0 + 1 :])  # node i at index i - i0 - 1
-    terms = len(inner)
-    if window is None:
-        dtype = np.result_type(
-            weight, *(f for f, _ in inner), *(g for g, _ in outer))
-        window = quadrature.window(start, stop, (2 * terms,), dtype)
-    integrands = window.samples
-    lo = max(start, 1)
-    w = weight[lo - start :]
-    for t, ((f, _), (g, _)) in enumerate(zip(inner, outer)):
-        np.multiply(f[lo - 1 : stop - 1], w, out=integrands[t, lo - start :])
-        np.multiply(g[lo - i0 - 1 : stop - i0 - 1], w,
-                    out=integrands[terms + t, lo - start :])
-    if start == 0:
-        # n = 1 data with z_0(0) != 0 puts weight on the origin node, where
-        # only f and g are needed (dg may be singular there, and g too for
-        # n >= 2, where z_0(0) = 0)
-        integrands[:, 0] = 0.0
-        if weight[0] != 0.0:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                factors = case.inner(x[:1]) + case.outer(x[:1])
-                integrands[:, 0] = [f[0] * weight[0] for f, _ in factors]
-    sums = window.sums()
-    _spare_window[:] = [(key, window)]
-    # nodes i0 + 1 to i1 - 1 see both sums: pre on them, and suf = total - pre
-    width = i1 - i0 - 1
-    pre = sums[:terms, :width]
-    suf = sums[terms:, -1:] - sums[terms:, :width]
-    pre_total, suf_total = sums[:terms, -1], sums[terms:, -1]
-    out = np.zeros((rows, num), dtype=integrands.dtype)
-    if derivatives:
-        out[1, 0] = sum(d * s for d, s in zip(case.df_origin, suf_total))
-    # row 0 pairs f with g, row 1 df with dg.  Each region of a row is
-    # written by its first term and the later terms are added in order;
-    # the closing + 0 turns -0 into +0, so the rows are bit for bit the
-    # sums of the terms added into zeros
-    for t in range(terms):
-        for f, g, row in zip(inner[t], outer[t], out):
-            below, both, above = row[1 : i0 + 1], row[i0 + 1 : i1], row[i1:]
-            if t == 0:
-                np.multiply(f[:i0], suf_total[t], out=below)
-                np.multiply(g[:width], pre[t], out=both)
-                both += f[i0 : i1 - 1] * suf[t]
-                np.multiply(g[width:], pre_total[t], out=above)
-            else:
-                below += f[:i0] * suf_total[t]
-                both += g[:width] * pre[t] + f[i0 : i1 - 1] * suf[t]
-                above += g[width:] * pre_total[t]
-    out += 0.0
+        plan = _SumPlan(case, quadrature, num, start, stop, x.dtype, weight.dtype,
+                        spare=plan)
+    out = plan.sums(case, x, weight, rows)
+    _spare_window[:] = [(key, plan)]
     return out
 
 

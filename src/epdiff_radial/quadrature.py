@@ -185,8 +185,9 @@ class SumWindow:
     part of the buffer on the nodes start to stop - 1; write the integrands
     there (every entry, on every use) and ``sums()`` gives their running
     sums, as ``CorrectedTrapezoid.running`` does.  Nothing writes the
-    padding, so it stays zero from one use to the next, and each ``sums()``
-    returns a fresh array.
+    padding, so it stays zero from one use to the next.  Each ``sums()``
+    returns a fresh array, or writes into a caller's buffer (a kernel-sum
+    plan keeps one, and the Liouville oracle its full-length prefix).
     """
 
     def __init__(self, bands, reach, start, stop, stack, dtype):
@@ -204,11 +205,12 @@ class SumWindow:
             padded.strides[:-1] + (step, step),
         )
 
-    def sums(self):
-        """out[..., j] = int_{r_i0}^{r_{i0+j+1}} of the samples (fresh)."""
+    def sums(self, out=None):
+        """out[..., j] = int_{r_i0}^{r_{i0+j+1}} of the samples: fresh, or
+        written into ``out`` (shape stack + (i1 - i0,)) when it is given."""
         # seg = ((W0 f_{i-1} + W1 f_i) + W2 f_{i+1}) + W3 f_{i+2}: the reduce
         # adds the four products in band order
-        seg = np.add.reduce(self._bands * self._taps, axis=-2)
+        seg = np.add.reduce(self._bands * self._taps, axis=-2, out=out)
         return np.add.accumulate(seg, axis=-1, out=seg)
 
 

@@ -19,10 +19,13 @@ whole run (``InitialData.support_start``/``support_index``).  One windowed
 pass (``kernels.kernel_sums``) therefore sums over that window only: below
 it the prefix sums vanish and above it the suffix sums do, so f and df are
 evaluated only up to the window's end and g and dg only from its start.
-The window's set-up (its reach, bands and zero-padded sample buffer) depends
-only on the kernel, the grid and the window, so the run's first RHS builds
-it and every later stage reuses it; ``step`` builds its stage states and the
-RK4 combination in place.
+Everything of that pass but the values (the window's reach, bands and
+sample buffer, the factor buffers the kernel's formulas write into, and
+every slice that assembles the sums) depends only on the kernel, the grid
+and the window, so the run's first RHS sets it up as one plan and every
+later stage reuses it and makes only its ufunc calls; ``step`` builds its
+stage states and the RK4 combination in place, and ``_validate`` checks a
+stage state with one comparison pass and one sum.
 """
 
 import math
@@ -100,12 +103,18 @@ class TrajectoryRecord:
 
 
 def _validate(grid, init, gamma, rho):
-    # NaN compares False, so it would pass the two checks below.  One NaN or
-    # inf makes a sum non-finite, and these sums are far from overflowing.
-    if not np.isfinite(gamma.sum() + rho.sum()):
-        raise NonFiniteState("gamma or rho is not finite")
-    if (gamma[1:] <= gamma[:-1]).any():
+    # NaN fails the strict increase, and a strictly increasing gamma is
+    # finite exactly when its two ends are, so a state that passes the order
+    # check needs no full pass over gamma.  One NaN or inf makes a sum
+    # non-finite, and these sums are far from overflowing.  A state that
+    # fails the order check gets the full finiteness check first, so a NaN
+    # or inf state is NonFiniteState and never StepRejected.
+    if not (gamma[1:] > gamma[:-1]).all():
+        if not np.isfinite(gamma.sum() + rho.sum()):
+            raise NonFiniteState("gamma or rho is not finite")
         raise StepRejected("gamma lost strict monotonicity")
+    if not math.isfinite(gamma[0] + gamma[-1] + rho.sum()):
+        raise NonFiniteState("gamma or rho is not finite")
     if gamma[init.support_index] >= GUARD_FRACTION * grid.r_max:
         raise GuardError(
             "support reached the truncation guard radius "

@@ -301,7 +301,9 @@ def full_grid_kernel_sums(case, grid, weight, r):
         pre, suf = q.prefix(lower), q.tail(upper)
         out[0, 1:] += g * pre[1:] + f * suf[1:]
         out[1, 1:] += dg * pre[1:] + df * suf[1:]
-        out[1, 0] += case.df_origin[t] * suf[0]
+        # node 0 as a one-element slice: array arithmetic, which leaves the
+        # padding bytes of a longdouble zero (a scalar store copies them)
+        out[1, :1] += case.df_origin[t] * suf[:1]
     return out
 
 
@@ -330,24 +332,40 @@ def full_grid_kernel_sums(case, grid, weight, r):
                      id="H2dot_n5_longdouble"),
         pytest.param(KernelSpec(1, 1, 1), 0, 80, np.longdouble,
                      id="H1_n1_origin_longdouble"),
+        pytest.param(KernelSpec(0, 1, 1), 0, 80, np.longdouble,
+                     id="H1dot_n1_origin_longdouble"),
+        # no support (z_0 = 0)
+        pytest.param(KernelSpec(0, 2, 3), 100, 100, float, id="H2dot_n3_empty"),
+        pytest.param(KernelSpec(1, 1, 2), 100, 100, np.longdouble,
+                     id="H1_n2_empty_longdouble"),
     ],
 )
 def test_separable_sums_window_equals_full_grid_sums(spec, a, b, dtype):
     # one windowed pass over the support [a, b) of the weight gives, bit for
     # bit, the sums built from every factor on every node and the full-grid
-    # prefix and tail sums
+    # prefix and tail sums: on the call that sets up the window's plan, on
+    # the next one, which reuses it, and with one row on the same plan
     grid = RadialGrid.uniform(300, 20.0)
     r = grid.r.astype(dtype)
     weight = np.zeros(grid.num, dtype=dtype)
     weight[a:b] = -np.exp(-((r[a:b] - r[a]) ** 2)) - 0.5
     case = kernel_case(spec)
     ref = full_grid_kernel_sums(case, grid, weight, r)
-    got = kernel_sums(case, grid.quadrature, r, weight[a:b], start=a,
-                      derivatives=True)
-    assert got.shape == ref.shape and got.dtype == ref.dtype == dtype
-    assert got.tobytes() == ref.tobytes()
+    kernels._spare_window.clear()
+    plans = []
+    for _ in range(2):
+        got = kernel_sums(case, grid.quadrature, r, weight[a:b], start=a,
+                          derivatives=True)
+        assert got.shape == ref.shape and got.dtype == ref.dtype == dtype
+        assert got.tobytes() == ref.tobytes()
+        plans.append([plan for _, plan in kernels._spare_window])
     alone = kernel_sums(case, grid.quadrature, r, weight[a:b], start=a)
     assert alone.tobytes() == got[:1].tobytes()
+    plans.append([plan for _, plan in kernels._spare_window])
+    if a == b:
+        assert plans == [[], [], []]  # nothing to set up
+    else:
+        assert len(plans[0]) == 1 and plans[1] == plans[2] == plans[0]
 
 
 def test_kernel_sums_results_never_share_memory():
@@ -368,34 +386,43 @@ def test_kernel_sums_results_never_share_memory():
 
 
 def test_kernel_sums_from_threads_equal_the_serial_results():
-    # threads summing over one window never write into each other's buffer
+    # threads summing over one window never write into each other's buffers:
+    # two terms and two rows, with power factors (sigma = 0) and with Bessel
+    # factors (sigma = 1).  Each thread also takes turns between two
+    # windows, so plans replace each other and hand their memory on.
     grid = RadialGrid.uniform(2048, 20.0)
-    case = kernel_case(KernelSpec(0, 2, 3))
     weights = [-np.exp(-((grid.r[200:800] - c) ** 2)) for c in (3.0, 4.0, 5.0, 6.0)]
-    serial = [kernel_sums(case, grid.quadrature, grid.r, w, start=200,
-                          derivatives=True).tobytes() for w in weights]
-    wrong = []
+    starts = (200, 210)
+    for spec, calls in ((KernelSpec(0, 2, 3), 100), (KernelSpec(1, 2, 3), 20)):
+        case = kernel_case(spec)
+        serial = {
+            (i, start): kernel_sums(case, grid.quadrature, grid.r, w, start=start,
+                                    derivatives=True).tobytes()
+            for i, w in enumerate(weights) for start in starts
+        }
+        wrong = []
 
-    def work(i):
-        for _ in range(100):
-            got = kernel_sums(case, grid.quadrature, grid.r, weights[i],
-                              start=200, derivatives=True)
-            if got.tobytes() != serial[i]:
-                wrong.append(i)
+        def work(i):
+            for k in range(calls):
+                start = starts[(i + k) % 2]
+                got = kernel_sums(case, grid.quadrature, grid.r, weights[i],
+                                  start=start, derivatives=True)
+                if got.tobytes() != serial[i, start]:
+                    wrong.append(i)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert not wrong
-    assert len(kernels._spare_window) <= 1
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong, spec.label()
+        assert len(kernels._spare_window) <= 1
 
 
 FRESH_PROCESS = """

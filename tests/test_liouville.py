@@ -77,3 +77,58 @@ def test_oracle_aborts_near_blowup(grid):
 def test_oracle_zero_momentum_is_constant(grid):
     times, q_hist = liouville_picard_oracle(np.zeros(grid.num), 1.0, grid)
     np.testing.assert_allclose(q_hist, 1.0, rtol=0, atol=1e-15)
+
+
+def reference_oracle(z0, horizon, grid, dt=None):
+    """The oracle as a loop of out-of-place operations: each RHS is one
+    ``quadrature.tail`` call on the support of z_0, each stage a new array."""
+    z0 = np.asarray(z0, dtype=float)
+    tail = grid.quadrature.tail
+    nonzero = z0.nonzero()[0]
+    a, b = (nonzero[0], nonzero[-1] + 1) if len(nonzero) else (0, len(z0))
+    z0_support = z0[a:b]
+
+    def rhs(lnq):
+        return tail(z0_support * np.exp(-lnq[a:b]), start=a)
+
+    lnq = np.zeros_like(z0)
+    if dt is None:
+        scale = float(np.max(np.abs(rhs(lnq))))
+        dt = horizon / 16.0 if scale == 0.0 else min(1e-3 / scale, horizon)
+    steps = max(1, int(np.ceil(horizon / dt - 1e-12)))
+    dt = horizon / steps
+    q_hist = np.empty((steps + 1, len(z0)))
+    q_hist[0] = 1.0
+    for m in range(steps):
+        k1 = rhs(lnq)
+        k2 = rhs(lnq + 0.5 * dt * k1)
+        k3 = rhs(lnq + 0.5 * dt * k2)
+        k4 = rhs(lnq + dt * k3)
+        lnq = lnq + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        q_hist[m + 1] = np.exp(lnq)
+    return np.linspace(0.0, horizon, steps + 1), q_hist
+
+
+@pytest.mark.parametrize(
+    "case", ["bump", "mixed_sign", "edge", "zero", "given_dt"])
+def test_oracle_equals_the_out_of_place_loop(case):
+    # the window set up once and the stages built in place give the
+    # history of the plain loop byte for byte
+    grid = RadialGrid.uniform(256, 20.0)
+    r = grid.r
+    z0, fraction, dt = neg_exp_bump(r, 2.0, 8.0), 0.5, None
+    if case == "mixed_sign":
+        z0 = z0 - neg_exp_bump(r, 8.0, 12.0, amplitude=0.5)
+    elif case == "edge":
+        z0 = -np.exp(-((r - 15.0) ** 2))  # nonzero on every node
+    elif case == "zero":
+        z0 = np.zeros(grid.num)
+    elif case == "given_dt":
+        fraction, dt = 0.3, 0.01
+    t_star = liouville_blowup_time(theta_tail(z0, r))
+    horizon = 1.0 if np.isinf(t_star) else fraction * t_star
+    times, q_hist = liouville_picard_oracle(z0, horizon, grid, dt=dt)
+    ref_times, ref_hist = reference_oracle(z0, horizon, grid, dt=dt)
+    assert times.tobytes() == ref_times.tobytes()
+    assert q_hist.shape == ref_hist.shape and len(q_hist) > 2
+    assert q_hist.tobytes() == ref_hist.tobytes()

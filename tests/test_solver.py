@@ -309,3 +309,48 @@ def test_step_raises_on_nonfinite_state(grid):
     state = FlowState(t=0.0, gamma=grid.r.copy(), rho=rho)
     with pytest.raises(NonFiniteState):
         step(spec, grid, init, state, 1e-3)
+
+
+@pytest.mark.parametrize(
+    "fault,error",
+    [
+        ("nan_gamma_inside", NonFiniteState),
+        ("inf_gamma_last", NonFiniteState),
+        ("minus_inf_gamma_first", NonFiniteState),
+        ("nan_rho", NonFiniteState),
+        ("inf_rho", NonFiniteState),
+        ("unordered_and_nan_rho", NonFiniteState),
+        ("unordered", StepRejected),
+        ("tied", StepRejected),
+        ("guard", GuardError),
+        ("none", None),
+    ],
+)
+def test_validate_names_each_fault(grid, fault, error):
+    # which check a stage state fails decides the run's status: a NaN or
+    # inf anywhere is nonfinite_state even where gamma also lost its order
+    init = make_init(grid, 3)
+    gamma, rho = grid.r.copy(), np.ones(grid.num)
+    if fault == "nan_gamma_inside":
+        gamma[200] = np.nan
+    elif fault == "inf_gamma_last":
+        gamma[-1] = np.inf
+    elif fault == "minus_inf_gamma_first":
+        gamma[0] = -np.inf
+    elif fault == "nan_rho":
+        rho[300] = np.nan
+    elif fault == "inf_rho":
+        rho[0] = np.inf
+    elif fault in ("unordered", "unordered_and_nan_rho"):
+        gamma[100], gamma[101] = gamma[101], gamma[100]
+        if fault == "unordered_and_nan_rho":
+            rho[5] = np.nan
+    elif fault == "tied":
+        gamma[101] = gamma[100]
+    elif fault == "guard":
+        gamma[init.support_index :] += 0.9 * grid.r_max
+    if error is None:
+        solver._validate(grid, init, gamma, rho)
+    else:
+        with pytest.raises(error):
+            solver._validate(grid, init, gamma, rho)
