@@ -1,15 +1,20 @@
 #!/usr/bin/env python3
-"""Time rhs, an RK4 step, invert_operator and certify for every in-scope
-kernel, and the Liouville oracle.
+"""Time rhs, an RK4 step, the Bessel pair, invert_operator and certify for
+every in-scope kernel, and the Liouville oracle.
 
 For each of the 16 in-scope operators (H1dot n = 1-5, H2dot n = 3-5,
 H1 n = 1-5, H2 n = 3-5) at N = 256, 512 and 2048 nodes on [0, 20], prints
 the best-of-k wall time of one ``solver.rhs`` and of one RK4
 ``solver.step`` of 1e-3 (four rhs calls) on a deformed state: the standard
 negative bump on [2, 8] after ``solver.run`` to t = 0.2 in steps of 0.02.
-Then prints the best-of-k time of ``invert_operator`` at N = 4096 for a
-negative bump on [0.5, 2], and of ``certify.certify`` at N = 512 for the
-standard bump, after the time of the first ``certify`` call of the process
+Then prints the best-of-k time of ``bessel.alpha_hat`` and
+``bessel.beta_hat`` for the orders of each sigma = 1 operator, on the radii
+where its rhs evaluates them (the deformed nodes 1 to max(i1, stop) - 1 for
+alpha and i0 + 1 to N - 1 for beta, with (i0, i1) the quadrature's reach of
+the support start to stop - 1) at N = 256 and 2048.  Then prints the
+best-of-k time of ``invert_operator`` at N = 4096 for a negative bump on
+[0.5, 2], and of ``certify.certify`` at N = 512 for the standard bump,
+after the time of the first ``certify`` call of the process
 (H1dot_n1), which builds the condition mesh.  Last comes the time of one
 ``liouville.liouville_picard_oracle`` run at N = 512 with z_0 the standard
 bump (n = 1), to half its blowup time.
@@ -22,9 +27,10 @@ by sample, with a column for each and their ratio: this machine's speed drifts b
 between processes, so timings from separate runs do not compare.  It also
 compares what the two versions return: a last column says ``same`` when
 every output of the row is byte for byte equal (``rhs``, ``step`` from the
-state with and without its stored rate, ``invert_operator``, the
-certificate report, the oracle's times and q history) and ``DIFFER``
-otherwise, and the script exits with status 1 if any row differs.
+state with and without its stored rate, the Bessel values,
+``invert_operator``, the certificate report, the oracle's times and q
+history) and ``DIFFER`` otherwise, and the script exits with status 1 if
+any row differs.
 
 Usage:
     python3 scripts/time_layers.py [--against DIR]
@@ -46,6 +52,7 @@ IN_SCOPE = (
     + [(1, 2, n) for n in range(3, 6)]
 )
 RHS_GRID_N = (256, 512, 2048)
+BESSEL_GRID_N = (256, 2048)
 INVERT_GRID_N = 4096
 CERTIFY_GRID_N = 512
 ORACLE_GRID_N = 512
@@ -56,7 +63,7 @@ WARP_STEPS, WARP_DT = 10, 0.02
 STEP_DT = 1e-3
 SAMPLE_S = 0.01
 REPEAT = 7
-LAYERS = ("certify", "grid", "kernels", "liouville", "scenario", "solver")
+LAYERS = ("bessel", "certify", "grid", "kernels", "liouville", "scenario", "solver")
 
 
 def load(src, name):
@@ -131,9 +138,10 @@ def main(argv=None):
 
     print(f"{'spec':<10} {'N':>5}" + heading("rhs", names) + heading("step", names)
           + output_heading(names))
+    bessel_rows = []
     for num in RHS_GRID_N:
         for sigma, k, n in IN_SCOPE:
-            rhs_calls, step_calls, outputs = [], [], []
+            rhs_calls, step_calls, outputs, bessel_args = [], [], [], []
             for lib in versions:
                 solver = lib["solver"]
                 spec = lib["kernels"].KernelSpec(sigma, k, n)
@@ -155,10 +163,28 @@ def main(argv=None):
                          solver.step(spec, grid, init, rated, STEP_DT)]
                 outputs.append(as_bytes(
                     rate, *(a for st in steps for a in (st.gamma, st.rho))))
+                case = lib["kernels"].kernel_case(spec)
+                start, stop = init.support_start, init.support_index + 1
+                i0, i1 = grid.quadrature.reach(start, stop)
+                bessel_args.append((
+                    lib["bessel"], (case.alpha_orders, state.gamma[1:max(i1, stop)]),
+                    (case.beta_orders, state.gamma[i0 + 1:])))
             print(f"{spec.label():<10} {num:>5}"
                   + cells(best_us(rhs_calls))
                   + cells(best_us(step_calls))
                   + compare(f"rhs/step {spec.label()} {num}", outputs))
+            if num in BESSEL_GRID_N and case.alpha_orders:
+                bessel_rows.append((spec.label(), num, bessel_args))
+
+    print(f"{'spec':<10} {'N':>5}" + heading("alpha", names)
+          + heading("beta", names) + output_heading(names))
+    for label, num, bessel_args in bessel_rows:
+        alpha = [lambda f=bes.alpha_hat, a=a: f(*a) for bes, a, _ in bessel_args]
+        beta = [lambda f=bes.beta_hat, b=b: f(*b) for bes, _, b in bessel_args]
+        outputs = [as_bytes(*fa().values(), *fb().values())
+                   for fa, fb in zip(alpha, beta)]
+        print(f"{label:<10} {num:>5}" + cells(best_us(alpha)) + cells(best_us(beta))
+              + compare(f"bessel {label} {num}", outputs))
 
     print(f"{'spec':<10} {'N':>5}" + heading("invert", names)
           + output_heading(names))

@@ -38,6 +38,16 @@ hypergeometric series 0F1(; p/2 + 1; r^2/4) with positive terms, summed for
 all requested orders from one table of powers of r^2/4.  Against mpmath the
 relative error is below 1e-14 for p <= 9 on 1e-4 <= r <= 40; frozen mpmath
 values pin it in the test suite.
+
+Every caller in the library passes increasing radii (the solver's nodes, a
+grid, distinct certificate radii).  Each function writes into one output
+with a row per order.  :func:`alpha_hat` splits the radii once at
+SERIES_CUTOFF with a binary search and writes the series block and the
+recurrence block into slices of its rows; :func:`beta_hat` sets the radii
+at the origin, which come first, and runs its recurrence on the others.
+Radii in any other order are sorted first and their values mapped back.
+A value depends only on its order and radius, not on the other radii of the
+call, so the same radius gives the same bits either way.
 """
 
 from functools import lru_cache
@@ -61,8 +71,13 @@ SERIES_TERMS = 18
 SERIES_BLOCK = 1024
 
 
+@lru_cache(maxsize=None)
 def _check_orders(orders):
-    """Orders as a sorted tuple of ints; nonnegative integers of one parity."""
+    """Orders as a sorted tuple of ints; nonnegative integers of one parity.
+
+    Checked once per tuple of orders: the kernels ask for the same few on
+    every call.
+    """
     out = []
     for p in orders:
         if p < 0 or p != int(p):
@@ -74,101 +89,146 @@ def _check_orders(orders):
 
 
 @lru_cache(maxsize=None)
-def _series_coefficients(orders):
-    """Row i holds 1 / (j! (p/2 + 1)_j) for j < SERIES_TERMS, p = orders[i]."""
+def _series_coefficients(lo, hi):
+    """Row i holds 1 / (j! (p/2 + 1)_j) for j < SERIES_TERMS, p = lo + 2i <= hi."""
     j = np.arange(1, SERIES_TERMS, dtype=float)
     return np.array([
         np.cumprod(np.concatenate([[1.0], 1.0 / (j * (0.5 * p + j))]))
-        for p in orders
+        for p in range(lo, hi + 1, 2)
     ])
 
 
-def _alpha_recurrence(pmax, r):
-    """{p: e^{-r} alpha_p(r)} for p <= pmax of pmax's parity, r >= SERIES_CUTOFF."""
-    if pmax % 2:
+def _sorted_radii(r, name):
+    """(radii, perm): r flattened and increasing, and the permutation that
+    sorted it (None when it already was).  Raises unless r >= 0."""
+    flat = np.asarray(r, dtype=float).reshape(-1)
+    perm = None
+    # NaN fails every comparison, so radii with a NaN are sorted (to the end)
+    if flat.size > 1 and np.count_nonzero(flat[:-1] <= flat[1:]) < flat.size - 1:
+        perm = np.argsort(flat, kind="stable")
+        flat = flat[perm]
+    if flat.size and flat[0] < 0:
+        raise ValueError(f"{name} requires r >= 0")
+    return flat, perm
+
+
+def _rows(first, orders, size):
+    """An empty output with a row (p - first) / 2 for each order p = first,
+    first + 2, ... up to the largest of orders, and at least for the two
+    orders a recurrence starts from."""
+    return np.empty(((max(orders[-1], first + 2) - first) // 2 + 1, size))
+
+
+def _by_order(orders, first, out, perm, shape):
+    """{p: the row of out for order p}, back in the order and shape of the radii."""
+    if perm is not None:
+        unsorted = np.empty_like(out)
+        unsorted[:, perm] = out
+        out = unsorted
+    rows = out.reshape(out.shape[:1] + shape)
+    return {p: rows[(p - first) // 2, ...] for p in orders}
+
+
+def _alpha_recurrence(first, r, out):
+    """Fill the rows of out, of the orders first = -1 or 0, first + 2, ...,
+    with e^{-r} alpha_p(r), r >= SERIES_CUTOFF."""
+    if first:  # odd orders, from -1
         # e^{-r} cosh r and e^{-r} sinh r / r; e^{-2r} < 1e-3 here, so
         # 1 - e^{-2r} loses nothing
         e2 = np.exp(-2.0 * r)
-        prev, cur, p = 0.5 * (1.0 + e2), (1.0 - e2) / (2.0 * r), 1
+        np.add(1.0, e2, out=out[0])
+        out[0] *= 0.5
+        np.subtract(1.0, e2, out=out[1])
+        out[1] /= 2.0 * r
     else:
-        prev, cur, p = i0e(r), 2.0 * i1e(r) / r, 2
-    out = {p - 2: prev, p: cur}
+        i0e(r, out=out[0])
+        i1e(r, out=out[1])
+        out[1] *= 2.0
+        out[1] /= r
     rr = r * r
-    while p < pmax:
-        prev, cur = cur, p * (p + 2.0) * (prev - cur) / rr
+    p = first + 2  # the order of row 1
+    for below, prev, row in zip(out, out[1:], out[2:]):
+        # p (p + 2) (alpha_{p-2} - alpha_p) / r^2
+        np.subtract(below, prev, out=row)
+        row *= p * (p + 2.0)
+        row /= rr
         p += 2
-        out[p] = cur
-    return out
 
 
 def alpha_hat(orders, r):
     """{p: e^{-r} alpha_p(r)} for nonnegative integer orders of one parity.
 
-    r >= 0, any shape; each value has the shape of r.  Exactly 1 at r = 0.
+    r >= 0, any shape; each value has the shape of r and is an array of its
+    own.  Exactly 1 at r = 0.
     """
-    orders = _check_orders(orders)
-    r = np.asarray(r, dtype=float)
-    flat = r.reshape(-1)
-    if (flat < 0).any():
-        raise ValueError("alpha requires r >= 0")
-    out = np.empty((len(orders), flat.size))
-    small = flat < SERIES_CUTOFF
-    if small.any():
-        rs = flat[small]
-        series = np.empty((len(orders), rs.size))
-        # in blocks of rows, so that the table of powers stays small on the
-        # large meshes of the certificates
-        for lo in range(0, rs.size, SERIES_BLOCK):
-            rows = slice(lo, lo + SERIES_BLOCK)
-            x = 0.25 * rs[rows] ** 2
+    orders = _check_orders(tuple(orders))
+    flat, perm = _sorted_radii(r, "alpha")
+    first = -(orders[-1] % 2)
+    out = _rows(first, orders, flat.size)
+    # the left side, so that r = SERIES_CUTOFF takes the recurrence
+    cut = int(flat.searchsorted(SERIES_CUTOFF))
+    if cut:
+        # the rows of orders[0] to orders[-1]
+        series = out[(orders[0] - first) // 2 : (orders[-1] - first) // 2 + 1]
+        coefficients = _series_coefficients(orders[0], orders[-1])
+        # in blocks of radii, so that the table of powers stays small on
+        # large inputs
+        for lo in range(0, cut, SERIES_BLOCK):
+            hi = min(lo + SERIES_BLOCK, cut)
+            x = 0.25 * flat[lo:hi] ** 2
             powers = np.empty((x.size, SERIES_TERMS))
             powers[:, 0] = 1.0
             powers[:, 1:] = x[:, None]
-            np.cumprod(powers, axis=1, out=powers)
-            # one sum per order and row, without BLAS (whose rounding
-            # depends on where a row falls in its block), so that a value
+            np.multiply.accumulate(powers, axis=1, out=powers)
+            # one sum per order and radius, without BLAS (whose rounding
+            # depends on where a radius falls in its block), so that a value
             # depends only on its order and radius
-            series[:, rows] = np.einsum(
-                "ij,kj->ki", powers, _series_coefficients(orders))
-        series *= np.exp(-rs)
-        out[:, small] = series
-    if not small.all():
-        big = ~small
-        rec = _alpha_recurrence(orders[-1], flat[big])
-        for i, p in enumerate(orders):
-            out[i, big] = rec[p]
-    return {p: out[i].reshape(r.shape) for i, p in enumerate(orders)}
+            np.einsum("ij,kj->ki", powers, coefficients, out=series[:, lo:hi])
+        series[:, :cut] *= np.exp(-flat[:cut])
+    if cut < flat.size:
+        _alpha_recurrence(first, flat[cut:], out[:, cut:])
+    return _by_order(orders, first, out, perm, np.shape(r))
 
 
 def beta_hat(orders, r):
     """{p: e^{r} r^p beta_p(r)} for nonnegative integer orders of one parity.
 
-    r >= 0, any shape; each value has the shape of r.  Equal to 1/p at r = 0
-    (infinite for p = 0, whose beta_0 diverges logarithmically).
+    r >= 0, any shape; each value has the shape of r and is an array of its
+    own.  Equal to 1/p at r = 0 (infinite for p = 0, whose beta_0 diverges
+    logarithmically).
     """
-    orders = _check_orders(orders)
-    r = np.asarray(r, dtype=float)
-    flat = r.reshape(-1)
-    if (flat < 0).any():
-        raise ValueError("beta requires r >= 0")
-    if orders[-1] % 2:
-        prev, cur, p = np.ones_like(flat), (1.0 + flat) / 3.0, 3
-    else:
-        with np.errstate(invalid="ignore"):  # 0 * inf at r = 0, reset below
-            prev, cur, p = k0e(flat), 0.5 * flat * k1e(flat), 2
-    out = {p - 2: prev, p: cur}
-    rr = flat * flat
-    with np.errstate(invalid="ignore"):  # r^2 * inf for p = 2 at r = 0
-        while p < orders[-1]:
-            prev, cur = cur, (p * cur + rr * prev / p) / (p + 2.0)
-            p += 2
-            out[p] = cur
-    origin = flat == 0.0
-    if origin.any():
+    orders = _check_orders(tuple(orders))
+    flat, perm = _sorted_radii(r, "beta")
+    first = orders[-1] % 2
+    out = _rows(first, orders, flat.size)
+    zeros = 0
+    if flat.size and flat[0] == 0.0:
+        # the radii at the origin come first, where beta_hat_p = 1/p; the
+        # recurrence runs on the others
+        zeros = int(flat.searchsorted(0.0, side="right"))
         for q in orders:
-            if q > 0:
-                out[q][origin] = 1.0 / q
-    return {p: out[p].reshape(r.shape) for p in orders}
+            out[(q - first) // 2, :zeros] = 1.0 / q if q else np.inf
+    s, rows = flat[zeros:], out[:, zeros:]
+    if first:  # beta_hat_1 = 1, beta_hat_3 = (1 + r) / 3
+        rows[0].fill(1.0)
+        np.add(1.0, s, out=rows[1])
+        rows[1] /= 3.0
+    else:
+        k0e(s, out=rows[0])
+        np.multiply(0.5, s, out=rows[1])
+        rows[1] *= k1e(s)
+    if len(rows) > 2:
+        ss = s * s
+        term = np.empty_like(s)
+    p = first + 2  # the order of row 1
+    for below, prev, row in zip(rows, rows[1:], rows[2:]):
+        # (p beta_hat_p + r^2 beta_hat_{p-2} / p) / (p + 2)
+        np.multiply(ss, below, out=row)
+        row /= p
+        row += np.multiply(p, prev, out=term)
+        row /= p + 2.0
+        p += 2
+    return _by_order(orders, first, out, perm, np.shape(r))
 
 
 def _like(out, r):

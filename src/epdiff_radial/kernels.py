@@ -134,8 +134,10 @@ class KernelCase:
     a = {p: alpha_p(r)} and b = {p: s^p beta_p(s)}.  The formulas write
     each factor into its row of ``out`` with the operations, in the order
     and dtype, of the expression they stand for, so a factor is the same
-    bit for bit as that expression; the sigma = 0 ones make no temporary
-    arrays.  ``_terms`` is the number of terms T.
+    bit for bit as that expression.  They make no temporary arrays: the
+    sigma = 1 formulas take their scratch from rows of ``out`` that they
+    write later, or from the arrays of ``b``, which are theirs to
+    overwrite.  ``_terms`` is the number of terms T.
 
     ``phi(r, s, a, b)`` is the kernel and ``phi_factor(r, s, a, b)`` the
     factor of phi whose log is not a sum of a function of r and one of s;
@@ -292,11 +294,24 @@ class _H2dot(KernelCase):
         return (r * d1 * phi0 - r * diag * d2_0) / phi0**2
 
 
+def _h1_inner_term(n, r, a, out):
+    # r a[n] and a[n] + r^2 a[n + 2] / (n + 2)
+    f, df = out
+    np.multiply(r, a[n], out=f)
+    np.square(r, out=df)
+    df *= a[n + 2]
+    df /= n + 2.0
+    df += a[n]
+
+
 def _h1_outer_term(n, b, out):
-    # out holds (s^(1-n), s^-n) on entry
+    # out holds (s^(1-n), s^-n) on entry; b[n + 2] ends as b[n] - (n + 2) b[n + 2]
     g, dg = out
     g *= b[n]
-    dg *= b[n] - (n + 2.0) * b[n + 2]
+    slope = b[n + 2]
+    slope *= n + 2.0
+    np.subtract(b[n], slope, out=slope)
+    dg *= slope
 
 
 class _H1(KernelCase):
@@ -309,10 +324,7 @@ class _H1(KernelCase):
     _origin = staticmethod(lambda n: (float(n), float(n)))
 
     def _inner(self, r, a, out):
-        n = self.n
-        (f, df), = out
-        np.multiply(r, a[n], out=f)
-        np.add(a[n], r**2 * a[n + 2] / (n + 2.0), out=df)
+        _h1_inner_term(self.n, r, a, out[0])
 
     def _outer(self, s, b, out):
         _reciprocal_powers(s, self.n - 1, out[0])
@@ -375,13 +387,27 @@ class _H2(KernelCase):
 
     def _inner(self, r, a, out):
         n = self.n
+        c = 2.0 * (n + 2.0)
         (f1, df1), (f2, df2) = out
-        np.divide(-(r**3) * a[n + 2], 2.0 * (n + 2.0), out=f1)
-        np.divide(
-            -(3.0 * r**2 * a[n + 2] + r**4 * a[n + 4] / (n + 4.0)),
-            2.0 * (n + 2.0), out=df1)
-        np.divide(r * a[n], 2.0 * n, out=f2)
-        np.divide(a[n] + r**2 * a[n + 2] / (n + 2.0), 2.0 * n, out=df2)
+        # -(3 r^2 a[n + 2] + r^4 a[n + 4] / (n + 4)) / c, with f1 as scratch
+        np.square(r, out=df1)
+        df1 *= 3.0
+        df1 *= a[n + 2]
+        np.power(r, 4, out=f1)
+        f1 *= a[n + 4]
+        f1 /= n + 4.0
+        df1 += f1
+        np.negative(df1, out=df1)
+        df1 /= c
+        # -(r^3) a[n + 2] / c
+        np.power(r, 3, out=f1)
+        np.negative(f1, out=f1)
+        f1 *= a[n + 2]
+        f1 /= c
+        # the H1 term over 2n
+        _h1_inner_term(n, r, a, out[1])
+        f2 /= 2.0 * n
+        df2 /= 2.0 * n
 
     def _outer(self, s, b, out):
         n = self.n
@@ -389,7 +415,10 @@ class _H2(KernelCase):
         _reciprocal_powers(s, n - 3, (g2, dg2, g1, dg1))
         _h1_outer_term(n, b, out[0])
         g2 *= b[n - 2]
-        dg2 *= b[n - 2] - float(n) * b[n]
+        slope = b[n]
+        slope *= float(n)
+        np.subtract(b[n - 2], slope, out=slope)
+        dg2 *= slope
 
     def phi(self, r, s, a, b):
         return 0.5 * np.exp(r - s) * self.phi_factor(r, s, a, b)
@@ -564,12 +593,9 @@ class _SumPlan:
       written and stays 0.
 
     The buffers lie in one anonymous memory map (``arena``), outside the
-    heap that other arrays come from, and a plan built to replace
-    ``spare`` takes over its map when it is large enough.  Kept in the heap
-    between calls, the few hundred kB of an N = 4096 longdouble plan split
-    its free space, and the certificates that ran next faulted in about
-    half as many pages again (certify_invert: 16.7k minor faults in the
-    H2 certificates over ten passes against 11.7k with the map).
+    heap that other arrays come from, so that keeping them between calls
+    does not split the heap's free space; a plan built to replace ``spare``
+    takes over its map when it is large enough.
     """
 
     def __init__(self, case, quadrature, num, start, stop, x_dtype, w_dtype,

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import i1e
 
 from epdiff_radial import bessel
 from epdiff_radial.kernels import _escaled_beta
@@ -138,29 +139,85 @@ def test_multi_order_calls_equal_single_order_wrappers(parity):
         np.testing.assert_array_equal(bessel.beta_hat((p,), pos)[p], b[p][1:])
 
 
-@pytest.mark.parametrize("parity", [0, 1])
-def test_alpha_value_depends_only_on_order_and_radius(parity):
-    # radii on both sides of the series cutoff, over more than two blocks of
-    # the series, evaluated in one batch, one by one, permuted and as a
-    # slice at an offset: every value is byte for byte the same
-    rng = np.random.default_rng(7)
-    r = rng.uniform(0.0, 1.5 * bessel.SERIES_CUTOFF, 2 * bessel.SERIES_BLOCK + 300)
+def _one_by_one(hat, orders, r):
+    """hat's values at each radius of r evaluated alone, in the shape of r."""
+    alone = [hat(orders, v) for v in np.ravel(r)]
+    return {p: np.array([a[p] for a in alone], dtype=float).reshape(np.shape(r))
+            for p in orders}
+
+
+def _split_cases(rng):
+    """Radii that the split at the series cutoff can get wrong."""
+    cut = bessel.SERIES_CUTOFF
+    mixed = np.concatenate([[0.0, cut, cut], rng.uniform(0.0, 2.0 * cut, 147)])
+    rng.shuffle(mixed)
+    return {
+        "reversed": np.sort(mixed)[::-1],
+        "below": rng.uniform(0.0, cut, 150),
+        "above": rng.uniform(cut, 3.0 * cut, 150),
+        "at cutoff": np.array([cut, 1.0, cut, 2.0 * cut, 0.0, cut]),
+        "empty": np.array([]),
+        "2-D": mixed.reshape(10, 15),
+    }
+
+
+def _assert_value_depends_only_on_order_and_radius(hat, parity, rng, r):
+    # radii evaluated in one batch, one by one, permuted, as a slice at an
+    # offset and inside a wider batch: every value is byte for byte the same
     orders = tuple(range(parity, 10, 2))
-    batch = bessel.alpha_hat(orders, r)
+    batch = hat(orders, r)
     for i in range(0, r.size, 37):
-        alone = bessel.alpha_hat(orders, r[i])
+        alone = hat(orders, r[i])
         for p in orders:
             assert alone[p].tobytes() == batch[p][i].tobytes()
     perm = rng.permutation(r.size)
-    permuted = bessel.alpha_hat(orders, r[perm])
-    wider = bessel.alpha_hat(orders, np.concatenate([rng.uniform(0, 4, 333), r]))
+    permuted = hat(orders, r[perm])
+    wider = hat(orders, np.concatenate([rng.uniform(0, 4, 333), r]))
     for offset in (1, 5, 511):
-        sliced = bessel.alpha_hat(orders, r[offset:])
+        sliced = hat(orders, r[offset:])
         for p in orders:
             assert sliced[p].tobytes() == batch[p][offset:].tobytes()
     for p in orders:
         assert permuted[p].tobytes() == batch[p][perm].tobytes()
         assert wider[p][333:].tobytes() == batch[p].tobytes()
+    # sorted, reversed and unsorted radii, on one side of the cutoff or
+    # both, at it, none and in two dimensions
+    for name, radii in _split_cases(rng).items():
+        values, alone = hat(orders, radii), _one_by_one(hat, orders, radii)
+        for p in orders:
+            assert values[p].shape == radii.shape, name
+            assert values[p].tobytes() == alone[p].tobytes(), name
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_alpha_value_depends_only_on_order_and_radius(parity):
+    # on both sides of the series cutoff, over more than two blocks of the
+    # series
+    rng = np.random.default_rng(7)
+    r = rng.uniform(0.0, 1.5 * bessel.SERIES_CUTOFF, 2 * bessel.SERIES_BLOCK + 300)
+    _assert_value_depends_only_on_order_and_radius(bessel.alpha_hat, parity, rng, r)
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_beta_value_depends_only_on_order_and_radius(parity):
+    # with radii at the origin, where beta_hat is 1/p
+    rng = np.random.default_rng(8)
+    r = rng.uniform(0.0, 6.0 * bessel.SERIES_CUTOFF, 2 * bessel.SERIES_BLOCK + 300)
+    r[rng.choice(r.size, 40, replace=False)] = 0.0
+    _assert_value_depends_only_on_order_and_radius(bessel.beta_hat, parity, rng, r)
+
+
+def test_alpha_at_the_cutoff_takes_the_recurrence():
+    # r = SERIES_CUTOFF is the first radius of the recurrence, whose start
+    # values e^{-r} alpha_1 = (1 - e^{-2r}) / (2r) and e^{-r} alpha_2 =
+    # 2 i1e(r) / r differ from the series there in the last bits
+    cut = np.array([bessel.SERIES_CUTOFF])
+    start = {1: (1.0 - np.exp(-2.0 * cut)) / (2.0 * cut), 2: 2.0 * i1e(cut) / cut}
+    for radii in ([cut[0]], [cut[0], 1.0, 9.0], [9.0, cut[0], 1.0]):
+        at = radii.index(cut[0])
+        for p, value in start.items():
+            got = bessel.alpha_hat((p,), np.array(radii))[p][at]
+            assert got.tobytes() == value[0].tobytes(), (p, radii)
 
 
 def test_orders_must_be_nonnegative_integers_of_one_parity():
