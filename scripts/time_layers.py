@@ -24,7 +24,10 @@ Each sample is the mean over enough calls (at least one) to take about
 DIR`` also loads the library from DIR (a ``src`` directory of another
 checkout) and times both versions in this one process, alternating sample
 by sample, with a column for each and their ratio: this machine's speed drifts by up to 2x
-between processes, so timings from separate runs do not compare.  It also
+between processes, so timings from separate runs do not compare.  The
+ratio is the median of the 7 ratios of samples taken side by side, so a
+slow stretch that covers the best sample of one version alone does not
+show up as a gain or a loss.  It also
 compares what the two versions return: a last column says ``same`` when
 every output of the row is byte for byte equal (``rhs``, ``step`` from the
 state with and without its stored rate, the Bessel values,
@@ -40,6 +43,7 @@ import argparse
 import importlib
 import importlib.util
 import pathlib
+import statistics
 import sys
 import time
 import timeit
@@ -79,22 +83,23 @@ def load(src, name):
     return {layer: importlib.import_module(f"{name}.{layer}") for layer in LAYERS}
 
 
-def best_us(funcs):
-    """Best mean time of one call of each function, in us, sampled in turn."""
+def samples_us(funcs):
+    """REPEAT rounds of the mean time of one call of each function, in us;
+    within a round the functions are sampled in turn."""
     timers = [timeit.Timer(f) for f in funcs]
     number, took = timers[0].autorange()
     number = max(1, int(number * SAMPLE_S / max(took, 1e-9)))
-    best = [float("inf")] * len(funcs)
-    for _ in range(REPEAT):
-        for i, timer in enumerate(timers):
-            best[i] = min(best[i], timer.timeit(number) / number * 1e6)
-    return best
+    return [[timer.timeit(number) / number * 1e6 for timer in timers]
+            for _ in range(REPEAT)]
 
 
-def cells(times):
-    """One column per version, then this/against when there are two."""
-    out = "".join(f" {t:>10.1f}" for t in times)
-    return out + (f" {times[0] / times[1]:>6.2f}" if len(times) == 2 else "")
+def cells(rounds):
+    """The best sample per version, then with two versions the median of
+    the per-round ratios this/against."""
+    out = "".join(f" {min(times):>10.1f}" for times in zip(*rounds))
+    if len(rounds[0]) == 2:
+        out += f" {statistics.median(a / b for a, b in rounds):>6.2f}"
+    return out
 
 
 def heading(what, names):
@@ -122,8 +127,8 @@ def main(argv=None):
         names.append("vs")
 
     print(f"# this = {SRC}"
-          + (f", vs = {args.against.resolve()}, ratio = this/vs"
-             if args.against else "")
+          + (f", vs = {args.against.resolve()}, ratio = median of {REPEAT}"
+             " rounds of this/vs" if args.against else "")
           + f"; best of {REPEAT}, us per call")
     differing = []
 
@@ -170,8 +175,8 @@ def main(argv=None):
                     lib["bessel"], (case.alpha_orders, state.gamma[1:max(i1, stop)]),
                     (case.beta_orders, state.gamma[i0 + 1:])))
             print(f"{spec.label():<10} {num:>5}"
-                  + cells(best_us(rhs_calls))
-                  + cells(best_us(step_calls))
+                  + cells(samples_us(rhs_calls))
+                  + cells(samples_us(step_calls))
                   + compare(f"rhs/step {spec.label()} {num}", outputs))
             if num in BESSEL_GRID_N and case.alpha_orders:
                 bessel_rows.append((spec.label(), num, bessel_args))
@@ -183,8 +188,8 @@ def main(argv=None):
         beta = [lambda f=bes.beta_hat, b=b: f(*b) for bes, _, b in bessel_args]
         outputs = [as_bytes(*fa().values(), *fb().values())
                    for fa, fb in zip(alpha, beta)]
-        print(f"{label:<10} {num:>5}" + cells(best_us(alpha)) + cells(best_us(beta))
-              + compare(f"bessel {label} {num}", outputs))
+        print(f"{label:<10} {num:>5}" + cells(samples_us(alpha))
+              + cells(samples_us(beta)) + compare(f"bessel {label} {num}", outputs))
 
     print(f"{'spec':<10} {'N':>5}" + heading("invert", names)
           + output_heading(names))
@@ -198,7 +203,7 @@ def main(argv=None):
             calls.append(lambda f=lib["kernels"].invert_operator,
                          a=(spec, grid, omega): f(*a))
         print(f"{spec.label():<10} {INVERT_GRID_N:>5}"
-              + cells(best_us(calls))
+              + cells(samples_us(calls))
               + compare(f"invert {spec.label()}",
                         [as_bytes(call()) for call in calls]))
 
@@ -220,9 +225,9 @@ def main(argv=None):
         start = time.perf_counter()
         call()
         first.append((time.perf_counter() - start) * 1e6)
-    print(f"{'first':<10} {CERTIFY_GRID_N:>5}" + cells(first))
+    print(f"{'first':<10} {CERTIFY_GRID_N:>5}" + cells([first]))
     for label, calls in certify_calls:
-        print(f"{label:<10} {CERTIFY_GRID_N:>5}" + cells(best_us(calls))
+        print(f"{label:<10} {CERTIFY_GRID_N:>5}" + cells(samples_us(calls))
               + compare(f"certify {label}", [call().report() for call in calls]))
 
     print(f"{'job':<10} {'N':>5}" + heading("oracle", names)
@@ -236,7 +241,7 @@ def main(argv=None):
             liouville.theta_tail(z0, grid.r))
         calls.append(lambda f=liouville.liouville_picard_oracle,
                      a=(z0, horizon, grid): f(*a))
-    print(f"{'liouville':<10} {ORACLE_GRID_N:>5}" + cells(best_us(calls))
+    print(f"{'liouville':<10} {ORACLE_GRID_N:>5}" + cells(samples_us(calls))
           + compare("oracle", [as_bytes(*call()) for call in calls]))
     if differing:
         print(f"# outputs differ in {len(differing)} rows: " + ", ".join(differing))

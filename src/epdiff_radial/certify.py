@@ -19,8 +19,9 @@ Conditions (a) and (b) are sampled on a mesh of D that depends on R_max
 only.  The mesh of the latest R_max is kept, read only, with the distinct
 values of each of its radius arrays: the 20,897 positivity points lie on
 about 400 distinct r and 1,000 distinct s, so the Bessel pair that phi
-needs is evaluated once per distinct radius and gathered by index.
-Nothing that depends on the kernel spec is kept between calls.
+needs is evaluated once per distinct radius, then gathered by index and
+combined one block of mesh points at a time.  Nothing that depends on the
+kernel spec is kept between calls.
 """
 
 from dataclasses import dataclass, field
@@ -48,6 +49,11 @@ __all__ = [
 
 SAFETY_MARGIN = 1e-9
 DOMINANCE_TOL = 1e-4
+# Mesh points per block of the condition checks: each float64 temporary of a
+# block (32 kB) stays below the 128 kB from which glibc's malloc maps fresh
+# pages, so a certificate's page faults do not depend on what else the
+# process keeps alive.
+BLOCK = 4096
 
 
 @dataclass
@@ -155,23 +161,28 @@ def _condition_mesh(r_max):
     )
 
 
-def _gather(values, radii):
-    """Bessel values at the distinct radii, spread to every mesh point."""
-    return None if values is None else {p: v[radii.index] for p, v in values.items()}
+def _by_block(size, evaluate):
+    """evaluate(block) for each slice of BLOCK mesh points, into one array."""
+    out = np.empty(size)
+    for start in range(0, size, BLOCK):
+        block = slice(start, start + BLOCK)
+        out[block] = evaluate(block)
+    return out
 
 
-def _alpha(case, radii):
-    return _gather(case.phi_alpha(radii.distinct), radii)
-
-
-def _beta(case, radii):
-    return _gather(case.phi_beta(radii.distinct), radii)
+def _gather(values, radii, block):
+    """Values at the distinct radii, spread to the block's mesh points."""
+    index = radii.index[block]
+    return None if values is None else {p: v[index] for p, v in values.items()}
 
 
 def _positivity_values(case, mesh):
     """phi at every positivity point of the mesh."""
-    return case.phi(mesh.r.values, mesh.s.values, _alpha(case, mesh.r),
-                    _beta(case, mesh.s))
+    r, s = mesh.r, mesh.s
+    a, b = case.phi_alpha(r.distinct), case.phi_beta(s.distinct)
+    return _by_block(len(r.values), lambda block: case.phi(
+        r.values[block], s.values[block], _gather(a, r, block),
+        _gather(b, s, block)))
 
 
 def _positivity(case, mesh):
@@ -199,15 +210,19 @@ def _log_supermodularity_values(case, mesh):
     """
     r, s = mesh.near_r, mesh.near_s
     r_h, s_h = mesh.near_r_h, mesh.near_s_h
-    a, a_h = _alpha(case, r), _alpha(case, r_h)
-    b, b_h = _beta(case, s), _beta(case, s_h)
-    factor = case.phi_factor
-    ratio = (factor(r_h.values, s_h.values, a_h, b_h)
-             * factor(r.values, s.values, a, b)) / (
-        factor(r_h.values, s.values, a_h, b)
-        * factor(r.values, s_h.values, a, b_h)
-    )
-    return np.log(ratio) / mesh.h**2
+    a, a_h = case.phi_alpha(r.distinct), case.phi_alpha(r_h.distinct)
+    b, b_h = case.phi_beta(s.distinct), case.phi_beta(s_h.distinct)
+
+    def stencil(block):
+        x, y, x_h, y_h = (v.values[block] for v in (r, s, r_h, s_h))
+        ab, ab_h = _gather(a, r, block), _gather(a_h, r_h, block)
+        bb, bb_h = _gather(b, s, block), _gather(b_h, s_h, block)
+        factor = case.phi_factor
+        ratio = (factor(x_h, y_h, ab_h, bb_h) * factor(x, y, ab, bb)) / (
+            factor(x_h, y, ab_h, bb) * factor(x, y_h, ab, bb_h))
+        return np.log(ratio) / mesh.h[block]**2
+
+    return _by_block(len(r.values), stencil)
 
 
 def _log_supermodularity(case, mesh):

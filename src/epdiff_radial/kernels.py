@@ -26,8 +26,7 @@ criterion
 whose uniform lower bound C > 0 drives the blowup certificates.
 """
 
-import math
-import mmap
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -61,7 +60,8 @@ class KernelSpec:
 
     sigma = 0 gives the homogeneous (Hdot^k) metric, sigma = 1 the full H^k
     metric.  k = 2 requires n >= 3 (the second-order homogeneous kernel is
-    not defined below that).
+    not defined below that).  Each field is an integer (``numbers.Integral``,
+    so numpy integers too, but not bool).
     """
 
     sigma: int
@@ -69,11 +69,15 @@ class KernelSpec:
     n: int
 
     def __post_init__(self):
+        for name in ("sigma", "k", "n"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer")
         if self.sigma not in (0, 1):
             raise ValueError("sigma must be 0 or 1")
         if self.k not in (1, 2):
             raise ValueError("k must be 1 or 2")
-        if self.n < 1 or self.n != int(self.n):
+        if self.n < 1:
             raise ValueError("n must be a positive integer")
         if self.k == 2 and self.n < 3:
             raise ValueError("k = 2 requires n >= 3")
@@ -555,21 +559,6 @@ def s_criterion(spec, r):
     return float(out[0]) if scalar else out
 
 
-def _carve(shapes, arena):
-    """(map, arrays): arrays of the given (shape, dtype) pairs laid out,
-    64-byte aligned, in one anonymous memory map: ``arena`` when it is
-    large enough, else a new map."""
-    offsets, size = [], 0
-    for shape, dtype in shapes:
-        size = -(-size // 64) * 64
-        offsets.append(size)
-        size += math.prod(shape) * dtype.itemsize
-    if arena is None or len(arena) < size:
-        arena = mmap.mmap(-1, size)
-    return arena, [np.ndarray(shape, dtype, arena, offset)
-                   for (shape, dtype), offset in zip(shapes, offsets)]
-
-
 class _SumPlan:
     """Everything a ``kernel_sums`` call over one window needs besides the
     values of x and the weight, set up once.
@@ -591,15 +580,9 @@ class _SumPlan:
       factor and sum slices that fill them and scratch rows for the
       products that are added into a region.  Node 0 of row 0 is never
       written and stays 0.
-
-    The buffers lie in one anonymous memory map (``arena``), outside the
-    heap that other arrays come from, so that keeping them between calls
-    does not split the heap's free space; a plan built to replace ``spare``
-    takes over its map when it is large enough.
     """
 
-    def __init__(self, case, quadrature, num, start, stop, x_dtype, w_dtype,
-                 spare=None):
+    def __init__(self, case, quadrature, num, start, stop, x_dtype, w_dtype):
         i0, i1 = quadrature.reach(start, stop)
         terms = case._terms
         fdtype = np.result_type(x_dtype, float)
@@ -614,8 +597,8 @@ class _SumPlan:
                   ((2, num), dtype), ((width,), dtype)]
         if terms > 1:
             shapes += [((i0 + 1,), dtype), ((width,), dtype), ((num - i1,), dtype)]
-        self.arena, (inner, outer, run, suf, out, f_suf, *second) = _carve(
-            shapes, None if spare is None else spare.arena)
+        inner, outer, run, suf, out, f_suf, *second = [
+            np.empty(shape, dtype) for shape, dtype in shapes]
         inner[:, 1, 0] = case.df_origin
         out[0, 0] = 0.0
         self.nodes = slice(1, m), slice(i0 + 1, None)
@@ -746,10 +729,9 @@ def kernel_sums(case, quadrature, x, weight, start=0, derivatives=False):
     try:
         spare_key, plan = _spare_window.pop()
     except IndexError:  # none kept yet, or another thread holds it
-        spare_key = plan = None
+        spare_key = None
     if spare_key != key:
-        plan = _SumPlan(case, quadrature, num, start, stop, x.dtype, weight.dtype,
-                        spare=plan)
+        plan = _SumPlan(case, quadrature, num, start, stop, x.dtype, weight.dtype)
     out = plan.sums(case, x, weight, rows)
     _spare_window[:] = [(key, plan)]
     return out

@@ -35,8 +35,8 @@ __all__ = [
 ]
 
 
-# Largest r_max for sigma = 1: the solver evaluates the unscaled alpha_p(r),
-# which grows like e^r, at every node, and e^r overflows past r = 709.
+# Largest r_max for sigma = 1: certify forms the diagonal criterion S, which
+# grows like e^r, with np.exp(r), and e^r overflows past r = 709.
 SIGMA1_R_MAX = 600.0
 
 # Process exit code of each terminal run status.
@@ -90,7 +90,7 @@ class ScenarioConfig:
         if self.sigma == 1 and self.r_max > SIGMA1_R_MAX:
             raise ValueError(
                 f"r_max must be <= {SIGMA1_R_MAX:g} for sigma = 1 "
-                "(the kernel factors overflow beyond it)"
+                "(certify overflows beyond it)"
             )
         if not (0.0 < self.dt and 0.0 < self.horizon):
             raise ValueError("dt and horizon must be positive")

@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import json
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,16 +161,14 @@ def test_distinct_radius_values_equal_point_by_point(spec):
     # byte, and so is everything built from them
     mesh = certify_module._condition_mesh(20.0)
     case = kernel_case(spec)
-    for radii in (mesh.r, mesh.near_r, mesh.near_r_h):
-        gathered = certify_module._alpha(case, radii)
-        if gathered is not None:
-            for p, v in case.phi_alpha(radii.values).items():
-                assert gathered[p].tobytes() == v.tobytes()
-    for radii in (mesh.s, mesh.near_s, mesh.near_s_h):
-        gathered = certify_module._beta(case, radii)
-        if gathered is not None:
-            for p, v in case.phi_beta(radii.values).items():
-                assert gathered[p].tobytes() == v.tobytes()
+    for evaluate, radii_sets in (
+            (case.phi_alpha, (mesh.r, mesh.near_r, mesh.near_r_h)),
+            (case.phi_beta, (mesh.s, mesh.near_s, mesh.near_s_h))):
+        for radii in radii_sets:
+            distinct = evaluate(radii.distinct)
+            if distinct is not None:
+                for p, v in evaluate(radii.values).items():
+                    assert distinct[p][radii.index].tobytes() == v.tobytes()
 
     vals = certify_module._positivity_values(case, mesh)
     ref = phi(spec, mesh.r.values, mesh.s.values)
@@ -188,6 +187,21 @@ def test_distinct_radius_values_equal_point_by_point(spec):
                  / (factor(r + h, s) * factor(r, s + h))) / h**2
     vals = certify_module._log_supermodularity_values(case, mesh)
     assert vals.tobytes() == ref.tobytes()
+
+
+def test_warm_certificate_keeps_its_temporaries_small(grid, omega0):
+    # the conditions are evaluated one block of mesh points at a time, so a
+    # certificate holds a few block-sized temporaries next to its outputs
+    # (the mesh is built by the first call and kept)
+    spec = KernelSpec(1, 2, 3)
+    certify(spec, grid, omega0)
+    tracemalloc.start()
+    try:
+        certify(spec, grid, omega0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_condition_mesh_is_shared_read_only_geometry():

@@ -61,6 +61,22 @@ def test_spec_validation():
         KernelSpec(0, 1, 0)
 
 
+@pytest.mark.parametrize("kind", [float, bool, str, np.int64],
+                         ids=lambda kind: kind.__name__)
+@pytest.mark.parametrize("field", ["sigma", "k", "n"])
+def test_spec_takes_only_integer_values(field, kind):
+    # a float n was accepted and labelled H1_n3.0, then raised a TypeError
+    # in the kernel factors; a bool is an int but not an order
+    values = {"sigma": 1, "k": 1, "n": 3}
+    given = dict(values, **{field: kind(values[field])})
+    if kind is np.int64:
+        spec = KernelSpec(**given)
+        assert spec == KernelSpec(**values) and spec.label() == "H1_n3"
+    else:
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            KernelSpec(**given)
+
+
 def test_phi_closed_form_values():
     assert phi(KernelSpec(0, 1, 3), 1.0, 2.0) == pytest.approx(1.0 / 24.0, rel=1e-14)
     assert phi(KernelSpec(0, 2, 3), 1.0, 2.0) == pytest.approx(19.0 / 240.0, rel=1e-14)
@@ -389,7 +405,7 @@ def test_kernel_sums_from_threads_equal_the_serial_results():
     # threads summing over one window never write into each other's buffers:
     # two terms and two rows, with power factors (sigma = 0) and with Bessel
     # factors (sigma = 1).  Each thread also takes turns between two
-    # windows, so plans replace each other and hand their memory on.
+    # windows, so plans replace each other in the one-entry slot.
     grid = RadialGrid.uniform(2048, 20.0)
     weights = [-np.exp(-((grid.r[200:800] - c) ** 2)) for c in (3.0, 4.0, 5.0, 6.0)]
     starts = (200, 210)
