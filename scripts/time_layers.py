@@ -1,10 +1,17 @@
 #!/usr/bin/env python3
-"""Time rhs, an RK4 step, the Bessel pair, invert_operator and certify for
-every in-scope kernel, and the Liouville oracle.
+"""Time a cold import, then rhs, an RK4 step, the Bessel pair,
+invert_operator and certify for every in-scope kernel, and the Liouville
+oracle.
 
-For each of the 16 in-scope operators (H1dot n = 1-5, H2dot n = 3-5,
-H1 n = 1-5, H2 n = 3-5) at N = 256, 512 and 2048 nodes on [0, 20], prints
-the best-of-k wall time of one ``solver.rhs`` and of one RK4
+First comes the cold start: the median wall time, launch to exit, of 7
+fresh interpreters that import ``epdiff_radial`` and its CLI, in
+milliseconds, and the number of ``scipy`` modules such an import loads.
+With ``--against DIR`` the fresh interpreters alternate between this
+checkout and DIR (put first on their ``PYTHONPATH``).
+
+Then, for each of the 16 in-scope operators (H1dot n = 1-5, H2dot
+n = 3-5, H1 n = 1-5, H2 n = 3-5) at N = 256, 512 and 2048 nodes on
+[0, 20], it prints the best-of-k wall time of one ``solver.rhs`` and of one RK4
 ``solver.step`` of 1e-3 (four rhs calls) on a deformed state: the standard
 negative bump on [2, 8] after ``solver.run`` to t = 0.2 in steps of 0.02.
 Then prints the best-of-k time of ``bessel.alpha_hat`` and
@@ -42,8 +49,10 @@ Usage:
 import argparse
 import importlib
 import importlib.util
+import os
 import pathlib
 import statistics
+import subprocess
 import sys
 import time
 import timeit
@@ -68,6 +77,12 @@ STEP_DT = 1e-3
 SAMPLE_S = 0.01
 REPEAT = 7
 LAYERS = ("bessel", "certify", "grid", "kernels", "liouville", "scenario", "solver")
+# what a cold start runs: the package's path and its count of scipy modules
+COLD_PROBE = (
+    "import sys, epdiff_radial, epdiff_radial.cli; "
+    "print(epdiff_radial.__file__, "
+    "sum(m.partition('.')[0] == 'scipy' for m in sys.modules))"
+)
 
 
 def load(src, name):
@@ -81,6 +96,31 @@ def load(src, name):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return {layer: importlib.import_module(f"{name}.{layer}") for layer in LAYERS}
+
+
+def cold_starts(srcs):
+    """REPEAT rounds of one fresh interpreter per src running COLD_PROBE,
+    in turn: the wall times in ms per round, and the scipy module count of
+    each src."""
+    rounds, counts = [], [None] * len(srcs)
+    for _ in range(REPEAT):
+        times = []
+        for i, src in enumerate(srcs):
+            env = dict(os.environ, PYTHONPATH=str(src))
+            start = time.perf_counter()
+            # no timeout: with one, subprocess polls the child in sleeps of
+            # up to 50 ms, which would round every time up to that grid
+            done = subprocess.run([sys.executable, "-c", COLD_PROBE], env=env,
+                                  capture_output=True, text=True)
+            times.append((time.perf_counter() - start) * 1e3)
+            if done.returncode:
+                raise SystemExit(f"cold import from {src} failed:\n{done.stderr}")
+            path, count = done.stdout.split()
+            if not pathlib.Path(path).resolve().is_relative_to(src):
+                raise SystemExit(f"cold import from {src} loaded {path}")
+            counts[i] = int(count)
+        rounds.append(times)
+    return rounds, counts
 
 
 def samples_us(funcs):
@@ -120,16 +160,27 @@ def main(argv=None):
     ap.add_argument("--against", type=pathlib.Path,
                     help="src directory of another checkout to time alongside")
     args = ap.parse_args(argv)
-    versions = [load(SRC, "epdiff_radial")]
-    names = ["this"]
-    if args.against is not None:
-        versions.append(load(args.against, "epdiff_against"))
-        names.append("vs")
-
+    srcs = [SRC] + ([args.against.resolve()] if args.against else [])
+    names = ["this", "vs"][: len(srcs)]
     print(f"# this = {SRC}"
-          + (f", vs = {args.against.resolve()}, ratio = median of {REPEAT}"
-             " rounds of this/vs" if args.against else "")
-          + f"; best of {REPEAT}, us per call")
+          + (f", vs = {srcs[1]}, ratio = median of {REPEAT}"
+             " rounds of this/vs" if args.against else ""))
+
+    print(f"# cold start: median of {REPEAT} fresh interpreters importing "
+          "epdiff_radial.cli, ms; scipy = modules loaded")
+    rounds, counts = cold_starts(srcs)
+    print(f"{'job':<10} {'':>5}" + heading("import", names)
+          + "".join(f" {f'scipy_{name}':>10}" for name in names))
+    medians = "".join(f" {statistics.median(times):>10.1f}"
+                      for times in zip(*rounds))
+    if len(srcs) == 2:
+        medians += f" {statistics.median(a / b for a, b in rounds):>6.2f}"
+    print(f"{'import':<10} {'':>5}" + medians
+          + "".join(f" {count:>10}" for count in counts))
+
+    versions = [load(src, name) for src, name in
+                zip(srcs, ("epdiff_radial", "epdiff_against"))]
+    print(f"# best of {REPEAT}, us per call")
     differing = []
 
     def compare(row, outputs):

@@ -48,12 +48,16 @@ at the origin, which come first, and runs its recurrence on the others.
 Radii in any other order are sorted first and their values mapped back.
 A value depends only on its order and radius, not on the other radii of the
 call, so the same radius gives the same bits either way.
+
+The scipy functions are imported inside the even-order branches, so
+``scipy.special`` loads on the first even-order call and never for odd
+orders: importing the library loads numpy alone, and a sigma = 0 or odd-n
+run never loads scipy.
 """
 
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import i0e, i1e, k0e, k1e
 
 __all__ = [
     "alpha_hat",
@@ -141,6 +145,8 @@ def _alpha_recurrence(first, r, out):
         np.subtract(1.0, e2, out=out[1])
         out[1] /= 2.0 * r
     else:
+        from scipy.special import i0e, i1e
+
         i0e(r, out=out[0])
         i1e(r, out=out[1])
         out[1] *= 2.0
@@ -214,6 +220,8 @@ def beta_hat(orders, r):
         np.add(1.0, s, out=rows[1])
         rows[1] /= 3.0
     else:
+        from scipy.special import k0e, k1e
+
         k0e(s, out=rows[0])
         np.multiply(0.5, s, out=rows[1])
         rows[1] *= k1e(s)

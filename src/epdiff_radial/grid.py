@@ -30,8 +30,13 @@ class RadialGrid:
 
     def __post_init__(self):
         self.r = np.asarray(self.r, dtype=float)
-        if self.r[0] != 0.0 or (self.r[1:] <= self.r[:-1]).any():
-            raise ValueError("grid nodes must start at 0 and strictly increase")
+        # NaN fails every comparison, so a NaN node fails the strict
+        # increase; strictly increasing nodes from 0 are finite exactly when
+        # the last one is
+        if (self.r[0] != 0.0 or not (self.r[1:] > self.r[:-1]).all()
+                or not np.isfinite(self.r[-1])):
+            raise ValueError(
+                "grid nodes must start at 0, strictly increase and be finite")
         if not 0 < self.r_support <= 0.6 * self.r_max:
             raise ValueError("r_support must lie in (0, 0.6*R_max]")
         self.quadrature = CorrectedTrapezoid(self.r)

@@ -568,18 +568,19 @@ class _SumPlan:
 
     - the ``quadrature.SumWindow`` of the 2T integrands and a buffer for
       their running sums;
-    - the factor buffers: f_t and df_t on the nodes 0 to max(i1, stop) - 1
-      (node 0 of df_t holds df_t(0), which the formulas never write), g_t
-      and dg_t on the nodes i0 + 1 to N - 1, as the row views the case's
-      formulas write into;
-    - the integrand sources (f_t and g_t on the nodes lo = max(start, 1)
-      to stop - 1) paired with their sample slots;
+    - one factor buffer of shape (2, T, 2, N), indexed (inner or outer,
+      term, value or derivative, node): f_t and df_t on the nodes 0 to
+      max(i1, stop) - 1, where node 0 holds f_t(0) = 0 and df_t(0), which
+      the formulas never write, and g_t and dg_t on the nodes i0 + 1 to
+      N - 1, with the row views the case's formulas write into;
+    - the integrand source (f_t and g_t on the nodes lo = max(start, 1) to
+      stop - 1) and the window's samples viewed as (2, T, L), so that the
+      2T integrands are one multiply;
     - a buffer for the tail sums inside the window;
-    - a (2, N) result buffer, the three regions of each row (nodes 1 to
-      i0, or 0 to i0 in row 1, i0 + 1 to i1 - 1 and i1 to N - 1), the
-      factor and sum slices that fill them and scratch rows for the
-      products that are added into a region.  Node 0 of row 0 is never
-      written and stays 0.
+    - a (T, 2, N) buffer of the products of each term and row, and for each
+      row count the factor and sum views of its three regions (nodes 0 to
+      i0, i0 + 1 to i1 - 1 and i1 to N - 1), so that each region product
+      is one ufunc over all terms and rows.
     """
 
     def __init__(self, case, quadrature, num, start, stop, x_dtype, w_dtype):
@@ -589,59 +590,48 @@ class _SumPlan:
         dtype = np.result_type(w_dtype, fdtype)
         self.window = quadrature.window(start, stop, (2 * terms,), dtype)
         m, width = max(i1, stop), i1 - i0 - 1
-        # scratch rows: f_t suf_t inside the window, and with two terms the
-        # second term's products below, inside and above it, formed before
-        # they are added
-        shapes = [((terms, 2, m), fdtype), ((terms, 2, num - i0 - 1), fdtype),
-                  ((2 * terms, i1 - i0), dtype), ((terms, width), dtype),
-                  ((2, num), dtype), ((width,), dtype)]
-        if terms > 1:
-            shapes += [((i0 + 1,), dtype), ((width,), dtype), ((num - i1,), dtype)]
-        inner, outer, run, suf, out, f_suf, *second = [
-            np.empty(shape, dtype) for shape, dtype in shapes]
+        factors = np.empty((2, terms, 2, num), fdtype)
+        inner, outer = factors
+        inner[:, 0, 0] = 0.0
         inner[:, 1, 0] = case.df_origin
-        out[0, 0] = 0.0
         self.nodes = slice(1, m), slice(i0 + 1, None)
-        self.factors = (tuple((f[1:], df[1:]) for f, df in inner),
-                        tuple((g, dg) for g, dg in outer))
+        self.factors = (tuple((f[1:m], df[1:m]) for f, df in inner),
+                        tuple((g[i0 + 1 :], dg[i0 + 1 :]) for g, dg in outer))
         lo = max(start, 1)
         self.weight = slice(lo - start, None)
         samples = self.window.samples
-        self.integrands = [
-            pair for t in range(terms) for pair in (
-                (inner[t, 0, lo:stop], samples[t, lo - start :]),
-                (outer[t, 0, lo - i0 - 1 : stop - i0 - 1],
-                 samples[terms + t, lo - start :]),
-            )
-        ]
+        self.integrands = (factors[:, :, 0, lo:stop],
+                           samples.reshape((2, terms, -1))[..., lo - start :])
         self.origin = samples[:, 0] if start == 0 else None
         # the running sums: pre_t on the nodes i0 + 1 to i1 - 1 in row t
         # (its total last), those of g_t in row T + t
-        self.run, self.suf = run, suf
+        run = self.run = np.empty((2 * terms, i1 - i0), dtype)
+        self.suf = np.empty((terms, width), dtype)
         self.suf_parts = run[terms:, -1:], run[terms:, :width]
-        self.out, self.f_suf = out, f_suf
-        below_t = second[0] if second else None
-        self.second = second[1:]
-        self.views = []
-        for t in range(terms):
-            sums = run[terms + t, -1:], run[t, :width], suf[t], run[t, -1:]
-            rows = [
-                (f[first : i0 + 1], row[first : i0 + 1],
-                 None if below_t is None else below_t[first:],
-                 g[:width], f[i0 + 1 : i1], row[i0 + 1 : i1], g[width:],
-                 row[i1:])
-                for first, row, f, g in zip((1, 0), out, inner[t], outer[t])
-            ]
-            self.views.append((sums, rows))
+        # each sum as a (T, 1, nodes) view, to broadcast over the rows
+        suf_total, pre, suf, pre_total = (
+            run[terms:, None, -1:], run[:terms, None, :width], self.suf[:, None],
+            run[:terms, None, -1:])
+        products = np.empty((terms, 2, num), dtype)
+        f_suf = np.empty((terms, 2, width), dtype)
+        self.regions = {}
+        for rows in (1, 2):
+            f, g, p = inner[:, :rows], outer[:, :rows], products[:, :rows]
+            self.regions[rows] = (
+                f[..., : i0 + 1], suf_total, p[..., : i0 + 1],
+                g[..., i0 + 1 : i1], pre, p[..., i0 + 1 : i1],
+                f[..., i0 + 1 : i1], suf, f_suf[:, :rows],
+                g[..., i1:], pre_total, p[..., i1:],
+                tuple(p),
+            )
 
     def sums(self, case, x, weight, rows):
         """The kernel sums of ``kernel_sums``, into a fresh (rows, N) array."""
         inner, outer = self.factors
         case.inner(x[self.nodes[0]], out=inner)
         case.outer(x[self.nodes[1]], out=outer)
-        w = weight[self.weight]
-        for source, slot in self.integrands:
-            np.multiply(source, w, out=slot)
+        source, samples = self.integrands
+        np.multiply(source, weight[self.weight], out=samples)
         if self.origin is not None:
             # n = 1 data with z_0(0) != 0 puts weight on the origin node,
             # where only f and g are needed (dg may be singular there, and
@@ -655,30 +645,21 @@ class _SumPlan:
         self.window.sums(out=self.run)
         # nodes i0 + 1 to i1 - 1 see both sums: pre on them, and suf = total - pre
         np.subtract(*self.suf_parts, out=self.suf)
-        out = self.out[:rows]
-        # row 0 pairs f with g, row 1 df with dg (its node 0 takes
-        # df_t(0) suf_t(0)).  Each region is written by the first term and
-        # the later terms are added in order; the closing + 0 into zeros
-        # turns -0 into +0 (and leaves the padding bytes of a longdouble
-        # zero), so the rows are bit for bit the sums of the terms added
-        # into zeros
-        for t, ((suf_total, pre, suf, pre_total), row_views) in enumerate(
-                self.views):
-            for (f_below, below, below_t, g_both, f_both, both, g_above,
-                 above) in row_views[:rows]:
-                if t == 0:
-                    np.multiply(f_below, suf_total, out=below)
-                    np.multiply(g_both, pre, out=both)
-                    both += np.multiply(f_both, suf, out=self.f_suf)
-                    np.multiply(g_above, pre_total, out=above)
-                else:
-                    g_pre, above_t = self.second
-                    below += np.multiply(f_below, suf_total, out=below_t)
-                    np.multiply(g_both, pre, out=g_pre)
-                    g_pre += np.multiply(f_both, suf, out=self.f_suf)
-                    both += g_pre
-                    above += np.multiply(g_above, pre_total, out=above_t)
-        return np.add(out, 0.0, out=np.zeros(out.shape, dtype=out.dtype))
+        # row 0 pairs f with g, row 1 df with dg; node 0 takes f_t(0)
+        # suf_t(0) = 0 and df_t(0) suf_t(0)
+        (f_below, suf_total, below, g_both, pre, both, f_both, suf, f_suf,
+         g_above, pre_total, above, terms) = self.regions[rows]
+        np.multiply(f_below, suf_total, out=below)
+        np.multiply(g_both, pre, out=both)
+        both += np.multiply(f_both, suf, out=f_suf)
+        np.multiply(g_above, pre_total, out=above)
+        # the terms added in order into zeros, which turns -0 into +0 (and
+        # leaves the padding bytes of a longdouble zero), so the rows are bit
+        # for bit the sums of the terms added into zeros
+        out = np.zeros(terms[0].shape, dtype=terms[0].dtype)
+        for term in terms:
+            out += term
+        return out
 
 
 # The plan of the latest kernel_sums call and its key: a solver run sums
@@ -712,13 +693,13 @@ def kernel_sums(case, quadrature, x, weight, start=0, derivatives=False):
     slots, the output regions and every slice between them) depends only
     on the case, the quadrature, the node range and the dtypes of x and
     weight, and the output regions on the row count too.  It is set up as
-    one plan on the first call for them (the regions on the first call
-    with that row count) and kept until a call with another key, so the
-    stages of a solver run set it up once and a call is its ufuncs alone:
-    the case's factor formulas write into the plan's buffers, one multiply
-    per integrand writes into the window, then the window's sums, one
-    subtraction for the tail sums and the region products.  Each call
-    returns a fresh array.
+    one plan on the first call for them and kept until a call with another
+    key, so the stages of a solver run set it up once and a call is its
+    ufuncs alone: the case's factor formulas write into the plan's buffers,
+    one multiply writes the 2T integrands into the window, then come the
+    window's sums, one subtraction for the tail sums, one product per
+    region over every term and row, and the terms added in order into a
+    fresh array.
     """
     num = len(x)
     stop = start + len(weight)

@@ -33,7 +33,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .kernels import apply_operator, kernel_case, kernel_sums
 
@@ -269,7 +268,12 @@ def transport_residual(spec, grid, init, state):
     to the fixed grid with a C^2 cubic spline, applies the operator by finite
     differences, and compares against the conserved z_0.  Diagnostic only:
     accuracy is interpolation-limited, especially outside the image of gamma.
+    The spline is scipy's ``CubicSpline``, imported here rather than with
+    the module: ``scipy.interpolate`` loads a few hundred scipy modules,
+    which no other part of the library needs.
     """
+    from scipy.interpolate import CubicSpline
+
     dgamma, _ = rhs(spec, grid, init, state.gamma, state.rho)
     z_max = float(np.max(np.abs(init.z0)))
     if z_max == 0.0:

@@ -3,9 +3,12 @@
 Tools that wrap the library from outside look up each ``__all__`` name, so a
 stale entry left behind by a deletion breaks them; the scripts import the
 library at start-up, so a pruned name they use fails their ``--help``.
+Importing the library loads no scipy module: scipy loads only where an
+even-order Bessel value or ``solver.transport_residual`` needs it.
 """
 
 import importlib
+import json
 import os
 import pathlib
 import pkgutil
@@ -27,6 +30,43 @@ EXPORTING = [
     if hasattr(importlib.import_module(name), "__all__")
 ]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+# Imports the package and the CLI, certifies and steps a sigma = 0 and an
+# odd-n sigma = 1 kernel, then evaluates an even-order Bessel value, and
+# prints the scipy modules loaded after each stage.
+SCIPY_PROBE = """
+import json, sys
+import numpy as np
+import epdiff_radial, epdiff_radial.cli
+from epdiff_radial import bessel, scenario, solver
+from epdiff_radial.certify import certify
+from epdiff_radial.grid import RadialGrid
+from epdiff_radial.kernels import KernelSpec
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+loaded = {"import": scipy_modules()}
+grid = RadialGrid.uniform(128, 20.0)
+bump = {"amplitude": 1.0, "r_lo": 2.0, "r_hi": 8.0}
+for spec in (KernelSpec(0, 2, 3), KernelSpec(1, 1, 3)):
+    init = scenario.builtin_initial_data("neg_bump", bump, grid, spec.n)
+    assert certify(spec, grid, init.omega0).passed
+    state = solver.FlowState(0.0, grid.r.copy(), np.ones(grid.num))
+    for _ in range(3):
+        state = solver.step(spec, grid, init, state, 1e-3)
+    loaded[spec.label()] = scipy_modules()
+bessel.beta_hat((2,), grid.r)
+loaded["even"] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def _env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return env
 
 
 @pytest.mark.parametrize("name", EXPORTING)
@@ -45,13 +85,23 @@ def test_every_exported_name_resolves(name):
     ids=[path.name for path in SCRIPTS] + ["cli"],
 )
 def test_entry_point_help(argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
     done = subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env=env,
+        [sys.executable, *argv], capture_output=True, text=True, env=_env(),
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert "usage:" in done.stdout
+
+
+def test_scipy_loads_only_where_it_is_used():
+    # a fresh interpreter, since this one has imported scipy already
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE], capture_output=True, text=True,
+        env=_env(), timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout)
+    for stage in ("import", "H2dot_n3", "H1_n3"):
+        assert loaded[stage] == [], f"{stage} loaded {loaded[stage][:5]}"
+    assert "scipy.special" in loaded["even"]
+    assert not [m for m in loaded["even"] if m.startswith("scipy.interpolate")]

@@ -81,6 +81,27 @@ def test_fewer_than_three_nodes():
         grid.quadrature.prefix(f[1:], start=1)
 
 
+@pytest.mark.parametrize(
+    "nodes",
+    [
+        [0.0, 1.0, np.nan, 3.0, 4.0, 5.0],
+        [0.0, 1.0, 2.0, 3.0, 4.0, np.inf],
+        [np.nan, 1.0, 2.0, 3.0, 4.0, 5.0],
+        [0.0, 1.0, 2.0, 3.0, 4.0, np.nan],
+        [0.0, 1.0, 1.0, 3.0, 4.0, 5.0],
+        [0.0, 2.0, 1.0, 3.0, 4.0, 5.0],
+        [1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+    ],
+    ids=["nan_inside", "inf_last", "nan_first", "nan_last", "repeated",
+         "decreasing", "not_from_zero"],
+)
+def test_grid_rejects_nodes_that_are_not_finite_and_increasing(nodes):
+    # a NaN fails every comparison, so a check for a decrease let it through
+    # and built NaN quadrature bands; an infinite last node gave r_max = inf
+    with pytest.raises(ValueError, match="strictly increase and be finite"):
+        RadialGrid(np.array(nodes), 1.0)
+
+
 BAND_GRIDS = [RadialGrid.uniform(96, 20.0), RadialGrid.graded(81, 20.0, 1.7)]
 
 
