@@ -15,10 +15,11 @@ n = 3-5, H1 n = 1-5, H2 n = 3-5) at N = 256, 512 and 2048 nodes on
 ``solver.step`` of 1e-3 (four rhs calls) on a deformed state: the standard
 negative bump on [2, 8] after ``solver.run`` to t = 0.2 in steps of 0.02.
 Then prints the best-of-k time of ``bessel.alpha_hat`` and
-``bessel.beta_hat`` for the orders of each sigma = 1 operator, on the radii
-where its rhs evaluates them (the deformed nodes 1 to max(i1, stop) - 1 for
-alpha and i0 + 1 to N - 1 for beta, with (i0, i1) the quadrature's reach of
-the support start to stop - 1) at N = 256 and 2048.  Then prints the
+``bessel.beta_hat`` for the orders of each sigma = 1 operator with Bessel
+orders, and of its ``KernelCase.inner``, on the radii where its rhs
+evaluates them (the deformed nodes 1 to max(i1, stop) - 1 for alpha and the
+inner factors and i0 + 1 to N - 1 for beta, with (i0, i1) the quadrature's
+reach of the support start to stop - 1) at N = 256 and 2048.  Then prints the
 best-of-k time of ``invert_operator`` at N = 4096 for a negative bump on
 [0.5, 2], and of ``certify.certify`` at N = 512 for the standard bump,
 after the time of the first ``certify`` call of the process
@@ -34,13 +35,16 @@ by sample, with a column for each and their ratio: this machine's speed drifts b
 between processes, so timings from separate runs do not compare.  The
 ratio is the median of the 7 ratios of samples taken side by side, so a
 slow stretch that covers the best sample of one version alone does not
-show up as a gain or a loss.  It also
-compares what the two versions return: a last column says ``same`` when
-every output of the row is byte for byte equal (``rhs``, ``step`` from the
-state with and without its stored rate, the Bessel values,
-``invert_operator``, the certificate report, the oracle's times and q
-history) and ``DIFFER`` otherwise, and the script exits with status 1 if
-any row differs.
+show up as a gain or a loss.  Both versions start from the deformed
+state of this checkout.  It also compares what the two versions return: a
+last column says ``same`` when every output of the row is byte for byte
+equal (``rhs``, ``step`` from the state with and without its stored rate,
+the Bessel values, the inner factors, ``invert_operator``, the certificate
+report, the oracle's times and q history) and ``DIFFER`` otherwise,
+followed by the largest relative difference: over the outputs and their
+rows, max |this - vs| / max |vs| along the row (for a certificate report,
+over its numbers one by one, and inf if its text differs), and the script
+exits with status 1 if any row differs.
 
 Usage:
     python3 scripts/time_layers.py [--against DIR]
@@ -51,11 +55,14 @@ import importlib
 import importlib.util
 import os
 import pathlib
+import re
 import statistics
 import subprocess
 import sys
 import time
 import timeit
+
+import numpy as np
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 IN_SCOPE = (
@@ -155,6 +162,39 @@ def as_bytes(*arrays):
     return b"".join(a.dtype.str.encode() + a.tobytes() for a in arrays)
 
 
+def text_bytes(text):
+    return np.frombuffer(text.encode(), np.uint8)
+
+
+def report_numbers(report):
+    """A certificate report as its text without numbers, and its numbers,
+    one per row."""
+    number = r"[-+]?(?:\d+\.?\d*(?:e[-+]?\d+)?|inf|nan)"
+    return (re.sub(number, "#", report),
+            np.array(re.findall(number, report), float)[:, None])
+
+
+def largest_difference(this, vs):
+    """max |this - vs| / max |vs| over the arrays and their rows (last axis);
+    inf when a shape differs or an array that is not of floats does."""
+    worst = 0.0
+    for a, b in zip(this, vs):
+        a, b = np.atleast_1d(a), np.atleast_1d(b)
+        if a.shape != b.shape or (
+                a.dtype.kind != "f" and not np.array_equal(a, b)):
+            return np.inf
+        if not a.size or a.dtype.kind != "f":
+            continue
+        a, b = a.reshape(-1, a.shape[-1]), b.reshape(-1, b.shape[-1])
+        same = (a == b) | (np.isnan(a) & np.isnan(b))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rows = (np.where(same, 0.0, np.abs(a - b)).max(axis=-1)
+                    / np.abs(b).max(axis=-1))
+        rows[same.all(axis=-1)] = 0.0
+        worst = max(worst, float(np.nan_to_num(rows, nan=np.inf).max()))
+    return worst
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--against", type=pathlib.Path,
@@ -183,14 +223,16 @@ def main(argv=None):
     print(f"# best of {REPEAT}, us per call")
     differing = []
 
-    def compare(row, outputs):
-        """The output column: '' for one version, else same or DIFFER."""
+    def compare(row, outputs, numbers=None):
+        """The output column for one tuple of arrays per version: '' for
+        one version, else same, or DIFFER and the largest relative
+        difference of ``numbers`` (the outputs themselves by default)."""
         if len(outputs) < 2:
             return ""
-        same = outputs[0] == outputs[1]
-        if not same:
-            differing.append(row)
-        return f" {'same' if same else 'DIFFER':>6}"
+        if as_bytes(*outputs[0]) == as_bytes(*outputs[1]):
+            return f" {'same':>6}"
+        differing.append(row)
+        return f" {'DIFFER':>6} {largest_difference(*(numbers or outputs)):.1e}"
 
     print(f"{'spec':<10} {'N':>5}" + heading("rhs", names) + heading("step", names)
           + output_heading(names))
@@ -198,14 +240,16 @@ def main(argv=None):
     for num in RHS_GRID_N:
         for sigma, k, n in IN_SCOPE:
             rhs_calls, step_calls, outputs, bessel_args = [], [], [], []
+            warped = None
             for lib in versions:
                 solver = lib["solver"]
                 spec = lib["kernels"].KernelSpec(sigma, k, n)
                 grid = lib["grid"].RadialGrid.uniform(num, R_MAX)
                 init = lib["scenario"].builtin_initial_data("neg_bump", BUMP, grid, n)
-                _, warped = solver.run(spec, grid, init, dt=WARP_DT,
-                                       horizon=WARP_STEPS * WARP_DT,
-                                       record_snapshots=False)
+                if warped is None:
+                    _, warped = solver.run(spec, grid, init, dt=WARP_DT,
+                                           horizon=WARP_STEPS * WARP_DT,
+                                           record_snapshots=False)
                 # without the stored rate, so that step evaluates four stages
                 state = solver.FlowState(warped.t, warped.gamma, warped.rho)
                 call = (spec, grid, init, state)
@@ -217,13 +261,14 @@ def main(argv=None):
                                          rate=rate.copy())
                 steps = [step_calls[-1](),
                          solver.step(spec, grid, init, rated, STEP_DT)]
-                outputs.append(as_bytes(
-                    rate, *(a for st in steps for a in (st.gamma, st.rho))))
+                outputs.append(
+                    (rate, *(a for st in steps for a in (st.gamma, st.rho))))
                 case = lib["kernels"].kernel_case(spec)
                 start, stop = init.support_start, init.support_index + 1
                 i0, i1 = grid.quadrature.reach(start, stop)
                 bessel_args.append((
-                    lib["bessel"], (case.alpha_orders, state.gamma[1:max(i1, stop)]),
+                    lib["bessel"], case,
+                    (case.alpha_orders, state.gamma[1:max(i1, stop)]),
                     (case.beta_orders, state.gamma[i0 + 1:])))
             print(f"{spec.label():<10} {num:>5}"
                   + cells(samples_us(rhs_calls))
@@ -233,14 +278,17 @@ def main(argv=None):
                 bessel_rows.append((spec.label(), num, bessel_args))
 
     print(f"{'spec':<10} {'N':>5}" + heading("alpha", names)
-          + heading("beta", names) + output_heading(names))
+          + heading("beta", names) + output_heading(names)
+          + heading("inner", names) + output_heading(names))
     for label, num, bessel_args in bessel_rows:
-        alpha = [lambda f=bes.alpha_hat, a=a: f(*a) for bes, a, _ in bessel_args]
-        beta = [lambda f=bes.beta_hat, b=b: f(*b) for bes, _, b in bessel_args]
-        outputs = [as_bytes(*fa().values(), *fb().values())
-                   for fa, fb in zip(alpha, beta)]
+        alpha = [lambda f=bes.alpha_hat, a=a: f(*a) for bes, _, a, _ in bessel_args]
+        beta = [lambda f=bes.beta_hat, b=b: f(*b) for bes, _, _, b in bessel_args]
+        inner = [lambda f=case.inner, r=a[1]: f(r) for _, case, a, _ in bessel_args]
+        outputs = [(*fa().values(), *fb().values()) for fa, fb in zip(alpha, beta)]
         print(f"{label:<10} {num:>5}" + cells(samples_us(alpha))
-              + cells(samples_us(beta)) + compare(f"bessel {label} {num}", outputs))
+              + cells(samples_us(beta)) + compare(f"bessel {label} {num}", outputs)
+              + cells(samples_us(inner))
+              + compare(f"inner {label} {num}", [(f(),) for f in inner]))
 
     print(f"{'spec':<10} {'N':>5}" + heading("invert", names)
           + output_heading(names))
@@ -255,8 +303,7 @@ def main(argv=None):
                          a=(spec, grid, omega): f(*a))
         print(f"{spec.label():<10} {INVERT_GRID_N:>5}"
               + cells(samples_us(calls))
-              + compare(f"invert {spec.label()}",
-                        [as_bytes(call()) for call in calls]))
+              + compare(f"invert {spec.label()}", [(call(),) for call in calls]))
 
     print(f"{'spec':<10} {'N':>5}" + heading("certify", names)
           + output_heading(names))
@@ -278,8 +325,12 @@ def main(argv=None):
         first.append((time.perf_counter() - start) * 1e6)
     print(f"{'first':<10} {CERTIFY_GRID_N:>5}" + cells([first]))
     for label, calls in certify_calls:
+        reports = [call().report() for call in calls]
         print(f"{label:<10} {CERTIFY_GRID_N:>5}" + cells(samples_us(calls))
-              + compare(f"certify {label}", [call().report() for call in calls]))
+              + compare(f"certify {label}",
+                        [(text_bytes(report),) for report in reports],
+                        [(text_bytes(text), numbers) for text, numbers
+                         in map(report_numbers, reports)]))
 
     print(f"{'job':<10} {'N':>5}" + heading("oracle", names)
           + output_heading(names))
@@ -293,7 +344,7 @@ def main(argv=None):
         calls.append(lambda f=liouville.liouville_picard_oracle,
                      a=(z0, horizon, grid): f(*a))
     print(f"{'liouville':<10} {ORACLE_GRID_N:>5}" + cells(samples_us(calls))
-          + compare("oracle", [as_bytes(*call()) for call in calls]))
+          + compare("oracle", [tuple(call()) for call in calls]))
     if differing:
         print(f"# outputs differ in {len(differing)} rows: " + ", ".join(differing))
     return 1 if differing else 0

@@ -39,8 +39,11 @@ all requested orders from one table of powers of r^2/4.  Against mpmath the
 relative error is below 1e-14 for p <= 9 on 1e-4 <= r <= 40; frozen mpmath
 values pin it in the test suite.
 
-Every caller in the library passes increasing radii (the solver's nodes, a
-grid, distinct certificate radii).  Each function writes into one output
+Every caller in the library passes increasing radii: the solver's nodes
+(to ``beta_hat``, and to ``alpha_hat`` only when they reach
+``kernels.SERIES_RADIUS``; below it the inner kernel factors are summed
+from their own power series), a grid, or distinct certificate radii.  Each
+function writes into one output
 with a row per order.  :func:`alpha_hat` splits the radii once at
 SERIES_CUTOFF with a binary search and writes the series block and the
 recurrence block into slices of its rows; :func:`beta_hat` sets the radii

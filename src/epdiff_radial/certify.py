@@ -307,13 +307,13 @@ def h2_ratio_bounds(n, r):
                                               >= sqrt(1/4 + r^2/n^2) - 1/2.
 
     Evaluated through the exponentially scaled variants so the e^{+-r}
-    factors cancel exactly.  ``r`` must be strictly positive and increasing;
-    returns per-inequality pass flags and worst slacks (>= 0 means the
-    inequality holds with that margin).
+    factors cancel exactly.  ``r`` must be finite, strictly positive and
+    increasing (ValueError otherwise); returns per-inequality pass flags and
+    worst slacks (>= 0 means the inequality holds with that margin).
     """
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0) or np.any(np.diff(r) <= 0.0):
-        raise ValueError("r must be strictly positive and increasing")
+    if not (np.isfinite(r).all() and (r > 0.0).all() and (np.diff(r) > 0.0).all()):
+        raise ValueError("r must be finite, strictly positive and increasing")
     a = bessel.alpha_hat((n - 2, n), r)
     b = bessel.beta_hat((n - 2, n), r)
     lam_a = a[n - 2] / a[n]
@@ -347,19 +347,18 @@ def monitored_quantity(cert, state):
     m smooth and positive at the origin, so specs with Q(0) = 0 need no
     special treatment; at the origin node q = rho^{p+1}.
     """
+    return _monitored(cert, state.gamma, state.rho,
+                      q_weight_smooth(cert.spec, cert.grid.r[1:]))
+
+
+def _monitored(cert, gamma, rho, m_r):
+    """monitored_quantity at (gamma, rho), given m on the grid nodes past 0."""
     spec = cert.spec
-    r = cert.grid.r
-    gamma, rho = state.gamma, state.rho
     p = kernel_case(spec).q_power
     q = np.empty_like(rho)
     q[0] = rho[0] ** (p + 1)
-    ratio = gamma[1:] / r[1:]
-    q[1:] = (
-        ratio**p
-        * q_weight_smooth(spec, gamma[1:])
-        / q_weight_smooth(spec, r[1:])
-        * rho[1:]
-    )
+    ratio = gamma[1:] / cert.grid.r[1:]
+    q[1:] = ratio**p * q_weight_smooth(spec, gamma[1:]) / m_r * rho[1:]
     return q
 
 
@@ -368,15 +367,14 @@ def check_dominance(cert, record):
 
     Passes when every margin is >= -1e-4 (discretization slack); the
     comparison theorem gives margin >= 0 in the continuum, with equality
-    at t = 0.
+    at t = 0.  m on the fixed grid is evaluated once for every snapshot.
     """
-    from .solver import FlowState
-
     if not record.snapshots:
         raise ValueError("trajectory was recorded without snapshots")
+    m_r = q_weight_smooth(cert.spec, cert.grid.r[1:])
     margins = []
     for t, (gamma, rho) in zip(record.times, record.snapshots):
-        q = monitored_quantity(cert, FlowState(t=t, gamma=gamma, rho=rho))
+        q = _monitored(cert, gamma, rho, m_r)
         margins.append(float(np.min(majorant(cert, t) - q)))
     margins = np.asarray(margins)
     return {

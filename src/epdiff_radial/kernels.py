@@ -16,7 +16,10 @@ at every node in O(N) (``kernel_sums``, which works over the support window
 of the weight only).  Each case is one subclass of ``KernelCase`` holding
 all of its formulas (Camassa-Holm, n = 1 of H^1, is a subclass of the H^1
 case with factors of its own); ``kernel_case`` builds the spec's instance,
-which evaluates each Bessel order a formula needs once per call.
+which evaluates each Bessel order a formula needs once per call.  The inner
+factors of the sigma = 1 cases with Bessel orders are power series in r^2
+with coefficients of one sign, summed from one table of powers below
+SERIES_RADIUS, so the solver's inner side calls no Bessel function.
 
 Also evaluates the comparison weight Q(r) = 1/(r phi(0, r)) and the diagonal
 criterion
@@ -26,6 +29,7 @@ criterion
 whose uniform lower bound C > 0 drives the blowup certificates.
 """
 
+import bisect
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -52,6 +56,13 @@ __all__ = [
     "invert_operator",
     "apply_operator",
 ]
+
+# Inner factors on radii below SERIES_RADIUS come from their power series
+# (KernelCase.inner), summed until the tail is below SERIES_TAIL of the sum.
+# The powers of r^2 that the series needs overflow not far above it, so it
+# is a hard limit: larger radii take the Bessel recurrences.
+SERIES_RADIUS = 30.0
+SERIES_TAIL = 2.0**-64
 
 
 @dataclass(frozen=True)
@@ -121,8 +132,44 @@ def _fresh_factors(method, terms, x):
     """method(x, out) on a fresh array of shape (terms, 2) + x.shape."""
     x = np.asarray(x)
     factors = np.empty((terms, 2, x.size), dtype=np.result_type(x, float))
-    method(x.reshape(-1), tuple((f, df) for f, df in factors))
+    method(x.reshape(-1), factors)
     return factors.reshape((terms, 2) + x.shape)
+
+
+def _inner_series(rows, radius):
+    """The power series in r^2 of the inner factors, for radii below radius.
+
+    ``rows`` gives each term's f_t(r) = r^(2 shift + 1) alpha_p(r) / divisor
+    as (p, shift, divisor), with integer divisor.  From alpha_p(r) =
+    sum_j r^(2j) / prod_{i <= j} 2i (p + 2i) (DLMF 10.25.2),
+
+        f_t(r) = r sum_j A[j, t, 0] r^(2j),  df_t(r) = sum_j A[j, t, 1] r^(2j),
+
+    with A[j, t, 1] = (2j + 1) A[j, t, 0], each coefficient the correctly
+    rounded quotient of two integers.  All the coefficients of a row have
+    one sign, so every sum adds terms of one sign.  Returns (A, reach): A
+    for the terms that radius needs, and reach[i], the largest r^2 on a
+    grid of [0, radius] at which the terms 0 to i leave a tail below
+    SERIES_TAIL of every row's sum.  The relative tail grows with r, so i + 1
+    terms are enough for every r^2 <= reach[i].
+    """
+    cap = 64
+    coefficients = np.zeros((cap, len(rows), 2))
+    for t, (p, shift, divisor) in enumerate(rows):
+        d = divisor
+        for j in range(shift, cap):
+            if j > shift:
+                d *= 2 * (j - shift) * (p + 2 * (j - shift))
+            coefficients[j, t] = 1 / d, (2 * j + 1) / d
+    x = np.linspace(0.0, radius, 257)[1:] ** 2
+    terms = np.abs(coefficients.reshape(cap, -1, 1)) * x ** np.arange(cap)[:, None, None]
+    tails = np.cumsum(terms[::-1], axis=0)[::-1]
+    enough = (tails[1:] <= SERIES_TAIL * tails[0]).all(axis=1).sum(axis=1)
+    reach = [float(x[k - 1]) if k else 0.0 for k in enough]
+    needed = bisect.bisect_left(reach, x[-1]) + 1
+    if needed > len(reach):
+        raise ValueError(f"{cap} terms do not reach r = {radius}")
+    return coefficients[:needed].copy(), reach[:needed]
 
 
 class KernelCase:
@@ -131,17 +178,20 @@ class KernelCase:
     ``inner(r)`` and ``outer(s)`` give the separable factors
     delta(r, s) = sum_t f_t(r) g_t(s) of every term at once, as the pairs
     (f_t, df_t) or (g_t, dg_t), fresh or written into the rows of a
-    caller's buffer (``kernel_sums`` keeps one per window).  Each evaluates
-    the Bessel orders its case declares (``alpha_offsets`` and
-    ``beta_offsets``, from n) once per call and passes them to the case's
-    factor formulas ``_inner(r, a, out)`` and ``_outer(s, b, out)`` as
-    a = {p: alpha_p(r)} and b = {p: s^p beta_p(s)}.  The formulas write
-    each factor into its row of ``out`` with the operations, in the order
-    and dtype, of the expression they stand for, so a factor is the same
-    bit for bit as that expression.  They make no temporary arrays: the
-    sigma = 1 formulas take their scratch from rows of ``out`` that they
-    write later, or from the arrays of ``b``, which are theirs to
-    overwrite.  ``_terms`` is the number of terms T.
+    caller's buffer (``kernel_sums`` keeps one per window).  ``_terms`` is
+    the number of terms T.  ``outer`` evaluates the beta orders its case
+    declares (``beta_offsets``, from n) once per call and passes them to the
+    case's factor formula ``_outer(s, b, out)`` as b = {p: s^p beta_p(s)}.
+    The formula writes each factor into its row of ``out`` with the
+    operations, in the order and dtype, of the expression it stands for, so
+    a factor is the same bit for bit as that expression, and makes no
+    temporary arrays: the sigma = 1 ones take their scratch from the arrays
+    of ``b``, which are theirs to overwrite.  ``inner`` of a case with alpha
+    orders (``alpha_offsets``) sums its factors from their power series
+    (``_series_rows``, see ``_inner_series``) while every radius is below
+    SERIES_RADIUS, and else passes a = {p: alpha_p(r)} to the plain
+    expressions of ``_inner(r, a, out)``; the ``_inner`` of the other cases
+    take no Bessel values and are written like ``_outer``.
 
     ``phi(r, s, a, b)`` is the kernel and ``phi_factor(r, s, a, b)`` the
     factor of phi whose log is not a sum of a function of r and one of s;
@@ -178,19 +228,51 @@ class KernelCase:
         self.m_order = None if self.m_offset is None else n + self.m_offset
         self.q_power = n + self.q_offset
         self.kappa, self.s_origin = self._origin(n)
+        if self.alpha_orders:
+            self._series, self._reach = _inner_series(
+                self._series_rows(n), SERIES_RADIUS)
         self.df_origin = tuple(float(df[0]) for _, df in self.inner(np.zeros(1)))
 
     def inner(self, r, out=None):
-        """out[t] = (f_t(r), df_t(r)) for each term t.
+        """out[t] = (f_t(r), df_t(r)) for each term t, r >= 0.
 
         Without ``out`` the result is a fresh array of shape (terms, 2) +
-        r.shape.  ``out``, one pair of writable rows of len(r) per term, is
-        written in place and returned.
+        r.shape.  With ``out`` r is one-dimensional, and ``out`` is written
+        in place and returned: one pair of writable rows of len(r) per term,
+        or a (terms, 2, len(r)) array, which a case with Bessel orders
+        requires.
+
+        A case with Bessel orders sums every factor from the power series of
+        ``_inner_series`` when every radius is below SERIES_RADIUS: the
+        powers r^(2j) for the terms the largest radius needs, built with one
+        product per doubling of their count, one contraction with the
+        coefficients into out, in the dtype of out, and one product of the
+        value rows with r.  Each factor is summed over j in order for each
+        radius on its own, and terms past those a radius needs do not change
+        its sum, so a factor depends only on its radius, not on the others
+        of the call.
         """
         if out is None:
             return _fresh_factors(self.inner, self._terms, r)
         a = None
         if self.alpha_orders:
+            hi = float(r.max(initial=0.0))
+            if hi < SERIES_RADIUS:
+                terms = bisect.bisect_left(self._reach, hi * hi) + 1
+                powers = np.empty((terms, len(r)), dtype=out.dtype)
+                powers[0] = 1.0
+                if terms > 1:
+                    np.multiply(r, r, out=powers[1])
+                # rows k to 2k - 2 are rows 1 to k - 1 times row k - 1
+                k = 2
+                while k < terms:
+                    top = min(2 * k - 1, terms)
+                    np.multiply(powers[1 : top - k + 1], powers[k - 1],
+                                out=powers[k:top])
+                    k = top
+                np.einsum("jm,jtd->tdm", powers, self._series[:terms], out=out)
+                out[:, 0] *= r
+                return out
             a = bessel.alpha_hat(self.alpha_orders, r)
             e = np.exp(np.asarray(r, dtype=float))
             for v in a.values():
@@ -298,16 +380,6 @@ class _H2dot(KernelCase):
         return (r * d1 * phi0 - r * diag * d2_0) / phi0**2
 
 
-def _h1_inner_term(n, r, a, out):
-    # r a[n] and a[n] + r^2 a[n + 2] / (n + 2)
-    f, df = out
-    np.multiply(r, a[n], out=f)
-    np.square(r, out=df)
-    df *= a[n + 2]
-    df /= n + 2.0
-    df += a[n]
-
-
 def _h1_outer_term(n, b, out):
     # out holds (s^(1-n), s^-n) on entry; b[n + 2] ends as b[n] - (n + 2) b[n + 2]
     g, dg = out
@@ -326,9 +398,14 @@ class _H1(KernelCase):
     m_offset = 0
     q_offset = -1
     _origin = staticmethod(lambda n: (float(n), float(n)))
+    # f = r alpha_n(r)
+    _series_rows = staticmethod(lambda n: ((n, 0, 1),))
 
     def _inner(self, r, a, out):
-        _h1_inner_term(self.n, r, a, out[0])
+        n = self.n
+        (f, df), = out
+        np.multiply(r, a[n], out=f)
+        np.add(a[n], r**2 * a[n + 2] / (n + 2.0), out=df)
 
     def _outer(self, s, b, out):
         _reciprocal_powers(s, self.n - 1, out[0])
@@ -388,30 +465,19 @@ class _H2(KernelCase):
         lambda n: (2.0 * n * (n - 2.0), 2.0 * (n - 2.0) / (n + 2.0)))
 
     _terms = 2
+    # f1 = -r^3 alpha_{n+2}(r) / (2(n + 2)) and f2 = r alpha_n(r) / (2n)
+    _series_rows = staticmethod(
+        lambda n: ((n + 2, 1, -2 * (n + 2)), (n, 0, 2 * n)))
 
     def _inner(self, r, a, out):
         n = self.n
-        c = 2.0 * (n + 2.0)
         (f1, df1), (f2, df2) = out
-        # -(3 r^2 a[n + 2] + r^4 a[n + 4] / (n + 4)) / c, with f1 as scratch
-        np.square(r, out=df1)
-        df1 *= 3.0
-        df1 *= a[n + 2]
-        np.power(r, 4, out=f1)
-        f1 *= a[n + 4]
-        f1 /= n + 4.0
-        df1 += f1
-        np.negative(df1, out=df1)
-        df1 /= c
-        # -(r^3) a[n + 2] / c
-        np.power(r, 3, out=f1)
-        np.negative(f1, out=f1)
-        f1 *= a[n + 2]
-        f1 /= c
-        # the H1 term over 2n
-        _h1_inner_term(n, r, a, out[1])
-        f2 /= 2.0 * n
-        df2 /= 2.0 * n
+        np.divide(-(r**3) * a[n + 2], 2.0 * (n + 2.0), out=f1)
+        np.divide(
+            -(3.0 * r**2 * a[n + 2] + r**4 * a[n + 4] / (n + 4.0)),
+            2.0 * (n + 2.0), out=df1)
+        np.divide(r * a[n], 2.0 * n, out=f2)
+        np.divide(a[n] + r**2 * a[n + 2] / (n + 2.0), 2.0 * n, out=df2)
 
     def _outer(self, s, b, out):
         n = self.n
@@ -595,8 +661,13 @@ class _SumPlan:
         inner[:, 0, 0] = 0.0
         inner[:, 1, 0] = case.df_origin
         self.nodes = slice(1, m), slice(i0 + 1, None)
-        self.factors = (tuple((f[1:m], df[1:m]) for f, df in inner),
-                        tuple((g[i0 + 1 :], dg[i0 + 1 :]) for g, dg in outer))
+        # a case with Bessel orders sums its inner factors straight into the
+        # stacked rows; the others take their rows split once here: unpacking
+        # the stacked view on every call made a sigma = 0 rhs about 6 % slower
+        self.factors = (
+            inner[..., 1:m] if case.alpha_orders
+            else tuple((f[1:m], df[1:m]) for f, df in inner),
+            tuple((g[i0 + 1 :], dg[i0 + 1 :]) for g, dg in outer))
         lo = max(start, 1)
         self.weight = slice(lo - start, None)
         samples = self.window.samples

@@ -19,7 +19,10 @@ whole run (``InitialData.support_start``/``support_index``).  One windowed
 pass (``kernels.kernel_sums``) therefore sums over that window only: below
 it the prefix sums vanish and above it the suffix sums do, so f and df are
 evaluated only up to the window's end and g and dg only from its start.
-Everything of that pass but the values (the window's reach, bands and
+For sigma = 1, f and df come from their power series in gamma^2 (one table
+of powers and one contraction) while the window's nodes lie below
+``kernels.SERIES_RADIUS``, so a stage calls Bessel functions only for g and
+dg.  Everything of that pass but the values (the window's reach, bands and
 sample buffer, the factor buffers the kernel's formulas write into, and
 every slice that assembles the sums) depends only on the kernel, the grid
 and the window, so the run's first RHS sets it up as one plan and every

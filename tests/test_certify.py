@@ -72,8 +72,11 @@ def test_h2_ratio_bounds(n):
     assert out["passed"], out["slacks"]
     # lam_a -> 1 at the origin
     assert out["lam_a"][0] == pytest.approx(1.0, abs=1e-7)
-    with pytest.raises(ValueError):
-        h2_ratio_bounds(n, np.array([0.0, 1.0]))
+    # not positive, or not finite (NaN and inf passed the check and gave
+    # RuntimeWarnings and passed = False)
+    for bad in ([0.0, 1.0], [0.1, np.nan, 0.3], [0.1, 0.2, np.inf]):
+        with pytest.raises(ValueError):
+            h2_ratio_bounds(n, np.array(bad))
 
 
 def test_mixed_sign_momentum_not_applicable(grid, omega0):
@@ -122,6 +125,25 @@ def test_dominance_along_trajectory(grid, omega0):
     assert out["passed"], out["min_margin"]
     # equality at t = 0 up to roundoff
     assert abs(out["margins"][0]) < 1e-12
+
+
+def test_dominance_evaluates_m_on_the_grid_once(grid, omega0, monkeypatch):
+    # m(r) on the fixed grid is the same for every snapshot: one evaluation
+    # per snapshot at gamma and one at r, with the margins unchanged
+    spec = KernelSpec(1, 2, 3)
+    cert = certify(spec, grid, omega0)
+    init = InitialData.from_omega0(omega0, grid, spec.n)
+    record, _ = run(spec, grid, init, dt=1e-2, horizon=0.1, record_every=2)
+    expected = [float(np.min(majorant(cert, t) - monitored_quantity(
+        cert, FlowState(t=t, gamma=gamma, rho=rho))))
+        for t, (gamma, rho) in zip(record.times, record.snapshots)]
+    calls = []
+    smooth = certify_module.q_weight_smooth
+    monkeypatch.setattr(certify_module, "q_weight_smooth",
+                        lambda *args: calls.append(args) or smooth(*args))
+    out = check_dominance(cert, record)
+    assert len(calls) == len(record.snapshots) + 1
+    assert out["margins"].tobytes() == np.array(expected).tobytes()
 
 
 def test_dominance_requires_snapshots(grid, omega0):

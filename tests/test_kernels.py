@@ -144,6 +144,105 @@ def test_d1_d2_match_finite_differences(spec):
     np.testing.assert_allclose(d2_delta(spec, r, s), fd2, rtol=1e-7)
 
 
+# the sigma = 1 cases whose inner factors come from the power series
+SERIES_SPECS = ([KernelSpec(1, 1, n) for n in range(2, 6)]
+                + [KernelSpec(1, 2, n) for n in range(3, 6)])
+SERIES_RADII = np.concatenate([
+    [0.0, 1e-3, 4.0],
+    np.geomspace(1e-2, kernels.SERIES_RADIUS, 60)[:-1],
+    [kernels.SERIES_RADIUS * (1.0 - 1e-12),
+     np.nextafter(kernels.SERIES_RADIUS, 0.0)],
+])
+
+
+def inner_by_mpmath(spec, r):
+    """[(f_t, df_t)] at r from mpmath's besseli at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        r = mpmath.mpf(float(r))
+
+        def alpha(p):  # c_p r^{-p/2} I_{p/2}(r), 1 at r = 0
+            if r == 0:
+                return mpmath.mpf(1)
+            nu = mpmath.mpf(p) / 2
+            return 2**nu * mpmath.gamma(nu + 1) * r**-nu * mpmath.besseli(nu, r)
+
+        n = spec.n
+        h1 = (r * alpha(n), alpha(n) + r**2 * alpha(n + 2) / (n + 2))
+        if spec.k == 1:
+            return [h1]
+        c = 2 * (n + 2)
+        return [(-(r**3) * alpha(n + 2) / c,
+                 -(3 * r**2 * alpha(n + 2) + r**4 * alpha(n + 4) / (n + 4)) / c),
+                (h1[0] / (2 * n), h1[1] / (2 * n))]
+
+
+def largest_relative_error(got, radii, spec):
+    worst = 0.0
+    for i, r in enumerate(radii):
+        for t, pair in enumerate(inner_by_mpmath(spec, r)):
+            for d, exact in enumerate(pair):
+                if exact == 0:  # f_t(0)
+                    assert got[t, d, i] == 0.0
+                else:
+                    worst = max(worst, abs(float((got[t, d, i] - exact) / exact)))
+    return worst
+
+
+@pytest.mark.parametrize("spec", SERIES_SPECS, ids=lambda s: s.label())
+def test_series_inner_factors_match_mpmath(spec, monkeypatch):
+    # below SERIES_RADIUS no Bessel function is called, and every factor is
+    # within 4e-15 relative of the 40-digit value
+    def no_alpha(*args):
+        raise AssertionError("alpha_hat called below SERIES_RADIUS")
+
+    monkeypatch.setattr(bessel, "alpha_hat", no_alpha)
+    got = kernel_case(spec).inner(SERIES_RADII)
+    assert largest_relative_error(got, SERIES_RADII, spec) <= 4e-15
+
+
+@pytest.mark.parametrize("spec", SERIES_SPECS, ids=lambda s: s.label())
+def test_inner_factors_past_series_radius_take_the_bessel_path(spec, monkeypatch):
+    # a batch that reaches SERIES_RADIUS evaluates alpha once, and agrees
+    # with the series on the radii below it
+    case = kernel_case(spec)
+    calls = []
+    alpha_hat = bessel.alpha_hat
+    monkeypatch.setattr(bessel, "alpha_hat",
+                        lambda *args: calls.append(args) or alpha_hat(*args))
+    below = np.geomspace(1e-3, kernels.SERIES_RADIUS, 50)[:-1]
+    both = case.inner(np.append(below, [kernels.SERIES_RADIUS, 40.0]))
+    assert len(calls) == 1
+    series = case.inner(below)
+    assert len(calls) == 1
+    assert np.max(np.abs(both[..., :-2] / series - 1.0)) <= 4e-15
+
+
+@pytest.mark.parametrize("spec", SERIES_SPECS[:2] + SERIES_SPECS[-2:],
+                         ids=lambda s: s.label())
+def test_series_inner_factor_depends_only_on_its_radius(spec):
+    # the number of terms follows the largest radius of a call, and the
+    # terms past those a radius needs leave its sum unchanged
+    case = kernel_case(spec)
+    r = SERIES_RADII[np.argsort(SERIES_RADII)]
+    full = case.inner(r)
+    for part in (slice(0, 1), slice(5, 6), slice(0, 2), slice(10, 30), slice(40, None)):
+        assert case.inner(r[part]).tobytes() == full[..., part].tobytes()
+
+
+@pytest.mark.parametrize("spec", [KernelSpec(1, 1, 2), KernelSpec(1, 2, 3)],
+                         ids=lambda s: s.label())
+def test_sigma1_rhs_makes_no_alpha_call_below_series_radius(spec, monkeypatch):
+    grid = RadialGrid.uniform(256, 20.0)
+    init = InitialData.from_omega0(neg_exp_bump(grid.r, 2.0, 8.0), grid, spec.n)
+    calls = []
+    alpha_hat = bessel.alpha_hat
+    monkeypatch.setattr(bessel, "alpha_hat",
+                        lambda *args: calls.append(args) or alpha_hat(*args))
+    rate = solver.rhs(spec, grid, init, grid.r * 1.1, np.full(grid.num, 1.1))
+    assert np.isfinite(rate).all() and not calls
+
+
 def test_q_weight_closed_forms():
     r = np.array([0.0, 0.5, 1.0, 3.0, 10.0])
     np.testing.assert_allclose(q_weight(KernelSpec(0, 1, 3), r), 3.0 * r**2)
