@@ -16,14 +16,15 @@ n = 3-5, H1 n = 1-5, H2 n = 3-5) at N = 256, 512 and 2048 nodes on
 negative bump on [2, 8] after ``solver.run`` to t = 0.2 in steps of 0.02.
 Then prints the best-of-k time of ``bessel.alpha_hat`` and
 ``bessel.beta_hat`` for the orders of each sigma = 1 operator with Bessel
-orders, and of its ``KernelCase.inner``, on the radii where its rhs
-evaluates them (the deformed nodes 1 to max(i1, stop) - 1 for alpha and the
-inner factors and i0 + 1 to N - 1 for beta, with (i0, i1) the quadrature's
-reach of the support start to stop - 1) at N = 256 and 2048.  Then prints the
-best-of-k time of ``invert_operator`` at N = 4096 for a negative bump on
-[0.5, 2], and of ``certify.certify`` at N = 512 for the standard bump,
-after the time of the first ``certify`` call of the process
-(H1dot_n1), which builds the condition mesh.  Last comes the time of one
+orders, and of its ``KernelCase.inner`` and ``KernelCase.outer``, on the
+radii where its rhs evaluates them (the deformed nodes 1 to max(i1, stop) -
+1 for alpha and the inner factors and i0 + 1 to N - 1 for beta and the
+outer factors, with (i0, i1) the quadrature's reach of the support start to
+stop - 1) at N = 256 and 2048.  Then prints the best-of-k time of
+``invert_operator`` at N = 4096 for a negative bump on [0.5, 2], and of
+``certify.certify`` at N = 512 for the standard bump, after the time of the
+first ``certify`` call of the process (H1dot_n1), which builds the
+condition mesh.  Last comes the time of one
 ``liouville.liouville_picard_oracle`` run at N = 512 with z_0 the standard
 bump (n = 1), to half its blowup time.
 
@@ -39,12 +40,12 @@ show up as a gain or a loss.  Both versions start from the deformed
 state of this checkout.  It also compares what the two versions return: a
 last column says ``same`` when every output of the row is byte for byte
 equal (``rhs``, ``step`` from the state with and without its stored rate,
-the Bessel values, the inner factors, ``invert_operator``, the certificate
-report, the oracle's times and q history) and ``DIFFER`` otherwise,
-followed by the largest relative difference: over the outputs and their
-rows, max |this - vs| / max |vs| along the row (for a certificate report,
-over its numbers one by one, and inf if its text differs), and the script
-exits with status 1 if any row differs.
+the Bessel values, the inner and outer factors, ``invert_operator``, the
+certificate report, the oracle's times and q history) and ``DIFFER``
+otherwise, followed by the largest relative difference: over the outputs
+and their rows, max |this - vs| / max |vs| along the row (for a
+certificate report, over its numbers one by one, and inf if its text
+differs), and the script exits with status 1 if any row differs.
 
 Usage:
     python3 scripts/time_layers.py [--against DIR]
@@ -279,16 +280,20 @@ def main(argv=None):
 
     print(f"{'spec':<10} {'N':>5}" + heading("alpha", names)
           + heading("beta", names) + output_heading(names)
-          + heading("inner", names) + output_heading(names))
+          + heading("inner", names) + output_heading(names)
+          + heading("outer", names) + output_heading(names))
     for label, num, bessel_args in bessel_rows:
         alpha = [lambda f=bes.alpha_hat, a=a: f(*a) for bes, _, a, _ in bessel_args]
         beta = [lambda f=bes.beta_hat, b=b: f(*b) for bes, _, _, b in bessel_args]
         inner = [lambda f=case.inner, r=a[1]: f(r) for _, case, a, _ in bessel_args]
+        outer = [lambda f=case.outer, s=b[1]: f(s) for _, case, _, b in bessel_args]
         outputs = [(*fa().values(), *fb().values()) for fa, fb in zip(alpha, beta)]
         print(f"{label:<10} {num:>5}" + cells(samples_us(alpha))
               + cells(samples_us(beta)) + compare(f"bessel {label} {num}", outputs)
               + cells(samples_us(inner))
-              + compare(f"inner {label} {num}", [(f(),) for f in inner]))
+              + compare(f"inner {label} {num}", [(f(),) for f in inner])
+              + cells(samples_us(outer))
+              + compare(f"outer {label} {num}", [(f(),) for f in outer]))
 
     print(f"{'spec':<10} {'N':>5}" + heading("invert", names)
           + output_heading(names))

@@ -31,26 +31,27 @@ beta_p' = -(p + 2) r beta_{p+2}.
 The beta recurrence adds positive terms and is run upward from the
 elementary half-integer forms (DLMF 10.49: beta_hat_1 = 1,
 beta_hat_3 = (1 + r)/3) for odd p and from scipy's ``k0e``/``k1e`` for even
-p.  The alpha recurrence cancels at small r, so it is used only for
-r >= SERIES_CUTOFF, started from alpha_{-1} = cosh r, alpha_1 = sinh r / r
-(odd p) or from ``i0e``/``i1e`` (even p); below the cutoff alpha_p is the
-hypergeometric series 0F1(; p/2 + 1; r^2/4) with positive terms, summed for
-all requested orders from one table of powers of r^2/4.  Against mpmath the
-relative error is below 1e-14 for p <= 9 on 1e-4 <= r <= 40; frozen mpmath
-values pin it in the test suite.
+p (:func:`beta_hat_start`).  The alpha recurrence cancels at small r, so
+it is used only for r >= SERIES_CUTOFF, started from alpha_{-1} = cosh r,
+alpha_1 = sinh r / r (odd p) or from ``i0e``/``i1e`` (even p); below the
+cutoff alpha_p is the hypergeometric series 0F1(; p/2 + 1; r^2/4) with
+positive terms, summed for all requested orders from one table of powers
+of r^2/4.  Against mpmath the relative error is below 1e-14 for p <= 9 on
+1e-4 <= r <= 40; frozen mpmath values pin it in the test suite.
 
 Every caller in the library passes increasing radii: the solver's nodes
-(to ``beta_hat``, and to ``alpha_hat`` only when they reach
-``kernels.SERIES_RADIUS``; below it the inner kernel factors are summed
-from their own power series), a grid, or distinct certificate radii.  Each
-function writes into one output
-with a row per order.  :func:`alpha_hat` splits the radii once at
-SERIES_CUTOFF with a binary search and writes the series block and the
-recurrence block into slices of its rows; :func:`beta_hat` sets the radii
-at the origin, which come first, and runs its recurrence on the others.
-Radii in any other order are sorted first and their values mapped back.
-A value depends only on its order and radius, not on the other radii of the
-call, so the same radius gives the same bits either way.
+(to ``alpha_hat`` only when they reach ``kernels.SERIES_RADIUS``, below
+which the inner kernel factors are summed from their own power series;
+the outer factors are Laurent polynomials in 1/r and call only
+:func:`beta_hat_start`, for even n), a grid, or distinct certificate
+radii.  Each function writes into one output with a row per order.
+:func:`alpha_hat` splits the radii once at SERIES_CUTOFF with a binary
+search and writes the series block and the recurrence block into slices of
+its rows; :func:`beta_hat` sets the radii at the origin, which come first,
+and runs its recurrence on the others.  Radii in any other order are
+sorted first and their values mapped back.  A value depends only on its
+order and radius, not on the other radii of the call, so the same radius
+gives the same bits either way.
 
 The scipy functions are imported inside the even-order branches, so
 ``scipy.special`` loads on the first even-order call and never for odd
@@ -65,6 +66,7 @@ import numpy as np
 __all__ = [
     "alpha_hat",
     "beta_hat",
+    "beta_hat_start",
     "alpha",
     "beta",
     "beta_scaled",
@@ -223,11 +225,7 @@ def beta_hat(orders, r):
         np.add(1.0, s, out=rows[1])
         rows[1] /= 3.0
     else:
-        from scipy.special import k0e, k1e
-
-        k0e(s, out=rows[0])
-        np.multiply(0.5, s, out=rows[1])
-        rows[1] *= k1e(s)
+        beta_hat_start(rows, s)
     if len(rows) > 2:
         ss = s * s
         term = np.empty_like(s)
@@ -240,6 +238,22 @@ def beta_hat(orders, r):
         row /= p + 2.0
         p += 2
     return _by_order(orders, first, out, perm, np.shape(r))
+
+
+def beta_hat_start(out, r):
+    """Write beta_hat_0(r) and beta_hat_2(r) into out[0] and out[1].
+
+    The start values of the even-order recurrence, from scipy's ``k0e`` and
+    ``k1e``: beta_hat_0 = e^r K_0(r) and beta_hat_2 = r e^r K_1(r) / 2.
+    r is a one-dimensional float array with r > 0, taken as it is: no
+    checks and no sorting, for callers that evaluate every even order from
+    these two themselves.
+    """
+    from scipy.special import k0e, k1e
+
+    k0e(r, out=out[0])
+    np.multiply(0.5, r, out=out[1])
+    out[1] *= k1e(r)
 
 
 def _like(out, r):

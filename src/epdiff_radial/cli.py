@@ -21,6 +21,7 @@ Exit codes (``run`` and ``sweep``; a sweep returns the largest):
 import argparse
 import os
 import sys
+from functools import lru_cache
 
 from .certify import certify
 from .scenario import parse_config, parse_value, run_scenario, write_exact_hs_table
@@ -52,6 +53,14 @@ def build_parser():
                 "--values", required=True, help="comma-separated values"
             )
     return parser
+
+
+@lru_cache(maxsize=None)
+def _parser():
+    """The parser, built on the first call in a process and kept: building
+    one takes argparse about 0.7 ms, some twenty times what parsing takes,
+    and a process may call ``main`` many times."""
+    return build_parser()
 
 
 def _cmd_run(args):
@@ -98,7 +107,7 @@ def _cmd_sweep(args):
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on a usage error, and 2 means guard_tripped here
         return 1 if exc.code else 0

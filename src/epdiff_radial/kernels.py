@@ -19,7 +19,11 @@ case with factors of its own); ``kernel_case`` builds the spec's instance,
 which evaluates each Bessel order a formula needs once per call.  The inner
 factors of the sigma = 1 cases with Bessel orders are power series in r^2
 with coefficients of one sign, summed from one table of powers below
-SERIES_RADIUS, so the solver's inner side calls no Bessel function.
+SERIES_RADIUS, and their outer factors are e^{-s} times a Laurent
+polynomial in 1/s (times the start values beta_hat_0, beta_hat_2 for even
+n), also with coefficients of one sign and summed from one table of powers
+at every s > 0.  So the solver's inner side calls no Bessel function, and
+its outer side only the even-order start values.
 
 Also evaluates the comparison weight Q(r) = 1/(r phi(0, r)) and the diagonal
 criterion
@@ -32,6 +36,7 @@ whose uniform lower bound C > 0 drives the blowup certificates.
 import bisect
 import numbers
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -172,6 +177,76 @@ def _inner_series(rows, radius):
     return coefficients[:needed].copy(), reach[:needed]
 
 
+def _outer_laurent(rows):
+    """The outer factors as one contraction in u = 1/s, exactly.
+
+    ``rows[t][d]`` gives factor d (g_t, dg_t) of term t as the entries
+    (p, w, c) of sum c s^w beta_hat_p(s) e^-s, with integer c.  beta_hat_p
+    is a polynomial in s for odd p (DLMF 10.49.12), and A_p(s) beta_hat_0 +
+    B_p(s) beta_hat_2 with polynomials A_p, B_p for even p, by the
+    recurrence beta_hat_{p+2} = (p beta_hat_p + s^2 beta_hat_{p-2} / p) /
+    (p + 2) (DLMF 10.29.1).  So each factor is
+
+        e^-s sum_{i, k} C[i, k, t, d] u^k R_i(s),
+
+    with R = (1) for odd orders and (beta_hat_0, beta_hat_2) for even ones.
+    Each coefficient is summed in fractions and rounded once.  Raises
+    unless no power of s is positive and the coefficients of each factor
+    have one sign, so that its sum adds terms of one sign.  Returns C as an
+    (R K, T, 2) array.
+    """
+    # here, not at the top: importing fractions takes a few ms, which only
+    # the cases that build these tables should pay
+    from fractions import Fraction
+
+    orders = {p for term in rows for factor in term for p, _, _ in factor}
+    odd = min(orders) % 2
+    # beta_hat_p as {(i, power of s): coefficient} over the start values R_i
+    one = Fraction(1)
+    beta = ({1: {(0, 0): one}, 3: {(0, 0): one / 3, (0, 1): one / 3}} if odd
+            else {0: {(0, 0): one}, 2: {(1, 0): one}})
+    for p in range(odd + 2, max(orders) - 1, 2):
+        up = beta[p + 2] = Counter()
+        for (i, w), c in beta[p].items():
+            up[i, w] += c * Fraction(p, p + 2)
+        for (i, w), c in beta[p - 2].items():
+            up[i, w + 2] += c / (p * (p + 2))
+    sums = Counter()
+    for t, term in enumerate(rows):
+        for d, factor in enumerate(term):
+            for p, w, c in factor:
+                for (i, v), b in beta[p].items():
+                    sums[i, -(w + v), t, d] += c * b
+    coefficients = {key: c for key, c in sums.items() if c}
+    powers = [k for _, k, _, _ in coefficients]
+    if min(powers) < 0:
+        raise ValueError("an outer factor has a positive power of s")
+    positive, negative = ({(t, d) for (_, _, t, d), c in coefficients.items()
+                           if (c > 0) == sign} for sign in (True, False))
+    if positive & negative:
+        raise ValueError("the coefficients of an outer factor mix signs")
+    table = np.zeros((2 - odd, 1 + max(powers), len(rows), 2))
+    for key, c in coefficients.items():
+        table[key] = float(c)  # correctly rounded
+    return table.reshape((-1, len(rows), 2))
+
+
+def _power_table(first, operands, terms, dtype):
+    """Rows x^0 to x^(terms - 1), with x = first(*operands) written into
+    row 1, and one product per doubling of the row count."""
+    powers = np.empty((terms, len(operands[-1])), dtype=dtype)
+    powers[0] = 1.0
+    if terms > 1:
+        first(*operands, out=powers[1])
+    # rows k to 2k - 2 are rows 1 to k - 1 times row k - 1
+    k = 2
+    while k < terms:
+        top = min(2 * k - 1, terms)
+        np.multiply(powers[1 : top - k + 1], powers[k - 1], out=powers[k:top])
+        k = top
+    return powers
+
+
 class KernelCase:
     """Every formula of one spec's kernel; one subclass per case (sigma, k).
 
@@ -179,19 +254,18 @@ class KernelCase:
     delta(r, s) = sum_t f_t(r) g_t(s) of every term at once, as the pairs
     (f_t, df_t) or (g_t, dg_t), fresh or written into the rows of a
     caller's buffer (``kernel_sums`` keeps one per window).  ``_terms`` is
-    the number of terms T.  ``outer`` evaluates the beta orders its case
-    declares (``beta_offsets``, from n) once per call and passes them to the
-    case's factor formula ``_outer(s, b, out)`` as b = {p: s^p beta_p(s)}.
-    The formula writes each factor into its row of ``out`` with the
-    operations, in the order and dtype, of the expression it stands for, so
-    a factor is the same bit for bit as that expression, and makes no
-    temporary arrays: the sigma = 1 ones take their scratch from the arrays
-    of ``b``, which are theirs to overwrite.  ``inner`` of a case with alpha
-    orders (``alpha_offsets``) sums its factors from their power series
-    (``_series_rows``, see ``_inner_series``) while every radius is below
-    SERIES_RADIUS, and else passes a = {p: alpha_p(r)} to the plain
-    expressions of ``_inner(r, a, out)``; the ``_inner`` of the other cases
-    take no Bessel values and are written like ``_outer``.
+    the number of terms T.  The cases without Bessel orders write each
+    factor into its row of ``out`` with ``_inner(r, None, out)`` and
+    ``_outer(s, out)``, with the operations, in the order and dtype, of the
+    expression it stands for, so a factor is the same bit for bit as that
+    expression, and make no temporary arrays.  The sigma = 1 cases with
+    Bessel orders sum each factor from a table of powers: ``inner`` from
+    the power series in r^2 of ``_series_rows`` (see ``_inner_series``)
+    while every radius is below SERIES_RADIUS, and else from a = {p:
+    alpha_p(r)} of the orders ``alpha_offsets`` by the plain expressions of
+    ``_inner(r, a, out)``; ``outer`` from the Laurent polynomials in 1/s of
+    ``_outer_rows`` (see ``_outer_laurent``) at every s > 0, whose orders
+    are ``beta_orders``.
 
     ``phi(r, s, a, b)`` is the kernel and ``phi_factor(r, s, a, b)`` the
     factor of phi whose log is not a sum of a function of r and one of s;
@@ -214,15 +288,20 @@ class KernelCase:
     gives (kappa, S(0)).
     """
 
-    alpha_offsets = beta_offsets = phi_offsets = ()
-    m_offset = None
+    alpha_offsets = phi_offsets = ()
+    m_offset = _outer_rows = None
     _terms = 1
 
     def __init__(self, spec):
         n = self.n = spec.n
         self.spec = spec
         self.alpha_orders = tuple(n + o for o in self.alpha_offsets)
-        self.beta_orders = tuple(n + o for o in self.beta_offsets)
+        self.beta_orders = ()
+        if self._outer_rows:
+            rows = self._outer_rows(n)
+            self.beta_orders = tuple(sorted(
+                {p for term in rows for factor in term for p, _, _ in factor}))
+            self._laurent = _outer_laurent(rows)
         self.phi_orders = tuple(n + o for o in self.phi_offsets)
         self.separable = not hasattr(self, "phi_factor")
         self.m_order = None if self.m_offset is None else n + self.m_offset
@@ -259,17 +338,7 @@ class KernelCase:
             hi = float(r.max(initial=0.0))
             if hi < SERIES_RADIUS:
                 terms = bisect.bisect_left(self._reach, hi * hi) + 1
-                powers = np.empty((terms, len(r)), dtype=out.dtype)
-                powers[0] = 1.0
-                if terms > 1:
-                    np.multiply(r, r, out=powers[1])
-                # rows k to 2k - 2 are rows 1 to k - 1 times row k - 1
-                k = 2
-                while k < terms:
-                    top = min(2 * k - 1, terms)
-                    np.multiply(powers[1 : top - k + 1], powers[k - 1],
-                                out=powers[k:top])
-                    k = top
+                powers = _power_table(np.multiply, (r, r), terms, out.dtype)
                 np.einsum("jm,jtd->tdm", powers, self._series[:terms], out=out)
                 out[:, 0] *= r
                 return out
@@ -281,16 +350,37 @@ class KernelCase:
         return out
 
     def outer(self, s, out=None):
-        """out[t] = (g_t(s), dg_t(s)) for each term t; ``out`` as in ``inner``."""
+        """out[t] = (g_t(s), dg_t(s)) for each term t, s > 0; ``out`` as in
+        ``inner``.
+
+        A case with Bessel orders sums every factor from its Laurent
+        polynomial (``_outer_laurent``): the powers of u = 1/s (one product
+        per doubling of their count), for even n one product with the start
+        values beta_hat_0 and beta_hat_2, one contraction and one product
+        with e^-s.  It works in float64 whatever the dtype of s, as the
+        Bessel values always did, and casts into out.  Each factor is summed
+        over the same terms for each radius on its own, so it depends only
+        on its radius.
+        """
         if out is None:
             return _fresh_factors(self.outer, self._terms, s)
-        b = None
-        if self.beta_orders:
-            b = bessel.beta_hat(self.beta_orders, s)
-            e = np.exp(-np.asarray(s, dtype=float))
-            for v in b.values():
-                v *= e
-        self._outer(s, b, out)
+        if not self.beta_orders:
+            self._outer(s, out)
+            return out
+        s = np.asarray(s, dtype=float)
+        laurent = self._laurent
+        if self.n % 2:
+            powers = _power_table(np.divide, (1.0, s), len(laurent), float)
+        else:
+            u = _power_table(np.divide, (1.0, s), len(laurent) // 2, float)
+            starts = np.empty((2, 1, len(s)))
+            bessel.beta_hat_start(starts[:, 0], s)
+            powers = np.multiply(starts, u).reshape(len(laurent), -1)
+        factors = out if out.dtype == float else np.empty(out.shape)
+        np.einsum("jm,jtd->tdm", powers, laurent, out=factors)
+        factors *= np.exp(-s)
+        if factors is not out:
+            out[...] = factors
         return out
 
     def phi_alpha(self, r):
@@ -314,7 +404,7 @@ class _H1dot(KernelCase):
         np.divide(r, n, out=f)
         df.fill(1.0 / n)
 
-    def _outer(self, s, b, out):
+    def _outer(self, s, out):
         n = self.n
         (g, dg), = out
         _reciprocal_powers(s, n - 1, (g, dg))
@@ -351,7 +441,7 @@ class _H2dot(KernelCase):
         df2 *= -3.0
         df2 /= c2
 
-    def _outer(self, s, b, out):
+    def _outer(self, s, out):
         n = self.n
         (g1, dg1), (g2, dg2) = out
         _reciprocal_powers(s, n - 3, (g1, dg1, g2, dg2))
@@ -380,36 +470,29 @@ class _H2dot(KernelCase):
         return (r * d1 * phi0 - r * diag * d2_0) / phi0**2
 
 
-def _h1_outer_term(n, b, out):
-    # out holds (s^(1-n), s^-n) on entry; b[n + 2] ends as b[n] - (n + 2) b[n + 2]
-    g, dg = out
-    g *= b[n]
-    slope = b[n + 2]
-    slope *= n + 2.0
-    np.subtract(b[n], slope, out=slope)
-    dg *= slope
+def _h1_outer_rows(n):
+    # g = s beta_n(s) = s^(1-n) beta_hat_n e^-s and, from beta_p' =
+    # -(p + 2) s beta_{p+2}, dg = s^-n (beta_hat_n - (n + 2) beta_hat_{n+2}) e^-s
+    return ((n, 1 - n, 1),), ((n, -n, 1), (n + 2, -n, -(n + 2)))
 
 
 class _H1(KernelCase):
     """sigma = 1, k = 1: delta = [r alpha_n(r)] [s beta_n(s)]."""
 
-    alpha_offsets = beta_offsets = (0, 2)
+    alpha_offsets = (0, 2)
     phi_offsets = (0,)
     m_offset = 0
     q_offset = -1
     _origin = staticmethod(lambda n: (float(n), float(n)))
     # f = r alpha_n(r)
     _series_rows = staticmethod(lambda n: ((n, 0, 1),))
+    _outer_rows = staticmethod(lambda n: (_h1_outer_rows(n),))
 
     def _inner(self, r, a, out):
         n = self.n
         (f, df), = out
         np.multiply(r, a[n], out=f)
         np.add(a[n], r**2 * a[n + 2] / (n + 2.0), out=df)
-
-    def _outer(self, s, b, out):
-        _reciprocal_powers(s, self.n - 1, out[0])
-        _h1_outer_term(self.n, b, out[0])
 
     def phi(self, r, s, a, b):
         # the nonhomogeneous cases compose exponentially scaled Bessel factors
@@ -435,14 +518,15 @@ class _CamassaHolm(_H1):
     The H1 dg = s^{-1} (r beta_1 - 3 r^3 beta_3) cancels at small s.
     """
 
-    alpha_offsets = beta_offsets = ()
+    alpha_offsets = ()
+    _outer_rows = None
 
     def _inner(self, r, a, out):
         (f, df), = out
         np.sinh(r, out=f)
         np.cosh(r, out=df)
 
-    def _outer(self, s, b, out):
+    def _outer(self, s, out):
         (g, dg), = out
         np.negative(s, out=g)
         np.exp(g, out=g)
@@ -457,7 +541,6 @@ class _H2(KernelCase):
     """
 
     alpha_offsets = (0, 2, 4)
-    beta_offsets = (-2, 0, 2)
     phi_offsets = (-2, 0)
     m_offset = -2
     q_offset = -3
@@ -468,6 +551,11 @@ class _H2(KernelCase):
     # f1 = -r^3 alpha_{n+2}(r) / (2(n + 2)) and f2 = r alpha_n(r) / (2n)
     _series_rows = staticmethod(
         lambda n: ((n + 2, 1, -2 * (n + 2)), (n, 0, 2 * n)))
+    # g1 and dg1 as for H1, g2 = s beta_{n-2}(s) = s^(3-n) beta_hat_{n-2} e^-s
+    # and dg2 = s^(2-n) (beta_hat_{n-2} - n beta_hat_n) e^-s
+    _outer_rows = staticmethod(lambda n: (
+        _h1_outer_rows(n),
+        (((n - 2, 3 - n, 1),), ((n - 2, 2 - n, 1), (n, 2 - n, -n)))))
 
     def _inner(self, r, a, out):
         n = self.n
@@ -478,17 +566,6 @@ class _H2(KernelCase):
             2.0 * (n + 2.0), out=df1)
         np.divide(r * a[n], 2.0 * n, out=f2)
         np.divide(a[n] + r**2 * a[n + 2] / (n + 2.0), 2.0 * n, out=df2)
-
-    def _outer(self, s, b, out):
-        n = self.n
-        (g1, dg1), (g2, dg2) = out
-        _reciprocal_powers(s, n - 3, (g2, dg2, g1, dg1))
-        _h1_outer_term(n, b, out[0])
-        g2 *= b[n - 2]
-        slope = b[n]
-        slope *= float(n)
-        np.subtract(b[n - 2], slope, out=slope)
-        dg2 *= slope
 
     def phi(self, r, s, a, b):
         return 0.5 * np.exp(r - s) * self.phi_factor(r, s, a, b)
@@ -638,7 +715,9 @@ class _SumPlan:
       term, value or derivative, node): f_t and df_t on the nodes 0 to
       max(i1, stop) - 1, where node 0 holds f_t(0) = 0 and df_t(0), which
       the formulas never write, and g_t and dg_t on the nodes i0 + 1 to
-      N - 1, with the row views the case's formulas write into;
+      N - 1, with the views the case writes into: stacked (T, 2, nodes)
+      views for the factors a case with Bessel orders sums from its tables
+      of powers, and else one row view per term and row;
     - the integrand source (f_t and g_t on the nodes lo = max(start, 1) to
       stop - 1) and the window's samples viewed as (2, T, L), so that the
       2T integrands are one multiply;
@@ -661,13 +740,14 @@ class _SumPlan:
         inner[:, 0, 0] = 0.0
         inner[:, 1, 0] = case.df_origin
         self.nodes = slice(1, m), slice(i0 + 1, None)
-        # a case with Bessel orders sums its inner factors straight into the
+        # a case with Bessel orders sums its factors straight into the
         # stacked rows; the others take their rows split once here: unpacking
         # the stacked view on every call made a sigma = 0 rhs about 6 % slower
         self.factors = (
             inner[..., 1:m] if case.alpha_orders
             else tuple((f[1:m], df[1:m]) for f, df in inner),
-            tuple((g[i0 + 1 :], dg[i0 + 1 :]) for g, dg in outer))
+            outer[..., i0 + 1 :] if case.beta_orders
+            else tuple((g[i0 + 1 :], dg[i0 + 1 :]) for g, dg in outer))
         lo = max(start, 1)
         self.weight = slice(lo - start, None)
         samples = self.window.samples

@@ -21,14 +21,16 @@ it the prefix sums vanish and above it the suffix sums do, so f and df are
 evaluated only up to the window's end and g and dg only from its start.
 For sigma = 1, f and df come from their power series in gamma^2 (one table
 of powers and one contraction) while the window's nodes lie below
-``kernels.SERIES_RADIUS``, so a stage calls Bessel functions only for g and
-dg.  Everything of that pass but the values (the window's reach, bands and
-sample buffer, the factor buffers the kernel's formulas write into, and
-every slice that assembles the sums) depends only on the kernel, the grid
-and the window, so the run's first RHS sets it up as one plan and every
-later stage reuses it and makes only its ufunc calls; ``step`` builds its
-stage states and the RK4 combination in place, and ``_validate`` checks a
-stage state with one comparison pass and one sum.
+``kernels.SERIES_RADIUS``, and g and dg from Laurent polynomials in
+1/gamma times e^-gamma (one more table and contraction), so a stage of odd
+n calls no Bessel function and one of even n only the two start values
+``bessel.beta_hat_start``.  Everything of that pass but the values (the
+window's reach, bands and sample buffer, the factor buffers the kernel's
+formulas write into, and every slice that assembles the sums) depends only
+on the kernel, the grid and the window, so the run's first RHS sets it up
+as one plan and every later stage reuses it and makes only its ufunc calls;
+``step`` builds its stage states and the RK4 combination in place, and
+``_validate`` checks a stage state with one comparison pass and one sum.
 """
 
 import math

@@ -6,6 +6,7 @@ built directly from the Bessel-pair definition of the kernels; rational values
 come from evaluating the power-law kernels by hand.
 """
 
+import functools
 import os
 import pathlib
 import subprocess
@@ -241,6 +242,125 @@ def test_sigma1_rhs_makes_no_alpha_call_below_series_radius(spec, monkeypatch):
                         lambda *args: calls.append(args) or alpha_hat(*args))
     rate = solver.rhs(spec, grid, init, grid.r * 1.1, np.full(grid.num, 1.1))
     assert np.isfinite(rate).all() and not calls
+
+
+# grid-like radii (a uniform grid on [0, 20] from its node 1, and its images
+# under a compression and a stretch), geometric ones across [1e-3, 600] and
+# the ends
+OUTER_RADII = np.unique(np.concatenate([
+    np.linspace(0.0, 20.0, 49)[1:],
+    0.4 * np.linspace(0.0, 20.0, 17)[1:] ** 1.5,
+    np.geomspace(1e-3, 600.0, 30),
+    [1.0, 4.0, kernels.SERIES_RADIUS, 599.0],
+]))
+
+
+@functools.lru_cache(maxsize=None)
+def beta_by_mpmath(p, s):
+    """c_p^-1 s^{-p/2} K_{p/2}(s) from mpmath's besselk at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        s, nu = mpmath.mpf(s), mpmath.mpf(p) / 2
+        return s**-nu * mpmath.besselk(nu, s) / (2**nu * mpmath.gamma(nu + 1))
+
+
+def outer_by_mpmath(spec, s):
+    """[(g_t, dg_t)] at s: g = s beta_q(s), dg = beta_q - (q + 2) s^2
+    beta_{q+2} for q = n and, for H2, q = n - 2."""
+    mpmath = pytest.importorskip("mpmath")
+    s = float(s)
+    with mpmath.workdps(40):
+        x = mpmath.mpf(s)
+        return [(x * beta_by_mpmath(q, s),
+                 beta_by_mpmath(q, s) - (q + 2) * x**2 * beta_by_mpmath(q + 2, s))
+                for q in (spec.n, spec.n - 2)[: spec.k]]
+
+
+@pytest.mark.parametrize("spec", SERIES_SPECS, ids=lambda s: s.label())
+def test_outer_factors_match_mpmath(spec, monkeypatch):
+    # every outer factor is within 4e-15 relative of the 40-digit value,
+    # with no beta_hat call
+    def no_beta(*args):
+        raise AssertionError("beta_hat called for the outer factors")
+
+    monkeypatch.setattr(bessel, "beta_hat", no_beta)
+    got = kernel_case(spec).outer(OUTER_RADII)
+    worst = 0.0
+    for i, s in enumerate(OUTER_RADII):
+        for t, pair in enumerate(outer_by_mpmath(spec, s)):
+            for d, exact in enumerate(pair):
+                worst = max(worst, abs(float((got[t, d, i] - exact) / exact)))
+    assert worst <= 4e-15
+
+
+@pytest.mark.parametrize("spec", SERIES_SPECS[:2] + SERIES_SPECS[-2:],
+                         ids=lambda s: s.label())
+def test_outer_factor_depends_only_on_its_radius(spec):
+    # a subset of the radii, a stacked (terms, 2, len) view into a wider
+    # buffer, as a kernel-sum plan passes, and a fresh call give the same bits
+    case = kernel_case(spec)
+    s = OUTER_RADII
+    full = case.outer(s)
+    for part in (slice(0, 1), slice(5, 6), slice(0, 2), slice(10, 30), slice(40, None)):
+        assert case.outer(s[part]).tobytes() == full[..., part].tobytes()
+    buffer = np.full((case._terms, 2, len(s) + 7), np.nan)
+    view = buffer[..., 7:]
+    assert case.outer(s, out=view) is view
+    assert view.tobytes() == full.tobytes()
+
+
+def test_outer_coefficients_have_one_sign():
+    # every factor of H1 and H2 for n <= 11 sums terms of one sign, and the
+    # construction refuses factors whose coefficients mix signs
+    specs = ([KernelSpec(1, 1, n) for n in range(2, 12)]
+             + [KernelSpec(1, 2, n) for n in range(3, 12)])
+    for spec in specs:
+        laurent = kernel_case(spec)._laurent
+        assert laurent.shape[0] == (2 - spec.n % 2) * (spec.n + 1)
+        for t in range(spec.k):
+            for d in range(2):
+                column = laurent[:, t, d]
+                assert (column >= 0).all() or (column <= 0).all(), spec.label()
+                assert column.any()
+    # s^-3 (beta_hat_3 - beta_hat_5) = (2 + 2s - s^2) / (15 s^3), and
+    # beta_hat_3 = (1 + s) / 3
+    mixed = (((3, -3, 1), (5, -3, -1)), ((3, -3, 1),))
+    with pytest.raises(ValueError, match="mix signs"):
+        kernels._outer_laurent((mixed,))
+    rising = (((3, 0, 1),), ((3, -3, 1),))
+    with pytest.raises(ValueError, match="positive power"):
+        kernels._outer_laurent((rising,))
+
+
+@pytest.mark.parametrize("spec", SERIES_SPECS[:2] + SERIES_SPECS[-2:],
+                         ids=lambda s: s.label())
+def test_outer_factors_of_longdouble_radii_are_the_float64_values_cast(spec):
+    case = kernel_case(spec)
+    s = np.linspace(0.0, 20.0, 301)[1:]
+    wide = case.outer(s.astype(np.longdouble))
+    assert wide.dtype == np.longdouble
+    # values, not bytes: a longdouble's padding bytes are not part of it
+    np.testing.assert_array_equal(wide, case.outer(s).astype(np.longdouble))
+
+
+@pytest.mark.parametrize("spec", [KernelSpec(1, 1, 2), KernelSpec(1, 1, 3),
+                                  KernelSpec(1, 2, 3), KernelSpec(1, 2, 4)],
+                         ids=lambda s: s.label())
+def test_sigma1_rhs_makes_no_beta_call(spec, monkeypatch):
+    # the outer factors call no beta_hat; even n evaluates its two start
+    # values once per rhs
+    grid = RadialGrid.uniform(256, 20.0)
+    init = InitialData.from_omega0(neg_exp_bump(grid.r, 2.0, 8.0), grid, spec.n)
+    calls = {"beta_hat": [], "beta_hat_start": []}
+    for name, calls_of in calls.items():
+        func = getattr(bessel, name)
+        monkeypatch.setattr(bessel, name, lambda *args, f=func, c=calls_of:
+                            c.append(args) or f(*args))
+    for _ in range(2):
+        rate = solver.rhs(spec, grid, init, grid.r * 1.1, np.full(grid.num, 1.1))
+        assert np.isfinite(rate).all()
+    assert not calls["beta_hat"]
+    assert len(calls["beta_hat_start"]) == (0 if spec.n % 2 else 2)
 
 
 def test_q_weight_closed_forms():

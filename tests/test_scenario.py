@@ -245,6 +245,19 @@ def test_cli_help_exits_0(capsys):
     assert "usage:" in capsys.readouterr().out
 
 
+def test_cli_main_called_again_in_one_process(tmp_path, capsys):
+    # main keeps one parser per process; each call still parses its own argv
+    _, cfg = write_config(tmp_path, output=str(tmp_path / "run.csv"))
+    calls = [(["run", str(cfg), "--quiet"], 0), (["certify", str(cfg), "--quiet"], 0),
+             (["run"], 1), (["--help"], 0), (["sweep", str(cfg)], 1)]
+    for _ in range(2):
+        for argv, code in calls:
+            assert main(argv) == code, argv
+    out, err = capsys.readouterr()
+    assert out.count("usage:") == 2 and err.count("error:") == 4
+    assert cli._parser.cache_info().currsize == 1
+
+
 def test_cli_bad_config_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("sigma = 7\n")
