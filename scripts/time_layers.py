@@ -20,7 +20,10 @@ orders, and of its ``KernelCase.inner`` and ``KernelCase.outer``, on the
 radii where its rhs evaluates them (the deformed nodes 1 to max(i1, stop) -
 1 for alpha and the inner factors and i0 + 1 to N - 1 for beta and the
 outer factors, with (i0, i1) the quadrature's reach of the support start to
-stop - 1) at N = 256 and 2048.  Then prints the best-of-k time of
+stop - 1) at N = 256 and 2048, and of ``bessel.alpha_hat`` for the same
+orders on 1,400 geometric radii of [1e-3, 600], across both of its
+branches (the power series below r = 30 and the Hankel expansion at and
+above it).  Then prints the best-of-k time of
 ``invert_operator`` at N = 4096 for a negative bump on [0.5, 2], and of
 ``certify.certify`` at N = 512 for the standard bump, after the time of the
 first ``certify`` call of the process (H1dot_n1), which builds the
@@ -40,7 +43,8 @@ show up as a gain or a loss.  Both versions start from the deformed
 state of this checkout.  It also compares what the two versions return: a
 last column says ``same`` when every output of the row is byte for byte
 equal (``rhs``, ``step`` from the state with and without its stored rate,
-the Bessel values, the inner and outer factors, ``invert_operator``, the
+the Bessel values, the inner and outer factors, the alpha values on
+[1e-3, 600], ``invert_operator``, the
 certificate report, the oracle's times and q history) and ``DIFFER``
 otherwise, followed by the largest relative difference: over the outputs
 and their rows, max |this - vs| / max |vs| along the row (for a
@@ -294,6 +298,18 @@ def main(argv=None):
               + compare(f"inner {label} {num}", [(f(),) for f in inner])
               + cells(samples_us(outer))
               + compare(f"outer {label} {num}", [(f(),) for f in outer]))
+
+    # alpha_hat for each sigma = 1 order set on radii across both of its
+    # branches, the power series below 30 and the Hankel table above
+    wide = np.geomspace(1e-3, 600.0, 1400)
+    print(f"{'spec':<10} {'N':>5}" + heading("alpha600", names)
+          + output_heading(names))
+    for label, num, bessel_args in bessel_rows:
+        if num == BESSEL_GRID_N[0]:
+            calls = [lambda f=bes.alpha_hat, orders=case.alpha_orders: f(orders, wide)
+                     for bes, case, _, _ in bessel_args]
+            print(f"{label:<10} {wide.size:>5}" + cells(samples_us(calls))
+                  + compare(f"alpha600 {label}", [tuple(f().values()) for f in calls]))
 
     print(f"{'spec':<10} {'N':>5}" + heading("invert", names)
           + output_heading(names))

@@ -18,47 +18,43 @@ n), so every value comes from the scaled pair
 
 evaluated for a whole set of orders of one parity at once by
 :func:`alpha_hat` and :func:`beta_hat`.  ``alpha``, ``beta`` and
-``beta_scaled`` (r^p beta_p, finite at r = 0) give one order unscaled.  Both
-families obey three-term recurrences in p (DLMF 10.29.1 in this
-normalization):
+``beta_scaled`` (r^p beta_p, finite at r = 0) give one order unscaled.  The
+derivatives follow from alpha_p' = r alpha_{p+2} / (p + 2) and beta_p' =
+-(p + 2) r beta_{p+2}.
 
-    alpha_{p+2} = p (p + 2) (alpha_{p-2} - alpha_p) / r^2,
+alpha_hat_p is one table of powers contracted with a table of exact
+coefficients, each the correctly rounded quotient of two integers: below
+SERIES_RADIUS the power series of alpha_p in r^2 (DLMF 10.25.2, terms of
+one sign; ``_inner_series``, whose rows also give the kernels' inner
+factors), and at and above it the Hankel expansion (DLMF 10.40.1;
+``_hankel_table``), a polynomial in 1/r (times r^{-1/2} for even p).
+Against mpmath at 40 digits the relative error is at most 1.2e-15 below
+SERIES_RADIUS and 1.8e-15 on [SERIES_RADIUS, 600] for every p <= 21; larger
+orders have no Hankel table.  beta_hat_p is the upward recurrence (DLMF
+10.29.1 in this normalization)
+
     beta_hat_{p+2} = (p beta_hat_p + r^2 beta_hat_{p-2} / p) / (p + 2),
 
-and the derivatives follow from alpha_p' = r alpha_{p+2} / (p + 2) and
-beta_p' = -(p + 2) r beta_{p+2}.
+which adds positive terms, from the elementary half-integer forms (DLMF
+10.49: beta_hat_1 = 1, beta_hat_3 = (1 + r)/3) for odd p and from scipy's
+``k0e``/``k1e`` for even p (:func:`beta_hat_start`, the one place that
+imports scipy: a sigma = 0 or odd-n run and every alpha call load none).
 
-The beta recurrence adds positive terms and is run upward from the
-elementary half-integer forms (DLMF 10.49: beta_hat_1 = 1,
-beta_hat_3 = (1 + r)/3) for odd p and from scipy's ``k0e``/``k1e`` for even
-p (:func:`beta_hat_start`).  The alpha recurrence cancels at small r, so
-it is used only for r >= SERIES_CUTOFF, started from alpha_{-1} = cosh r,
-alpha_1 = sinh r / r (odd p) or from ``i0e``/``i1e`` (even p); below the
-cutoff alpha_p is the hypergeometric series 0F1(; p/2 + 1; r^2/4) with
-positive terms, summed for all requested orders from one table of powers
-of r^2/4.  Against mpmath the relative error is below 1e-14 for p <= 9 on
-1e-4 <= r <= 40; frozen mpmath values pin it in the test suite.
-
-Every caller in the library passes increasing radii: the solver's nodes
-(to ``alpha_hat`` only when they reach ``kernels.SERIES_RADIUS``, below
-which the inner kernel factors are summed from their own power series;
-the outer factors are Laurent polynomials in 1/r and call only
-:func:`beta_hat_start`, for even n), a grid, or distinct certificate
+Every caller in the library passes increasing radii: the solver's nodes (to
+``alpha_hat`` only when they reach SERIES_RADIUS; the outer factors call
+only :func:`beta_hat_start`, for even n), a grid, or distinct certificate
 radii.  Each function writes into one output with a row per order.
-:func:`alpha_hat` splits the radii once at SERIES_CUTOFF with a binary
-search and writes the series block and the recurrence block into slices of
+:func:`alpha_hat` splits the radii once at SERIES_RADIUS with a binary
+search and sums each side in blocks of SERIES_BLOCK radii into slices of
 its rows; :func:`beta_hat` sets the radii at the origin, which come first,
-and runs its recurrence on the others.  Radii in any other order are
-sorted first and their values mapped back.  A value depends only on its
-order and radius, not on the other radii of the call, so the same radius
-gives the same bits either way.
-
-The scipy functions are imported inside the even-order branches, so
-``scipy.special`` loads on the first even-order call and never for odd
-orders: importing the library loads numpy alone, and a sigma = 0 or odd-n
-run never loads scipy.
+and runs its recurrence on the others.  Radii in any other order are sorted
+first and their values mapped back.  A value depends only on its order and
+radius, not on the other radii of the call, so the same radius gives the
+same bits either way.
 """
 
+import bisect
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -73,10 +69,13 @@ __all__ = [
     "wronskian_residual",
 ]
 
-# Below the cutoff alpha is summed from its series; SERIES_TERMS terms reach
-# double precision there for every order p >= 0.
-SERIES_CUTOFF = 4.0
-SERIES_TERMS = 18
+# Below SERIES_RADIUS alpha and the inner kernel factors come from their
+# power series in r^2 (_inner_series), summed until the tail is below
+# SERIES_TAIL of the sum.  Their term count grows with r, so it is a hard
+# limit: alpha on larger radii comes from its Hankel expansion.  Both sides
+# are summed in blocks of SERIES_BLOCK radii.
+SERIES_RADIUS = 30.0
+SERIES_TAIL = 2.0**-64
 SERIES_BLOCK = 1024
 
 
@@ -98,13 +97,112 @@ def _check_orders(orders):
 
 
 @lru_cache(maxsize=None)
-def _series_coefficients(lo, hi):
-    """Row i holds 1 / (j! (p/2 + 1)_j) for j < SERIES_TERMS, p = lo + 2i <= hi."""
-    j = np.arange(1, SERIES_TERMS, dtype=float)
-    return np.array([
-        np.cumprod(np.concatenate([[1.0], 1.0 / (j * (0.5 * p + j))]))
-        for p in range(lo, hi + 1, 2)
-    ])
+def _inner_series(rows):
+    """The power series in r^2 of r^(2 shift + 1) alpha_p(r) / divisor, for
+    radii below SERIES_RADIUS.
+
+    ``rows`` gives each term's f_t(r) = r^(2 shift + 1) alpha_p(r) / divisor
+    as (p, shift, divisor), with integer divisor.  From alpha_p(r) =
+    sum_j r^(2j) / prod_{i <= j} 2i (p + 2i) (DLMF 10.25.2),
+
+        f_t(r) = r sum_j A[j, t, 0] r^(2j),  df_t(r) = sum_j A[j, t, 1] r^(2j),
+
+    with A[j, t, 1] = (2j + 1) A[j, t, 0], each coefficient the correctly
+    rounded quotient of two integers.  All the coefficients of a row have
+    one sign, so every sum adds terms of one sign.  Returns (A, reach): A
+    for the terms that SERIES_RADIUS needs, and reach[i], the largest r^2
+    on a grid of [0, SERIES_RADIUS] at which the terms 0 to i leave a tail
+    below SERIES_TAIL of every row's sum.  The relative tail grows with r,
+    so i + 1 terms are enough for every r^2 <= reach[i].  Built once per
+    rows.
+    """
+    cap = 64
+    coefficients = np.zeros((cap, len(rows), 2))
+    for t, (p, shift, divisor) in enumerate(rows):
+        d = divisor
+        for j in range(shift, cap):
+            if j > shift:
+                d *= 2 * (j - shift) * (p + 2 * (j - shift))
+            coefficients[j, t] = 1 / d, (2 * j + 1) / d
+    x = np.linspace(0.0, SERIES_RADIUS, 257)[1:] ** 2
+    terms = np.abs(coefficients.reshape(cap, -1, 1)) * x ** np.arange(cap)[:, None, None]
+    tails = np.cumsum(terms[::-1], axis=0)[::-1]
+    enough = (tails[1:] <= SERIES_TAIL * tails[0]).all(axis=1).sum(axis=1)
+    reach = [float(x[k - 1]) if k else 0.0 for k in enough]
+    needed = bisect.bisect_left(reach, x[-1]) + 1
+    if needed > len(reach):
+        raise ValueError(f"{cap} terms do not reach r = {SERIES_RADIUS}")
+    return coefficients[:needed].copy(), reach[:needed]
+
+
+@lru_cache(maxsize=None)
+def _hankel_table(lo, hi):
+    """The Hankel expansion of alpha_hat_p for r >= SERIES_RADIUS and the
+    orders p = lo, lo + 2, ..., hi, as coefficients of powers of u = 1/r.
+
+    From e^-r I_nu(r) = (2 pi r)^(-1/2) sum_k (-1)^k a_k(nu) r^-k (DLMF
+    10.40.1; it leaves out less than e^-2r relative), with a_k(p/2) =
+    prod_{i <= k} (p^2 - (2i - 1)^2) / (k! 8^k),
+
+        alpha_hat_p(r) = c_p (2 pi)^(-1/2) r^(-(p+1)/2) sum_k (-1)^k a_k(p/2) r^-k
+                       = u^((p % 2 - 1) / 2) sum_j H[j, t] u^j,
+
+    with H[(p + 1) // 2 + k, t] = c_p (2 pi)^(-1/2) (-1)^k a_k(p/2): p!! / 2
+    times a ratio of integers for odd p (ending after k = (p - 1) / 2), and
+    2^(p/2) (p/2)! (2 pi)^(-1/2) times one for even p, with (2 pi)^(-1/2)
+    to 40 digits; each is rounded once.  The terms kept leave a tail below
+    SERIES_TAIL of each row's sum at r = SERIES_RADIUS, where the relative
+    tail is largest.  The terms alternate in sign: raises unless none at
+    SERIES_RADIUS exceeds twice the first, which admits every p <= 21.
+    Built once per pair of orders, on the first radius that needs it.
+    """
+    # here, not at the top: importing fractions takes a few ms, which only
+    # calls with a radius past SERIES_RADIUS should pay
+    from fractions import Fraction
+
+    cap = 64
+    inverse_sqrt_2pi = Fraction("0.3989422804014326779399460599343818684759")
+    rows = []
+    for p in range(lo, hi + 1, 2):
+        c = (Fraction(math.prod(range(p, 0, -2)), 2) if p % 2
+             else 2 ** (p // 2) * math.factorial(p // 2) * inverse_sqrt_2pi)
+        row = [c]
+        for k in range(1, cap):
+            row.append(row[-1] * (p * p - (2 * k - 1) ** 2) / (-8 * k))
+        rows.append(row)
+    # exactly, so that too large an order raises here, not on an overflow
+    x = Fraction(SERIES_RADIUS)
+    terms = [[abs(c / row[0]) / x**k for k, c in enumerate(row)] for row in rows]
+    if max(map(max, terms)) > 2:
+        raise ValueError(
+            f"the Hankel expansion of alpha_{hi} has a term larger than twice "
+            f"its first at r = {SERIES_RADIUS}")
+    tails = np.cumsum(np.array(terms, dtype=float)[:, ::-1], axis=1)[:, ::-1]
+    # the last column holds for every order the check above admits
+    needed = int((tails <= SERIES_TAIL * tails[:, :1]).all(axis=0).argmax())
+    # a view with a stride of two along j: einsum sums over j with several
+    # accumulators when both operands are contiguous along j (one order and
+    # one radius), which would make a value depend on the batch size
+    table = np.zeros(((hi + 1) // 2 + needed, len(rows), 2))[..., 0]
+    for t, (p, row) in enumerate(zip(range(lo, hi + 1, 2), rows)):
+        table[(p + 1) // 2 : (p + 1) // 2 + needed, t] = [float(c) for c in row[:needed]]
+    return table
+
+
+def _power_table(first, operands, terms, dtype):
+    """Rows x^0 to x^(terms - 1), with x = first(*operands) written into
+    row 1, and one product per doubling of the row count."""
+    powers = np.empty((terms, len(operands[-1])), dtype=dtype)
+    powers[0] = 1.0
+    if terms > 1:
+        first(*operands, out=powers[1])
+    # rows k to 2k - 2 are rows 1 to k - 1 times row k - 1
+    k = 2
+    while k < terms:
+        top = min(2 * k - 1, terms)
+        np.multiply(powers[1 : top - k + 1], powers[k - 1], out=powers[k:top])
+        k = top
+    return powers
 
 
 def _sorted_radii(r, name):
@@ -121,13 +219,6 @@ def _sorted_radii(r, name):
     return flat, perm
 
 
-def _rows(first, orders, size):
-    """An empty output with a row (p - first) / 2 for each order p = first,
-    first + 2, ... up to the largest of orders, and at least for the two
-    orders a recurrence starts from."""
-    return np.empty(((max(orders[-1], first + 2) - first) // 2 + 1, size))
-
-
 def _by_order(orders, first, out, perm, shape):
     """{p: the row of out for order p}, back in the order and shape of the radii."""
     if perm is not None:
@@ -138,67 +229,43 @@ def _by_order(orders, first, out, perm, shape):
     return {p: rows[(p - first) // 2, ...] for p in orders}
 
 
-def _alpha_recurrence(first, r, out):
-    """Fill the rows of out, of the orders first = -1 or 0, first + 2, ...,
-    with e^{-r} alpha_p(r), r >= SERIES_CUTOFF."""
-    if first:  # odd orders, from -1
-        # e^{-r} cosh r and e^{-r} sinh r / r; e^{-2r} < 1e-3 here, so
-        # 1 - e^{-2r} loses nothing
-        e2 = np.exp(-2.0 * r)
-        np.add(1.0, e2, out=out[0])
-        out[0] *= 0.5
-        np.subtract(1.0, e2, out=out[1])
-        out[1] /= 2.0 * r
-    else:
-        from scipy.special import i0e, i1e
-
-        i0e(r, out=out[0])
-        i1e(r, out=out[1])
-        out[1] *= 2.0
-        out[1] /= r
-    rr = r * r
-    p = first + 2  # the order of row 1
-    for below, prev, row in zip(out, out[1:], out[2:]):
-        # p (p + 2) (alpha_{p-2} - alpha_p) / r^2
-        np.subtract(below, prev, out=row)
-        row *= p * (p + 2.0)
-        row /= rr
-        p += 2
-
-
 def alpha_hat(orders, r):
-    """{p: e^{-r} alpha_p(r)} for nonnegative integer orders of one parity.
+    """{p: e^{-r} alpha_p(r)} for nonnegative integer orders of one parity,
+    p <= 21 where a radius reaches SERIES_RADIUS.
 
     r >= 0, any shape; each value has the shape of r and is an array of its
     own.  Exactly 1 at r = 0.
     """
     orders = _check_orders(tuple(orders))
     flat, perm = _sorted_radii(r, "alpha")
-    first = -(orders[-1] % 2)
-    out = _rows(first, orders, flat.size)
-    # the left side, so that r = SERIES_CUTOFF takes the recurrence
-    cut = int(flat.searchsorted(SERIES_CUTOFF))
+    lo, hi = orders[0], orders[-1]
+    out = np.empty(((hi - lo) // 2 + 1, flat.size))
+    # the left side, so that r = SERIES_RADIUS takes the Hankel table
+    cut = int(flat.searchsorted(SERIES_RADIUS))
+    # in blocks of radii, so that the table of powers stays small on large
+    # inputs.  einsum, not BLAS (whose rounding depends on where a radius
+    # falls in its block), sums each value over j in order on its own, and
+    # series terms past those a radius needs leave its sum unchanged, so a
+    # value depends only on its order and radius.
     if cut:
-        # the rows of orders[0] to orders[-1]
-        series = out[(orders[0] - first) // 2 : (orders[-1] - first) // 2 + 1]
-        coefficients = _series_coefficients(orders[0], orders[-1])
-        # in blocks of radii, so that the table of powers stays small on
-        # large inputs
-        for lo in range(0, cut, SERIES_BLOCK):
-            hi = min(lo + SERIES_BLOCK, cut)
-            x = 0.25 * flat[lo:hi] ** 2
-            powers = np.empty((x.size, SERIES_TERMS))
-            powers[:, 0] = 1.0
-            powers[:, 1:] = x[:, None]
-            np.multiply.accumulate(powers, axis=1, out=powers)
-            # one sum per order and radius, without BLAS (whose rounding
-            # depends on where a radius falls in its block), so that a value
-            # depends only on its order and radius
-            np.einsum("ij,kj->ki", powers, coefficients, out=series[:, lo:hi])
-        series[:, :cut] *= np.exp(-flat[:cut])
+        series, reach = _inner_series(tuple((p, 0, 1) for p in range(lo, hi + 1, 2)))
+        for start in range(0, cut, SERIES_BLOCK):
+            x = flat[start : min(start + SERIES_BLOCK, cut)]
+            terms = bisect.bisect_left(reach, x[-1] * x[-1]) + 1
+            powers = _power_table(np.multiply, (x, x), terms, float)
+            np.einsum("jm,jt->tm", powers, series[:terms, :, 0],
+                      out=out[:, start : start + x.size])
+        out[:, :cut] *= np.exp(-flat[:cut])
     if cut < flat.size:
-        _alpha_recurrence(first, flat[cut:], out[:, cut:])
-    return _by_order(orders, first, out, perm, np.shape(r))
+        hankel = _hankel_table(lo, hi)
+        for start in range(cut, flat.size, SERIES_BLOCK):
+            u = _power_table(np.divide, (1.0, flat[start : start + SERIES_BLOCK]),
+                             len(hankel), float)
+            block = out[:, start : start + SERIES_BLOCK]
+            np.einsum("jm,jt->tm", u, hankel, out=block)
+            if lo % 2 == 0:
+                block *= np.sqrt(u[1])
+    return _by_order(orders, lo, out, perm, np.shape(r))
 
 
 def beta_hat(orders, r):
@@ -211,7 +278,9 @@ def beta_hat(orders, r):
     orders = _check_orders(tuple(orders))
     flat, perm = _sorted_radii(r, "beta")
     first = orders[-1] % 2
-    out = _rows(first, orders, flat.size)
+    # a row (p - first) / 2 for each order p = first, first + 2, ... up to
+    # the largest of orders, and at least for the two the recurrence starts from
+    out = np.empty(((max(orders[-1], first + 2) - first) // 2 + 1, flat.size))
     zeros = 0
     if flat.size and flat[0] == 0.0:
         # the radii at the origin come first, where beta_hat_p = 1/p; the

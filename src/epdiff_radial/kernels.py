@@ -19,7 +19,7 @@ case with factors of its own); ``kernel_case`` builds the spec's instance,
 which evaluates each Bessel order a formula needs once per call.  The inner
 factors of the sigma = 1 cases with Bessel orders are power series in r^2
 with coefficients of one sign, summed from one table of powers below
-SERIES_RADIUS, and their outer factors are e^{-s} times a Laurent
+bessel.SERIES_RADIUS, and their outer factors are e^{-s} times a Laurent
 polynomial in 1/s (times the start values beta_hat_0, beta_hat_2 for even
 n), also with coefficients of one sign and summed from one table of powers
 at every s > 0.  So the solver's inner side calls no Bessel function, and
@@ -61,14 +61,6 @@ __all__ = [
     "invert_operator",
     "apply_operator",
 ]
-
-# Inner factors on radii below SERIES_RADIUS come from their power series
-# (KernelCase.inner), summed until the tail is below SERIES_TAIL of the sum.
-# The powers of r^2 that the series needs overflow not far above it, so it
-# is a hard limit: larger radii take the Bessel recurrences.
-SERIES_RADIUS = 30.0
-SERIES_TAIL = 2.0**-64
-
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -141,42 +133,6 @@ def _fresh_factors(method, terms, x):
     return factors.reshape((terms, 2) + x.shape)
 
 
-def _inner_series(rows, radius):
-    """The power series in r^2 of the inner factors, for radii below radius.
-
-    ``rows`` gives each term's f_t(r) = r^(2 shift + 1) alpha_p(r) / divisor
-    as (p, shift, divisor), with integer divisor.  From alpha_p(r) =
-    sum_j r^(2j) / prod_{i <= j} 2i (p + 2i) (DLMF 10.25.2),
-
-        f_t(r) = r sum_j A[j, t, 0] r^(2j),  df_t(r) = sum_j A[j, t, 1] r^(2j),
-
-    with A[j, t, 1] = (2j + 1) A[j, t, 0], each coefficient the correctly
-    rounded quotient of two integers.  All the coefficients of a row have
-    one sign, so every sum adds terms of one sign.  Returns (A, reach): A
-    for the terms that radius needs, and reach[i], the largest r^2 on a
-    grid of [0, radius] at which the terms 0 to i leave a tail below
-    SERIES_TAIL of every row's sum.  The relative tail grows with r, so i + 1
-    terms are enough for every r^2 <= reach[i].
-    """
-    cap = 64
-    coefficients = np.zeros((cap, len(rows), 2))
-    for t, (p, shift, divisor) in enumerate(rows):
-        d = divisor
-        for j in range(shift, cap):
-            if j > shift:
-                d *= 2 * (j - shift) * (p + 2 * (j - shift))
-            coefficients[j, t] = 1 / d, (2 * j + 1) / d
-    x = np.linspace(0.0, radius, 257)[1:] ** 2
-    terms = np.abs(coefficients.reshape(cap, -1, 1)) * x ** np.arange(cap)[:, None, None]
-    tails = np.cumsum(terms[::-1], axis=0)[::-1]
-    enough = (tails[1:] <= SERIES_TAIL * tails[0]).all(axis=1).sum(axis=1)
-    reach = [float(x[k - 1]) if k else 0.0 for k in enough]
-    needed = bisect.bisect_left(reach, x[-1]) + 1
-    if needed > len(reach):
-        raise ValueError(f"{cap} terms do not reach r = {radius}")
-    return coefficients[:needed].copy(), reach[:needed]
-
-
 def _outer_laurent(rows):
     """The outer factors as one contraction in u = 1/s, exactly.
 
@@ -231,22 +187,6 @@ def _outer_laurent(rows):
     return table.reshape((-1, len(rows), 2))
 
 
-def _power_table(first, operands, terms, dtype):
-    """Rows x^0 to x^(terms - 1), with x = first(*operands) written into
-    row 1, and one product per doubling of the row count."""
-    powers = np.empty((terms, len(operands[-1])), dtype=dtype)
-    powers[0] = 1.0
-    if terms > 1:
-        first(*operands, out=powers[1])
-    # rows k to 2k - 2 are rows 1 to k - 1 times row k - 1
-    k = 2
-    while k < terms:
-        top = min(2 * k - 1, terms)
-        np.multiply(powers[1 : top - k + 1], powers[k - 1], out=powers[k:top])
-        k = top
-    return powers
-
-
 class KernelCase:
     """Every formula of one spec's kernel; one subclass per case (sigma, k).
 
@@ -255,15 +195,17 @@ class KernelCase:
     (f_t, df_t) or (g_t, dg_t), fresh or written into the rows of a
     caller's buffer (``kernel_sums`` keeps one per window).  ``_terms`` is
     the number of terms T.  The cases without Bessel orders write each
-    factor into its row of ``out`` with ``_inner(r, None, out)`` and
+    factor into its row of ``out`` with ``_inner(r, out)`` and
     ``_outer(s, out)``, with the operations, in the order and dtype, of the
     expression it stands for, so a factor is the same bit for bit as that
     expression, and make no temporary arrays.  The sigma = 1 cases with
-    Bessel orders sum each factor from a table of powers: ``inner`` from
-    the power series in r^2 of ``_series_rows`` (see ``_inner_series``)
-    while every radius is below SERIES_RADIUS, and else from a = {p:
-    alpha_p(r)} of the orders ``alpha_offsets`` by the plain expressions of
-    ``_inner(r, a, out)``; ``outer`` from the Laurent polynomials in 1/s of
+    Bessel orders give each term's inner factor as a row (p, shift,
+    divisor) of ``_series_rows``, f_t = r^(2 shift + 1) alpha_p(r) /
+    divisor, and its orders p and p + 2 are ``alpha_orders``; ``inner`` sums
+    every factor from the power series in r^2 of those rows
+    (``bessel._inner_series``) while every radius is below
+    ``bessel.SERIES_RADIUS``, and else forms them from ``bessel.alpha_hat``.
+    ``outer`` sums them from the Laurent polynomials in 1/s of
     ``_outer_rows`` (see ``_outer_laurent``) at every s > 0, whose orders
     are ``beta_orders``.
 
@@ -288,15 +230,18 @@ class KernelCase:
     gives (kappa, S(0)).
     """
 
-    alpha_offsets = phi_offsets = ()
-    m_offset = _outer_rows = None
+    phi_offsets = ()
+    m_offset = _series_rows = _outer_rows = None
     _terms = 1
 
     def __init__(self, spec):
         n = self.n = spec.n
         self.spec = spec
-        self.alpha_orders = tuple(n + o for o in self.alpha_offsets)
-        self.beta_orders = ()
+        self.alpha_orders = self.beta_orders = ()
+        if self._series_rows:
+            rows = self._series_rows(n)
+            self.alpha_orders = tuple(sorted({q for p, _, _ in rows for q in (p, p + 2)}))
+            self._series, self._reach = bessel._inner_series(rows)
         if self._outer_rows:
             rows = self._outer_rows(n)
             self.beta_orders = tuple(sorted(
@@ -307,9 +252,6 @@ class KernelCase:
         self.m_order = None if self.m_offset is None else n + self.m_offset
         self.q_power = n + self.q_offset
         self.kappa, self.s_origin = self._origin(n)
-        if self.alpha_orders:
-            self._series, self._reach = _inner_series(
-                self._series_rows(n), SERIES_RADIUS)
         self.df_origin = tuple(float(df[0]) for _, df in self.inner(np.zeros(1)))
 
     def inner(self, r, out=None):
@@ -322,31 +264,37 @@ class KernelCase:
         requires.
 
         A case with Bessel orders sums every factor from the power series of
-        ``_inner_series`` when every radius is below SERIES_RADIUS: the
+        its rows when every radius is below ``bessel.SERIES_RADIUS``: the
         powers r^(2j) for the terms the largest radius needs, built with one
         product per doubling of their count, one contraction with the
         coefficients into out, in the dtype of out, and one product of the
         value rows with r.  Each factor is summed over j in order for each
         radius on its own, and terms past those a radius needs do not change
         its sum, so a factor depends only on its radius, not on the others
-        of the call.
+        of the call.  A call that reaches ``bessel.SERIES_RADIUS`` forms
+        every factor of its rows from alpha = e^r ``bessel.alpha_hat``, with
+        df_t = ((2 shift + 1) r^(2 shift) alpha_p + r^(2 shift + 2)
+        alpha_{p+2} / (p + 2)) / divisor (alpha_p' = r alpha_{p+2} / (p + 2)).
         """
         if out is None:
             return _fresh_factors(self.inner, self._terms, r)
-        a = None
-        if self.alpha_orders:
-            hi = float(r.max(initial=0.0))
-            if hi < SERIES_RADIUS:
-                terms = bisect.bisect_left(self._reach, hi * hi) + 1
-                powers = _power_table(np.multiply, (r, r), terms, out.dtype)
-                np.einsum("jm,jtd->tdm", powers, self._series[:terms], out=out)
-                out[:, 0] *= r
-                return out
-            a = bessel.alpha_hat(self.alpha_orders, r)
-            e = np.exp(np.asarray(r, dtype=float))
-            for v in a.values():
-                v *= e  # in place: alpha_hat returns fresh arrays
-        self._inner(r, a, out)
+        if not self.alpha_orders:
+            self._inner(r, out)
+            return out
+        hi = float(r.max(initial=0.0))
+        if hi < bessel.SERIES_RADIUS:
+            terms = bisect.bisect_left(self._reach, hi * hi) + 1
+            powers = bessel._power_table(np.multiply, (r, r), terms, out.dtype)
+            np.einsum("jm,jtd->tdm", powers, self._series[:terms], out=out)
+            out[:, 0] *= r
+            return out
+        a = bessel.alpha_hat(self.alpha_orders, r)
+        e = np.exp(np.asarray(r, dtype=float))
+        for (f, df), (p, shift, divisor) in zip(out, self._series_rows(self.n)):
+            power = r ** (2 * shift) / divisor
+            alpha, up = a[p] * e, a[p + 2] * e
+            np.multiply(power * r, alpha, out=f)
+            np.multiply(power, (2 * shift + 1) * alpha + r * r * up / (p + 2), out=df)
         return out
 
     def outer(self, s, out=None):
@@ -370,9 +318,9 @@ class KernelCase:
         s = np.asarray(s, dtype=float)
         laurent = self._laurent
         if self.n % 2:
-            powers = _power_table(np.divide, (1.0, s), len(laurent), float)
+            powers = bessel._power_table(np.divide, (1.0, s), len(laurent), float)
         else:
-            u = _power_table(np.divide, (1.0, s), len(laurent) // 2, float)
+            u = bessel._power_table(np.divide, (1.0, s), len(laurent) // 2, float)
             starts = np.empty((2, 1, len(s)))
             bessel.beta_hat_start(starts[:, 0], s)
             powers = np.multiply(starts, u).reshape(len(laurent), -1)
@@ -398,7 +346,7 @@ class _H1dot(KernelCase):
     q_offset = -1
     _origin = staticmethod(lambda n: (float(n), float(n)))
 
-    def _inner(self, r, a, out):
+    def _inner(self, r, out):
         n = self.n
         (f, df), = out
         np.divide(r, n, out=f)
@@ -427,7 +375,7 @@ class _H2dot(KernelCase):
 
     _terms = 2
 
-    def _inner(self, r, a, out):
+    def _inner(self, r, out):
         c1 = 2.0 * self.n * (self.n - 2.0)
         c2 = 2.0 * self.n * (self.n + 2.0)
         (f1, df1), (f2, df2) = out
@@ -479,7 +427,6 @@ def _h1_outer_rows(n):
 class _H1(KernelCase):
     """sigma = 1, k = 1: delta = [r alpha_n(r)] [s beta_n(s)]."""
 
-    alpha_offsets = (0, 2)
     phi_offsets = (0,)
     m_offset = 0
     q_offset = -1
@@ -487,12 +434,6 @@ class _H1(KernelCase):
     # f = r alpha_n(r)
     _series_rows = staticmethod(lambda n: ((n, 0, 1),))
     _outer_rows = staticmethod(lambda n: (_h1_outer_rows(n),))
-
-    def _inner(self, r, a, out):
-        n = self.n
-        (f, df), = out
-        np.multiply(r, a[n], out=f)
-        np.add(a[n], r**2 * a[n + 2] / (n + 2.0), out=df)
 
     def phi(self, r, s, a, b):
         # the nonhomogeneous cases compose exponentially scaled Bessel factors
@@ -518,10 +459,9 @@ class _CamassaHolm(_H1):
     The H1 dg = s^{-1} (r beta_1 - 3 r^3 beta_3) cancels at small s.
     """
 
-    alpha_offsets = ()
-    _outer_rows = None
+    _series_rows = _outer_rows = None
 
-    def _inner(self, r, a, out):
+    def _inner(self, r, out):
         (f, df), = out
         np.sinh(r, out=f)
         np.cosh(r, out=df)
@@ -540,7 +480,6 @@ class _H2(KernelCase):
         delta = -[r j(r)/(2n)] [s beta_n(s)] + [r alpha_n(r)/(2n)] [s beta_{n-2}(s)]
     """
 
-    alpha_offsets = (0, 2, 4)
     phi_offsets = (-2, 0)
     m_offset = -2
     q_offset = -3
@@ -556,16 +495,6 @@ class _H2(KernelCase):
     _outer_rows = staticmethod(lambda n: (
         _h1_outer_rows(n),
         (((n - 2, 3 - n, 1),), ((n - 2, 2 - n, 1), (n, 2 - n, -n)))))
-
-    def _inner(self, r, a, out):
-        n = self.n
-        (f1, df1), (f2, df2) = out
-        np.divide(-(r**3) * a[n + 2], 2.0 * (n + 2.0), out=f1)
-        np.divide(
-            -(3.0 * r**2 * a[n + 2] + r**4 * a[n + 4] / (n + 4.0)),
-            2.0 * (n + 2.0), out=df1)
-        np.divide(r * a[n], 2.0 * n, out=f2)
-        np.divide(a[n] + r**2 * a[n + 2] / (n + 2.0), 2.0 * n, out=df2)
 
     def phi(self, r, s, a, b):
         return 0.5 * np.exp(r - s) * self.phi_factor(r, s, a, b)

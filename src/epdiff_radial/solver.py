@@ -21,7 +21,7 @@ it the prefix sums vanish and above it the suffix sums do, so f and df are
 evaluated only up to the window's end and g and dg only from its start.
 For sigma = 1, f and df come from their power series in gamma^2 (one table
 of powers and one contraction) while the window's nodes lie below
-``kernels.SERIES_RADIUS``, and g and dg from Laurent polynomials in
+``bessel.SERIES_RADIUS``, and g and dg from Laurent polynomials in
 1/gamma times e^-gamma (one more table and contraction), so a stage of odd
 n calls no Bessel function and one of even n only the two start values
 ``bessel.beta_hat_start``.  Everything of that pass but the values (the

@@ -31,8 +31,9 @@ EXPORTING = [
 ]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 # Imports the package and the CLI, certifies and steps a sigma = 0 and an
-# odd-n sigma = 1 kernel, then evaluates an even-order Bessel value, and
-# prints the scipy modules loaded after each stage.
+# odd-n sigma = 1 kernel, then evaluates even-order alpha values on radii
+# across [0, 600] and an even-order beta value, and prints the scipy modules
+# loaded after each stage.
 SCIPY_PROBE = """
 import json, sys
 import numpy as np
@@ -55,6 +56,8 @@ for spec in (KernelSpec(0, 2, 3), KernelSpec(1, 1, 3)):
     for _ in range(3):
         state = solver.step(spec, grid, init, state, 1e-3)
     loaded[spec.label()] = scipy_modules()
+bessel.alpha_hat((2, 4), np.concatenate([[0.0], np.geomspace(1e-3, 600.0, 200)]))
+loaded["even alpha"] = scipy_modules()
 bessel.beta_hat((2,), grid.r)
 loaded["even"] = scipy_modules()
 print(json.dumps(loaded))
@@ -101,7 +104,7 @@ def test_scipy_loads_only_where_it_is_used():
     )
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stdout)
-    for stage in ("import", "H2dot_n3", "H1_n3"):
+    for stage in ("import", "H2dot_n3", "H1_n3", "even alpha"):
         assert loaded[stage] == [], f"{stage} loaded {loaded[stage][:5]}"
     assert "scipy.special" in loaded["even"]
     assert not [m for m in loaded["even"] if m.startswith("scipy.interpolate")]

@@ -150,9 +150,9 @@ SERIES_SPECS = ([KernelSpec(1, 1, n) for n in range(2, 6)]
                 + [KernelSpec(1, 2, n) for n in range(3, 6)])
 SERIES_RADII = np.concatenate([
     [0.0, 1e-3, 4.0],
-    np.geomspace(1e-2, kernels.SERIES_RADIUS, 60)[:-1],
-    [kernels.SERIES_RADIUS * (1.0 - 1e-12),
-     np.nextafter(kernels.SERIES_RADIUS, 0.0)],
+    np.geomspace(1e-2, bessel.SERIES_RADIUS, 60)[:-1],
+    [bessel.SERIES_RADIUS * (1.0 - 1e-12),
+     np.nextafter(bessel.SERIES_RADIUS, 0.0)],
 ])
 
 
@@ -211,12 +211,20 @@ def test_inner_factors_past_series_radius_take_the_bessel_path(spec, monkeypatch
     alpha_hat = bessel.alpha_hat
     monkeypatch.setattr(bessel, "alpha_hat",
                         lambda *args: calls.append(args) or alpha_hat(*args))
-    below = np.geomspace(1e-3, kernels.SERIES_RADIUS, 50)[:-1]
-    both = case.inner(np.append(below, [kernels.SERIES_RADIUS, 40.0]))
+    below = np.geomspace(1e-3, bessel.SERIES_RADIUS, 50)[:-1]
+    both = case.inner(np.append(below, [bessel.SERIES_RADIUS, 40.0]))
     assert len(calls) == 1
     series = case.inner(below)
     assert len(calls) == 1
     assert np.max(np.abs(both[..., :-2] / series - 1.0)) <= 4e-15
+
+
+@pytest.mark.parametrize("spec", SERIES_SPECS, ids=lambda s: s.label())
+def test_inner_factors_past_series_radius_match_mpmath(spec):
+    # from the Hankel expansion of alpha and the formula of the case's rows
+    radii = np.array([bessel.SERIES_RADIUS, 40.0, 600.0])
+    got = kernel_case(spec).inner(radii)
+    assert largest_relative_error(got, radii, spec) <= 4e-15
 
 
 @pytest.mark.parametrize("spec", SERIES_SPECS[:2] + SERIES_SPECS[-2:],
@@ -251,7 +259,7 @@ OUTER_RADII = np.unique(np.concatenate([
     np.linspace(0.0, 20.0, 49)[1:],
     0.4 * np.linspace(0.0, 20.0, 17)[1:] ** 1.5,
     np.geomspace(1e-3, 600.0, 30),
-    [1.0, 4.0, kernels.SERIES_RADIUS, 599.0],
+    [1.0, 4.0, bessel.SERIES_RADIUS, 599.0],
 ]))
 
 
