@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time a cold import, then rhs, an RK4 step, the Bessel pair,
+"""Time a cold import, then rhs, a short solver run, the Bessel pair,
 invert_operator and certify for every in-scope kernel, and the Liouville
 oracle.
 
@@ -11,11 +11,14 @@ checkout and DIR (put first on their ``PYTHONPATH``).
 
 Then, for each of the 16 in-scope operators (H1dot n = 1-5, H2dot
 n = 3-5, H1 n = 1-5, H2 n = 3-5) at N = 256, 512 and 2048 nodes on
-[0, 20], it prints the best-of-k wall time of one ``solver.rhs`` and of one RK4
-``solver.step`` of 1e-3 (four rhs calls) on a deformed state: the standard
-negative bump on [2, 8] after ``solver.run`` to t = 0.2 in steps of 0.02.
-Then prints the best-of-k time of ``bessel.alpha_hat`` and
-``bessel.beta_hat`` for the orders of each sigma = 1 operator with Bessel
+[0, 20], it prints the best-of-k wall time of one ``solver.rhs`` on a
+deformed state (the standard negative bump on [2, 8] after ``solver.run``
+to t = 0.2 in steps of 0.02), and the time per step of a short fixed-step
+``solver.run`` of 20 RK4 steps of 1e-3 with ``record_every`` = 20: 81 rhs
+calls, as each step hands the rate of its end state to the next step and
+to the energy.  ``run`` takes no initial state, so this run starts from
+the undeformed state gamma = r, rho = 1.  Then prints the best-of-k time
+of ``bessel.alpha_hat`` and ``bessel.beta_hat`` for the orders of each sigma = 1 operator with Bessel
 orders, and of its ``KernelCase.inner`` and ``KernelCase.outer``, on the
 radii where its rhs evaluates them (the deformed nodes 1 to max(i1, stop) -
 1 for alpha and the inner factors and i0 + 1 to N - 1 for beta and the
@@ -35,21 +38,22 @@ Each sample is the mean over enough calls (at least one) to take about
 10 ms; the best of 7 samples is reported, in microseconds.  ``--against
 DIR`` also loads the library from DIR (a ``src`` directory of another
 checkout) and times both versions in this one process, alternating sample
-by sample, with a column for each and their ratio: this machine's speed drifts by up to 2x
-between processes, so timings from separate runs do not compare.  The
-ratio is the median of the 7 ratios of samples taken side by side, so a
-slow stretch that covers the best sample of one version alone does not
-show up as a gain or a loss.  Both versions start from the deformed
-state of this checkout.  It also compares what the two versions return: a
-last column says ``same`` when every output of the row is byte for byte
-equal (``rhs``, ``step`` from the state with and without its stored rate,
-the Bessel values, the inner and outer factors, the alpha values on
-[1e-3, 600], ``invert_operator``, the
-certificate report, the oracle's times and q history) and ``DIFFER``
-otherwise, followed by the largest relative difference: over the outputs
-and their rows, max |this - vs| / max |vs| along the row (for a
-certificate report, over its numbers one by one, and inf if its text
-differs), and the script exits with status 1 if any row differs.
+by sample, with a column for each and their ratio: this machine's speed
+drifts by up to 2x between processes, so timings from separate runs do
+not compare.  The ratio is the median of the 7 ratios of samples taken
+side by side, so a slow stretch that covers the best sample of one
+version alone does not show up as a gain or a loss.  Both versions
+evaluate rhs and the Bessel rows on the deformed state of this checkout.
+It also compares what the two versions return: a column after each
+compared time says ``same`` when every output of that call is byte for
+byte equal (``rhs``, the run's end state and energy series, the Bessel
+values, the inner and outer factors, the alpha values on [1e-3, 600],
+``invert_operator``, the certificate report, the oracle's times and q
+history) and ``DIFFER`` otherwise, followed by the largest relative
+difference: over the outputs and their rows, max |this - vs| / max |vs|
+along the row (for a certificate report, over its numbers one by one, and
+inf if its text differs), and the script exits with status 1 if any row
+differs.
 
 Usage:
     python3 scripts/time_layers.py [--against DIR]
@@ -85,7 +89,7 @@ R_MAX = 20.0
 BUMP = {"amplitude": 1.0, "r_lo": 2.0, "r_hi": 8.0}
 INVERT_BUMP = {"amplitude": 1.0, "r_lo": 0.5, "r_hi": 2.0}
 WARP_STEPS, WARP_DT = 10, 0.02
-STEP_DT = 1e-3
+RUN_STEPS, STEP_DT = 20, 1e-3
 SAMPLE_S = 0.01
 REPEAT = 7
 LAYERS = ("bessel", "certify", "grid", "kernels", "liouville", "scenario", "solver")
@@ -145,10 +149,10 @@ def samples_us(funcs):
             for _ in range(REPEAT)]
 
 
-def cells(rounds):
-    """The best sample per version, then with two versions the median of
-    the per-round ratios this/against."""
-    out = "".join(f" {min(times):>10.1f}" for times in zip(*rounds))
+def cells(rounds, per=1):
+    """The best sample per version, divided by ``per``, then with two
+    versions the median of the per-round ratios this/against."""
+    out = "".join(f" {min(times) / per:>10.1f}" for times in zip(*rounds))
     if len(rounds[0]) == 2:
         out += f" {statistics.median(a / b for a, b in rounds):>6.2f}"
     return out
@@ -239,12 +243,12 @@ def main(argv=None):
         differing.append(row)
         return f" {'DIFFER':>6} {largest_difference(*(numbers or outputs)):.1e}"
 
-    print(f"{'spec':<10} {'N':>5}" + heading("rhs", names) + heading("step", names)
-          + output_heading(names))
+    print(f"{'spec':<10} {'N':>5}" + heading("rhs", names) + output_heading(names)
+          + heading("run", names) + output_heading(names))
     bessel_rows = []
     for num in RHS_GRID_N:
         for sigma, k, n in IN_SCOPE:
-            rhs_calls, step_calls, outputs, bessel_args = [], [], [], []
+            rhs_calls, run_calls, rates, runs, bessel_args = [], [], [], [], []
             warped = None
             for lib in versions:
                 solver = lib["solver"]
@@ -255,30 +259,27 @@ def main(argv=None):
                     _, warped = solver.run(spec, grid, init, dt=WARP_DT,
                                            horizon=WARP_STEPS * WARP_DT,
                                            record_snapshots=False)
-                # without the stored rate, so that step evaluates four stages
-                state = solver.FlowState(warped.t, warped.gamma, warped.rho)
-                call = (spec, grid, init, state)
-                rhs_calls.append(lambda s=solver, a=call:
-                                 s.rhs(*a[:3], a[3].gamma, a[3].rho))
-                step_calls.append(lambda s=solver, a=call: s.step(*a, STEP_DT))
-                rate = rhs_calls[-1]()
-                rated = solver.FlowState(state.t, state.gamma, state.rho,
-                                         rate=rate.copy())
-                steps = [step_calls[-1](),
-                         solver.step(spec, grid, init, rated, STEP_DT)]
-                outputs.append(
-                    (rate, *(a for st in steps for a in (st.gamma, st.rho))))
+                call = (spec, grid, init)
+                rhs_calls.append(lambda s=solver, a=call, w=warped:
+                                 s.rhs(*a, w.gamma, w.rho))
+                run_calls.append(lambda s=solver, a=call: s.run(
+                    *a, dt=STEP_DT, horizon=RUN_STEPS * STEP_DT,
+                    record_every=RUN_STEPS, record_snapshots=False))
+                rates.append((rhs_calls[-1](),))
+                record, end = run_calls[-1]()
+                runs.append((end.gamma, end.rho, np.array(record.energy)))
                 case = lib["kernels"].kernel_case(spec)
                 start, stop = init.support_start, init.support_index + 1
                 i0, i1 = grid.quadrature.reach(start, stop)
                 bessel_args.append((
                     lib["bessel"], case,
-                    (case.alpha_orders, state.gamma[1:max(i1, stop)]),
-                    (case.beta_orders, state.gamma[i0 + 1:])))
+                    (case.alpha_orders, warped.gamma[1:max(i1, stop)]),
+                    (case.beta_orders, warped.gamma[i0 + 1:])))
             print(f"{spec.label():<10} {num:>5}"
                   + cells(samples_us(rhs_calls))
-                  + cells(samples_us(step_calls))
-                  + compare(f"rhs/step {spec.label()} {num}", outputs))
+                  + compare(f"rhs {spec.label()} {num}", rates)
+                  + cells(samples_us(run_calls), per=RUN_STEPS)
+                  + compare(f"run {spec.label()} {num}", runs))
             if num in BESSEL_GRID_N and case.alpha_orders:
                 bessel_rows.append((spec.label(), num, bessel_args))
 

@@ -189,20 +189,42 @@ def _hankel_table(lo, hi):
     return table
 
 
-def _power_table(first, operands, terms, dtype):
-    """Rows x^0 to x^(terms - 1), with x = first(*operands) written into
-    row 1, and one product per doubling of the row count."""
-    powers = np.empty((terms, len(operands[-1])), dtype=dtype)
-    powers[0] = 1.0
-    if terms > 1:
-        first(*operands, out=powers[1])
-    # rows k to 2k - 2 are rows 1 to k - 1 times row k - 1
-    k = 2
-    while k < terms:
-        top = min(2 * k - 1, terms)
-        np.multiply(powers[1 : top - k + 1], powers[k - 1], out=powers[k:top])
-        k = top
-    return powers
+def _power_buffer(rows, width, dtype):
+    """A table for ``_power_table`` on ``width`` radii, of up to ``rows``
+    rows: a (rows, width) buffer whose row 0 holds ones, and a dict for the
+    views of each row count."""
+    buffer = np.empty((rows, width), dtype=dtype)
+    buffer[0] = 1.0
+    return buffer, {}
+
+
+def _power_table(first, operands, terms, table):
+    """Rows x^0 to x^(terms - 1) of ``table`` (from ``_power_buffer``), with
+    x = first(*operands) written into row 1, and one product per doubling
+    of the row count.
+
+    The views of each doubling are set up the first time a row count is
+    needed and kept in the table, so a caller that keeps the table (a
+    ``kernels`` sum plan) pays for them once; a direct call makes a table
+    of ``terms`` rows and drops it.
+    """
+    buffer, views = table
+    kept = views.get(terms)
+    if kept is None:
+        # rows k to 2k - 2 are rows 1 to k - 1 times row k - 1
+        doublings, k = [], 2
+        while k < terms:
+            top = min(2 * k - 1, terms)
+            doublings.append((buffer[1 : top - k + 1], buffer[k - 1], buffer[k:top]))
+            k = top
+        kept = views[terms] = (
+            buffer[:terms], buffer[1] if terms > 1 else None, doublings)
+    head, row, doublings = kept
+    if row is not None:
+        first(*operands, out=row)
+    for below, last, rows in doublings:
+        np.multiply(below, last, out=rows)
+    return head
 
 
 def _sorted_radii(r, name):
@@ -252,15 +274,17 @@ def alpha_hat(orders, r):
         for start in range(0, cut, SERIES_BLOCK):
             x = flat[start : min(start + SERIES_BLOCK, cut)]
             terms = bisect.bisect_left(reach, x[-1] * x[-1]) + 1
-            powers = _power_table(np.multiply, (x, x), terms, float)
+            powers = _power_table(np.multiply, (x, x), terms,
+                                  _power_buffer(terms, x.size, float))
             np.einsum("jm,jt->tm", powers, series[:terms, :, 0],
                       out=out[:, start : start + x.size])
         out[:, :cut] *= np.exp(-flat[:cut])
     if cut < flat.size:
         hankel = _hankel_table(lo, hi)
         for start in range(cut, flat.size, SERIES_BLOCK):
-            u = _power_table(np.divide, (1.0, flat[start : start + SERIES_BLOCK]),
-                             len(hankel), float)
+            x = flat[start : start + SERIES_BLOCK]
+            u = _power_table(np.divide, (1.0, x), len(hankel),
+                             _power_buffer(len(hankel), x.size, float))
             block = out[:, start : start + SERIES_BLOCK]
             np.einsum("jm,jt->tm", u, hankel, out=block)
             if lo % 2 == 0:

@@ -194,20 +194,23 @@ class KernelCase:
     delta(r, s) = sum_t f_t(r) g_t(s) of every term at once, as the pairs
     (f_t, df_t) or (g_t, dg_t), fresh or written into the rows of a
     caller's buffer (``kernel_sums`` keeps one per window).  ``_terms`` is
-    the number of terms T.  The cases without Bessel orders write each
-    factor into its row of ``out`` with ``_inner(r, out)`` and
-    ``_outer(s, out)``, with the operations, in the order and dtype, of the
-    expression it stands for, so a factor is the same bit for bit as that
-    expression, and make no temporary arrays.  The sigma = 1 cases with
-    Bessel orders give each term's inner factor as a row (p, shift,
-    divisor) of ``_series_rows``, f_t = r^(2 shift + 1) alpha_p(r) /
-    divisor, and its orders p and p + 2 are ``alpha_orders``; ``inner`` sums
-    every factor from the power series in r^2 of those rows
-    (``bessel._inner_series``) while every radius is below
-    ``bessel.SERIES_RADIUS``, and else forms them from ``bessel.alpha_hat``.
-    ``outer`` sums them from the Laurent polynomials in 1/s of
-    ``_outer_rows`` (see ``_outer_laurent``) at every s > 0, whose orders
-    are ``beta_orders``.
+    the number of terms T.  Each writes through ``_inner(r, out)`` and
+    ``_outer(s, out)``, which a ``kernel_sums`` plan calls directly.  The
+    cases without Bessel orders write each factor into its row of ``out``
+    with the operations, in the order and dtype, of the expression it
+    stands for, so a factor is the same bit for bit as that expression, and
+    make no temporary arrays.  The sigma = 1 cases with Bessel orders give
+    each term's inner factor as a row (p, shift, divisor) of
+    ``_series_rows``, f_t = r^(2 shift + 1) alpha_p(r) / divisor, and its
+    orders p and p + 2 are ``alpha_orders``; ``inner`` sums every factor
+    from the power series in r^2 of those rows (``bessel._inner_series``)
+    while every radius is below ``bessel.SERIES_RADIUS``, and else forms
+    them from ``bessel.alpha_hat``.  ``outer`` sums them from the Laurent
+    polynomials in 1/s of ``_outer_rows`` (see ``_outer_laurent``) at every
+    s > 0, whose orders are ``beta_orders``.  Their ``_inner`` and
+    ``_outer`` take the tables they sum from as a last argument, which a
+    plan keeps (a ``bessel._power_buffer`` and ``_outer_buffers``); without
+    it they make them for the call.
 
     ``phi(r, s, a, b)`` is the kernel and ``phi_factor(r, s, a, b)`` the
     factor of phi whose log is not a sum of a function of r and one of s;
@@ -266,35 +269,21 @@ class KernelCase:
         A case with Bessel orders sums every factor from the power series of
         its rows when every radius is below ``bessel.SERIES_RADIUS``: the
         powers r^(2j) for the terms the largest radius needs, built with one
-        product per doubling of their count, one contraction with the
-        coefficients into out, in the dtype of out, and one product of the
-        value rows with r.  Each factor is summed over j in order for each
-        radius on its own, and terms past those a radius needs do not change
-        its sum, so a factor depends only on its radius, not on the others
-        of the call.  A call that reaches ``bessel.SERIES_RADIUS`` forms
-        every factor of its rows from alpha = e^r ``bessel.alpha_hat``, with
-        df_t = ((2 shift + 1) r^(2 shift) alpha_p + r^(2 shift + 2)
-        alpha_{p+2} / (p + 2)) / divisor (alpha_p' = r alpha_{p+2} / (p + 2)).
+        product per doubling of their count (``bessel._power_table``, into a
+        table made for the call, or kept by a ``kernel_sums`` plan), one
+        contraction with the coefficients into out, in the dtype of out, and
+        one product of the value rows with r.  Each factor is summed over j
+        in order for each radius on its own, and terms past those a radius
+        needs do not change its sum, so a factor depends only on its radius,
+        not on the others of the call.  A call that reaches
+        ``bessel.SERIES_RADIUS`` forms every factor of its rows from alpha =
+        e^r ``bessel.alpha_hat``, with df_t = ((2 shift + 1) r^(2 shift)
+        alpha_p + r^(2 shift + 2) alpha_{p+2} / (p + 2)) / divisor (alpha_p'
+        = r alpha_{p+2} / (p + 2)).
         """
         if out is None:
-            return _fresh_factors(self.inner, self._terms, r)
-        if not self.alpha_orders:
-            self._inner(r, out)
-            return out
-        hi = float(r.max(initial=0.0))
-        if hi < bessel.SERIES_RADIUS:
-            terms = bisect.bisect_left(self._reach, hi * hi) + 1
-            powers = bessel._power_table(np.multiply, (r, r), terms, out.dtype)
-            np.einsum("jm,jtd->tdm", powers, self._series[:terms], out=out)
-            out[:, 0] *= r
-            return out
-        a = bessel.alpha_hat(self.alpha_orders, r)
-        e = np.exp(np.asarray(r, dtype=float))
-        for (f, df), (p, shift, divisor) in zip(out, self._series_rows(self.n)):
-            power = r ** (2 * shift) / divisor
-            alpha, up = a[p] * e, a[p + 2] * e
-            np.multiply(power * r, alpha, out=f)
-            np.multiply(power, (2 * shift + 1) * alpha + r * r * up / (p + 2), out=df)
+            return _fresh_factors(self._inner, self._terms, r)
+        self._inner(r, out)
         return out
 
     def outer(self, s, out=None):
@@ -308,28 +297,67 @@ class KernelCase:
         with e^-s.  It works in float64 whatever the dtype of s, as the
         Bessel values always did, and casts into out.  Each factor is summed
         over the same terms for each radius on its own, so it depends only
-        on its radius.
+        on its radius.  The tables it sums from (``_outer_buffers``) are
+        made for the call, or kept by a ``kernel_sums`` plan.
         """
         if out is None:
-            return _fresh_factors(self.outer, self._terms, s)
-        if not self.beta_orders:
-            self._outer(s, out)
-            return out
+            return _fresh_factors(self._outer, self._terms, s)
+        self._outer(s, out)
+        return out
+
+    def _inner(self, r, out, powers=None):
+        # the series rows of a case with Bessel orders; powers is a table
+        # from bessel._power_buffer of len(self._series) rows on len(r) radii
+        hi = float(np.maximum.reduce(r, initial=0.0))
+        if hi < bessel.SERIES_RADIUS:
+            terms = bisect.bisect_left(self._reach, hi * hi) + 1
+            table = bessel._power_table(
+                np.multiply, (r, r), terms,
+                powers or bessel._power_buffer(terms, len(r), out.dtype))
+            np.einsum("jm,jtd->tdm", table, self._series[:terms], out=out)
+            out[:, 0] *= r
+            return
+        a = bessel.alpha_hat(self.alpha_orders, r)
+        e = np.exp(np.asarray(r, dtype=float))
+        for (f, df), (p, shift, divisor) in zip(out, self._series_rows(self.n)):
+            power = r ** (2 * shift) / divisor
+            alpha, up = a[p] * e, a[p + 2] * e
+            np.multiply(power * r, alpha, out=f)
+            np.multiply(power, (2 * shift + 1) * alpha + r * r * up / (p + 2), out=df)
+
+    def _outer_buffers(self, width, dtype):
+        """The tables ``_outer`` sums with on ``width`` radii into an out
+        of ``dtype``: the powers of 1/s, for even n the start values (2, 1,
+        width) and their products with the powers (2, K, width; and flat),
+        e^-s, and float64 factors unless dtype is float64."""
+        rows = len(self._laurent) // (2 - self.n % 2)
+        starts = products = flat = None
+        if self.n % 2 == 0:
+            starts = np.empty((2, 1, width))
+            products = np.empty((2, rows, width))
+            flat = products.reshape(2 * rows, width)
+        factors = None if dtype == float else np.empty((self._terms, 2, width))
+        return (bessel._power_buffer(rows, width, float), starts, products, flat,
+                np.empty(width), factors)
+
+    def _outer(self, s, out, buffers=None):
+        # the Laurent polynomials of a case with Bessel orders
         s = np.asarray(s, dtype=float)
-        laurent = self._laurent
-        if self.n % 2:
-            powers = bessel._power_table(np.divide, (1.0, s), len(laurent), float)
-        else:
-            u = bessel._power_table(np.divide, (1.0, s), len(laurent) // 2, float)
-            starts = np.empty((2, 1, len(s)))
-            bessel.beta_hat_start(starts[:, 0], s)
-            powers = np.multiply(starts, u).reshape(len(laurent), -1)
-        factors = out if out.dtype == float else np.empty(out.shape)
-        np.einsum("jm,jtd->tdm", powers, laurent, out=factors)
-        factors *= np.exp(-s)
+        powers, starts, products, flat, e, factors = (
+            buffers or self._outer_buffers(len(s), out.dtype))
+        table = bessel._power_table(np.divide, (1.0, s), len(powers[0]), powers)
+        if starts is not None:
+            bessel.beta_hat_start(starts, s)
+            np.multiply(starts, table, out=products)
+            table = flat
+        if factors is None:
+            factors = out
+        np.einsum("jm,jtd->tdm", table, self._laurent, out=factors)
+        np.negative(s, out=e)
+        np.exp(e, out=e)
+        factors *= e
         if factors is not out:
             out[...] = factors
-        return out
 
     def phi_alpha(self, r):
         """{p: e^-r alpha_p(r)} for the ``phi_orders`` (None if none)."""
@@ -647,6 +675,13 @@ class _SumPlan:
       N - 1, with the views the case writes into: stacked (T, 2, nodes)
       views for the factors a case with Bessel orders sums from its tables
       of powers, and else one row view per term and row;
+    - for a case with Bessel orders, the tables its ``_inner`` and
+      ``_outer`` sum from: a table of powers of r^2 on the inner nodes with
+      a row for every series term, one of powers of 1/s on the outer nodes,
+      and for the outer side the buffers of e^-s and, for even n, of the
+      start values and their products with the powers.  Each table keeps
+      the views of each doubling once per row count, set up the first time
+      that count is needed, so a stage makes only its ufunc calls;
     - the integrand source (f_t and g_t on the nodes lo = max(start, 1) to
       stop - 1) and the window's samples viewed as (2, T, L), so that the
       2T integrands are one multiply;
@@ -669,14 +704,19 @@ class _SumPlan:
         inner[:, 0, 0] = 0.0
         inner[:, 1, 0] = case.df_origin
         self.nodes = slice(1, m), slice(i0 + 1, None)
-        # a case with Bessel orders sums its factors straight into the
-        # stacked rows; the others take their rows split once here: unpacking
-        # the stacked view on every call made a sigma = 0 rhs about 6 % slower
-        self.factors = (
-            inner[..., 1:m] if case.alpha_orders
-            else tuple((f[1:m], df[1:m]) for f, df in inner),
-            outer[..., i0 + 1 :] if case.beta_orders
-            else tuple((g[i0 + 1 :], dg[i0 + 1 :]) for g, dg in outer))
+        # what the case's _inner and _outer take after the radii: a case
+        # with Bessel orders sums its factors straight into the stacked rows,
+        # from tables it keeps here; the others take their rows split once
+        # here: unpacking the stacked view on every call made a sigma = 0
+        # rhs about 6 % slower
+        self.inner = (
+            (inner[..., 1:m], bessel._power_buffer(len(case._series), m - 1, fdtype))
+            if case.alpha_orders
+            else (tuple((f[1:m], df[1:m]) for f, df in inner),))
+        self.outer = (
+            (outer[..., i0 + 1 :], case._outer_buffers(num - i0 - 1, fdtype))
+            if case.beta_orders
+            else (tuple((g[i0 + 1 :], dg[i0 + 1 :]) for g, dg in outer),))
         lo = max(start, 1)
         self.weight = slice(lo - start, None)
         samples = self.window.samples
@@ -707,9 +747,8 @@ class _SumPlan:
 
     def sums(self, case, x, weight, rows):
         """The kernel sums of ``kernel_sums``, into a fresh (rows, N) array."""
-        inner, outer = self.factors
-        case.inner(x[self.nodes[0]], out=inner)
-        case.outer(x[self.nodes[1]], out=outer)
+        case._inner(x[self.nodes[0]], *self.inner)
+        case._outer(x[self.nodes[1]], *self.outer)
         source, samples = self.integrands
         np.multiply(source, weight[self.weight], out=samples)
         if self.origin is not None:
@@ -775,8 +814,8 @@ def kernel_sums(case, quadrature, x, weight, start=0, derivatives=False):
     weight, and the output regions on the row count too.  It is set up as
     one plan on the first call for them and kept until a call with another
     key, so the stages of a solver run set it up once and a call is its
-    ufuncs alone: the case's factor formulas write into the plan's buffers,
-    one multiply writes the 2T integrands into the window, then come the
+    ufuncs alone: the case's factor formulas write into the plan's buffers
+    (a sigma = 1 case from the plan's tables of powers), one multiply writes the 2T integrands into the window, then come the
     window's sums, one subtraction for the tail sums, one product per
     region over every term and row, and the terms added in order into a
     fresh array.

@@ -611,6 +611,35 @@ def test_separable_sums_window_equals_full_grid_sums(spec, a, b, dtype):
         assert len(plans[0]) == 1 and plans[1] == plans[2] == plans[0]
 
 
+@pytest.mark.parametrize("spec", [KernelSpec(1, 1, 2), KernelSpec(1, 1, 3),
+                                  KernelSpec(1, 2, 3), KernelSpec(1, 2, 4)],
+                         ids=lambda s: s.label())
+def test_kept_tables_of_powers_follow_each_call_term_count(spec):
+    # two states whose largest inner radius needs different numbers of
+    # series terms share one plan, whose table of powers keeps the views of
+    # each row count: in either order, every call gives the bytes of the
+    # sums from factors evaluated without a plan
+    grid = RadialGrid.uniform(300, 20.0)
+    case = kernel_case(spec)
+    a, b = 30, 280
+    weight = np.zeros(grid.num)
+    weight[a:b] = -np.exp(-((grid.r[a:b] - 6.0) ** 2)) - 0.5
+    states = (grid.r.copy(), 0.3 * grid.r)
+    refs = [full_grid_kernel_sums(case, grid, weight, x).tobytes() for x in states]
+    for order in ((0, 1), (1, 0)):
+        kernels._spare_window.clear()
+        plans = set()
+        for i in order + order:
+            got = kernel_sums(case, grid.quadrature, states[i], weight[a:b],
+                              start=a, derivatives=True)
+            assert got.tobytes() == refs[i]
+            [(_, plan)] = kernels._spare_window
+            plans.add(plan)
+        [plan] = plans
+        _, powers = plan.inner
+        assert len(powers[1]) == 2  # the views of two row counts
+
+
 def test_kernel_sums_results_never_share_memory():
     # the window's buffers are reused from call to call; the results are not
     grid = RadialGrid.uniform(300, 20.0)

@@ -192,10 +192,12 @@ def test_step_raises_guard_directly(grid):
         step(spec, grid, init, state, 1e-3)
 
 
-def test_energy_rhs_is_the_next_first_stage(grid, monkeypatch):
-    # every recorded state's RHS (evaluated for the energy) is the first RK4
-    # stage of the step that leaves it: s accepted steps recorded at every
-    # step cost 4 s + 1 RHS evaluations, not 5 s + 1
+@pytest.mark.parametrize("record_every,recorded", [(1, 6), (10, 2)])
+def test_energy_rhs_is_the_next_first_stage(grid, monkeypatch, record_every,
+                                            recorded):
+    # the RHS of each step's end state (which the energy of a recorded state
+    # reads) is the first RK4 stage of the next step: s accepted steps cost
+    # 4 s + 1 RHS evaluations, not 5 s + 1, whether or not each is recorded
     calls = []
 
     def counting_rhs(*args):
@@ -204,10 +206,55 @@ def test_energy_rhs_is_the_next_first_stage(grid, monkeypatch):
 
     monkeypatch.setattr(solver, "rhs", counting_rhs)
     record, _ = run(KernelSpec(0, 1, 3), grid, make_init(grid, 3), dt=1e-2,
-                    horizon=0.05, record_every=1)
-    steps = len(record.times) - 1
-    assert record.status == "completed" and steps == 5
-    assert len(calls) == 4 * steps + 1
+                    horizon=0.05, record_every=record_every)
+    assert record.status == "completed" and len(record.times) == recorded
+    assert len(calls) == 4 * 5 + 1
+
+
+@pytest.mark.parametrize("spec", [KernelSpec(0, 1, 3), KernelSpec(1, 2, 3)],
+                         ids=lambda s: s.label())
+def test_step_rate_is_the_rhs_of_its_end_state(grid, spec):
+    init = make_init(grid, 3)
+    state = FlowState(0.0, grid.r.copy(), np.ones(grid.num))
+    for _ in range(3):
+        state = step(spec, grid, init, state, 1e-2)
+        fresh = rhs(spec, grid, init, state.gamma, state.rho)
+        assert state.rate.tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize(
+    "fault,error",
+    [("unordered", StepRejected), ("guard", GuardError),
+     ("nan_gamma", NonFiniteState), ("inf_rho", NonFiniteState)],
+)
+def test_a_faulty_end_state_raises_what_validate_raises(grid, monkeypatch,
+                                                        fault, error):
+    # the first three rates are 0, so every stage state is the start state,
+    # and the fourth moves the end state alone: the rhs that would give the
+    # end state its rate validates it first and raises, without summing
+    init = make_init(grid, 3)
+    dt = 1e-2
+    jump = np.zeros((2, grid.num))
+    if fault == "unordered":
+        jump[0, 100] = 6.0 * 0.1 / dt  # past nodes 101 and 102
+    elif fault == "guard":
+        jump[0, init.support_index :] = 6.0 * 0.9 * grid.r_max / dt
+    elif fault == "nan_gamma":
+        jump[0, 200] = np.nan
+    elif fault == "inf_rho":
+        jump[1, 300] = np.inf
+    rates = iter([np.zeros((2, grid.num)) for _ in range(3)] + [jump])
+    sums = []
+
+    def scripted(*args, **kwargs):
+        sums.append(args)
+        return next(rates)
+
+    monkeypatch.setattr(solver, "kernel_sums", scripted)
+    state = FlowState(0.0, grid.r.copy(), np.ones(grid.num))
+    with pytest.raises(error):
+        step(KernelSpec(0, 1, 3), grid, init, state, dt)
+    assert len(sums) == 4
 
 
 def test_run_validates_threshold(grid):
