@@ -18,12 +18,12 @@ to t = 0.2 in steps of 0.02), and the time per step of a short fixed-step
 calls, as each step hands the rate of its end state to the next step and
 to the energy.  ``run`` takes no initial state, so this run starts from
 the undeformed state gamma = r, rho = 1.  Then prints the best-of-k time
-of ``bessel.alpha_hat`` and ``bessel.beta_hat`` for the orders of each sigma = 1 operator with Bessel
-orders, and of its ``KernelCase.inner`` and ``KernelCase.outer``, on the
-radii where its rhs evaluates them (the deformed nodes 1 to max(i1, stop) -
-1 for alpha and the inner factors and i0 + 1 to N - 1 for beta and the
-outer factors, with (i0, i1) the quadrature's reach of the support start to
-stop - 1) at N = 256 and 2048, and of ``bessel.alpha_hat`` for the same
+of ``bessel.alpha_hat`` and ``bessel.beta_hat`` for the orders of each
+sigma = 1 operator with Bessel orders, and of its ``KernelCase.inner`` and
+``KernelCase.outer``, on the radii where its rhs evaluates them (the
+deformed nodes 1 to max(i1, stop) - 1 for alpha and the inner factors and
+i0 + 1 to N - 1 for beta and the outer factors, with (i0, i1) the
+quadrature's reach of the support start to stop - 1) at N = 256 and 2048, and of ``bessel.alpha_hat`` for the same
 orders on 1,400 geometric radii of [1e-3, 600], across both of its
 branches (the power series below r = 30 and the Hankel expansion at and
 above it).  Then prints the best-of-k time of

@@ -815,10 +815,10 @@ def kernel_sums(case, quadrature, x, weight, start=0, derivatives=False):
     one plan on the first call for them and kept until a call with another
     key, so the stages of a solver run set it up once and a call is its
     ufuncs alone: the case's factor formulas write into the plan's buffers
-    (a sigma = 1 case from the plan's tables of powers), one multiply writes the 2T integrands into the window, then come the
-    window's sums, one subtraction for the tail sums, one product per
-    region over every term and row, and the terms added in order into a
-    fresh array.
+    (a sigma = 1 case from the plan's tables of powers), one multiply
+    writes the 2T integrands into the window, then come the window's sums,
+    one subtraction for the tail sums, one product per region over every
+    term and row, and the terms added in order into a fresh array.
     """
     num = len(x)
     stop = start + len(weight)
