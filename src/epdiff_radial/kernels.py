@@ -212,13 +212,14 @@ class KernelCase:
     plan keeps (a ``bessel._power_buffer`` and ``_outer_buffers``); without
     it they make them for the call.
 
-    ``phi(r, s, a, b)`` is the kernel and ``phi_factor(r, s, a, b)`` the
-    factor of phi whose log is not a sum of a function of r and one of s;
-    only the cases that are not ``separable`` have one.  Both take the
-    exponentially scaled values a = ``phi_alpha(r)`` = {p: e^-r alpha_p(r)}
-    and b = ``phi_beta(s)`` = {p: e^s beta_p(s)} of the orders
-    ``phi_offsets`` (None when there are none), so that a caller with many
-    points on few radii can evaluate them once per distinct radius.
+    ``scaled_factors(r, s)`` gives inner(r) e^{-sigma r} and outer(s)
+    e^{sigma s}, finite where the factors themselves overflow or underflow.
+    A case is ``separable`` (ln phi is a function of r plus one of s) when
+    it has one term.  ``phi(r, s, a, b)`` is the kernel.  It takes the scaled
+    values a = ``phi_alpha(r)`` = {p: e^-r alpha_p(r)} and b =
+    ``phi_beta(s)`` = {p: e^s beta_p(s)} of the orders ``phi_offsets`` (None
+    when there are none), so that a caller with many points on few radii
+    can evaluate them once per distinct radius.
     ``s_generic(r)`` is the diagonal criterion S for r > 0.
 
     ``g`` and ``dg`` may be singular at s = 0 for n >= 2: ``kernel_sums``
@@ -251,7 +252,7 @@ class KernelCase:
                 {p for term in rows for factor in term for p, _, _ in factor}))
             self._laurent = _outer_laurent(rows)
         self.phi_orders = tuple(n + o for o in self.phi_offsets)
-        self.separable = not hasattr(self, "phi_factor")
+        self.separable = self._terms == 1
         self.m_order = None if self.m_offset is None else n + self.m_offset
         self.q_power = n + self.q_offset
         self.kappa, self.s_origin = self._origin(n)
@@ -317,8 +318,12 @@ class KernelCase:
             np.einsum("jm,jtd->tdm", table, self._series[:terms], out=out)
             out[:, 0] *= r
             return
+        self._alpha_factors(r, out, np.exp(np.asarray(r, dtype=float)))
+
+    def _alpha_factors(self, r, out, e=1.0):
+        # the factors of the series rows from e^-r alpha = bessel.alpha_hat,
+        # times e: e^r for f_t and df_t themselves, 1 for them scaled by e^-r
         a = bessel.alpha_hat(self.alpha_orders, r)
-        e = np.exp(np.asarray(r, dtype=float))
         for (f, df), (p, shift, divisor) in zip(out, self._series_rows(self.n)):
             power = r ** (2 * shift) / divisor
             alpha, up = a[p] * e, a[p + 2] * e
@@ -341,9 +346,20 @@ class KernelCase:
                 np.empty(width), factors)
 
     def _outer(self, s, out, buffers=None):
-        # the Laurent polynomials of a case with Bessel orders
+        # the Laurent polynomials of a case with Bessel orders, times e^-s
         s = np.asarray(s, dtype=float)
-        powers, starts, products, flat, e, factors = (
+        buffers = buffers or self._outer_buffers(len(s), out.dtype)
+        factors, e = self._laurent_sums(s, out, buffers), buffers[4]
+        np.negative(s, out=e)
+        np.exp(e, out=e)
+        factors *= e
+        if factors is not out:
+            out[...] = factors
+
+    def _laurent_sums(self, s, out, buffers=None):
+        # e^s g_t and e^s dg_t on float64 s, into out or the buffers' float64
+        # factors when they have them; returns what it wrote
+        powers, starts, products, flat, _, factors = (
             buffers or self._outer_buffers(len(s), out.dtype))
         table = bessel._power_table(np.divide, (1.0, s), len(powers[0]), powers)
         if starts is not None:
@@ -353,11 +369,19 @@ class KernelCase:
         if factors is None:
             factors = out
         np.einsum("jm,jtd->tdm", table, self._laurent, out=factors)
-        np.negative(s, out=e)
-        np.exp(e, out=e)
-        factors *= e
-        if factors is not out:
-            out[...] = factors
+        return factors
+
+    def scaled_factors(self, r, s):
+        """inner(r) e^{-sigma r} and outer(s) e^{sigma s}, fresh; a case with
+        Bessel orders forms no e^{+-r}: it takes alpha_hat and its Laurent
+        sums without their e^-s, finite at every radius up to 600."""
+        if not self.alpha_orders:
+            sigma = self.spec.sigma
+            return (self.inner(r) * np.exp(-sigma * np.asarray(r)),
+                    self.outer(s) * np.exp(sigma * np.asarray(s)))
+        return (_fresh_factors(self._alpha_factors, self._terms, r),
+                _fresh_factors(self._laurent_sums, self._terms,
+                               np.asarray(s, dtype=float)))
 
     def phi_alpha(self, r):
         """{p: e^-r alpha_p(r)} for the ``phi_orders`` (None if none)."""
@@ -429,11 +453,6 @@ class _H2dot(KernelCase):
         return s ** (2.0 - n) / (2.0 * n * (n - 2.0)) - r**2 * s ** (
             -float(n)
         ) / (2.0 * n * (n + 2.0))
-
-    def phi_factor(self, r, s, a, b):
-        # phi = s^-n * (s^2/c1 - r^2/c2)
-        n = self.n
-        return s**2 / (2.0 * n * (n - 2.0)) - r**2 / (2.0 * n * (n + 2.0))
 
     def s_generic(self, r):
         n = self.n
@@ -525,12 +544,9 @@ class _H2(KernelCase):
         (((n - 2, 3 - n, 1),), ((n - 2, 2 - n, 1), (n, 2 - n, -n)))))
 
     def phi(self, r, s, a, b):
-        return 0.5 * np.exp(r - s) * self.phi_factor(r, s, a, b)
-
-    def phi_factor(self, r, s, a, b):
-        # phi = (1/2) e^{r-s} * Phi, Phi built from the scaled Bessel factors
         n = self.n
-        return n * a[n] * b[n] + a[n] * b[n - 2] / n - n * a[n - 2] * b[n]
+        return 0.5 * np.exp(r - s) * (
+            n * a[n] * b[n] + a[n] * b[n - 2] / n - n * a[n - 2] * b[n])
 
     def s_generic(self, r):
         n = self.n

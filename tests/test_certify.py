@@ -1,6 +1,7 @@
 """Blowup certificates: kernel conditions, majorant algebra, dominance."""
 
 import dataclasses
+import functools
 import importlib
 import json
 import pathlib
@@ -178,19 +179,16 @@ def test_reports_equal_the_point_by_point_reports(grid, omega0, spec):
 
 @pytest.mark.parametrize("spec", IN_SCOPE, ids=lambda s: s.label())
 def test_distinct_radius_values_equal_point_by_point(spec):
-    # a Bessel value depends only on its order and radius, so the values
-    # gathered from the distinct radii are the point-by-point ones, byte for
-    # byte, and so is everything built from them
+    # a Bessel value or a kernel factor depends only on its order and
+    # radius, so the values gathered from the distinct radii are the
+    # point-by-point ones, byte for byte, and so is everything built from them
     mesh = certify_module._condition_mesh(20.0)
     case = kernel_case(spec)
-    for evaluate, radii_sets in (
-            (case.phi_alpha, (mesh.r, mesh.near_r, mesh.near_r_h)),
-            (case.phi_beta, (mesh.s, mesh.near_s, mesh.near_s_h))):
-        for radii in radii_sets:
-            distinct = evaluate(radii.distinct)
-            if distinct is not None:
-                for p, v in evaluate(radii.values).items():
-                    assert distinct[p][radii.index].tobytes() == v.tobytes()
+    for evaluate, radii in ((case.phi_alpha, mesh.r), (case.phi_beta, mesh.s)):
+        distinct = evaluate(radii.distinct)
+        if distinct is not None:
+            for p, v in evaluate(radii.values).items():
+                assert distinct[p][radii.index].tobytes() == v.tobytes()
 
     vals = certify_module._positivity_values(case, mesh)
     ref = phi(spec, mesh.r.values, mesh.s.values)
@@ -198,17 +196,81 @@ def test_distinct_radius_values_equal_point_by_point(spec):
     if case.separable:
         return
 
-    r, s, h = mesh.near_r.values, mesh.near_s.values, mesh.h
-    np.testing.assert_array_equal(mesh.near_r_h.values, r + h)
-    np.testing.assert_array_equal(mesh.near_s_h.values, s + h)
-
-    def factor(x, y):
-        return case.phi_factor(x, y, case.phi_alpha(x), case.phi_beta(y))
-
-    ref = np.log((factor(r + h, s + h) * factor(r, s))
-                 / (factor(r + h, s) * factor(r, s + h))) / h**2
+    f, g = case.scaled_factors(mesh.r.distinct, mesh.s.distinct)
+    f_at, g_at = case.scaled_factors(mesh.r.values, mesh.s.values)
+    assert f[..., mesh.r.index].tobytes() == f_at.tobytes()
+    assert g[..., mesh.s.index].tobytes() == g_at.tobytes()
+    (f1, df1), (f2, df2) = f_at
+    (g1, dg1), (g2, dg2) = g_at
+    ref = ((f1 * df2 - df1 * f2) * (g1 * dg2 - dg1 * g2)) / (f1 * g1 + f2 * g2)**2
     vals = certify_module._log_supermodularity_values(case, mesh)
     assert vals.tobytes() == ref.tobytes()
+
+
+def mixed_log_delta_by_mpmath(n, r, s):
+    """d^2 ln delta / dr ds of H2_n at (r, s), by mpmath.diff at 30 digits.
+
+    delta = f_1 g_1 + f_2 g_2 with f_1 = -r^3 alpha_{n+2}(r) / (2(n + 2)),
+    f_2 = r alpha_n(r) / (2n), g_1 = s beta_n(s) and g_2 = s beta_{n-2}(s),
+    from besseli and besselk at 60 digits: central differences with the
+    step 1e-15 leave about 30 digits of them.  (mpmath's own step takes the
+    working precision of the nested differences past 150 digits, where its
+    besselk of integer order takes seconds.)
+    """
+    mpmath = pytest.importorskip("mpmath")
+
+    def scale(p):
+        nu = mpmath.mpf(p) / 2
+        return nu, 2**nu * mpmath.gamma(nu + 1)
+
+    @functools.lru_cache(maxsize=None)
+    def inner(x):
+        nu, c = scale(n)
+        up, c_up = scale(n + 2)
+        alpha, alpha_up = (c * x**-nu * mpmath.besseli(nu, x),
+                           c_up * x**-up * mpmath.besseli(up, x))
+        return -x**3 * alpha_up / (2 * (n + 2)), x * alpha / (2 * n)
+
+    @functools.lru_cache(maxsize=None)
+    def outer(y):
+        return tuple(y * y**-nu * mpmath.besselk(nu, y) / c
+                     for nu, c in (scale(n), scale(n - 2)))
+
+    def log_delta(x, y):
+        with mpmath.workdps(60):
+            return mpmath.log(sum(f * g for f, g in zip(inner(x), outer(y))))
+
+    with mpmath.workdps(30):
+        return mpmath.diff(log_delta, (mpmath.mpf(r), mpmath.mpf(s)), (1, 1),
+                           h=mpmath.mpf("1e-15"))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_h2_log_supermodularity_matches_mpmath(n):
+    # from the far corner to the near-diagonal and diagonal points that a
+    # difference stencil of step 1e-3 could not reach
+    points = [(1e-3, 600.0), (1e-3, 1e-3 + 1e-6), (2.0, 2.0), (29.9, 31.0),
+              (100.0, 100.0), (300.0, 599.0)]
+    r, s = (certify_module._radii(np.array(v)) for v in zip(*points))
+    got = certify_module._log_supermodularity_values(
+        kernel_case(KernelSpec(1, 2, n)), certify_module._ConditionMesh(r, s))
+    for value, (r, s) in zip(got, points):
+        exact = mixed_log_delta_by_mpmath(n, r, s)
+        assert abs(float((value - exact) / exact)) <= 1e-10, (r, s)
+
+
+@pytest.mark.parametrize("r_max", [20.0, 600.0])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_h2dot_log_supermodularity_matches_closed_form(n, r_max):
+    # phi = s^-n Phi with Phi = s^2/c1 - r^2/c2, so the mixed derivative of
+    # ln phi is -Phi_r Phi_s / Phi^2 = 4 r s / (c1 c2 Phi^2)
+    mesh = certify_module._condition_mesh(r_max)
+    r, s = mesh.r.values, mesh.s.values
+    c1, c2 = 2.0 * n * (n - 2.0), 2.0 * n * (n + 2.0)
+    exact = 4.0 * r * s / (c1 * c2 * (s**2 / c1 - r**2 / c2)**2)
+    got = certify_module._log_supermodularity_values(
+        kernel_case(KernelSpec(0, 2, n)), mesh)
+    assert np.max(np.abs(got / exact - 1.0)) <= 1e-13
 
 
 def test_warm_certificate_keeps_its_temporaries_small(grid, omega0):
@@ -250,7 +312,8 @@ def test_condition_mesh_is_shared_read_only_geometry():
         assert not value.flags.writeable
         with pytest.raises(ValueError):
             value[0] = 0
-    for radii in (mesh.r, mesh.s, mesh.near_r, mesh.near_s):
+    assert [f.name for f in dataclasses.fields(mesh)] == ["r", "s"]
+    for radii in (mesh.r, mesh.s):
         np.testing.assert_array_equal(radii.distinct[radii.index], radii.values)
         assert np.all(np.diff(radii.distinct) > 0.0)
 

@@ -317,6 +317,19 @@ def test_outer_factor_depends_only_on_its_radius(spec):
     assert view.tobytes() == full.tobytes()
 
 
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
+def test_scaled_factors_are_the_factors_times_their_scales(spec):
+    # inner(r) e^{-sigma r} and outer(s) e^{sigma s}, on radii up to 600
+    # where the unscaled factors are still finite
+    case = kernel_case(spec)
+    radii = OUTER_RADII
+    f, g = case.scaled_factors(radii, radii)
+    np.testing.assert_allclose(
+        f, case.inner(radii) * np.exp(-spec.sigma * radii), rtol=1e-14, atol=0)
+    np.testing.assert_allclose(
+        g, case.outer(radii) * np.exp(spec.sigma * radii), rtol=1e-14, atol=0)
+
+
 def test_outer_coefficients_have_one_sign():
     # every factor of H1 and H2 for n <= 11 sums terms of one sign, and the
     # construction refuses factors whose coefficients mix signs

@@ -184,6 +184,16 @@ def test_cli_certify_prints_report(tmp_path, capsys):
     assert "passed = yes" in out and "T_bound" in out
 
 
+@pytest.mark.parametrize("n, worst", [(3, "1.114815e-09"), (4, "9.305584e-10")])
+def test_cli_certify_at_the_largest_sigma1_r_max(tmp_path, capsys, n, worst):
+    # condition (b) is exact at r_max = 600, where its smallest value,
+    # at (0.001, 600), is about 1e-9; odd and even n
+    _, cfg = write_config(tmp_path, sigma=1, k=2, n=n, r_max=600.0)
+    assert main(["certify", str(cfg)]) == 0
+    assert (f"condition_log_supermodularity = pass (worst {worst} at "
+            "(0.001, 600.0))") in capsys.readouterr().out.splitlines()
+
+
 def test_cli_exact_hs(tmp_path):
     _, cfg = write_config(tmp_path, output=str(tmp_path / "hs.csv"))
     assert main(["exact-hs", str(cfg), "--quiet"]) == 0
