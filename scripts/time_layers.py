@@ -18,15 +18,17 @@ to t = 0.2 in steps of 0.02), and the time per step of a short fixed-step
 calls, as each step hands the rate of its end state to the next step and
 to the energy.  ``run`` takes no initial state, so this run starts from
 the undeformed state gamma = r, rho = 1.  Then prints the best-of-k time
-of ``bessel.alpha_hat`` and ``bessel.beta_hat`` for the orders of each
-sigma = 1 operator with Bessel orders, and of its ``KernelCase.inner`` and
+of ``bessel.alpha_hat`` for the inner orders of each sigma = 1 operator
+with Bessel orders, and of its ``KernelCase.inner`` and
 ``KernelCase.outer``, on the radii where its rhs evaluates them (the
 deformed nodes 1 to max(i1, stop) - 1 for alpha and the inner factors and
-i0 + 1 to N - 1 for beta and the outer factors, with (i0, i1) the
-quadrature's reach of the support start to stop - 1) at N = 256 and 2048, and of ``bessel.alpha_hat`` for the same
-orders on 1,400 geometric radii of [1e-3, 600], across both of its
-branches (the power series below r = 30 and the Hankel expansion at and
-above it).  Then prints the best-of-k time of
+i0 + 1 to N - 1 for the outer factors, with (i0, i1) the quadrature's
+reach of the support start to stop - 1) at N = 256 and 2048, and of
+``bessel.alpha_hat`` for the same orders on 1,400 geometric radii of
+[1e-3, 600], across both of its branches (the power series below r = 30
+and the Hankel expansion at and above it), and of ``bessel.beta_hat`` for
+the outer orders on the distinct s of the certificates' condition mesh
+(r_max = 20).  Then prints the best-of-k time of
 ``invert_operator`` at N = 4096 for a negative bump on [0.5, 2], and of
 ``certify.certify`` at N = 512 for the standard bump, after the time of the
 first ``certify`` call of the process (H1dot_n1), which builds the
@@ -46,9 +48,9 @@ version alone does not show up as a gain or a loss.  Both versions
 evaluate rhs and the Bessel rows on the deformed state of this checkout.
 It also compares what the two versions return: a column after each
 compared time says ``same`` when every output of that call is byte for
-byte equal (``rhs``, the run's end state and energy series, the Bessel
-values, the inner and outer factors, the alpha values on [1e-3, 600],
-``invert_operator``, the certificate report, the oracle's times and q
+byte equal (``rhs``, the run's end state and energy series, the alpha
+values, the inner and outer factors, the alpha values on [1e-3, 600], the
+beta values on the mesh, ``invert_operator``, the certificate report, the oracle's times and q
 history) and ``DIFFER`` otherwise, followed by the largest relative
 difference: over the outputs and their rows, max |this - vs| / max |vs|
 along the row (for a certificate report, over its numbers one by one, and
@@ -274,7 +276,7 @@ def main(argv=None):
                 bessel_args.append((
                     lib["bessel"], case,
                     (case.alpha_orders, warped.gamma[1:max(i1, stop)]),
-                    (case.beta_orders, warped.gamma[i0 + 1:])))
+                    warped.gamma[i0 + 1:]))
             print(f"{spec.label():<10} {num:>5}"
                   + cells(samples_us(rhs_calls))
                   + compare(f"rhs {spec.label()} {num}", rates)
@@ -283,18 +285,15 @@ def main(argv=None):
             if num in BESSEL_GRID_N and case.alpha_orders:
                 bessel_rows.append((spec.label(), num, bessel_args))
 
-    print(f"{'spec':<10} {'N':>5}" + heading("alpha", names)
-          + heading("beta", names) + output_heading(names)
+    print(f"{'spec':<10} {'N':>5}" + heading("alpha", names) + output_heading(names)
           + heading("inner", names) + output_heading(names)
           + heading("outer", names) + output_heading(names))
     for label, num, bessel_args in bessel_rows:
         alpha = [lambda f=bes.alpha_hat, a=a: f(*a) for bes, _, a, _ in bessel_args]
-        beta = [lambda f=bes.beta_hat, b=b: f(*b) for bes, _, _, b in bessel_args]
         inner = [lambda f=case.inner, r=a[1]: f(r) for _, case, a, _ in bessel_args]
-        outer = [lambda f=case.outer, s=b[1]: f(s) for _, case, _, b in bessel_args]
-        outputs = [(*fa().values(), *fb().values()) for fa, fb in zip(alpha, beta)]
+        outer = [lambda f=case.outer, s=s: f(s) for _, case, _, s in bessel_args]
         print(f"{label:<10} {num:>5}" + cells(samples_us(alpha))
-              + cells(samples_us(beta)) + compare(f"bessel {label} {num}", outputs)
+              + compare(f"alpha {label} {num}", [tuple(f().values()) for f in alpha])
               + cells(samples_us(inner))
               + compare(f"inner {label} {num}", [(f(),) for f in inner])
               + cells(samples_us(outer))
@@ -311,6 +310,18 @@ def main(argv=None):
                      for bes, case, _, _ in bessel_args]
             print(f"{label:<10} {wide.size:>5}" + cells(samples_us(calls))
                   + compare(f"alpha600 {label}", [tuple(f().values()) for f in calls]))
+
+    # beta_hat for each sigma = 1 order set on the condition mesh's distinct
+    # s, where certify, S and the weight Q take it
+    mesh_s = versions[0]["certify"]._condition_mesh(R_MAX).s.distinct
+    print(f"{'spec':<10} {'N':>5}" + heading("beta", names)
+          + output_heading(names))
+    for label, num, bessel_args in bessel_rows:
+        if num == BESSEL_GRID_N[0]:
+            calls = [lambda f=bes.beta_hat, orders=case.beta_orders: f(orders, mesh_s)
+                     for bes, case, _, _ in bessel_args]
+            print(f"{label:<10} {mesh_s.size:>5}" + cells(samples_us(calls))
+                  + compare(f"beta_hat {label}", [tuple(f().values()) for f in calls]))
 
     print(f"{'spec':<10} {'N':>5}" + heading("invert", names)
           + output_heading(names))

@@ -22,23 +22,22 @@ evaluated for a whole set of orders of one parity at once by
 derivatives follow from alpha_p' = r alpha_{p+2} / (p + 2) and beta_p' =
 -(p + 2) r beta_{p+2}.
 
-alpha_hat_p is one table of powers contracted with a table of exact
-coefficients, each the correctly rounded quotient of two integers: below
-SERIES_RADIUS the power series of alpha_p in r^2 (DLMF 10.25.2, terms of
-one sign; ``_inner_series``, whose rows also give the kernels' inner
-factors), and at and above it the Hankel expansion (DLMF 10.40.1;
-``_hankel_table``), a polynomial in 1/r (times r^{-1/2} for even p).
-Against mpmath at 40 digits the relative error is at most 1.2e-15 below
-SERIES_RADIUS and 1.8e-15 on [SERIES_RADIUS, 600] for every p <= 21; larger
-orders have no Hankel table.  beta_hat_p is the upward recurrence (DLMF
-10.29.1 in this normalization)
-
-    beta_hat_{p+2} = (p beta_hat_p + r^2 beta_hat_{p-2} / p) / (p + 2),
-
-which adds positive terms, from the elementary half-integer forms (DLMF
-10.49: beta_hat_1 = 1, beta_hat_3 = (1 + r)/3) for odd p and from scipy's
-``k0e``/``k1e`` for even p (:func:`beta_hat_start`, the one place that
-imports scipy: a sigma = 0 or odd-n run and every alpha call load none).
+Both are one table of powers contracted with a table of exact
+coefficients, each the correctly rounded quotient of two integers.
+alpha_hat_p is, below SERIES_RADIUS, the power series of alpha_p in r^2
+(DLMF 10.25.2, terms of one sign; ``_inner_series``, whose rows also give
+the kernels' inner factors), and at and above it the Hankel expansion (DLMF
+10.40.1; ``_hankel_table``), a polynomial in 1/r (times r^{-1/2} for even
+p).  Against mpmath at 40 digits the relative error is at most 1.2e-15
+below SERIES_RADIUS and 1.8e-15 on [SERIES_RADIUS, 600] for every p <= 21;
+larger orders have no Hankel table.  beta_hat_p is, at every r > 0, a
+polynomial in r for odd p and A_p(r) beta_hat_0 + B_p(r) beta_hat_2 for even
+p, with positive coefficients from the recurrence DLMF 10.29.1
+(``_beta_coefficients``, which the kernels' outer factors are built from
+too), and beta_hat_0, beta_hat_2 from scipy's ``k0e``/``k1e``
+(:func:`beta_hat_start`, the one place that imports scipy: a sigma = 0 or
+odd-n run and every alpha call load none).  Against mpmath at 40 digits its
+relative error is at most 1e-15 on [1e-3, 600] for p <= 7.
 
 Every caller in the library passes increasing radii: the solver's nodes (to
 ``alpha_hat`` only when they reach SERIES_RADIUS; the outer factors call
@@ -47,7 +46,7 @@ radii.  Each function writes into one output with a row per order.
 :func:`alpha_hat` splits the radii once at SERIES_RADIUS with a binary
 search and sums each side in blocks of SERIES_BLOCK radii into slices of
 its rows; :func:`beta_hat` sets the radii at the origin, which come first,
-and runs its recurrence on the others.  Radii in any other order are sorted
+and sums its table on the others.  Radii in any other order are sorted
 first and their values mapped back.  A value depends only on its order and
 radius, not on the other radii of the call, so the same radius gives the
 same bits either way.
@@ -55,6 +54,7 @@ same bits either way.
 
 import bisect
 import math
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -189,6 +189,48 @@ def _hankel_table(lo, hi):
     return table
 
 
+@lru_cache(maxsize=None)
+def _beta_coefficients(hi):
+    """{p: {(i, w): c}}, beta_hat_p(r) = sum c r^w R_i(r) exactly for the
+    orders p <= hi of the parity of hi, each c > 0 a Fraction, with R = (1)
+    for odd orders and (beta_hat_0, beta_hat_2) for even ones: the
+    recurrence beta_hat_{p+2} = (p beta_hat_p + r^2 beta_hat_{p-2} / p) /
+    (p + 2) (DLMF 10.29.1) from beta_hat_1 = 1 and beta_hat_3 = (1 + r)/3
+    (DLMF 10.49.12), or from R, adds positive terms.  Built once per hi.
+    """
+    # here, not at the top: importing fractions takes a few ms, which only
+    # the callers that build these tables should pay
+    from fractions import Fraction
+
+    one = Fraction(1)
+    odd = hi % 2
+    beta = ({1: {(0, 0): one}, 3: {(0, 0): one / 3, (0, 1): one / 3}} if odd
+            else {0: {(0, 0): one}, 2: {(1, 0): one}})
+    for p in range(odd + 2, hi - 1, 2):
+        up = beta[p + 2] = Counter()
+        for (i, w), c in beta[p].items():
+            up[i, w] += c * Fraction(p, p + 2)
+        for (i, w), c in beta[p - 2].items():
+            up[i, w + 2] += c / (p * (p + 2))
+    return beta
+
+
+@lru_cache(maxsize=None)
+def _beta_table(lo, hi):
+    """``_beta_coefficients`` of p = lo, lo + 2, ..., hi, correctly rounded,
+    as B[i W + w, t] for r^w R_i(r) with W powers of r: a view with a stride
+    of two along j, as in ``_hankel_table``.  Built once per pair of orders.
+    """
+    coefficients = _beta_coefficients(hi)
+    orders = range(lo, hi + 1, 2)
+    width = 1 + max(w for p in orders for _, w in coefficients[p])
+    table = np.zeros(((2 - hi % 2) * width, len(orders), 2))[..., 0]
+    for t, p in enumerate(orders):
+        for (i, w), c in coefficients[p].items():
+            table[i * width + w, t] = float(c)  # correctly rounded
+    return table
+
+
 def _power_buffer(rows, width, dtype):
     """A table for ``_power_table`` on ``width`` radii, of up to ``rows``
     rows: a (rows, width) buffer whose row 0 holds ones, and a dict for the
@@ -297,50 +339,41 @@ def beta_hat(orders, r):
 
     r >= 0, any shape; each value has the shape of r and is an array of its
     own.  Equal to 1/p at r = 0 (infinite for p = 0, whose beta_0 diverges
-    logarithmically).
+    logarithmically).  At r > 0 one table of powers of r (times the start
+    values for even orders) contracted with ``_beta_table``.
     """
     orders = _check_orders(tuple(orders))
     flat, perm = _sorted_radii(r, "beta")
-    first = orders[-1] % 2
-    # a row (p - first) / 2 for each order p = first, first + 2, ... up to
-    # the largest of orders, and at least for the two the recurrence starts from
-    out = np.empty(((max(orders[-1], first + 2) - first) // 2 + 1, flat.size))
-    zeros = 0
-    if flat.size and flat[0] == 0.0:
-        # the radii at the origin come first, where beta_hat_p = 1/p; the
-        # recurrence runs on the others
-        zeros = int(flat.searchsorted(0.0, side="right"))
-        for q in orders:
-            out[(q - first) // 2, :zeros] = 1.0 / q if q else np.inf
-    s, rows = flat[zeros:], out[:, zeros:]
-    if first:  # beta_hat_1 = 1, beta_hat_3 = (1 + r) / 3
-        rows[0].fill(1.0)
-        np.add(1.0, s, out=rows[1])
-        rows[1] /= 3.0
-    else:
-        beta_hat_start(rows, s)
-    if len(rows) > 2:
-        ss = s * s
-        term = np.empty_like(s)
-    p = first + 2  # the order of row 1
-    for below, prev, row in zip(rows, rows[1:], rows[2:]):
-        # (p beta_hat_p + r^2 beta_hat_{p-2} / p) / (p + 2)
-        np.multiply(ss, below, out=row)
-        row /= p
-        row += np.multiply(p, prev, out=term)
-        row /= p + 2.0
-        p += 2
-    return _by_order(orders, first, out, perm, np.shape(r))
+    lo, hi = orders[0], orders[-1]
+    out = np.empty(((hi - lo) // 2 + 1, flat.size))
+    # the radii at the origin come first, where beta_hat_p = 1/p; the table
+    # is summed on the others
+    zeros = int(flat.searchsorted(0.0, side="right"))
+    for t, p in enumerate(range(lo, hi + 1, 2)):
+        out[t, :zeros] = 1.0 / p if p else np.inf
+    s = flat[zeros:]
+    if s.size:
+        table = _beta_table(lo, hi)
+        width = len(table) // (2 - hi % 2)
+        powers = _power_table(np.positive, (s,), width,
+                              _power_buffer(width, s.size, float))
+        if hi % 2 == 0:
+            starts = np.empty((2, 1, s.size))
+            beta_hat_start(starts, s)
+            powers = (starts * powers).reshape(-1, s.size)
+        # einsum, as in alpha_hat: each value is summed over j on its own
+        np.einsum("jm,jt->tm", powers, table, out=out[:, zeros:])
+    return _by_order(orders, lo, out, perm, np.shape(r))
 
 
 def beta_hat_start(out, r):
     """Write beta_hat_0(r) and beta_hat_2(r) into out[0] and out[1].
 
-    The start values of the even-order recurrence, from scipy's ``k0e`` and
-    ``k1e``: beta_hat_0 = e^r K_0(r) and beta_hat_2 = r e^r K_1(r) / 2.
-    r is a one-dimensional float array with r > 0, taken as it is: no
-    checks and no sorting, for callers that evaluate every even order from
-    these two themselves.
+    The start values every even order is formed from
+    (``_beta_coefficients``), from scipy's ``k0e`` and ``k1e``: beta_hat_0 =
+    e^r K_0(r) and beta_hat_2 = r e^r K_1(r) / 2.  r is a one-dimensional
+    float array with r > 0, taken as it is: no checks and no sorting, for
+    callers that form the even orders from these two themselves.
     """
     from scipy.special import k0e, k1e
 

@@ -18,17 +18,19 @@ the blowup time by T_bound = 2 / (C M(0)).
 Conditions (a) and (b) are sampled on one mesh of D that depends on R_max
 only.  The mesh of the latest R_max is kept, read only, with the distinct
 values of its two radius arrays: its 20,897 points lie on about 400
-distinct r and 1,000 distinct s, so what phi and condition (b) need of r
-or of s is evaluated once per distinct radius, then gathered by index and
-combined one block of mesh points at a time.  Condition (b) is exact: with
-delta = r s phi = sum_t f_t(r) g_t(s), d^2 ln phi / dr ds = sum_{t<u}
-Wf_tu(r) Wg_tu(s) / delta^2, with the Wronskians Wf_tu = f_t df_u -
-df_t f_u and Wg_tu = g_t dg_u - dg_t g_u.  Nothing that depends on the
-kernel spec is kept between calls.
+distinct r and 1,000 distinct s, so the scaled kernel factors are
+evaluated once per certificate, on the distinct radii, and both conditions
+come from the same products of their rows, gathered by index one block of
+mesh points at a time.  With delta = r s phi = sum_t f_t(r) g_t(s), phi =
+e^{sigma (r - s)} sum_t [f_hat_t(r) / r] [g_hat_t(s) / s], as
+``kernels.phi`` forms it, and condition (b) is exact: d^2 ln phi / dr ds =
+sum_{t<u} Wf_tu(r) Wg_tu(s) / delta^2, with the Wronskians Wf_tu = f_t
+df_u - df_t f_u and Wg_tu = g_t dg_u - dg_t g_u.  Nothing that depends on
+the kernel spec is kept between calls.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 
 import numpy as np
@@ -145,81 +147,50 @@ def _condition_mesh(r_max):
                           s=_radii(np.concatenate([s, diag])))
 
 
-def _by_block(size, evaluate):
-    """evaluate(block) for each slice of BLOCK mesh points, into one array."""
-    out = np.empty(size)
-    for start in range(0, size, BLOCK):
-        block = slice(start, start + BLOCK)
-        out[block] = evaluate(block)
-    return out
+def _condition_values(case, mesh):
+    """phi, and d^2 ln phi / dr ds unless the case is ``separable`` (else
+    None), at every point of the mesh, in one pass.
 
-
-def _gather(values, radii, block):
-    """Values at the distinct radii, spread to the block's mesh points."""
-    index = radii.index[block]
-    return None if values is None else {p: v[index] for p, v in values.items()}
-
-
-def _positivity_values(case, mesh):
-    """phi at every positivity point of the mesh."""
-    r, s = mesh.r, mesh.s
-    a, b = case.phi_alpha(r.distinct), case.phi_beta(s.distinct)
-    return _by_block(len(r.values), lambda block: case.phi(
-        r.values[block], s.values[block], _gather(a, r, block),
-        _gather(b, s, block)))
-
-
-def _positivity(case, mesh):
-    vals = _positivity_values(case, mesh)
-    i = int(np.argmin(vals))
-    return {
-        "passed": bool(vals[i] > 0.0),
-        "worst_value": float(vals[i]),
-        "worst_point": (float(mesh.r.values[i]), float(mesh.s.values[i])),
-    }
-
-
-def _log_supermodularity_values(case, mesh):
-    """d^2 ln phi / dr ds at every point of the mesh, exactly.
-
-    ln(r s) is separable, so it is (delta delta_rs - delta_r delta_s) /
-    delta^2, whose numerator is sum_{t<u} Wf_tu(r) Wg_tu(s).  The factors
-    are ``KernelCase.scaled_factors``: their e^{-sigma r} and e^{sigma s}
-    cancel in the ratio, so nothing overflows up to r_max = 600.  Only for
-    cases that are not ``separable``.
+    ``KernelCase.scaled_factors`` on the distinct radii (finite up to r_max =
+    600) gives per radius the rows of phi (``phi_rows``: a_t = f_hat_t / r,
+    b_t = g_hat_t / s) and, for each pair t < u, Wf_tu / r^2 and Wg_tu /
+    s^2.  Each block of mesh points gathers both and multiplies them once:
+    phi_hat = sum_t a_t b_t gives phi (``phi_from_sum``), and since ln(r s)
+    is separable, d^2 ln phi / dr ds = sum_{t<u} (Wf_tu / r^2) (Wg_tu / s^2)
+    / phi_hat^2.
     """
     r, s = mesh.r, mesh.s
     f, g = case.scaled_factors(r.distinct, s.distinct)
+    a, b = case.phi_rows(r.distinct, s.distinct, (f, g))
     terms = len(f)
     pairs = list(combinations(range(terms), 2))
-    # per distinct radius, the factors f_t (g_t), then the Wronskians
-    rows_r, rows_s = (np.concatenate([x[:, 0], [
-        x[t, 0] * x[u, 1] - x[t, 1] * x[u, 0] for t, u in pairs]]) for x in (f, g))
+    rows_r, rows_s = ([*rows, *[
+        (x[t, 0] * x[u, 1] - x[t, 1] * x[u, 0]) / (v * v) for t, u in pairs]]
+        for rows, x, v in ((a, f, r.distinct), (b, g, s.distinct)))
+    size = len(r.values)
+    phi = np.empty(size)
+    mixed = None if case.separable else np.empty(size)
+    for start in range(0, size, BLOCK):
+        block = slice(start, start + BLOCK)
+        i, j = r.index[block], s.index[block]
+        # row by row: indexing one row takes about as long per row as
+        # np.take of the stacked rows, and less for the one row of a
+        # separable case
+        products = [x[i] * y[j] for x, y in zip(rows_r, rows_s)]
+        phi_hat = reduce(np.add, products[:terms])
+        if mixed is not None:
+            np.divide(reduce(np.add, products[terms:]), phi_hat**2, out=mixed[block])
+        phi[block] = case.phi_from_sum(phi_hat, r.values[block], s.values[block])
+    return phi, mixed
 
-    def value(block):
-        # np.take, not fancy indexing: about 4x faster on these rows
-        products = np.take(rows_r, r.index[block], axis=1)
-        products *= np.take(rows_s, s.index[block], axis=1)
-        delta = np.sum(products[:terms], axis=0)
-        return np.sum(products[terms:], axis=0) / delta**2
 
-    return _by_block(len(r.values), value)
-
-
-def _log_supermodularity(case, mesh):
-    """Condition (b), the minimum of d^2 ln phi / dr ds over the mesh.
-
-    For the separable kernels ((0,1) and (1,1)) ln phi splits into a pure
-    function of r plus a pure function of s, so the mixed derivative is
-    identically zero; that exact value is returned directly.
-    """
-    if case.separable:
-        return {"passed": True, "worst_value": 0.0, "worst_point": None}
-    vals = _log_supermodularity_values(case, mesh)
-    i = int(np.argmin(vals))
+def _minimum(values, mesh, passed):
+    """A condition from its values on the mesh: their minimum, where it is,
+    and whether ``passed`` holds there."""
+    i = int(np.argmin(values))
     return {
-        "passed": bool(vals[i] >= -1e-9),
-        "worst_value": float(vals[i]),
+        "passed": bool(passed(values[i])),
+        "worst_value": float(values[i]),
         "worst_point": (float(mesh.r.values[i]), float(mesh.s.values[i])),
     }
 
@@ -247,8 +218,12 @@ def certify(spec, grid, omega0):
     applicable = bool(np.all(omega0 <= 0.0)) and bool(np.any(omega0 != 0.0))
     case = kernel_case(spec)
     mesh = _condition_mesh(grid.r_max)
-    cond_a = _positivity(case, mesh)
-    cond_b = _log_supermodularity(case, mesh)
+    phi, mixed = _condition_values(case, mesh)
+    cond_a = _minimum(phi, mesh, lambda v: v > 0.0)
+    # a separable ln phi is a function of r plus one of s, whose mixed
+    # derivative is identically zero
+    cond_b = ({"passed": True, "worst_value": 0.0, "worst_point": None}
+              if mixed is None else _minimum(mixed, mesh, lambda v: v >= -1e-9))
     c_bound, s_loc, cond_c = _s_bound(spec, grid.r_max)
     conditions = {
         "positivity": cond_a,

@@ -8,13 +8,13 @@ D = {s >= r >= 0} \\ {(0,0)}:
     u(r) = int_0^r delta(s, r) s^{n-1} w(s) ds
          + int_r^inf delta(r, s) s^{n-1} w(s) ds.
 
-The four cases (sigma, k) in {0,1} x {1,2} have closed-form phi built from
-powers of s (homogeneous) or the scaled Bessel pair alpha/beta
-(nonhomogeneous).  Every delta factors into at most two separable products
-f(r) g(s), so one pass of prefix and suffix sums gives the kernel integral
-at every node in O(N) (``kernel_sums``, which works over the support window
-of the weight only).  Each case is one subclass of ``KernelCase`` holding
-all of its formulas (Camassa-Holm, n = 1 of H^1, is a subclass of the H^1
+The four cases (sigma, k) in {0,1} x {1,2} have closed-form kernels built
+from powers (homogeneous) or the Bessel pair alpha/beta (nonhomogeneous).
+Every delta factors into at most two separable products f(r) g(s), phi is
+formed from those factors, and one pass of prefix and suffix sums gives the
+kernel integral at every node in O(N) (``kernel_sums``, which works over the
+support window of the weight only).  Each case is one subclass of
+``KernelCase`` holding all of its formulas (Camassa-Holm, n = 1 of H^1, is a subclass of the H^1
 case with factors of its own); ``kernel_case`` builds the spec's instance,
 which evaluates each Bessel order a formula needs once per call.  The inner
 factors of the sigma = 1 cases with Bessel orders are power series in r^2
@@ -38,7 +38,7 @@ import numbers
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -138,10 +138,9 @@ def _outer_laurent(rows):
 
     ``rows[t][d]`` gives factor d (g_t, dg_t) of term t as the entries
     (p, w, c) of sum c s^w beta_hat_p(s) e^-s, with integer c.  beta_hat_p
-    is a polynomial in s for odd p (DLMF 10.49.12), and A_p(s) beta_hat_0 +
-    B_p(s) beta_hat_2 with polynomials A_p, B_p for even p, by the
-    recurrence beta_hat_{p+2} = (p beta_hat_p + s^2 beta_hat_{p-2} / p) /
-    (p + 2) (DLMF 10.29.1).  So each factor is
+    is a polynomial in s for odd p and A_p(s) beta_hat_0 + B_p(s)
+    beta_hat_2 with polynomials A_p, B_p for even p
+    (``bessel._beta_coefficients``).  So each factor is
 
         e^-s sum_{i, k} C[i, k, t, d] u^k R_i(s),
 
@@ -151,22 +150,10 @@ def _outer_laurent(rows):
     have one sign, so that its sum adds terms of one sign.  Returns C as an
     (R K, T, 2) array.
     """
-    # here, not at the top: importing fractions takes a few ms, which only
-    # the cases that build these tables should pay
-    from fractions import Fraction
-
     orders = {p for term in rows for factor in term for p, _, _ in factor}
     odd = min(orders) % 2
     # beta_hat_p as {(i, power of s): coefficient} over the start values R_i
-    one = Fraction(1)
-    beta = ({1: {(0, 0): one}, 3: {(0, 0): one / 3, (0, 1): one / 3}} if odd
-            else {0: {(0, 0): one}, 2: {(1, 0): one}})
-    for p in range(odd + 2, max(orders) - 1, 2):
-        up = beta[p + 2] = Counter()
-        for (i, w), c in beta[p].items():
-            up[i, w] += c * Fraction(p, p + 2)
-        for (i, w), c in beta[p - 2].items():
-            up[i, w + 2] += c / (p * (p + 2))
+    beta = bessel._beta_coefficients(max(orders))
     sums = Counter()
     for t, term in enumerate(rows):
         for d, factor in enumerate(term):
@@ -215,12 +202,13 @@ class KernelCase:
     ``scaled_factors(r, s)`` gives inner(r) e^{-sigma r} and outer(s)
     e^{sigma s}, finite where the factors themselves overflow or underflow.
     A case is ``separable`` (ln phi is a function of r plus one of s) when
-    it has one term.  ``phi(r, s, a, b)`` is the kernel.  It takes the scaled
-    values a = ``phi_alpha(r)`` = {p: e^-r alpha_p(r)} and b =
-    ``phi_beta(s)`` = {p: e^s beta_p(s)} of the orders ``phi_offsets`` (None
-    when there are none), so that a caller with many points on few radii
-    can evaluate them once per distinct radius.
-    ``s_generic(r)`` is the diagonal criterion S for r > 0.
+    it has one term.  The kernel phi = delta / (r s) is formed from those
+    rows for every case, with no formula of its own: ``phi_rows`` gives
+    a_t(r) = f_hat_t(r) / r and b_t(s) = g_hat_t(s) / s per radius, and
+    ``phi_from_sum`` turns sum_t a_t b_t at each point into phi, so that a
+    caller with many points on few radii (``certify``) evaluates the rows
+    once per distinct radius.  ``s_generic(r)`` is the diagonal criterion S
+    for r > 0.
 
     ``g`` and ``dg`` may be singular at s = 0 for n >= 2: ``kernel_sums``
     evaluates them on the nodes past i0 = max(a - 2, 0) for a weight
@@ -234,7 +222,6 @@ class KernelCase:
     gives (kappa, S(0)).
     """
 
-    phi_offsets = ()
     m_offset = _series_rows = _outer_rows = None
     _terms = 1
 
@@ -251,7 +238,6 @@ class KernelCase:
             self.beta_orders = tuple(sorted(
                 {p for term in rows for factor in term for p, _, _ in factor}))
             self._laurent = _outer_laurent(rows)
-        self.phi_orders = tuple(n + o for o in self.phi_offsets)
         self.separable = self._terms == 1
         self.m_order = None if self.m_offset is None else n + self.m_offset
         self.q_power = n + self.q_offset
@@ -376,20 +362,33 @@ class KernelCase:
         Bessel orders forms no e^{+-r}: it takes alpha_hat and its Laurent
         sums without their e^-s, finite at every radius up to 600."""
         if not self.alpha_orders:
-            sigma = self.spec.sigma
-            return (self.inner(r) * np.exp(-sigma * np.asarray(r)),
-                    self.outer(s) * np.exp(sigma * np.asarray(s)))
+            f, g = self.inner(r), self.outer(s)
+            if self.spec.sigma:
+                f *= np.exp(-np.asarray(r))
+                g *= np.exp(np.asarray(s))
+            return f, g
         return (_fresh_factors(self._alpha_factors, self._terms, r),
                 _fresh_factors(self._laurent_sums, self._terms,
                                np.asarray(s, dtype=float)))
 
-    def phi_alpha(self, r):
-        """{p: e^-r alpha_p(r)} for the ``phi_orders`` (None if none)."""
-        return bessel.alpha_hat(self.phi_orders, r) if self.phi_orders else None
+    def phi_rows(self, r, s, factors=None):
+        """(a, b), the rows of phi(r, s) = e^{sigma (r - s)} sum_t a_t(r)
+        b_t(s) (see ``phi_from_sum``): a_t = f_hat_t(r) / r, with its limit
+        df_t(0) at r = 0, and b_t = g_hat_t(s) / s, s > 0, fresh and of
+        shapes (T,) + r.shape and (T,) + s.shape.  From
+        ``scaled_factors(r, s)``, or the caller's ``factors`` of them.
+        """
+        r, s = np.asarray(r, dtype=float), np.asarray(s, dtype=float)
+        f, g = factors or self.scaled_factors(r, s)
+        origin = np.reshape(self.df_origin, (-1,) + (1,) * r.ndim)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(r == 0.0, origin, f[:, 0] / r), g[:, 0] / s
 
-    def phi_beta(self, s):
-        """{p: e^s beta_p(s)} for the ``phi_orders``, s > 0 (None if none)."""
-        return _escaled_beta(self.phi_orders, s) if self.phi_orders else None
+    def phi_from_sum(self, phi_hat, r, s):
+        """phi at the points (r, s) from phi_hat = sum_t a_t(r) b_t(s) of the
+        ``phi_rows`` there, the terms added in order: times e^{sigma (r -
+        s)}, which is at most 1 on D."""
+        return phi_hat * np.exp(r - s) if self.spec.sigma else phi_hat
 
 
 class _H1dot(KernelCase):
@@ -409,9 +408,6 @@ class _H1dot(KernelCase):
         (g, dg), = out
         _reciprocal_powers(s, n - 1, (g, dg))
         dg *= 1.0 - n
-
-    def phi(self, r, s, a, b):
-        return s ** (-float(self.n)) / self.n
 
     def s_generic(self, r):
         # d1_phi = 0; phi(0,r) = r^-n / n; d2_phi(0,r) = -r^{-n-1}
@@ -448,12 +444,6 @@ class _H2dot(KernelCase):
         dg1 *= 3.0 - n
         dg2 *= 1.0 - n
 
-    def phi(self, r, s, a, b):
-        n = self.n
-        return s ** (2.0 - n) / (2.0 * n * (n - 2.0)) - r**2 * s ** (
-            -float(n)
-        ) / (2.0 * n * (n + 2.0))
-
     def s_generic(self, r):
         n = self.n
         d1 = -r ** (1.0 - n) / (n * (n + 2.0))
@@ -474,18 +464,12 @@ def _h1_outer_rows(n):
 class _H1(KernelCase):
     """sigma = 1, k = 1: delta = [r alpha_n(r)] [s beta_n(s)]."""
 
-    phi_offsets = (0,)
     m_offset = 0
     q_offset = -1
     _origin = staticmethod(lambda n: (float(n), float(n)))
     # f = r alpha_n(r)
     _series_rows = staticmethod(lambda n: ((n, 0, 1),))
     _outer_rows = staticmethod(lambda n: (_h1_outer_rows(n),))
-
-    def phi(self, r, s, a, b):
-        # the nonhomogeneous cases compose exponentially scaled Bessel factors
-        # with e^{r-s} (bounded on D), so nothing overflows at large radii
-        return a[self.n] * b[self.n] * np.exp(r - s)
 
     def s_generic(self, r):
         # All products below are at the same radius, so the scale factors of
@@ -502,8 +486,8 @@ class _H1(KernelCase):
 
 class _CamassaHolm(_H1):
     """sigma = 1, k = 1, n = 1: the kernel e^{-s} sinh r, from its own
-    factors and no Bessel orders (phi keeps the H1 formula and its order).
-    The H1 dg = s^{-1} (r beta_1 - 3 r^3 beta_3) cancels at small s.
+    factors and no Bessel orders.  The H1 dg = s^{-1} (r beta_1 - 3 r^3
+    beta_3) cancels at small s.
     """
 
     _series_rows = _outer_rows = None
@@ -527,7 +511,6 @@ class _H2(KernelCase):
         delta = -[r j(r)/(2n)] [s beta_n(s)] + [r alpha_n(r)/(2n)] [s beta_{n-2}(s)]
     """
 
-    phi_offsets = (-2, 0)
     m_offset = -2
     q_offset = -3
     _origin = staticmethod(
@@ -542,11 +525,6 @@ class _H2(KernelCase):
     _outer_rows = staticmethod(lambda n: (
         _h1_outer_rows(n),
         (((n - 2, 3 - n, 1),), ((n - 2, 2 - n, 1), (n, 2 - n, -n)))))
-
-    def phi(self, r, s, a, b):
-        n = self.n
-        return 0.5 * np.exp(r - s) * (
-            n * a[n] * b[n] + a[n] * b[n - 2] / n - n * a[n - 2] * b[n])
 
     def s_generic(self, r):
         n = self.n
@@ -587,13 +565,15 @@ def _check_domain(r, s):
 def phi(spec, r, s):
     """phi(r, s) on D = {s >= r >= 0} minus the origin; strictly positive.
 
-    The nonhomogeneous cases compose exponentially scaled Bessel factors with
-    e^{r-s} (bounded on D), so no intermediate overflow occurs even for very
-    large radii.
+    Formed from the scaled factors: e^{sigma (r - s)} (at most 1 on D) sum_t
+    [f_hat_t(r) / r] [g_hat_t(s) / s] (``KernelCase.phi_rows``), so nothing
+    overflows for radii up to 600, and at r = 0 it is the limit e^{-sigma s}
+    sum_t df_t(0) g_hat_t(s) / s.
     """
-    r, s = _check_domain(r, s)
+    r, s = np.broadcast_arrays(*_check_domain(r, s))
     case = kernel_case(spec)
-    return case.phi(r, s, case.phi_alpha(r), case.phi_beta(s))
+    a, b = case.phi_rows(r, s)
+    return case.phi_from_sum(reduce(np.add, a * b), r, s)
 
 
 def delta(spec, r, s):

@@ -133,7 +133,8 @@ def parse_value(key, text):
 
 
 def parse_config(text):
-    """Parse the flat key = value format; unknown keys are an error."""
+    """Parse the flat key = value format; unknown and repeated keys are an
+    error."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -143,6 +144,8 @@ def parse_config(text):
             raise ValueError(f"line {lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
         key = key.strip()
+        if key in values:
+            raise ValueError(f"line {lineno}: key {key!r} given twice")
         try:
             values[key] = parse_value(key, val)
         except ValueError as exc:

@@ -237,19 +237,23 @@ def test_alpha_at_series_radius_takes_the_hankel_table():
         assert at_cut.setdefault(2, values[1][at].tobytes()) == values[1][at].tobytes()
 
 
-def _largest_alpha_hat_error(orders, radii):
-    """max |alpha_hat - exact| / exact over the orders and radii, against
-    mpmath's besseli at 40 digits."""
+def _largest_error(hat, orders, radii):
+    """max |value - exact| / exact over the orders and radii of
+    bessel.alpha_hat or bessel.beta_hat, against mpmath's besseli or
+    besselk at 40 digits."""
     mpmath = pytest.importorskip("mpmath")
     worst = 0.0
     with mpmath.workdps(40):
         for p in orders:
-            got = bessel.alpha_hat((p,), np.array(radii, dtype=float))[p]
+            got = hat((p,), np.array(radii, dtype=float))[p]
             nu = mpmath.mpf(p) / 2
+            c = 2**nu * mpmath.gamma(nu + 1)
             for value, r in zip(got, radii):
                 r = mpmath.mpf(float(r))
-                exact = (mpmath.exp(-r) * 2**nu * mpmath.gamma(nu + 1) * r**-nu
-                         * mpmath.besseli(nu, r))
+                if hat is bessel.alpha_hat:
+                    exact = mpmath.exp(-r) * c * r**-nu * mpmath.besseli(nu, r)
+                else:
+                    exact = mpmath.exp(r) * r**p * r**-nu * mpmath.besselk(nu, r) / c
                 worst = max(worst, abs(float((value - exact) / exact)))
     return worst
 
@@ -257,12 +261,20 @@ def _largest_alpha_hat_error(orders, radii):
 def test_alpha_hat_of_high_orders_around_four_against_mpmath():
     # the power series holds on both sides of r = 4, where a recurrence in p
     # started from p = 0, 2 lost up to 3.5e-12 at p = 14
-    assert _largest_alpha_hat_error(range(8, 15), [3.999, 4.0, 4.001, 6.0, 10.0]) <= 4e-15
+    assert _largest_error(bessel.alpha_hat, range(8, 15),
+                          [3.999, 4.0, 4.001, 6.0, 10.0]) <= 4e-15
 
 
 def test_alpha_hat_hankel_branch_against_mpmath():
     radii = [30.0, 30.5, 31.0, 35.0, 40.0, 60.0, 100.0, 300.0, 600.0]
-    assert _largest_alpha_hat_error(range(22), radii) <= 4e-15
+    assert _largest_error(bessel.alpha_hat, range(22), radii) <= 4e-15
+
+
+def test_beta_hat_against_mpmath():
+    # the exact coefficient tables, times the start values of scipy's k0e
+    # and k1e for even orders
+    radii = np.geomspace(1e-3, 600.0, 66)
+    assert _largest_error(bessel.beta_hat, range(8), radii) <= 1e-15
 
 
 def test_hankel_table_admits_orders_up_to_21():

@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from epdiff_radial import bessel
 from epdiff_radial.certify import (
     certify,
     check_dominance,
@@ -179,32 +180,30 @@ def test_reports_equal_the_point_by_point_reports(grid, omega0, spec):
 
 @pytest.mark.parametrize("spec", IN_SCOPE, ids=lambda s: s.label())
 def test_distinct_radius_values_equal_point_by_point(spec):
-    # a Bessel value or a kernel factor depends only on its order and
-    # radius, so the values gathered from the distinct radii are the
-    # point-by-point ones, byte for byte, and so is everything built from them
+    # a kernel factor depends only on its radius, so the factors gathered
+    # from the distinct radii are the point-by-point ones, byte for byte,
+    # and so is everything built from them: phi equals kernels.phi at every
+    # point, and condition (b) its formula from the factors at the points
     mesh = certify_module._condition_mesh(20.0)
     case = kernel_case(spec)
-    for evaluate, radii in ((case.phi_alpha, mesh.r), (case.phi_beta, mesh.s)):
-        distinct = evaluate(radii.distinct)
-        if distinct is not None:
-            for p, v in evaluate(radii.values).items():
-                assert distinct[p][radii.index].tobytes() == v.tobytes()
-
-    vals = certify_module._positivity_values(case, mesh)
-    ref = phi(spec, mesh.r.values, mesh.s.values)
-    assert vals.tobytes() == ref.tobytes()
-    if case.separable:
-        return
-
     f, g = case.scaled_factors(mesh.r.distinct, mesh.s.distinct)
     f_at, g_at = case.scaled_factors(mesh.r.values, mesh.s.values)
     assert f[..., mesh.r.index].tobytes() == f_at.tobytes()
     assert g[..., mesh.s.index].tobytes() == g_at.tobytes()
+
+    vals, mixed = certify_module._condition_values(case, mesh)
+    ref = phi(spec, mesh.r.values, mesh.s.values)
+    assert vals.tobytes() == ref.tobytes()
+    if case.separable:
+        assert mixed is None
+        return
+
+    r, s = mesh.r.values, mesh.s.values
     (f1, df1), (f2, df2) = f_at
     (g1, dg1), (g2, dg2) = g_at
-    ref = ((f1 * df2 - df1 * f2) * (g1 * dg2 - dg1 * g2)) / (f1 * g1 + f2 * g2)**2
-    vals = certify_module._log_supermodularity_values(case, mesh)
-    assert vals.tobytes() == ref.tobytes()
+    phi_hat = f1 / r * (g1 / s) + f2 / r * (g2 / s)
+    ref = ((f1 * df2 - df1 * f2) / (r * r)) * ((g1 * dg2 - dg1 * g2) / (s * s)) / phi_hat**2
+    assert mixed.tobytes() == ref.tobytes()
 
 
 def mixed_log_delta_by_mpmath(n, r, s):
@@ -252,7 +251,7 @@ def test_h2_log_supermodularity_matches_mpmath(n):
     points = [(1e-3, 600.0), (1e-3, 1e-3 + 1e-6), (2.0, 2.0), (29.9, 31.0),
               (100.0, 100.0), (300.0, 599.0)]
     r, s = (certify_module._radii(np.array(v)) for v in zip(*points))
-    got = certify_module._log_supermodularity_values(
+    _, got = certify_module._condition_values(
         kernel_case(KernelSpec(1, 2, n)), certify_module._ConditionMesh(r, s))
     for value, (r, s) in zip(got, points):
         exact = mixed_log_delta_by_mpmath(n, r, s)
@@ -268,8 +267,7 @@ def test_h2dot_log_supermodularity_matches_closed_form(n, r_max):
     r, s = mesh.r.values, mesh.s.values
     c1, c2 = 2.0 * n * (n - 2.0), 2.0 * n * (n + 2.0)
     exact = 4.0 * r * s / (c1 * c2 * (s**2 / c1 - r**2 / c2)**2)
-    got = certify_module._log_supermodularity_values(
-        kernel_case(KernelSpec(0, 2, n)), mesh)
+    _, got = certify_module._condition_values(kernel_case(KernelSpec(0, 2, n)), mesh)
     assert np.max(np.abs(got / exact - 1.0)) <= 1e-13
 
 
@@ -286,6 +284,28 @@ def test_warm_certificate_keeps_its_temporaries_small(grid, omega0):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_warm_certificate_evaluates_even_start_values_once_on_the_mesh(
+        grid, omega0, monkeypatch):
+    # conditions (a) and (b) come from one evaluation of the scaled factors
+    # on the mesh's distinct s, so scipy's k0e/k1e run once on those radii
+    spec = KernelSpec(1, 2, 4)
+    certify(spec, grid, omega0)
+    distinct_s = certify_module._condition_mesh(grid.r_max).s.distinct
+    assert distinct_s.size == 995
+    radii = []
+    start = bessel.beta_hat_start
+
+    def counted(out, r):
+        radii.append(np.array(r))
+        return start(out, r)
+
+    monkeypatch.setattr(bessel, "beta_hat_start", counted)
+    certify(spec, grid, omega0)
+    on_mesh = [r for r in radii if r.shape == distinct_s.shape
+               and np.array_equal(r, distinct_s)]
+    assert len(on_mesh) == 1
 
 
 def test_condition_mesh_is_shared_read_only_geometry():

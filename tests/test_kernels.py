@@ -91,6 +91,27 @@ def test_phi_closed_form_values():
     )
 
 
+IN_SCOPE = (
+    [KernelSpec(0, 1, n) for n in range(1, 6)]
+    + [KernelSpec(0, 2, n) for n in range(3, 6)]
+    + [KernelSpec(1, 1, n) for n in range(1, 6)]
+    + [KernelSpec(1, 2, n) for n in range(3, 6)]
+)
+
+
+@pytest.mark.parametrize("spec", IN_SCOPE, ids=lambda s: s.label())
+def test_phi_at_the_origin_is_its_limit(spec):
+    # phi(0, s) = e^{-sigma s} sum_t df_t(0) g_hat_t(s) / s: s^-n / n for
+    # H1dot and s^(2-n) / (2n(n-2)) for H2dot, and 1 / (s Q(s)) for every case
+    s = np.geomspace(1e-3, 20.0, 50)
+    at_origin = phi(spec, 0.0, s)
+    n = spec.n
+    if spec.sigma == 0:
+        exact = s**-float(n) / n if spec.k == 1 else s ** (2.0 - n) / (2 * n * (n - 2))
+        np.testing.assert_allclose(at_origin, exact, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(s * at_origin * q_weight(spec, s), 1.0, rtol=0, atol=1e-13)
+
+
 def test_delta_d1_d2_closed_forms():
     ch = KernelSpec(1, 1, 1)
     # delta = e^{-s} sinh r and its partial derivatives

@@ -34,6 +34,15 @@ def write_config(tmp_path, **overrides):
     return config, path
 
 
+def fast_config_with(text):
+    """The FAST config with the key = value lines of text in place of its own
+    lines for those keys (a key may be given only once)."""
+    keys = {line.partition("=")[0].strip() for line in text.splitlines()}
+    kept = [line for line in serialize_config(ScenarioConfig(**FAST)).splitlines()
+            if line.partition("=")[0].strip() not in keys]
+    return "\n".join(kept) + "\n" + text
+
+
 # ---------------------------------------------------------------- config
 
 
@@ -63,6 +72,17 @@ def test_parse_comments_and_errors():
         parse_config(base + "bogus = 1\n")
     with pytest.raises(ValueError, match="key = value"):
         parse_config("not a config line\n")
+    lines = len(base.splitlines())
+    with pytest.raises(ValueError, match=f"line {lines + 1}: key 'grid_n' given twice"):
+        parse_config(base + "grid_n = 256\n")
+
+
+def test_cli_run_rejects_a_key_given_twice(tmp_path, capsys):
+    # the last value used to win silently: the run went on at grid_n = 256
+    twice = tmp_path / "twice.cfg"
+    twice.write_text("grid_n = 128\ngrid_n = 256\n")
+    assert main(["run", str(twice), "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: line 2: key 'grid_n' given twice\n"
 
 
 def test_validation_errors():
@@ -283,7 +303,7 @@ def test_cli_missing_file_exits_1(tmp_path, capsys):
                                   "sigma = 1\nr_max = 2000\n"])
 def test_cli_rejects_bad_run_settings_without_traceback(tmp_path, capsys, text):
     bad = tmp_path / "bad.cfg"
-    bad.write_text(serialize_config(ScenarioConfig(**FAST)) + text)
+    bad.write_text(fast_config_with(text))
     assert main(["run", str(bad), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
@@ -298,7 +318,7 @@ def test_cli_rejects_bad_run_settings_without_traceback(tmp_path, capsys, text):
 def test_cli_rejects_a_nonfinite_value_by_its_key(tmp_path, capsys, key, text):
     # NaN * 0 is NaN, so a NaN amplitude used to fail as unsupported data
     bad = tmp_path / "bad.cfg"
-    bad.write_text(serialize_config(ScenarioConfig(**FAST)) + text)
+    bad.write_text(fast_config_with(text))
     assert main(["run", str(bad), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {key} must be finite\n"
