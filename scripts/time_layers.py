@@ -50,8 +50,8 @@ It also compares what the two versions return: a column after each
 compared time says ``same`` when every output of that call is byte for
 byte equal (``rhs``, the run's end state and energy series, the alpha
 values, the inner and outer factors, the alpha values on [1e-3, 600], the
-beta values on the mesh, ``invert_operator``, the certificate report, the oracle's times and q
-history) and ``DIFFER`` otherwise, followed by the largest relative
+beta values on the mesh, ``invert_operator``, the certificate report, the
+oracle's times and q history) and ``DIFFER`` otherwise, followed by the largest relative
 difference: over the outputs and their rows, max |this - vs| / max |vs|
 along the row (for a certificate report, over its numbers one by one, and
 inf if its text differs), and the script exits with status 1 if any row
@@ -311,8 +311,7 @@ def main(argv=None):
             print(f"{label:<10} {wide.size:>5}" + cells(samples_us(calls))
                   + compare(f"alpha600 {label}", [tuple(f().values()) for f in calls]))
 
-    # beta_hat for each sigma = 1 order set on the condition mesh's distinct
-    # s, where certify, S and the weight Q take it
+    # beta_hat for each sigma = 1 order set on the condition mesh's distinct s
     mesh_s = versions[0]["certify"]._condition_mesh(R_MAX).s.distinct
     print(f"{'spec':<10} {'N':>5}" + heading("beta", names)
           + output_heading(names))
