@@ -417,11 +417,8 @@ def beta(p, r):
 
 
 def beta_scaled(p, r):
-    """Regularized product r^p beta_p(r), continuously extended to 1/p at r=0.
-
-    Needed by the weight Q and criterion S near the origin, where beta_p
-    itself diverges like r^{-p}/p.
-    """
+    """Regularized product r^p beta_p(r), continuously extended to 1/p at r=0,
+    where beta_p itself diverges like r^{-p}/p."""
     if p <= 0 and np.any(np.asarray(r) == 0):
         raise ValueError("beta_scaled undefined at r = 0 for p = 0")
     return _like(beta_hat((p,), r)[p] * np.exp(-np.asarray(r, dtype=float)), r)

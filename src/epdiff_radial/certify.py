@@ -36,13 +36,7 @@ from itertools import combinations
 import numpy as np
 
 from . import bessel
-from .kernels import (
-    kernel_case,
-    phi0_weight,
-    q_weight,
-    q_weight_smooth,
-    s_criterion,
-)
+from .kernels import kernel_case, s_criterion
 
 __all__ = [
     "BlowupCertificate",
@@ -231,8 +225,8 @@ def certify(spec, grid, omega0):
         "S_bound": cond_c,
     }
     passed = all(c["passed"] for c in conditions.values())
-    q_samples = q_weight(spec, grid.r)
-    m_tail = grid.quadrature.tail(phi0_weight(spec, grid.r) * np.abs(omega0))
+    q_samples, tail_weight = case.weights(grid.r)
+    m_tail = grid.quadrature.tail(tail_weight * np.abs(omega0))
     t_bound = np.inf
     if passed and applicable and m_tail[0] > 0.0:
         t_bound = 2.0 / (c_bound * m_tail[0])
@@ -298,22 +292,22 @@ def majorant(cert, t):
 def monitored_quantity(cert, state):
     """q(t, r_i) = Q(gamma_i) rho_i / Q(r_i) with stable r -> 0 extension.
 
-    Computed as (gamma/r)^p m(gamma)/m(r) rho with Q = kappa r^p m(r) and
-    m smooth and positive at the origin, so specs with Q(0) = 0 need no
-    special treatment; at the origin node q = rho^{p+1}.
+    With Q = 1/G (``KernelCase.weights``), q = rho G(r)/G(gamma) = rho
+    e^{sigma (gamma - r)} G_hat(r)/G_hat(gamma), a ratio of the same outer
+    rows, so q = rho exactly where gamma = r.  Specs with Q(0) = 0 need no
+    special treatment; at the origin node q = rho^{q_power+1}.
     """
-    return _monitored(cert, state.gamma, state.rho,
-                      q_weight_smooth(cert.spec, cert.grid.r[1:]))
+    case = kernel_case(cert.spec)
+    return _monitored(case, cert.grid.r, state.gamma, state.rho,
+                      case.origin_factor(cert.grid.r[1:]))
 
 
-def _monitored(cert, gamma, rho, m_r):
-    """monitored_quantity at (gamma, rho), given m on the grid nodes past 0."""
-    spec = cert.spec
-    p = kernel_case(spec).q_power
+def _monitored(case, r, gamma, rho, big_g):
+    """monitored_quantity at (gamma, rho), given G_hat on the nodes r past 0."""
     q = np.empty_like(rho)
-    q[0] = rho[0] ** (p + 1)
-    ratio = gamma[1:] / cert.grid.r[1:]
-    q[1:] = ratio**p * q_weight_smooth(spec, gamma[1:]) / m_r * rho[1:]
+    q[0] = rho[0] ** (case.q_power + 1)
+    ratio = big_g / case.origin_factor(gamma[1:])
+    q[1:] = case.rescaled(ratio, gamma[1:] - r[1:]) * rho[1:]
     return q
 
 
@@ -322,14 +316,15 @@ def check_dominance(cert, record):
 
     Passes when every margin is >= -1e-4 (discretization slack); the
     comparison theorem gives margin >= 0 in the continuum, with equality
-    at t = 0.  m on the fixed grid is evaluated once for every snapshot.
+    at t = 0.  G_hat on the fixed grid is evaluated once for every snapshot.
     """
     if not record.snapshots:
         raise ValueError("trajectory was recorded without snapshots")
-    m_r = q_weight_smooth(cert.spec, cert.grid.r[1:])
+    case = kernel_case(cert.spec)
+    big_g = case.origin_factor(cert.grid.r[1:])
     margins = []
     for t, (gamma, rho) in zip(record.times, record.snapshots):
-        q = _monitored(cert, gamma, rho, m_r)
+        q = _monitored(case, cert.grid.r, gamma, rho, big_g)
         margins.append(float(np.min(majorant(cert, t) - q)))
     margins = np.asarray(margins)
     return {

@@ -30,7 +30,13 @@ criterion
 
     S(r) = [r d1_phi(r,r) phi(0,r) - r phi(r,r) d2_phi(0,r)] / phi(0,r)^2,
 
-whose uniform lower bound C > 0 drives the blowup certificates.
+whose uniform lower bound C > 0 drives the blowup certificates, from the same
+factor rows: with G(s) = sum_t df_t(0) g_t(s) = d_r delta(0, s) = s phi(0, s),
+exactly
+
+    S(r) = [d_r delta(r,r) G(r) - delta(r,r) G'(r)] / G(r)^2,   Q = 1/G,
+
+so S is e^{sigma r} times a ratio of the scaled rows at (r, r).
 """
 
 import bisect
@@ -54,7 +60,6 @@ __all__ = [
     "d1_delta",
     "d2_delta",
     "q_weight",
-    "q_weight_smooth",
     "phi0_weight",
     "s_criterion",
     "kernel_sums",
@@ -93,14 +98,6 @@ class KernelSpec:
     def label(self):
         name = {(0, 1): "H1dot", (0, 2): "H2dot", (1, 1): "H1", (1, 2): "H2"}
         return f"{name[(self.sigma, self.k)]}_n{self.n}"
-
-
-def _escaled_beta(orders, s):
-    """{p: e^{s} beta_p(s)} for the given orders (s > 0)."""
-    b = bessel.beta_hat(orders, s)
-    for p in b:
-        b[p] /= s**p  # in place: beta_hat returns fresh arrays
-    return b
 
 
 def _reciprocal_powers(s, lo, rows):
@@ -207,22 +204,24 @@ class KernelCase:
     a_t(r) = f_hat_t(r) / r and b_t(s) = g_hat_t(s) / s per radius, and
     ``phi_from_sum`` turns sum_t a_t b_t at each point into phi, so that a
     caller with many points on few radii (``certify``) evaluates the rows
-    once per distinct radius.  ``s_generic(r)`` is the diagonal criterion S
-    for r > 0.
+    once per distinct radius.  The criterion and the weights come from the
+    same rows: G(s) = sum_t df_t(0) g_t(s) = s phi(0, s) needs the outer
+    rows alone (``origin_factor``), Q = 1/G and the tail weight s^(n-1) G
+    come from one evaluation of it (``weights``), and ``s_diagonal(r)`` is
+    the diagonal criterion S for r > 0 from the rows at (r, r).
 
     ``g`` and ``dg`` may be singular at s = 0 for n >= 2: ``kernel_sums``
     evaluates them on the nodes past i0 = max(a - 2, 0) for a weight
     supported from node a on, and at the origin node only when the weight
     is nonzero there (n = 1; z_0(0) = 0 for n >= 2 by construction).
     ``df_origin`` holds df_t(0), the only factor the solver needs at the
-    origin node.  The weight is Q(r) = kappa r^q_power m(r) with
-    q_power = n + q_offset, so Q ~ kappa r^q_power near 0; its smooth factor
-    is m = 1/(p r^p beta_p(r)) with p = ``m_order`` = n + m_offset (m = 1
-    when m_offset is None).  ``s_origin`` is the limit S(0); ``_origin(n)``
+    origin node.  kappa, q_power = n + q_offset and ``s_origin`` serve only
+    r = 0, where the rows of G are singular for most cases: Q ~ kappa
+    r^q_power near 0, and ``s_origin`` is the limit S(0); ``_origin(n)``
     gives (kappa, S(0)).
     """
 
-    m_offset = _series_rows = _outer_rows = None
+    _series_rows = _outer_rows = None
     _terms = 1
 
     def __init__(self, spec):
@@ -239,7 +238,6 @@ class KernelCase:
                 {p for term in rows for factor in term for p, _, _ in factor}))
             self._laurent = _outer_laurent(rows)
         self.separable = self._terms == 1
-        self.m_order = None if self.m_offset is None else n + self.m_offset
         self.q_power = n + self.q_offset
         self.kappa, self.s_origin = self._origin(n)
         self.df_origin = tuple(float(df[0]) for _, df in self.inner(np.zeros(1)))
@@ -361,15 +359,65 @@ class KernelCase:
         """inner(r) e^{-sigma r} and outer(s) e^{sigma s}, fresh; a case with
         Bessel orders forms no e^{+-r}: it takes alpha_hat and its Laurent
         sums without their e^-s, finite at every radius up to 600."""
-        if not self.alpha_orders:
-            f, g = self.inner(r), self.outer(s)
-            if self.spec.sigma:
-                f *= np.exp(-np.asarray(r))
-                g *= np.exp(np.asarray(s))
-            return f, g
-        return (_fresh_factors(self._alpha_factors, self._terms, r),
-                _fresh_factors(self._laurent_sums, self._terms,
-                               np.asarray(s, dtype=float)))
+        if self.alpha_orders:
+            f = _fresh_factors(self._alpha_factors, self._terms, r)
+        else:
+            f = self.rescaled(self.inner(r), -np.asarray(r))
+        return f, self.scaled_outer(s)
+
+    def scaled_outer(self, s):
+        """outer(s) e^{sigma s}, fresh, as in ``scaled_factors``."""
+        if self.beta_orders:
+            return _fresh_factors(self._laurent_sums, self._terms,
+                                  np.asarray(s, dtype=float))
+        return self.rescaled(self.outer(s), np.asarray(s))
+
+    def rescaled(self, value, x):
+        """value e^{sigma x}, in place, returned."""
+        if self.spec.sigma:
+            value *= np.exp(x)
+        return value
+
+    def _at_origin(self, g):
+        # sum_t df_t(0) g_t over each row of g, the terms in order; only the
+        # terms with df_t(0) != 0 (one in every case)
+        return reduce(np.add, [c * x for c, x in zip(self.df_origin, g) if c])
+
+    def origin_factor(self, s):
+        """G_hat(s) = e^{sigma s} G(s), s > 0, fresh, with G(s) = sum_t
+        df_t(0) g_t(s) = d_r delta(0, s) = s phi(0, s); from the scaled outer
+        rows alone."""
+        return self._at_origin(self.scaled_outer(s)[:, 0])
+
+    def weights(self, r):
+        """(Q(r), r^(n-1) / Q(r)) at r >= 0, fresh, from one ``origin_factor``
+        evaluation: Q = 1 / G = e^{sigma r} / G_hat and r^(n-1) G = r^(n-1)
+        e^{-sigma r} G_hat for r > 0, and at r = 0 their limits kappa
+        0^q_power and 0^(n-1-q_power) / kappa."""
+        r = np.asarray(r, dtype=float)
+        positive = r > 0.0
+        x = r[positive]
+        big_g = self.origin_factor(x)
+        q = np.full(r.shape, self.kappa * 0.0**self.q_power)
+        w = np.full(r.shape, 0.0 ** (self.n - 1 - self.q_power) / self.kappa)
+        q[positive] = self.rescaled(1.0 / big_g, x)
+        w[positive] = x ** (self.n - 1) * self.rescaled(big_g, -x)
+        return q, w
+
+    def s_diagonal(self, r):
+        """S(r) at r > 0 from the rows at (r, r).  With G = s phi(0, s) as in
+        ``origin_factor``, the paper's S is exactly
+
+            S = [d_r delta(r, r) G(r) - delta(r, r) G'(r)] / G(r)^2
+              = e^{sigma r} [sum_t df_hat_t g_hat_t G_hat
+                             - sum_t f_hat_t g_hat_t dG_hat] / G_hat^2,
+
+        every factor scaled as in ``scaled_factors`` and dG_hat = sum_t
+        df_t(0) dg_hat_t."""
+        f, g = self.scaled_factors(r, r)
+        big_g, big_dg = self._at_origin(g)
+        d, d_r = reduce(np.add, f * g[:, :1])  # delta_hat and d_r delta_hat
+        return self.rescaled((d_r * big_g - d * big_dg) / (big_g * big_g), r)
 
     def phi_rows(self, r, s, factors=None):
         """(a, b), the rows of phi(r, s) = e^{sigma (r - s)} sum_t a_t(r)
@@ -409,10 +457,6 @@ class _H1dot(KernelCase):
         _reciprocal_powers(s, n - 1, (g, dg))
         dg *= 1.0 - n
 
-    def s_generic(self, r):
-        # d1_phi = 0; phi(0,r) = r^-n / n; d2_phi(0,r) = -r^{-n-1}
-        return np.full_like(r, float(self.n))
-
 
 class _H2dot(KernelCase):
     """sigma = 0, k = 2 (n >= 3): delta = r s^{3-n}/c1 - r^3 s^{1-n}/c2."""
@@ -444,16 +488,6 @@ class _H2dot(KernelCase):
         dg1 *= 3.0 - n
         dg2 *= 1.0 - n
 
-    def s_generic(self, r):
-        n = self.n
-        d1 = -r ** (1.0 - n) / (n * (n + 2.0))
-        diag = r ** (2.0 - n) * (
-            1.0 / (2.0 * n * (n - 2.0)) - 1.0 / (2.0 * n * (n + 2.0))
-        )
-        phi0 = r ** (2.0 - n) / (2.0 * n * (n - 2.0))
-        d2_0 = (2.0 - n) * r ** (1.0 - n) / (2.0 * n * (n - 2.0))
-        return (r * d1 * phi0 - r * diag * d2_0) / phi0**2
-
 
 def _h1_outer_rows(n):
     # g = s beta_n(s) = s^(1-n) beta_hat_n e^-s and, from beta_p' =
@@ -464,24 +498,11 @@ def _h1_outer_rows(n):
 class _H1(KernelCase):
     """sigma = 1, k = 1: delta = [r alpha_n(r)] [s beta_n(s)]."""
 
-    m_offset = 0
     q_offset = -1
     _origin = staticmethod(lambda n: (float(n), float(n)))
     # f = r alpha_n(r)
     _series_rows = staticmethod(lambda n: ((n, 0, 1),))
     _outer_rows = staticmethod(lambda n: (_h1_outer_rows(n),))
-
-    def s_generic(self, r):
-        # All products below are at the same radius, so the scale factors of
-        # each alpha*beta pair cancel; the overall e^r is reattached at the end.
-        n = self.n
-        a = bessel.alpha_hat((n, n + 2), r)  # e^-r alpha_p
-        b = _escaled_beta((n, n + 2), r)  # e^+r beta_p
-        d1_s = r / (n + 2.0) * a[n + 2]  # e^-r alpha_n'
-        diag_s = a[n] * b[n]  # phi(r,r)
-        d2_0s = -(n + 2.0) * r * b[n + 2]  # e^r d2_phi(0,r)
-        num_s = r * d1_s * b[n] ** 2 - r * diag_s * d2_0s
-        return np.exp(r) * num_s / b[n] ** 2
 
 
 class _CamassaHolm(_H1):
@@ -511,7 +532,6 @@ class _H2(KernelCase):
         delta = -[r j(r)/(2n)] [s beta_n(s)] + [r alpha_n(r)/(2n)] [s beta_{n-2}(s)]
     """
 
-    m_offset = -2
     q_offset = -3
     _origin = staticmethod(
         lambda n: (2.0 * n * (n - 2.0), 2.0 * (n - 2.0) / (n + 2.0)))
@@ -525,22 +545,6 @@ class _H2(KernelCase):
     _outer_rows = staticmethod(lambda n: (
         _h1_outer_rows(n),
         (((n - 2, 3 - n, 1),), ((n - 2, 2 - n, 1), (n, 2 - n, -n)))))
-
-    def s_generic(self, r):
-        n = self.n
-        a = bessel.alpha_hat((n - 2, n, n + 2), r)
-        b = _escaled_beta((n - 2, n), r)
-        a_n, a_lo, a_up = a[n], a[n - 2], a[n + 2]
-        b_n, b_lo = b[n], b[n - 2]
-        # e^-r alpha' factors via the upward recurrences
-        da_n = r / (n + 2.0) * a_up
-        da_lo = r / float(n) * a_n
-        d1_s = 0.5 * (n * da_n * b_n + da_n * b_lo / n - n * da_lo * b_n)
-        diag_s = 0.5 * (n * a_n * b_n + a_n * b_lo / n - n * a_lo * b_n)
-        phi0_s = b_lo / (2.0 * n)  # e^r phi(0,r)
-        d2_0s = -r * b_n / 2.0  # e^r d2_phi(0,r)
-        num_s = r * d1_s * phi0_s - r * diag_s * d2_0s
-        return np.exp(r) * num_s / phi0_s**2
 
 
 @lru_cache(maxsize=None)
@@ -597,50 +601,33 @@ def d2_delta(spec, r, s):
     return sum(f * dg for (f, _), (_, dg) in zip(case.inner(r), case.outer(s)))
 
 
-def q_weight_smooth(spec, r):
-    """Smooth positive factor m with Q(r) = kappa r^p m(r); m finite at 0."""
-    r = np.asarray(r, dtype=float)
-    order = kernel_case(spec).m_order
-    if order is None:
-        return np.ones_like(r)
-    return 1.0 / (float(order) * bessel.beta_scaled(order, r))
-
-
 def q_weight(spec, r):
     """Comparison weight Q(r) = 1/(r phi(0, r)), continuously extended to r=0.
 
-    Closed forms: n r^{n-1} (sigma=0, k=1); 2n(n-2) r^{n-3} (sigma=0, k=2);
-    r^{n-1}/beta_scaled(n, r) (sigma=1, k=1); 2n r^{n-3}/beta_scaled(n-2, r)
-    (sigma=1, k=2).
+    Q = e^{sigma r} / G_hat(r) from the kernel's own outer rows
+    (``KernelCase.weights``), and kappa 0^q_power at r = 0.
     """
-    r = np.asarray(r, dtype=float)
-    case = kernel_case(spec)
-    with np.errstate(divide="ignore"):  # m = inf where beta_scaled underflows
-        out = case.kappa * r ** float(case.q_power) * q_weight_smooth(spec, r)
+    out = kernel_case(spec).weights(r)[0]
     return out if np.ndim(out) else float(out)
 
 
 def phi0_weight(spec, s):
     """s^n phi(0, s) = s^{n-1}/Q(s): the integrand weight of the majorant tail.
 
-    Finite at s = 0 for every case, unlike 1/Q itself.
+    s^{n-1} e^{-sigma s} G_hat(s) (``KernelCase.weights``), finite at s = 0
+    for every case, unlike 1/Q itself.
     """
-    s = np.asarray(s, dtype=float)
-    case = kernel_case(spec)
-    with np.errstate(divide="ignore"):
-        out = s ** float(spec.n - 1 - case.q_power) / (
-            case.kappa * q_weight_smooth(spec, s)
-        )
+    out = kernel_case(spec).weights(s)[1]
     return out if np.ndim(out) else float(out)
 
 
 def s_criterion(spec, r):
-    """Diagonal criterion S(r) from the generic formula.
+    """Diagonal criterion S(r) from the kernel's factor rows at (r, r).
 
-    Evaluated through the exponentially scaled Bessel pair, so the common
-    e^{+-r} factors cancel analytically and only the genuinely growing
-    part of S (e.g. e^r for Camassa-Holm) remains.  Below r = 1e-3 the
-    analytic limit S(0) of the kernel case is returned.
+    S = e^{sigma r} times a ratio of scaled rows (``KernelCase.s_diagonal``),
+    so the e^{+-r} of the Bessel pair cancel before anything is formed and
+    only the growing part of S (e.g. e^r for Camassa-Holm) remains.  Below
+    r = 1e-3 the analytic limit S(0) of the kernel case is returned.
     """
     r = np.asarray(r, dtype=float)
     scalar = r.ndim == 0
@@ -651,7 +638,7 @@ def s_criterion(spec, r):
     out = np.full_like(r, case.s_origin)
     m = r >= 1e-3
     if np.any(m):
-        out[m] = case.s_generic(r[m])
+        out[m] = case.s_diagonal(r[m])
     return float(out[0]) if scalar else out
 
 

@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epdiff_radial import bessel
-from epdiff_radial.kernels import _escaled_beta
 
 # (p, r, value) triples from the mpmath oracle
 ALPHA_ORACLE = [
@@ -101,8 +100,8 @@ def _alpha_hat_at(p, r):
 
 
 def _escaled_beta_at(p, r):
-    """e^{r} beta_p(r) as a float (r > 0), from the kernels' helper."""
-    return float(_escaled_beta((p,), r)[p])
+    """e^{r} beta_p(r) = beta_hat_p(r) / r^p as a float (r > 0)."""
+    return float(bessel.beta_hat((p,), r)[p] / r**p)
 
 
 def test_scaled_variants_against_mpmath():
@@ -140,9 +139,6 @@ def test_multi_order_calls_equal_single_order_wrappers(parity):
         np.testing.assert_array_equal(a[p] * np.exp(r), bessel.alpha(p, r))
         np.testing.assert_array_equal(
             b[p][1:] * np.exp(-pos) / pos**p, bessel.beta(p, pos)
-        )
-        np.testing.assert_array_equal(
-            b[p][1:] / pos**p, _escaled_beta((p,), pos)[p]
         )
         if p > 0:
             np.testing.assert_array_equal(

@@ -111,10 +111,12 @@ def test_majorant_t0_is_one_and_h2dot_n3_specialization(grid, omega0):
 
 
 def test_monitored_quantity_identity_state(grid, omega0):
+    # q = rho G(r) / G(gamma) is a ratio of the same row at gamma = r, so the
+    # margin at t = 0 is 0 to the last bit, not only to roundoff
     state = FlowState(t=0.0, gamma=grid.r.copy(), rho=np.ones(grid.num))
-    for spec in (KernelSpec(0, 1, 3), KernelSpec(1, 2, 4), KernelSpec(1, 1, 1)):
+    for spec in IN_SCOPE:
         cert = certify(spec, grid, omega0)
-        np.testing.assert_allclose(monitored_quantity(cert, state), 1.0, rtol=1e-12)
+        assert np.all(monitored_quantity(cert, state) == 1.0), spec.label()
 
 
 def test_dominance_along_trajectory(grid, omega0):
@@ -129,9 +131,9 @@ def test_dominance_along_trajectory(grid, omega0):
     assert abs(out["margins"][0]) < 1e-12
 
 
-def test_dominance_evaluates_m_on_the_grid_once(grid, omega0, monkeypatch):
-    # m(r) on the fixed grid is the same for every snapshot: one evaluation
-    # per snapshot at gamma and one at r, with the margins unchanged
+def test_dominance_evaluates_g_on_the_grid_once(grid, omega0, monkeypatch):
+    # G_hat(r) on the fixed grid is the same for every snapshot: one
+    # evaluation per snapshot at gamma and one at r, with the margins unchanged
     spec = KernelSpec(1, 2, 3)
     cert = certify(spec, grid, omega0)
     init = InitialData.from_omega0(omega0, grid, spec.n)
@@ -140,9 +142,10 @@ def test_dominance_evaluates_m_on_the_grid_once(grid, omega0, monkeypatch):
         cert, FlowState(t=t, gamma=gamma, rho=rho))))
         for t, (gamma, rho) in zip(record.times, record.snapshots)]
     calls = []
-    smooth = certify_module.q_weight_smooth
-    monkeypatch.setattr(certify_module, "q_weight_smooth",
-                        lambda *args: calls.append(args) or smooth(*args))
+    case = kernel_case(spec)
+    origin_factor = case.origin_factor
+    monkeypatch.setattr(case, "origin_factor",
+                        lambda *args: calls.append(args) or origin_factor(*args))
     out = check_dominance(cert, record)
     assert len(calls) == len(record.snapshots) + 1
     assert out["margins"].tobytes() == np.array(expected).tobytes()
@@ -289,7 +292,8 @@ def test_warm_certificate_keeps_its_temporaries_small(grid, omega0):
 def test_warm_certificate_evaluates_even_start_values_once_on_the_mesh(
         grid, omega0, monkeypatch):
     # conditions (a) and (b) come from one evaluation of the scaled factors
-    # on the mesh's distinct s, so scipy's k0e/k1e run once on those radii
+    # on the mesh's distinct s, and Q and the majorant's tail weight from one
+    # of G_hat on the grid's radii past 0, so scipy's k0e/k1e run once on each
     spec = KernelSpec(1, 2, 4)
     certify(spec, grid, omega0)
     distinct_s = certify_module._condition_mesh(grid.r_max).s.distinct
@@ -303,9 +307,9 @@ def test_warm_certificate_evaluates_even_start_values_once_on_the_mesh(
 
     monkeypatch.setattr(bessel, "beta_hat_start", counted)
     certify(spec, grid, omega0)
-    on_mesh = [r for r in radii if r.shape == distinct_s.shape
-               and np.array_equal(r, distinct_s)]
-    assert len(on_mesh) == 1
+    for where in (distinct_s, grid.r[1:]):
+        on = [r for r in radii if r.shape == where.shape and np.array_equal(r, where)]
+        assert len(on) == 1
 
 
 def test_condition_mesh_is_shared_read_only_geometry():

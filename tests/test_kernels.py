@@ -423,15 +423,18 @@ def test_q_weight_closed_forms():
 
 
 def test_phi0_weight_is_inverse_q():
-    # s^n phi(0, s) = s^{n-1}/Q(s), finite at the origin
-    r = np.geomspace(1e-2, 15.0, 50)
-    for spec in ALL_SPECS:
-        np.testing.assert_allclose(
-            phi0_weight(spec, r),
-            r ** (spec.n - 1) / q_weight(spec, r),
-            rtol=1e-12,
-        )
-        assert np.isfinite(phi0_weight(spec, 0.0))
+    # s^n phi(0, s) = s^{n-1}/Q(s), finite at the origin; up to r = 600 the
+    # sigma = 1 weights are e^{+-r} times the same scaled row
+    full = [spec for spec in ALL_SPECS if spec.sigma]
+    for r_max, specs in ((15.0, ALL_SPECS), (600.0, full)):
+        r = np.geomspace(1e-2, r_max, 50)
+        for spec in specs:
+            np.testing.assert_allclose(
+                phi0_weight(spec, r),
+                r ** (spec.n - 1) / q_weight(spec, r),
+                rtol=1e-12,
+            )
+            assert np.isfinite(phi0_weight(spec, 0.0))
 
 
 def test_s_criterion_closed_forms():
@@ -452,6 +455,55 @@ def test_s_criterion_closed_forms():
         1.0 / bessel.beta_scaled(3, r),
         rtol=1e-9,
     )
+
+
+def s_by_mpmath(spec, r):
+    """The paper's S(r) = r [d1_phi(r, r) phi(0, r) - phi(r, r) d2_phi(0, r)]
+    / phi(0, r)^2 of a sigma = 1 spec at 40 digits, with phi = sum_t a_t(r)
+    b_t(s) from besseli and besselk and the derivatives from alpha_p' = r
+    alpha_{p+2} / (p + 2) and beta_p' = -(p + 2) r beta_{p+2}."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        x, n = mpmath.mpf(r), spec.n
+
+        def c(p):
+            return 2 ** (mpmath.mpf(p) / 2) * mpmath.gamma(mpmath.mpf(p) / 2 + 1)
+
+        def alpha(p):
+            return c(p) * x ** (-mpmath.mpf(p) / 2) * mpmath.besseli(mpmath.mpf(p) / 2, x)
+
+        def beta(p):
+            return x ** (-mpmath.mpf(p) / 2) * mpmath.besselk(mpmath.mpf(p) / 2, x) / c(p)
+
+        # (a_t(r), a_t'(r), a_t(0)) and (b_t(r), b_t'(r)) for each term t
+        if spec.k == 1:
+            a = [(alpha(n), x * alpha(n + 2) / (n + 2), 1)]
+            b = [(beta(n), -(n + 2) * x * beta(n + 2))]
+        else:
+            d = 2 * (n + 2)
+            a = [(-x**2 * alpha(n + 2) / d,
+                  -(2 * x * alpha(n + 2) + x**3 * alpha(n + 4) / (n + 4)) / d, 0),
+                 (alpha(n) / (2 * n), x * alpha(n + 2) / ((n + 2) * 2 * n),
+                  mpmath.mpf(1) / (2 * n))]
+            b = [(beta(n), -(n + 2) * x * beta(n + 2)),
+                 (beta(n - 2), -n * x * beta(n))]
+        diag = sum(at[0] * bt[0] for at, bt in zip(a, b))
+        d1 = sum(at[1] * bt[0] for at, bt in zip(a, b))
+        phi0 = sum(at[2] * bt[0] for at, bt in zip(a, b))
+        d2_0 = sum(at[2] * bt[1] for at, bt in zip(a, b))
+        return x * (d1 * phi0 - diag * d2_0) / phi0**2
+
+
+@pytest.mark.parametrize("spec", [KernelSpec(1, 1, n) for n in range(2, 6)]
+                         + [KernelSpec(1, 2, n) for n in range(3, 6)],
+                         ids=lambda s: s.label())
+def test_s_criterion_matches_mpmath(spec):
+    # from the radius where the rows take over from S(0) to r = 300, where S
+    # grows like e^r
+    for r in (1e-3, 1e-2, 0.3, 5.0, 50.0, 300.0):
+        exact = s_by_mpmath(spec, r)
+        got = s_criterion(spec, r)
+        assert abs(float((got - exact) / exact)) <= 1e-12, r
 
 
 def test_s_criterion_origin_limits():
