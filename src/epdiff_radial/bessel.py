@@ -366,6 +366,14 @@ def beta_hat(orders, r):
     return _by_order(orders, lo, out, perm, np.shape(r))
 
 
+@lru_cache(maxsize=None)
+def _scipy_k():
+    """scipy's ``k0e`` and ``k1e``, imported on the first call only."""
+    from scipy.special import k0e, k1e
+
+    return k0e, k1e
+
+
 def beta_hat_start(out, r):
     """Write beta_hat_0(r) and beta_hat_2(r) into out[0] and out[1].
 
@@ -373,13 +381,15 @@ def beta_hat_start(out, r):
     (``_beta_coefficients``), from scipy's ``k0e`` and ``k1e``: beta_hat_0 =
     e^r K_0(r) and beta_hat_2 = r e^r K_1(r) / 2.  r is a one-dimensional
     float array with r > 0, taken as it is: no checks and no sorting, for
-    callers that form the even orders from these two themselves.
+    callers that form the even orders from these two themselves.  The
+    factor 1/2 is exact, so beta_hat_2 is (r K_1) / 2 as well as (r / 2) K_1
+    to the bit.
     """
-    from scipy.special import k0e, k1e
-
+    k0e, k1e = _scipy_k()
     k0e(r, out=out[0])
-    np.multiply(0.5, r, out=out[1])
-    out[1] *= k1e(r)
+    second = k1e(r, out=out[1])
+    second *= r
+    second *= 0.5
 
 
 def _like(out, r):

@@ -76,6 +76,8 @@ class InitialData:
     and last nonzero node); for z_0 = 0 that range is empty, with
     support_start = support_index + 1 = 1.  The solver's nodes are
     Lagrangian and rho > 0, so z_0/rho keeps this support for a whole run.
+    ``from_omega0`` raises ValueError unless omega_0 and z_0 are finite (r^(n-1)
+    overflows for large n) and z_0 vanishes past ``grid.r_support``.
     """
 
     omega0: np.ndarray
@@ -89,7 +91,14 @@ class InitialData:
         omega0 = np.asarray(omega0, dtype=float)
         if omega0.shape != grid.r.shape:
             raise ValueError("omega0 must be sampled on the grid nodes")
-        z0 = grid.r ** (n - 1) * omega0
+        if not np.isfinite(omega0).all():
+            raise ValueError("omega0 must be finite")
+        # r^(n-1) overflows for large n, and inf * 0 is NaN past the support
+        with np.errstate(over="ignore", invalid="ignore"):
+            z0 = grid.r ** (n - 1) * omega0
+        if not np.isfinite(z0).all():
+            raise ValueError(
+                f"r^(n-1) omega_0 overflows for n = {n} on r_max = {grid.r_max:g}")
         nz = np.nonzero(z0)[0]
         support_index = int(nz[-1]) if len(nz) else 0
         support_start = int(nz[0]) if len(nz) else 1

@@ -130,6 +130,12 @@ def _fresh_factors(method, terms, x):
     return factors.reshape((terms, 2) + x.shape)
 
 
+def _fill_rows(out, constants):
+    """out[t][d] = value for each (t, d): value of ``constants``."""
+    for (t, d), value in constants.items():
+        out[t][d].fill(value)
+
+
 def _outer_laurent(rows):
     """The outer factors as one contraction in u = 1/s, exactly.
 
@@ -210,6 +216,15 @@ class KernelCase:
     come from one evaluation of it (``weights``), and ``s_diagonal(r)`` is
     the diagonal criterion S for r > 0 from the rows at (r, r).
 
+    Some factor rows do not depend on the radius (H1dot's df = 1/n, H2dot's
+    df_1 = 1/c1, and g = 1, dg = +0 where a power of s is 0).  A case
+    declares them as ``_constant_rows(n)``, the maps {(term, row): value}
+    of its inner and outer side (``constant_rows``), and its ``_inner`` and
+    ``_outer`` leave them alone: ``inner`` and ``outer`` fill them before
+    the formulas on every call, a ``kernel_sums`` plan once when it is set
+    up.  Each value is the one the formula it stands for gives at every
+    radius of its domain, so the rows are the same bit for bit either way.
+
     ``g`` and ``dg`` may be singular at s = 0 for n >= 2: ``kernel_sums``
     evaluates them on the nodes past i0 = max(a - 2, 0) for a weight
     supported from node a on, and at the origin node only when the weight
@@ -223,6 +238,7 @@ class KernelCase:
 
     _series_rows = _outer_rows = None
     _terms = 1
+    _constant_rows = staticmethod(lambda n: ({}, {}))
 
     def __init__(self, spec):
         n = self.n = spec.n
@@ -238,6 +254,7 @@ class KernelCase:
                 {p for term in rows for factor in term for p, _, _ in factor}))
             self._laurent = _outer_laurent(rows)
         self.separable = self._terms == 1
+        self.constant_rows = self._constant_rows(n)
         self.q_power = n + self.q_offset
         self.kappa, self.s_origin = self._origin(n)
         self.df_origin = tuple(float(df[0]) for _, df in self.inner(np.zeros(1)))
@@ -267,7 +284,8 @@ class KernelCase:
         = r alpha_{p+2} / (p + 2)).
         """
         if out is None:
-            return _fresh_factors(self._inner, self._terms, r)
+            return _fresh_factors(self.inner, self._terms, r)
+        _fill_rows(out, self.constant_rows[0])
         self._inner(r, out)
         return out
 
@@ -286,7 +304,8 @@ class KernelCase:
         made for the call, or kept by a ``kernel_sums`` plan.
         """
         if out is None:
-            return _fresh_factors(self._outer, self._terms, s)
+            return _fresh_factors(self.outer, self._terms, s)
+        _fill_rows(out, self.constant_rows[1])
         self._outer(s, out)
         return out
 
@@ -444,18 +463,20 @@ class _H1dot(KernelCase):
 
     q_offset = -1
     _origin = staticmethod(lambda n: (float(n), float(n)))
+    # df = 1/n, and at n = 1 g = s^0 = 1 and dg = (1/s) 0 = +0
+    _constant_rows = staticmethod(lambda n: (
+        {(0, 1): 1.0 / n}, {(0, 0): 1.0, (0, 1): 0.0} if n == 1 else {}))
 
     def _inner(self, r, out):
-        n = self.n
-        (f, df), = out
-        np.divide(r, n, out=f)
-        df.fill(1.0 / n)
+        (f, _), = out
+        np.divide(r, self.n, out=f)
 
     def _outer(self, s, out):
         n = self.n
-        (g, dg), = out
-        _reciprocal_powers(s, n - 1, (g, dg))
-        dg *= 1.0 - n
+        if n > 1:
+            (g, dg), = out
+            _reciprocal_powers(s, n - 1, (g, dg))
+            dg *= 1.0 - n
 
 
 class _H2dot(KernelCase):
@@ -466,13 +487,19 @@ class _H2dot(KernelCase):
         lambda n: (2.0 * n * (n - 2.0), 2.0 * (n - 2.0) / (n + 2.0)))
 
     _terms = 2
+    # df1 = 1/c1, and at n = 3 g1 = s^0 = 1 and dg1 = (1/s) 0 = +0
+    _constant_rows = staticmethod(lambda n: (
+        {(0, 1): 1.0 / _H2dot._c(n)[0]},
+        {(0, 0): 1.0, (0, 1): 0.0} if n == 3 else {}))
+
+    @staticmethod
+    def _c(n):
+        return 2.0 * n * (n - 2.0), 2.0 * n * (n + 2.0)
 
     def _inner(self, r, out):
-        c1 = 2.0 * self.n * (self.n - 2.0)
-        c2 = 2.0 * self.n * (self.n + 2.0)
-        (f1, df1), (f2, df2) = out
+        c1, c2 = self._c(self.n)
+        (f1, _), (f2, df2) = out
         np.divide(r, c1, out=f1)
-        df1.fill(1.0 / c1)
         # -(r^3) / c2 and -3 r^2 / c2
         np.power(r, 3, out=f2)
         np.negative(f2, out=f2)
@@ -484,8 +511,11 @@ class _H2dot(KernelCase):
     def _outer(self, s, out):
         n = self.n
         (g1, dg1), (g2, dg2) = out
-        _reciprocal_powers(s, n - 3, (g1, dg1, g2, dg2))
-        dg1 *= 3.0 - n
+        if n == 3:
+            _reciprocal_powers(s, 2, (g2, dg2))
+        else:
+            _reciprocal_powers(s, n - 3, (g1, dg1, g2, dg2))
+            dg1 *= 3.0 - n
         dg2 *= 1.0 - n
 
 
@@ -655,7 +685,8 @@ class _SumPlan:
       term, value or derivative, node): f_t and df_t on the nodes 0 to
       max(i1, stop) - 1, where node 0 holds f_t(0) = 0 and df_t(0), which
       the formulas never write, and g_t and dg_t on the nodes i0 + 1 to
-      N - 1, with the views the case writes into: stacked (T, 2, nodes)
+      N - 1, its constant rows (``KernelCase.constant_rows``) filled in
+      here once, with the views the case writes into: stacked (T, 2, nodes)
       views for the factors a case with Bessel orders sums from its tables
       of powers, and else one row view per term and row;
     - for a case with Bessel orders, the tables its ``_inner`` and
@@ -672,7 +703,9 @@ class _SumPlan:
     - a (T, 2, N) buffer of the products of each term and row, and for each
       row count the factor and sum views of its three regions (nodes 0 to
       i0, i0 + 1 to i1 - 1 and i1 to N - 1), so that each region product
-      is one ufunc over all terms and rows.
+      is one ufunc over all terms and rows;
+    - how a result array is made: ``np.empty``, or ``np.zeros`` for
+      longdouble, whose padding bytes no sum writes.
     """
 
     def __init__(self, case, quadrature, num, start, stop, x_dtype, w_dtype):
@@ -687,6 +720,8 @@ class _SumPlan:
         inner[:, 0, 0] = 0.0
         inner[:, 1, 0] = case.df_origin
         self.nodes = slice(1, m), slice(i0 + 1, None)
+        for side, nodes, constants in zip(factors, self.nodes, case.constant_rows):
+            _fill_rows(side[..., nodes], constants)
         # what the case's _inner and _outer take after the radii: a case
         # with Bessel orders sums its factors straight into the stacked rows,
         # from tables it keeps here; the others take their rows split once
@@ -716,6 +751,7 @@ class _SumPlan:
             run[terms:, None, -1:], run[:terms, None, :width], self.suf[:, None],
             run[:terms, None, -1:])
         products = np.empty((terms, 2, num), dtype)
+        self.blank = np.zeros if dtype == np.longdouble else np.empty
         f_suf = np.empty((terms, 2, width), dtype)
         self.regions = {}
         for rows in (1, 2):
@@ -755,11 +791,12 @@ class _SumPlan:
         np.multiply(g_both, pre, out=both)
         both += np.multiply(f_both, suf, out=f_suf)
         np.multiply(g_above, pre_total, out=above)
-        # the terms added in order into zeros, which turns -0 into +0 (and
-        # leaves the padding bytes of a longdouble zero), so the rows are bit
-        # for bit the sums of the terms added into zeros
-        out = np.zeros(terms[0].shape, dtype=terms[0].dtype)
-        for term in terms:
+        # 0 + the first term, then each later term added in order: bit for
+        # bit the terms added in order into zeros (-0 turns into +0), and a
+        # longdouble result keeps the zero padding bytes of its np.zeros
+        first = terms[0]
+        out = np.add(first, 0.0, out=self.blank(first.shape, first.dtype))
+        for term in terms[1:]:
             out += term
         return out
 

@@ -30,12 +30,15 @@ formulas write into, and every slice that assembles the sums) depends only
 on the kernel, the grid and the window, so the run's first RHS sets it up
 as one plan and every later stage reuses it and makes only its ufunc calls
 (for sigma = 1 the plan also keeps the tables of powers and the buffers of
-the start values and of e^-gamma).  ``step`` builds its stage states and
-the RK4 combination in place, and ``_validate`` checks a stage state with
-one comparison pass and one sum.  ``step`` hands the ``rhs`` of its end
-state, which validates it, to the state it returns as ``rate``: that is the
-next step's first stage and the energy ``run`` records, so s accepted
-steps cost 4 s + 1 ``rhs`` calls.
+the start values and of e^-gamma; for sigma = 0 it writes the factor rows
+that do not depend on the radius, such as H1dot's df = 1/n, once).
+``step`` builds its stage states and the RK4 combination in place, and
+``_validate`` checks a stage state with one comparison, one count and one
+sum.  ``step`` hands the ``rhs`` of its end state, which validates it, to
+the state it returns as ``rate``: that is the next step's first stage and
+the energy ``run`` records, so s accepted steps cost 4 s + 1 ``rhs`` calls.
+The state it returns also holds its rows (gamma, ln rho) as ``y``, so the
+next step starts from them and takes no log of rho.
 """
 
 import math
@@ -83,12 +86,18 @@ class FlowState:
     it has been evaluated: ``step`` sets it on the state it returns, and
     ``run`` on its initial state.  ``step`` uses it as its first stage
     instead of evaluating it again, and ``run`` takes the energy from it.
+
+    ``y`` holds the rows (gamma, ln rho) the state was integrated as, when
+    ``step`` made it: ``gamma`` is a view of its first row and ``rho`` =
+    exp of its second.  ``step`` starts from it instead of taking log rho,
+    and only reads it.  A state built from gamma and rho alone has none.
     """
 
     t: float
     gamma: np.ndarray
     rho: np.ndarray
     rate: np.ndarray | None = None
+    y: np.ndarray | None = None
 
 
 @dataclass
@@ -119,16 +128,17 @@ def _validate(grid, init, gamma, rho):
     # non-finite, and these sums are far from overflowing.  A state that
     # fails the order check gets the full finiteness check first, so a NaN
     # or inf state is NonFiniteState and never StepRejected.
-    if not np.logical_and.reduce(gamma[1:] > gamma[:-1]):
+    if np.count_nonzero(gamma[1:] > gamma[:-1]) != len(gamma) - 1:
         if not np.isfinite(np.add.reduce(gamma) + np.add.reduce(rho)):
             raise NonFiniteState("gamma or rho is not finite")
         raise StepRejected("gamma lost strict monotonicity")
     if not math.isfinite(gamma[0] + gamma[-1] + np.add.reduce(rho)):
         raise NonFiniteState("gamma or rho is not finite")
-    if gamma[init.support_index] >= GUARD_FRACTION * grid.r_max:
+    guard = GUARD_FRACTION * grid.r[-1]
+    if gamma[init.support_index] >= guard:
         raise GuardError(
-            "support reached the truncation guard radius "
-            f"{GUARD_FRACTION * grid.r_max:g}; increase R_max"
+            f"support reached the truncation guard radius {guard:g}; "
+            "increase R_max"
         )
 
 
@@ -145,25 +155,29 @@ def rhs(spec, grid, init, gamma, rho):
 def step(spec, grid, init, state, dt):
     """One RK4 step on (gamma, ln rho), held as the rows of one array.
 
-    The first stage is ``state.rate`` when set, else ``rhs`` at the state.
-    The returned state carries its own ``rate``: ``rhs`` at the end state,
+    It starts from ``state.y`` when set, else from gamma and log rho.  The
+    first stage is ``state.rate`` when set, else ``rhs`` at the state.  The
+    returned state carries its own ``rate``: ``rhs`` at the end state,
     which validates it and is the next step's first stage (first same as
-    last), so a step from a state with a rate makes four ``rhs`` calls.
+    last), so a step from a state with a rate makes four ``rhs`` calls.  It
+    also carries its ``y``, so the next step takes no log of rho.
 
     Raises StepRejected, GuardError or NonFiniteState, from any stage or
     the end state.
     """
-    y0 = np.empty((2, len(state.gamma)))
-    y0[0] = state.gamma
-    np.log(state.rho, out=y0[1])
+    y0 = state.y
+    if y0 is None:
+        y0 = np.empty((2, len(state.gamma)))
+        y0[0] = state.gamma
+        np.log(state.rho, out=y0[1])
 
     def f(y):
         return rhs(spec, grid, init, y[0], np.exp(y[1]))
 
     # The stage states and the combination are built in place, with the
     # operations of y0 + 0.5 * dt * k and y0 + dt / 6 * (k1 + 2 k2 + 2 k3 +
-    # k4) in their order.  k1 may be state.rate, which run reuses when it
-    # retries a halved step, so it is only read.
+    # k4) in their order.  y0 and k1 may be state.y and state.rate, which
+    # run reuses when it retries a halved step, so they are only read.
     k1 = state.rate if state.rate is not None else f(y0)
     y = np.multiply(k1, 0.5 * dt)
     y += y0
@@ -183,7 +197,7 @@ def step(spec, grid, init, state, dt):
     y += y0
     gamma, rho = y[0], np.exp(y[1])
     # rhs validates the end state, and its rate is the next step's k1
-    return FlowState(state.t + dt, gamma, rho, rhs(spec, grid, init, gamma, rho))
+    return FlowState(state.t + dt, gamma, rho, rhs(spec, grid, init, gamma, rho), y)
 
 
 def energy(grid, init, rho, dgamma):

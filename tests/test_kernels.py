@@ -697,20 +697,24 @@ def test_separable_sums_window_equals_full_grid_sums(spec, a, b, dtype):
         assert len(plans[0]) == 1 and plans[1] == plans[2] == plans[0]
 
 
-@pytest.mark.parametrize("spec", [KernelSpec(1, 1, 2), KernelSpec(1, 1, 3),
-                                  KernelSpec(1, 2, 3), KernelSpec(1, 2, 4)],
-                         ids=lambda s: s.label())
-def test_kept_tables_of_powers_follow_each_call_term_count(spec):
-    # two states whose largest inner radius needs different numbers of
-    # series terms share one plan, whose table of powers keeps the views of
-    # each row count: in either order, every call gives the bytes of the
-    # sums from factors evaluated without a plan
+@pytest.mark.parametrize("spec,dtype", [
+    pytest.param(KernelSpec(*s), dtype, id=KernelSpec(*s).label() + suffix)
+    for dtype, suffix in ((np.float64, ""), (np.longdouble, "-longdouble"))
+    for s in ((1, 1, 2), (1, 1, 3), (1, 2, 3), (1, 2, 4), (0, 1, 1), (0, 1, 3),
+              (0, 2, 3))])
+def test_kept_tables_of_powers_follow_each_call_term_count(spec, dtype):
+    # two states share one plan: for sigma = 1 their largest inner radii
+    # need different numbers of series terms, and the plan's table of powers
+    # keeps the views of each row count; for sigma = 0 the plan writes the
+    # constant rows once, and the stages leave them alone.  In either order
+    # and in float64 and longdouble (as invert_operator sums), every call
+    # gives the bytes of the sums from factors evaluated without a plan
     grid = RadialGrid.uniform(300, 20.0)
     case = kernel_case(spec)
     a, b = 30, 280
-    weight = np.zeros(grid.num)
+    weight = np.zeros(grid.num, dtype=dtype)
     weight[a:b] = -np.exp(-((grid.r[a:b] - 6.0) ** 2)) - 0.5
-    states = (grid.r.copy(), 0.3 * grid.r)
+    states = (grid.r.astype(dtype), (0.3 * grid.r).astype(dtype))
     refs = [full_grid_kernel_sums(case, grid, weight, x).tobytes() for x in states]
     for order in ((0, 1), (1, 0)):
         kernels._spare_window.clear()
@@ -718,12 +722,22 @@ def test_kept_tables_of_powers_follow_each_call_term_count(spec):
         for i in order + order:
             got = kernel_sums(case, grid.quadrature, states[i], weight[a:b],
                               start=a, derivatives=True)
-            assert got.tobytes() == refs[i]
+            assert got.dtype == dtype and got.tobytes() == refs[i]
             [(_, plan)] = kernels._spare_window
             plans.add(plan)
         [plan] = plans
-        _, powers = plan.inner
-        assert len(powers[1]) == 2  # the views of two row counts
+        if spec.sigma:
+            _, powers = plan.inner
+            assert len(powers[1]) == 2  # the views of two row counts
+    # without a plan, inner and outer still give every row, the constant
+    # ones included, with the values their formulas give (+0, not -0)
+    inner, outer = case.constant_rows
+    assert inner if spec.sigma == 0 else inner == outer == {}
+    for factors, constants in ((case.inner, inner), (case.outer, outer)):
+        rows = factors(states[1][1:])
+        for (t, d), value in constants.items():
+            assert rows[t, d].astype(float).tobytes() == np.full(
+                grid.num - 1, value).tobytes()
 
 
 def test_kernel_sums_results_never_share_memory():

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from epdiff_radial import cli, solver
 from epdiff_radial.cli import main
-from epdiff_radial.grid import RadialGrid
+from epdiff_radial.grid import InitialData, RadialGrid
 from epdiff_radial.scenario import (
     EXIT_CODES,
     FAMILIES,
@@ -322,6 +323,30 @@ def test_cli_rejects_a_nonfinite_value_by_its_key(tmp_path, capsys, key, text):
     assert main(["run", str(bad), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {key} must be finite\n"
+
+
+def test_cli_rejects_an_overflowing_weighted_momentum(tmp_path, capsys):
+    # 20^239 overflows, and inf * 0 is NaN past the support: z_0 is not
+    # finite, which used to be reported as momentum outside r_support
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(fast_config_with("n = 240\nr_max = 20\n"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", str(bad), "--quiet"]) == 1
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert err == "error: r^(n-1) omega_0 overflows for n = 240 on r_max = 20\n"
+
+
+def test_initial_data_rejects_a_nonfinite_momentum():
+    # named as such, not as the overflow of r^(n-1) omega_0
+    grid = RadialGrid.uniform(128, 20.0)
+    for value in (math.nan, math.inf):
+        omega0 = np.zeros(grid.num)
+        omega0[40] = value
+        with pytest.raises(ValueError, match="^omega0 must be finite$"):
+            InitialData.from_omega0(omega0, grid, 3)
 
 
 def test_builtin_data_rejects_a_nonfinite_amplitude():

@@ -301,20 +301,41 @@ def test_rhs_results_are_not_overwritten_by_the_next_call(grid):
                          ids=lambda s: s.label())
 def test_step_from_a_stored_rate_equals_a_fresh_step(grid, spec):
     # the first stage taken from state.rate is the stage step would evaluate,
-    # and the step writes nothing into it (run reuses it for a halved retry)
+    # and rows (gamma, ln rho) taken from state.y are those it would form
+    # from gamma and rho; the step writes into neither (run reuses them for
+    # a halved retry)
     init = make_init(grid, 3)
     _, state = run(spec, grid, init, dt=0.02, horizon=0.1,
                    record_snapshots=False)
+    # the state step returned carries the rows it was integrated as
+    carried = state.y
+    assert np.shares_memory(state.gamma, carried)
+    assert state.gamma.tobytes() == carried[0].tobytes()
+    assert np.exp(carried[1]).tobytes() == state.rho.tobytes()
     bare = FlowState(state.t, state.gamma, state.rho)
     rate = rhs(spec, grid, init, state.gamma, state.rho)
-    rated = FlowState(state.t, state.gamma, state.rho, rate=rate)
-    kept = rate.copy()
+    formed = np.stack([state.gamma, np.log(state.rho)])
+    stored = (FlowState(state.t, state.gamma, state.rho, rate=rate),
+              FlowState(state.t, state.gamma, state.rho, rate=rate, y=formed))
+    kept = [x.copy() for x in (rate, formed, carried, state.rate)]
     for dt in (1e-3, 5e-4):
         fresh = step(spec, grid, init, bare, dt)
-        reused = step(spec, grid, init, rated, dt)
-        assert fresh.gamma.tobytes() == reused.gamma.tobytes()
-        assert fresh.rho.tobytes() == reused.rho.tobytes()
-        assert rated.rate is rate and rate.tobytes() == kept.tobytes()
+        for other in stored:
+            reused = step(spec, grid, init, other, dt)
+            assert fresh.gamma.tobytes() == reused.gamma.tobytes()
+            assert fresh.rho.tobytes() == reused.rho.tobytes()
+        # from the carried rows the step skips a log and an exp: it moves
+        # only at the rounding level
+        on = step(spec, grid, init, state, dt)
+        assert np.exp(on.y[1]).tobytes() == on.rho.tobytes()
+        # it reads rho only through the rows
+        probe = FlowState(state.t, state.gamma, np.full(grid.num, np.nan), y=carried)
+        assert step(spec, grid, init, probe, dt).y.tobytes() == on.y.tobytes()
+        np.testing.assert_allclose(on.gamma, fresh.gamma, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(on.rho, fresh.rho, rtol=1e-14, atol=0)
+        assert stored[1].rate is rate and stored[1].y is formed
+        for x, copy in zip((rate, formed, carried, state.rate), kept):
+            assert x.tobytes() == copy.tobytes()
 
 
 def test_exhausted_halvings_are_not_a_guard_trip(grid, monkeypatch):
