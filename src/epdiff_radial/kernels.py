@@ -8,14 +8,15 @@ D = {s >= r >= 0} \\ {(0,0)}:
     u(r) = int_0^r delta(s, r) s^{n-1} w(s) ds
          + int_r^inf delta(r, s) s^{n-1} w(s) ds.
 
-The four cases (sigma, k) in {0,1} x {1,2} have closed-form kernels built
-from powers (homogeneous) or the Bessel pair alpha/beta (nonhomogeneous).
-Every delta factors into at most two separable products f(r) g(s), phi is
-formed from those factors, and one pass of prefix and suffix sums gives the
-kernel integral at every node in O(N) (``kernel_sums``, which works over the
-support window of the weight only).  Each case is one subclass of
-``KernelCase`` holding all of its formulas (Camassa-Holm, n = 1 of H^1, is a subclass of the H^1
-case with factors of its own); ``kernel_case`` builds the spec's instance,
+The four cases (sigma, k) in {0,1} x {1,2} have closed-form kernels: a
+homogeneous one is a table of exact power terms, a nonhomogeneous one is
+built from the Bessel pair alpha/beta.  Every delta factors into at most
+two separable products f(r) g(s), phi is formed from those factors, and
+one pass of prefix and suffix sums gives the kernel integral at every node
+in O(N) (``kernel_sums``, which works over the support window of the
+weight only).  Each case is one subclass of ``KernelCase`` holding all of
+its formulas (Camassa-Holm, n = 1 of H^1, is a subclass of the H^1 case
+with factors of its own); ``kernel_case`` builds the spec's instance,
 which evaluates each Bessel order a formula needs once per call.  The inner
 factors of the sigma = 1 cases with Bessel orders are power series in r^2
 with coefficients of one sign, summed from one table of powers below
@@ -36,7 +37,8 @@ exactly
 
     S(r) = [d_r delta(r,r) G(r) - delta(r,r) G'(r)] / G(r)^2,   Q = 1/G,
 
-so S is e^{sigma r} times a ratio of the scaled rows at (r, r).
+so S is e^{sigma r} times a ratio of the scaled rows at (r, r), for
+sigma = 0 a rational constant of the kernel's power terms.
 """
 
 import bisect
@@ -100,28 +102,6 @@ class KernelSpec:
         return f"{name[(self.sigma, self.k)]}_n{self.n}"
 
 
-def _reciprocal_powers(s, lo, rows):
-    """Write s^-(lo + j) into rows[j], from one reciprocal and products.
-
-    A general float power costs several times a product per point, and the
-    outer factors are evaluated on every solver RHS.  The last row holds
-    the reciprocal until it is overwritten last.
-    """
-    inv = rows[-1]
-    np.divide(1.0, s, out=inv)
-    first = rows[0]
-    if lo == 0:
-        first.fill(1.0)
-    elif lo == 1:
-        np.copyto(first, inv)
-    else:
-        np.multiply(inv, inv, out=first)
-        for _ in range(lo - 2):
-            first *= inv
-    for below, row in zip(rows, rows[1:]):
-        np.multiply(below, inv, out=row)
-
-
 def _fresh_factors(method, terms, x):
     """method(x, out) on a fresh array of shape (terms, 2) + x.shape."""
     x = np.asarray(x)
@@ -134,6 +114,61 @@ def _fill_rows(out, constants):
     """out[t][d] = value for each (t, d): value of ``constants``."""
     for (t, d), value in constants.items():
         out[t][d].fill(value)
+
+
+def _scale(x, numerator, denominator, out):
+    """out = x numerator / denominator; -1 negates, a 1 is skipped if x is out."""
+    if numerator == -1.0:
+        x = np.negative(x, out=out)
+    elif numerator != 1.0:
+        x = np.multiply(x, numerator, out=out)
+    if denominator != 1.0 or x is not out:
+        np.divide(x, denominator, out=out)
+
+
+def _power_factors(terms):
+    """The rows f_t = a r^p, df_t = p a r^(p-1), g_t = b s^-q, dg_t = -q b
+    s^-(q+1) of the power terms (a, p, b, q), coefficients unreduced: maps
+    {(t, d): value} per side of those of power or coefficient 0; the other
+    inner ones as (power, t, d, numerator, denominator); and for the other
+    outer ones, the pairs of terms t0, t0 + 1, ... in consecutive powers of
+    s, (lowest power or 0, t0, (t, d, numerator, denominator) not 1)."""
+    constants, rows = ({}, {}), ([], [])
+    for t, (a, p, b, q) in enumerate(terms):
+        for side, d, power, c, e in (
+                (0, 0, p, a.numerator, a.denominator),
+                (0, 1, p - 1, p * a.numerator, a.denominator),
+                (1, 0, q, b.numerator, b.denominator),
+                (1, 1, q + 1, -q * b.numerator, b.denominator)):
+            if power and c:
+                rows[side].append((power, t, d, float(c), float(e)))
+            else:
+                constants[side][t, d] = c / e
+    inner, outer = rows
+    lo, first = outer[0][:2] if outer else (0, 0)
+    if any(row[:3] != (lo + j, first + j // 2, j % 2) for j, row in enumerate(outer)):
+        raise ValueError("the outer rows are not consecutive powers of s")
+    return constants, inner, (lo, first, [row[1:] for row in outer if row[3:] != (1, 1)])
+
+
+def _fraction(numerator, denominator):
+    # imported here, not at the top: importing fractions takes a few ms
+    from fractions import Fraction
+    return Fraction(numerator, denominator)
+
+
+def _power_origin(terms):
+    """(kappa, q_power, S) of the power terms (a, p, b, q), in fractions.
+
+    G = sum_t df_t(0) g_t is the one term with p = 1, c s^-m: Q = 1/G =
+    kappa r^q_power, kappa = 1/c, q_power = m, and S = [d_r delta(r,r) G -
+    delta(r,r) G'] / G^2 = sum_t a_t b_t (p_t + m) / c r^(p_t - q_t + m - 1).
+    """
+    [(m, c)] = [(q, a * b) for a, p, b, q in terms if p == 1]
+    if any(p - q + m != 1 for _, p, _, q in terms):
+        raise ValueError("the power of r in S does not cancel")
+    # exact for Fraction and integer coefficients (int / int rounds once)
+    return float(1 / c), m, float(sum(a * b * (p + m) for a, p, b, _ in terms) / c)
 
 
 def _outer_laurent(rows):
@@ -180,65 +215,47 @@ def _outer_laurent(rows):
 class KernelCase:
     """Every formula of one spec's kernel; one subclass per case (sigma, k).
 
-    ``inner(r)`` and ``outer(s)`` give the separable factors
-    delta(r, s) = sum_t f_t(r) g_t(s) of every term at once, as the pairs
-    (f_t, df_t) or (g_t, dg_t), fresh or written into the rows of a
-    caller's buffer (``kernel_sums`` keeps one per window).  ``_terms`` is
-    the number of terms T.  Each writes through ``_inner(r, out)`` and
-    ``_outer(s, out)``, which a ``kernel_sums`` plan calls directly.  The
-    cases without Bessel orders write each factor into its row of ``out``
-    with the operations, in the order and dtype, of the expression it
-    stands for, so a factor is the same bit for bit as that expression, and
-    make no temporary arrays.  The sigma = 1 cases with Bessel orders give
-    each term's inner factor as a row (p, shift, divisor) of
-    ``_series_rows``, f_t = r^(2 shift + 1) alpha_p(r) / divisor, and its
-    orders p and p + 2 are ``alpha_orders``; ``inner`` sums every factor
-    from the power series in r^2 of those rows (``bessel._inner_series``)
-    while every radius is below ``bessel.SERIES_RADIUS``, and else forms
-    them from ``bessel.alpha_hat``.  ``outer`` sums them from the Laurent
-    polynomials in 1/s of ``_outer_rows`` (see ``_outer_laurent``) at every
-    s > 0, whose orders are ``beta_orders``.  Their ``_inner`` and
-    ``_outer`` take the tables they sum from as a last argument, which a
-    plan keeps (a ``bessel._power_buffer`` and ``_outer_buffers``); without
-    it they make them for the call.
+    ``inner(r)`` and ``outer(s)`` give the separable factors delta(r, s) =
+    sum_t f_t(r) g_t(s) of the ``_terms`` terms at once, as the pairs
+    (f_t, df_t) or (g_t, dg_t), fresh or written into the rows of a caller's
+    buffer through ``_inner(r, out)`` and ``_outer(s, out)``, which a
+    ``kernel_sums`` plan calls directly.
+
+    A sigma = 0 case (``_Homogeneous``) is its table ``_power_rows(n)`` of
+    exact power terms (a, p, b, q), f_t = a r^p and g_t = b s^-q, and its
+    rows of power or coefficient 0 (H1dot's df = 1/n) are ``constant_rows``,
+    which ``inner`` and ``outer`` fill on every call and a plan once.
+
+    A sigma = 1 case with Bessel orders gives each term's inner factor as a
+    row (p, shift, divisor) of ``_series_rows``, f_t = r^(2 shift + 1)
+    alpha_p(r) / divisor (orders ``alpha_orders``), and its outer factors
+    as Laurent polynomials in 1/s (``_outer_rows``, orders ``beta_orders``),
+    summed as ``inner`` and ``outer`` say from tables that a plan keeps.
 
     ``scaled_factors(r, s)`` gives inner(r) e^{-sigma r} and outer(s)
     e^{sigma s}, finite where the factors themselves overflow or underflow.
     A case is ``separable`` (ln phi is a function of r plus one of s) when
-    it has one term.  The kernel phi = delta / (r s) is formed from those
-    rows for every case, with no formula of its own: ``phi_rows`` gives
-    a_t(r) = f_hat_t(r) / r and b_t(s) = g_hat_t(s) / s per radius, and
-    ``phi_from_sum`` turns sum_t a_t b_t at each point into phi, so that a
-    caller with many points on few radii (``certify``) evaluates the rows
-    once per distinct radius.  The criterion and the weights come from the
-    same rows: G(s) = sum_t df_t(0) g_t(s) = s phi(0, s) needs the outer
-    rows alone (``origin_factor``), Q = 1/G and the tail weight s^(n-1) G
-    come from one evaluation of it (``weights``), and ``s_diagonal(r)`` is
-    the diagonal criterion S for r > 0 from the rows at (r, r).
+    it has one term.  phi = delta / (r s) is formed from those rows for
+    every case: ``phi_rows`` gives a_t(r) = f_hat_t(r) / r and b_t(s) =
+    g_hat_t(s) / s per radius, and ``phi_from_sum`` turns sum_t a_t b_t at
+    each point into phi, so that a caller with many points on few radii
+    (``certify``) evaluates the rows once per distinct radius.  G(s) =
+    sum_t df_t(0) g_t(s) = s phi(0, s) needs the outer rows alone
+    (``origin_factor``), Q = 1/G and the tail weight s^(n-1) G come from one
+    evaluation of it (``weights``), and ``s_diagonal(r)`` is the diagonal
+    criterion S for r > 0 from the rows at (r, r).
 
-    Some factor rows do not depend on the radius (H1dot's df = 1/n, H2dot's
-    df_1 = 1/c1, and g = 1, dg = +0 where a power of s is 0).  A case
-    declares them as ``_constant_rows(n)``, the maps {(term, row): value}
-    of its inner and outer side (``constant_rows``), and its ``_inner`` and
-    ``_outer`` leave them alone: ``inner`` and ``outer`` fill them before
-    the formulas on every call, a ``kernel_sums`` plan once when it is set
-    up.  Each value is the one the formula it stands for gives at every
-    radius of its domain, so the rows are the same bit for bit either way.
-
-    ``g`` and ``dg`` may be singular at s = 0 for n >= 2: ``kernel_sums``
-    evaluates them on the nodes past i0 = max(a - 2, 0) for a weight
-    supported from node a on, and at the origin node only when the weight
-    is nonzero there (n = 1; z_0(0) = 0 for n >= 2 by construction).
-    ``df_origin`` holds df_t(0), the only factor the solver needs at the
-    origin node.  kappa, q_power = n + q_offset and ``s_origin`` serve only
-    r = 0, where the rows of G are singular for most cases: Q ~ kappa
-    r^q_power near 0, and ``s_origin`` is the limit S(0); ``_origin(n)``
-    gives (kappa, S(0)).
+    ``g`` and ``dg`` may be singular at s = 0 for n >= 2, where
+    ``kernel_sums`` does not evaluate them; ``df_origin`` holds df_t(0), the
+    only factor the solver needs at the origin node.  kappa, q_power and
+    ``s_origin`` serve r = 0, where G is singular for most cases: Q ~ kappa
+    r^q_power and S -> ``s_origin`` (``_power_origin``), which a sigma = 1
+    case takes from the sigma = 0 case of its k and n.
     """
 
-    _series_rows = _outer_rows = None
+    _series_rows = _outer_rows = _power_rows = None
     _terms = 1
-    _constant_rows = staticmethod(lambda n: ({}, {}))
+    constant_rows = ({}, {})
 
     def __init__(self, spec):
         n = self.n = spec.n
@@ -253,10 +270,15 @@ class KernelCase:
             self.beta_orders = tuple(sorted(
                 {p for term in rows for factor in term for p, _, _ in factor}))
             self._laurent = _outer_laurent(rows)
+        if self._power_rows:
+            terms = self._power_rows(n)
+            self._terms = len(terms)
+            self.constant_rows, self._inner_powers, self._outer_powers = (
+                _power_factors(terms))
+        # (sigma - Delta)^k and (-Delta)^k agree at leading order at r = 0
+        twin = self if self._power_rows else kernel_case(KernelSpec(0, spec.k, n))
+        self.kappa, self.q_power, self.s_origin = _power_origin(twin._power_rows(n))
         self.separable = self._terms == 1
-        self.constant_rows = self._constant_rows(n)
-        self.q_power = n + self.q_offset
-        self.kappa, self.s_origin = self._origin(n)
         self.df_origin = tuple(float(df[0]) for _, df in self.inner(np.zeros(1)))
 
     def inner(self, r, out=None):
@@ -270,18 +292,16 @@ class KernelCase:
 
         A case with Bessel orders sums every factor from the power series of
         its rows when every radius is below ``bessel.SERIES_RADIUS``: the
-        powers r^(2j) for the terms the largest radius needs, built with one
-        product per doubling of their count (``bessel._power_table``, into a
-        table made for the call, or kept by a ``kernel_sums`` plan), one
-        contraction with the coefficients into out, in the dtype of out, and
-        one product of the value rows with r.  Each factor is summed over j
-        in order for each radius on its own, and terms past those a radius
-        needs do not change its sum, so a factor depends only on its radius,
-        not on the others of the call.  A call that reaches
-        ``bessel.SERIES_RADIUS`` forms every factor of its rows from alpha =
-        e^r ``bessel.alpha_hat``, with df_t = ((2 shift + 1) r^(2 shift)
-        alpha_p + r^(2 shift + 2) alpha_{p+2} / (p + 2)) / divisor (alpha_p'
-        = r alpha_{p+2} / (p + 2)).
+        powers r^(2j) the largest radius needs, one product per doubling of
+        their count (``bessel._power_table``, in a table made for the call or
+        kept by a ``kernel_sums`` plan), one contraction with the
+        coefficients into out, in its dtype, and one product of the value
+        rows with r.  A factor is summed over j in order for its radius on
+        its own, and terms past those it needs leave it unchanged, so it
+        depends only on its radius.  A call that reaches the radius forms
+        every factor from alpha = e^r ``bessel.alpha_hat``, with df_t =
+        ((2 shift + 1) r^(2 shift) alpha_p + r^(2 shift + 2) alpha_{p+2} /
+        (p + 2)) / divisor (alpha_p' = r alpha_{p+2} / (p + 2)).
         """
         if out is None:
             return _fresh_factors(self.inner, self._terms, r)
@@ -412,8 +432,10 @@ class KernelCase:
         """(Q(r), r^(n-1) / Q(r)) at r >= 0, fresh, from one ``origin_factor``
         evaluation: Q = 1 / G = e^{sigma r} / G_hat and r^(n-1) G = r^(n-1)
         e^{-sigma r} G_hat for r > 0, and at r = 0 their limits kappa
-        0^q_power and 0^(n-1-q_power) / kappa."""
+        0^q_power and 0^(n-1-q_power) / kappa.  Raises unless r >= 0."""
         r = np.asarray(r, dtype=float)
+        if not np.all(r >= 0):  # NaN too
+            raise ValueError("the weights require r >= 0")
         positive = r > 0.0
         x = r[positive]
         big_g = self.origin_factor(x)
@@ -458,65 +480,50 @@ class KernelCase:
         return phi_hat * np.exp(r - s) if self.spec.sigma else phi_hat
 
 
-class _H1dot(KernelCase):
+class _Homogeneous(KernelCase):
+    """A sigma = 0 case.  Each power row is r^p (r itself for p = 1, np.square
+    for p = 2) or s^-q by products of 1/s, times numerator, over denominator:
+    the ufuncs of its closed form, equal to it bit for bit, no temporaries."""
+
+    def _inner(self, r, out):
+        for p, t, d, numerator, denominator in self._inner_powers:
+            row = out[t][d]
+            x = (r if p == 1 else np.square(r, out=row) if p == 2
+                 else np.power(r, p, out=row))
+            _scale(x, numerator, denominator, row)
+
+    def _outer(self, s, out):
+        # the pairs (g_t, dg_t) from t0 on: s^-lo, s^-(lo + 1), ... by products
+        # (a power costs several), with 1/s in the last row until it is written
+        lo, first, coefficients = self._outer_powers
+        if lo:
+            pairs = out[first:]
+            inv = np.divide(1.0, s, out=pairs[-1][1])
+            below = None if lo == 1 else inv
+            for _ in range(lo - 2):
+                below = np.multiply(below, inv, out=pairs[0][0])
+            for g, dg in pairs:
+                if below is None:
+                    np.copyto(g, inv)
+                else:
+                    np.multiply(below, inv, out=g)
+                below = np.multiply(g, inv, out=dg)
+            for t, d, numerator, denominator in coefficients:
+                _scale(out[t][d], numerator, denominator, out[t][d])
+
+
+class _H1dot(_Homogeneous):
     """sigma = 0, k = 1: delta = (r/n) s^{1-n}."""
 
-    q_offset = -1
-    _origin = staticmethod(lambda n: (float(n), float(n)))
-    # df = 1/n, and at n = 1 g = s^0 = 1 and dg = (1/s) 0 = +0
-    _constant_rows = staticmethod(lambda n: (
-        {(0, 1): 1.0 / n}, {(0, 0): 1.0, (0, 1): 0.0} if n == 1 else {}))
-
-    def _inner(self, r, out):
-        (f, _), = out
-        np.divide(r, self.n, out=f)
-
-    def _outer(self, s, out):
-        n = self.n
-        if n > 1:
-            (g, dg), = out
-            _reciprocal_powers(s, n - 1, (g, dg))
-            dg *= 1.0 - n
+    _power_rows = staticmethod(lambda n: ((_fraction(1, n), 1, 1, n - 1),))
 
 
-class _H2dot(KernelCase):
+class _H2dot(_Homogeneous):
     """sigma = 0, k = 2 (n >= 3): delta = r s^{3-n}/c1 - r^3 s^{1-n}/c2."""
 
-    q_offset = -3
-    _origin = staticmethod(
-        lambda n: (2.0 * n * (n - 2.0), 2.0 * (n - 2.0) / (n + 2.0)))
-
-    _terms = 2
-    # df1 = 1/c1, and at n = 3 g1 = s^0 = 1 and dg1 = (1/s) 0 = +0
-    _constant_rows = staticmethod(lambda n: (
-        {(0, 1): 1.0 / _H2dot._c(n)[0]},
-        {(0, 0): 1.0, (0, 1): 0.0} if n == 3 else {}))
-
-    @staticmethod
-    def _c(n):
-        return 2.0 * n * (n - 2.0), 2.0 * n * (n + 2.0)
-
-    def _inner(self, r, out):
-        c1, c2 = self._c(self.n)
-        (f1, _), (f2, df2) = out
-        np.divide(r, c1, out=f1)
-        # -(r^3) / c2 and -3 r^2 / c2
-        np.power(r, 3, out=f2)
-        np.negative(f2, out=f2)
-        f2 /= c2
-        np.square(r, out=df2)
-        df2 *= -3.0
-        df2 /= c2
-
-    def _outer(self, s, out):
-        n = self.n
-        (g1, dg1), (g2, dg2) = out
-        if n == 3:
-            _reciprocal_powers(s, 2, (g2, dg2))
-        else:
-            _reciprocal_powers(s, n - 3, (g1, dg1, g2, dg2))
-            dg1 *= 3.0 - n
-        dg2 *= 1.0 - n
+    _power_rows = staticmethod(lambda n: (
+        (_fraction(1, 2 * n * (n - 2)), 1, 1, n - 3),
+        (_fraction(-1, 2 * n * (n + 2)), 3, 1, n - 1)))
 
 
 def _h1_outer_rows(n):
@@ -528,8 +535,6 @@ def _h1_outer_rows(n):
 class _H1(KernelCase):
     """sigma = 1, k = 1: delta = [r alpha_n(r)] [s beta_n(s)]."""
 
-    q_offset = -1
-    _origin = staticmethod(lambda n: (float(n), float(n)))
     # f = r alpha_n(r)
     _series_rows = staticmethod(lambda n: ((n, 0, 1),))
     _outer_rows = staticmethod(lambda n: (_h1_outer_rows(n),))
@@ -561,10 +566,6 @@ class _H2(KernelCase):
 
         delta = -[r j(r)/(2n)] [s beta_n(s)] + [r alpha_n(r)/(2n)] [s beta_{n-2}(s)]
     """
-
-    q_offset = -3
-    _origin = staticmethod(
-        lambda n: (2.0 * n * (n - 2.0), 2.0 * (n - 2.0) / (n + 2.0)))
 
     _terms = 2
     # f1 = -r^3 alpha_{n+2}(r) / (2(n + 2)) and f2 = r alpha_n(r) / (2n)
@@ -635,7 +636,7 @@ def q_weight(spec, r):
     """Comparison weight Q(r) = 1/(r phi(0, r)), continuously extended to r=0.
 
     Q = e^{sigma r} / G_hat(r) from the kernel's own outer rows
-    (``KernelCase.weights``), and kappa 0^q_power at r = 0.
+    (``KernelCase.weights``), kappa 0^q_power at r = 0; ValueError unless r >= 0.
     """
     out = kernel_case(spec).weights(r)[0]
     return out if np.ndim(out) else float(out)
@@ -645,31 +646,28 @@ def phi0_weight(spec, s):
     """s^n phi(0, s) = s^{n-1}/Q(s): the integrand weight of the majorant tail.
 
     s^{n-1} e^{-sigma s} G_hat(s) (``KernelCase.weights``), finite at s = 0
-    for every case, unlike 1/Q itself.
+    for every case, unlike 1/Q itself; ValueError unless s >= 0.
     """
     out = kernel_case(spec).weights(s)[1]
     return out if np.ndim(out) else float(out)
 
 
 def s_criterion(spec, r):
-    """Diagonal criterion S(r) from the kernel's factor rows at (r, r).
-
-    S = e^{sigma r} times a ratio of scaled rows (``KernelCase.s_diagonal``),
-    so the e^{+-r} of the Bessel pair cancel before anything is formed and
-    only the growing part of S (e.g. e^r for Camassa-Holm) remains.  Below
-    r = 1e-3 the analytic limit S(0) of the kernel case is returned.
-    """
+    """Diagonal criterion S(r) from the kernel's factor rows; ValueError
+    unless r >= 0.  The exact constant ``KernelCase.s_origin`` for sigma = 0.
+    For sigma = 1 e^r times a ratio of the scaled rows at (r, r)
+    (``KernelCase.s_diagonal``), in which the e^{+-r} of the Bessel pair
+    cancel, and the limit S(0) below r = 1e-3."""
     r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    if np.any(r < 0):
+    if not np.all(r >= 0):  # NaN too
         raise ValueError("s_criterion requires r >= 0")
     case = kernel_case(spec)
-    out = np.full_like(r, case.s_origin)
-    m = r >= 1e-3
-    if np.any(m):
-        out[m] = case.s_diagonal(r[m])
-    return float(out[0]) if scalar else out
+    out = np.full(r.shape, case.s_origin)
+    if spec.sigma:
+        m = r >= 1e-3
+        if np.any(m):
+            out[m] = case.s_diagonal(r[m])
+    return out if r.ndim else float(out)
 
 
 class _SumPlan:

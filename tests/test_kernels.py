@@ -7,6 +7,7 @@ come from evaluating the power-law kernels by hand.
 """
 
 import functools
+import operator
 import os
 import pathlib
 import subprocess
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epdiff_radial import bessel, kernels, solver
+from epdiff_radial.certify import SAFETY_MARGIN, certify
 from epdiff_radial.grid import InitialData, RadialGrid
 from epdiff_radial.kernels import (
     KernelSpec,
@@ -455,6 +457,21 @@ def test_s_criterion_closed_forms():
         1.0 / bessel.beta_scaled(3, r),
         rtol=1e-9,
     )
+    # exactly n and 2(n - 2)/(n + 2) for sigma = 0 at every n, where G^2 ~
+    # r^(2 - 2n) overflows at r = 1e-3 from n = 53; and a certificate on a
+    # 256-node grid takes C = S - SAFETY_MARGIN from it
+    grid = RadialGrid.uniform(256, 20.0)
+    omega0 = neg_exp_bump(grid.r)
+    for k, lowest, closed_form in ((1, 1, lambda n: float(n)),
+                                   (2, 3, lambda n: 2.0 * (n - 2) / (n + 2))):
+        for n in range(lowest, 201):
+            spec = KernelSpec(0, k, n)
+            assert s_criterion(spec, r).tolist() == [closed_form(n)] * len(r)
+            if n in (53, 56, 200):
+                with np.errstate(all="ignore"):
+                    cert = certify(spec, grid, omega0)
+                assert cert.conditions["S_bound"]["passed"]
+                assert cert.c_bound == closed_form(n) - SAFETY_MARGIN
 
 
 def s_by_mpmath(spec, r):
@@ -511,9 +528,74 @@ def test_s_criterion_origin_limits():
         expected = spec.n if spec.k == 1 else 2.0 * (spec.n - 2.0) / (spec.n + 2.0)
         assert kernel_case(spec).s_origin == pytest.approx(expected)
         assert s_criterion(spec, 0.0) == pytest.approx(expected)
-        # the generic formula approaches the hard-coded limit continuously
-        # (S itself varies O(r) near 0, e.g. e^r for the n = 1 full metric)
+        # S(0) comes from the sigma = 0 power rows, and S from the rows at
+        # r > 0 approaches it (S itself varies O(r) near 0, e.g. e^r for
+        # the n = 1 full metric)
         assert s_criterion(spec, 2e-3) == pytest.approx(expected, rel=5e-3)
+
+
+@pytest.mark.parametrize("spec", [s for s in ALL_SPECS if s.sigma],
+                         ids=lambda s: s.label())
+def test_sigma1_origin_constants_are_the_limits_of_the_rows(spec):
+    # kappa, q_power and S(0) of a sigma = 1 case are those of its sigma = 0
+    # twin; the Bessel rows themselves must tend to them as r -> 0, within
+    # O(r) (S below r = 1e-3 taken from the rows, not from s_criterion)
+    case = kernel_case(spec)
+    for r in (1e-3, 1e-4, 1e-5):
+        q = q_weight(spec, r) / r**case.q_power
+        assert q == pytest.approx(case.kappa, rel=2 * r)
+        s = float(case.s_diagonal(np.array([r]))[0])
+        assert s == pytest.approx(case.s_origin, rel=2 * r)
+
+
+@pytest.mark.parametrize("name", ["s_criterion", "q_weight", "phi0_weight"])
+@pytest.mark.parametrize("r", [np.nan, -1.0, [0.5, np.nan]],
+                         ids=["nan", "negative", "nan_in_array"])
+def test_weights_and_criterion_reject_radii_that_are_not_nonnegative(name, r):
+    # neither a NaN nor a negative radius may pass for r = 0 or give 0
+    for spec in (KernelSpec(1, 1, 3), KernelSpec(0, 2, 3)):
+        with pytest.raises(ValueError, match="r >= 0"):
+            getattr(kernels, name)(spec, r)
+
+
+def _same_values(got, ref):
+    # equal bit for bit: equal values and signs (no NaN here), in one dtype,
+    # without the padding bytes of longdouble
+    assert got.dtype == ref.dtype
+    assert np.array_equal(got, ref)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble],
+                         ids=["float64", "longdouble"])
+@pytest.mark.parametrize(
+    "spec", [KernelSpec(0, 1, n) for n in range(1, 6)]
+    + [KernelSpec(0, 2, n) for n in range(3, 6)], ids=lambda s: s.label())
+def test_power_rows_equal_their_closed_forms(spec, dtype):
+    # the factors written from the power rows are, bit for bit, the numpy
+    # expressions of the closed forms, the powers of s being products of 1/s
+    r = np.linspace(0.0, 30.0, 61).astype(dtype)
+    s = np.geomspace(1e-3, 30.0, 61).astype(dtype)
+    n = spec.n
+
+    def recip(k):
+        return functools.reduce(operator.mul, [1.0 / s] * k, np.ones_like(s))
+
+    if spec.k == 1:
+        inner = [(r / n, np.full_like(r, 1.0 / n))]
+        outer = [(recip(n - 1), recip(n) * (1 - n))]
+    else:
+        c1, c2 = 2 * n * (n - 2), 2 * n * (n + 2)
+        inner = [(r / c1, np.full_like(r, 1.0 / c1)),
+                 (-(r**3) / c2, -3 * r**2 / c2)]
+        outer = [(recip(n - 3), recip(n - 2) * (3 - n)),
+                 (recip(n - 1), recip(n) * (1 - n))]
+    case = kernel_case(spec)
+    for rows, refs in ((case.inner(r), inner), (case.outer(s), outer)):
+        assert rows.shape[:2] == (len(refs), 2)
+        for row, ref in zip(rows, refs):
+            _same_values(row[0], ref[0])
+            _same_values(row[1], ref[1])
 
 
 def test_invert_zero_is_zero(grid_512):
