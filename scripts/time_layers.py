@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Time a cold import, then rhs, a short solver run, the Bessel pair,
-invert_operator and certify for every in-scope kernel, and the Liouville
-oracle.
+"""Time a cold import, then rhs, a short solver run, the Bessel rows, the
+certificate's scaled factors, invert_operator and certify for every
+in-scope kernel, and the Liouville oracle.
 
 First comes the cold start: the median wall time, launch to exit, of 7
 fresh interpreters that import ``epdiff_radial`` and its CLI, in
@@ -26,9 +26,10 @@ i0 + 1 to N - 1 for the outer factors, with (i0, i1) the quadrature's
 reach of the support start to stop - 1) at N = 256 and 2048, and of
 ``bessel.alpha_hat`` for the same orders on 1,400 geometric radii of
 [1e-3, 600], across both of its branches (the power series below r = 30
-and the Hankel expansion at and above it), and of ``bessel.beta_hat`` for
-the outer orders on the distinct s of the certificates' condition mesh
-(r_max = 20).  Then prints the best-of-k time of
+and the Hankel expansion at and above it).  Then prints, for every
+in-scope operator, the best-of-k time of ``KernelCase.scaled_factors`` on
+the distinct r and s of the certificates' condition mesh (r_max = 20), as
+``certify`` forms them.  Then prints the best-of-k time of
 ``invert_operator`` at N = 4096 for a negative bump on [0.5, 2], and of
 ``certify.certify`` at N = 512 for the standard bump, after the time of the
 first ``certify`` call of the process (H1dot_n1), which builds the
@@ -50,7 +51,7 @@ It also compares what the two versions return: a column after each
 compared time says ``same`` when every output of that call is byte for
 byte equal (``rhs``, the run's end state and energy series, the alpha
 values, the inner and outer factors, the alpha values on [1e-3, 600], the
-beta values on the mesh, ``invert_operator``, the certificate report, the
+scaled factors on the mesh, ``invert_operator``, the certificate report, the
 oracle's times and q history) and ``DIFFER`` otherwise, followed by the largest relative
 difference: over the outputs and their rows, max |this - vs| / max |vs|
 along the row (for a certificate report, over its numbers one by one, and
@@ -311,16 +312,21 @@ def main(argv=None):
             print(f"{label:<10} {wide.size:>5}" + cells(samples_us(calls))
                   + compare(f"alpha600 {label}", [tuple(f().values()) for f in calls]))
 
-    # beta_hat for each sigma = 1 order set on the condition mesh's distinct s
-    mesh_s = versions[0]["certify"]._condition_mesh(R_MAX).s.distinct
-    print(f"{'spec':<10} {'N':>5}" + heading("beta", names)
+    # the scaled factors each certificate forms on the condition mesh's
+    # distinct radii
+    mesh = versions[0]["certify"]._condition_mesh(R_MAX)
+    radii = mesh.r.distinct, mesh.s.distinct
+    print(f"{'spec':<10} {'N':>5}" + heading("scaled", names)
           + output_heading(names))
-    for label, num, bessel_args in bessel_rows:
-        if num == BESSEL_GRID_N[0]:
-            calls = [lambda f=bes.beta_hat, orders=case.beta_orders: f(orders, mesh_s)
-                     for bes, case, _, _ in bessel_args]
-            print(f"{label:<10} {mesh_s.size:>5}" + cells(samples_us(calls))
-                  + compare(f"beta_hat {label}", [tuple(f().values()) for f in calls]))
+    for sigma, k, n in IN_SCOPE:
+        calls = []
+        for lib in versions:
+            spec = lib["kernels"].KernelSpec(sigma, k, n)
+            calls.append(lambda f=lib["kernels"].kernel_case(spec).scaled_factors:
+                         f(*radii))
+        print(f"{spec.label():<10} {radii[1].size:>5}" + cells(samples_us(calls))
+              + compare(f"scaled_factors {spec.label()}",
+                        [call() for call in calls]))
 
     print(f"{'spec':<10} {'N':>5}" + heading("invert", names)
           + output_heading(names))

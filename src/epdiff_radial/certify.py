@@ -71,7 +71,6 @@ class BlowupCertificate:
     c_bound: float
     s_min_location: float
     conditions: dict
-    q_samples: np.ndarray = field(repr=False)
     m_tail: np.ndarray = field(repr=False)
     t_bound: float = np.inf
 
@@ -145,13 +144,13 @@ def _condition_values(case, mesh):
     """phi, and d^2 ln phi / dr ds unless the case is ``separable`` (else
     None), at every point of the mesh, in one pass.
 
-    ``KernelCase.scaled_factors`` on the distinct radii (finite up to r_max =
-    600) gives per radius the rows of phi (``phi_rows``: a_t = f_hat_t / r,
-    b_t = g_hat_t / s) and, for each pair t < u, Wf_tu / r^2 and Wg_tu /
-    s^2.  Each block of mesh points gathers both and multiplies them once:
-    phi_hat = sum_t a_t b_t gives phi (``phi_from_sum``), and since ln(r s)
-    is separable, d^2 ln phi / dr ds = sum_{t<u} (Wf_tu / r^2) (Wg_tu / s^2)
-    / phi_hat^2.
+    ``KernelCase.scaled_factors`` on the distinct radii (the solver's own
+    factors, scaled) gives per radius the rows of phi (``phi_rows``: a_t =
+    f_hat_t / r, b_t = g_hat_t / s) and, for each pair t < u, Wf_tu / r^2
+    and Wg_tu / s^2.  Each block of mesh points gathers both and multiplies
+    them once: phi_hat = sum_t a_t b_t gives phi (``phi_from_sum``), and
+    since ln(r s) is separable, d^2 ln phi / dr ds = sum_{t<u} (Wf_tu / r^2)
+    (Wg_tu / s^2) / phi_hat^2.
     """
     r, s = mesh.r, mesh.s
     f, g = case.scaled_factors(r.distinct, s.distinct)
@@ -225,7 +224,7 @@ def certify(spec, grid, omega0):
         "S_bound": cond_c,
     }
     passed = all(c["passed"] for c in conditions.values())
-    q_samples, tail_weight = case.weights(grid.r)
+    tail_weight = case.weights(grid.r)[1]
     m_tail = grid.quadrature.tail(tail_weight * np.abs(omega0))
     t_bound = np.inf
     if passed and applicable and m_tail[0] > 0.0:
@@ -238,7 +237,6 @@ def certify(spec, grid, omega0):
         c_bound=c_bound,
         s_min_location=s_loc,
         conditions=conditions,
-        q_samples=q_samples,
         m_tail=m_tail,
         t_bound=t_bound,
     )

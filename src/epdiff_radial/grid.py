@@ -24,8 +24,6 @@ class RadialGrid:
 
     r: np.ndarray
     r_support: float
-    spacing: str = "uniform"
-    grade: float = 1.0
     quadrature: CorrectedTrapezoid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -50,22 +48,17 @@ class RadialGrid:
         return len(self.r)
 
     @classmethod
-    def uniform(cls, num, r_max, r_support=None):
-        r = np.linspace(0.0, r_max, num)
-        return cls(r, r_support if r_support is not None else 0.6 * r_max)
+    def uniform(cls, num, r_max):
+        """Equally spaced nodes, r_support = 0.6 R_max."""
+        return cls(np.linspace(0.0, r_max, num), 0.6 * r_max)
 
     @classmethod
-    def graded(cls, num, r_max, grade, r_support=None):
-        """Nodes clustered near the origin: r_i = R_max (i/(N-1))^g, g in [1, 2]."""
+    def graded(cls, num, r_max, grade):
+        """Nodes clustered near the origin: r_i = R_max (i/(N-1))^g, g in [1, 2],
+        r_support = 0.6 R_max."""
         if not 1.0 <= grade <= 2.0:
             raise ValueError("grade must lie in [1, 2]")
-        x = np.linspace(0.0, 1.0, num)
-        return cls(
-            r_max * x**grade,
-            r_support if r_support is not None else 0.6 * r_max,
-            spacing="graded",
-            grade=grade,
-        )
+        return cls(r_max * np.linspace(0.0, 1.0, num) ** grade, 0.6 * r_max)
 
 
 @dataclass
@@ -82,7 +75,6 @@ class InitialData:
 
     omega0: np.ndarray
     z0: np.ndarray
-    all_nonpositive: bool
     support_index: int
     support_start: int
 
@@ -110,7 +102,6 @@ class InitialData:
         return cls(
             omega0=omega0,
             z0=z0,
-            all_nonpositive=bool(np.all(omega0 <= 0.0)),
             support_index=support_index,
             support_start=support_start,
         )

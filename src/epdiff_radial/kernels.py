@@ -24,7 +24,8 @@ bessel.SERIES_RADIUS, and their outer factors are e^{-s} times a Laurent
 polynomial in 1/s (times the start values beta_hat_0, beta_hat_2 for even
 n), also with coefficients of one sign and summed from one table of powers
 at every s > 0.  So the solver's inner side calls no Bessel function, and
-its outer side only the even-order start values.
+its outer side only the even-order start values.  The certificate checks
+these same factors, scaled (``KernelCase.scaled_factors``).
 
 Also evaluates the comparison weight Q(r) = 1/(r phi(0, r)) and the diagonal
 criterion
@@ -100,6 +101,15 @@ class KernelSpec:
     def label(self):
         name = {(0, 1): "H1dot", (0, 2): "H2dot", (1, 1): "H1", (1, 2): "H2"}
         return f"{name[(self.sigma, self.k)]}_n{self.n}"
+
+    @property
+    def r_max_limit(self):
+        """The largest grid radius a run may use: inf for sigma = 0, and 600
+        for sigma = 1, whose inner factors grow like e^r.  The solver forms
+        them at the support's image, which the guard lets reach 0.9 r_max,
+        and certify forms them times e^-r, and S as e^r times a ratio, up
+        to r_max; e^r overflows past 709."""
+        return 600.0 if self.sigma else np.inf
 
 
 def _fresh_factors(method, terms, x):
@@ -232,8 +242,8 @@ class KernelCase:
     as Laurent polynomials in 1/s (``_outer_rows``, orders ``beta_orders``),
     summed as ``inner`` and ``outer`` say from tables that a plan keeps.
 
-    ``scaled_factors(r, s)`` gives inner(r) e^{-sigma r} and outer(s)
-    e^{sigma s}, finite where the factors themselves overflow or underflow.
+    ``scaled_factors(r, s)`` gives the solver's inner(r) times e^{-sigma r},
+    finite for r <= 709, and outer(s) e^{sigma s}, finite where it underflows.
     A case is ``separable`` (ln phi is a function of r plus one of s) when
     it has one term.  phi = delta / (r s) is formed from those rows for
     every case: ``phi_rows`` gives a_t(r) = f_hat_t(r) / r and b_t(s) =
@@ -341,12 +351,12 @@ class KernelCase:
             np.einsum("jm,jtd->tdm", table, self._series[:terms], out=out)
             out[:, 0] *= r
             return
-        self._alpha_factors(r, out, np.exp(np.asarray(r, dtype=float)))
+        self._alpha_factors(r, out)
 
-    def _alpha_factors(self, r, out, e=1.0):
-        # the factors of the series rows from e^-r alpha = bessel.alpha_hat,
-        # times e: e^r for f_t and df_t themselves, 1 for them scaled by e^-r
+    def _alpha_factors(self, r, out):
+        # the factors of the series rows from alpha = e^r bessel.alpha_hat
         a = bessel.alpha_hat(self.alpha_orders, r)
+        e = np.exp(np.asarray(r, dtype=float))
         for (f, df), (p, shift, divisor) in zip(out, self._series_rows(self.n)):
             power = r ** (2 * shift) / divisor
             alpha, up = a[p] * e, a[p + 2] * e
@@ -395,14 +405,10 @@ class KernelCase:
         return factors
 
     def scaled_factors(self, r, s):
-        """inner(r) e^{-sigma r} and outer(s) e^{sigma s}, fresh; a case with
-        Bessel orders forms no e^{+-r}: it takes alpha_hat and its Laurent
-        sums without their e^-s, finite at every radius up to 600."""
-        if self.alpha_orders:
-            f = _fresh_factors(self._alpha_factors, self._terms, r)
-        else:
-            f = self.rescaled(self.inner(r), -np.asarray(r))
-        return f, self.scaled_outer(s)
+        """inner(r) e^{-sigma r}, the solver's factors rescaled, finite for r
+        <= 709 and so up to ``KernelSpec.r_max_limit``, and
+        ``scaled_outer(s)``, fresh."""
+        return self.rescaled(self.inner(r), -np.asarray(r)), self.scaled_outer(s)
 
     def scaled_outer(self, s):
         """outer(s) e^{sigma s}, fresh, as in ``scaled_factors``."""
@@ -542,9 +548,8 @@ class _H1(KernelCase):
 
 class _CamassaHolm(_H1):
     """sigma = 1, k = 1, n = 1: the kernel e^{-s} sinh r, from its own
-    factors and no Bessel orders.  The H1 dg = s^{-1} (r beta_1 - 3 r^3
-    beta_3) cancels at small s.
-    """
+    factors: H1's rows give the same kernel, but a certificate took about
+    1.5x as long from them, and a run about 1.45x."""
 
     _series_rows = _outer_rows = None
 

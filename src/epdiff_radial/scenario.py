@@ -35,10 +35,6 @@ __all__ = [
 ]
 
 
-# Largest r_max for sigma = 1: certify forms the diagonal criterion S, which
-# grows like e^r, with np.exp(r), and e^r overflows past r = 709.
-SIGMA1_R_MAX = 600.0
-
 # Process exit code of each terminal run status.
 EXIT_CODES = {
     "completed": 0,
@@ -74,7 +70,7 @@ class ScenarioConfig:
     seed: int = 0
 
     def validate(self):
-        KernelSpec(self.sigma, self.k, self.n)  # raises on bad (sigma, k, n)
+        spec = KernelSpec(self.sigma, self.k, self.n)  # raises on bad (sigma, k, n)
         # NaN fails every comparison below, an infinite horizon would end
         # the run at t = 0 as "completed", and a NaN or inf amplitude or bias
         # would fail later under a wrong name (NaN * 0 is not 0)
@@ -87,10 +83,10 @@ class ScenarioConfig:
             raise ValueError("need 0 <= r_lo < r_hi")
         if self.r_hi > 0.6 * self.r_max:
             raise ValueError("r_hi must be <= 0.6 * r_max (truncation margin)")
-        if self.sigma == 1 and self.r_max > SIGMA1_R_MAX:
+        if self.r_max > spec.r_max_limit:
             raise ValueError(
-                f"r_max must be <= {SIGMA1_R_MAX:g} for sigma = 1 "
-                "(certify overflows beyond it)"
+                f"r_max must be <= {spec.r_max_limit:g} for sigma = {self.sigma} "
+                "(the kernel factors overflow beyond it)"
             )
         if not (0.0 < self.dt and 0.0 < self.horizon):
             raise ValueError("dt and horizon must be positive")
@@ -263,15 +259,20 @@ def _fmt(x):
     return f"{x:.12g}"
 
 
-def _write_run_csv(path, config, cert, record, dominance):
-    lines = [
-        "# epdiff-radial run",
+def _header(title, config):
+    """The title, version, timestamp and config lines of an output file."""
+    return [
+        f"# epdiff-radial {title}",
         f"# version: {__version__}",
         f"# timestamp: {datetime.datetime.now(datetime.timezone.utc).isoformat()}",
         "# config-begin",
+        *["# " + ln for ln in serialize_config(config).strip().splitlines()],
+        "# config-end",
     ]
-    lines += ["# " + ln for ln in serialize_config(config).strip().splitlines()]
-    lines.append("# config-end")
+
+
+def _write_run_csv(path, config, cert, record, dominance):
+    lines = _header("run", config)
     lines.append("# certificate-begin")
     lines += ["# " + ln for ln in cert.report().splitlines()]
     lines.append("# certificate-end")
@@ -306,14 +307,7 @@ def write_exact_hs_table(config, output_path=None, quiet=False):
     if np.isfinite(t_star):
         t_end = min(t_end, 0.95 * t_star)
     path = output_path or config.output
-    lines = [
-        "# epdiff-radial exact Hunter-Saxton table",
-        f"# version: {__version__}",
-        f"# timestamp: {datetime.datetime.now(datetime.timezone.utc).isoformat()}",
-        "# config-begin",
-    ]
-    lines += ["# " + ln for ln in serialize_config(config).strip().splitlines()]
-    lines.append("# config-end")
+    lines = _header("exact Hunter-Saxton table", config)
     lines.append(f"# breakdown_time = {_fmt(t_star)}")
     lines.append("t,r,q,gamma,rho")
     stride = max(1, grid.num // 64)

@@ -209,6 +209,20 @@ def test_distinct_radius_values_equal_point_by_point(spec):
     assert mixed.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("r_max", [20.0, 600.0])
+@pytest.mark.parametrize("spec", [s for s in IN_SCOPE if s.sigma],
+                         ids=lambda s: s.label())
+def test_certificate_factors_are_the_solvers_rescaled(spec, r_max):
+    # the certificate checks the factors the solver integrates: its scaled
+    # inner factors are inner(r) e^-r, byte for byte, on the condition
+    # mesh's distinct r and on the radii of the S bound
+    case = kernel_case(spec)
+    for r in (certify_module._condition_mesh(r_max).r.distinct,
+              np.geomspace(1e-3, r_max, 500)):
+        f, _ = case.scaled_factors(r, r)
+        assert f.tobytes() == (case.inner(r) * np.exp(-r)).tobytes()
+
+
 def mixed_log_delta_by_mpmath(n, r, s):
     """d^2 ln delta / dr ds of H2_n at (r, s), by mpmath.diff at 30 digits.
 

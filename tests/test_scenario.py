@@ -108,8 +108,10 @@ def test_validation_errors():
     for epsilon in (0.0, 1.0, float("nan")):
         with pytest.raises(ValueError):
             ScenarioConfig(epsilon=epsilon).validate()
-    with pytest.raises(ValueError, match="r_max"):
-        ScenarioConfig(sigma=1, n=3, r_max=2000.0, r_hi=8.0).validate()
+    for r_max in (600.5, 2000.0):
+        with pytest.raises(ValueError, match="r_max must be <= 600 for sigma = 1"):
+            ScenarioConfig(sigma=1, n=3, r_max=r_max, r_hi=8.0).validate()
+    ScenarioConfig(sigma=1, n=3, r_max=600.0).validate()
     ScenarioConfig(sigma=0, n=3, r_max=2000.0).validate()
 
 
@@ -134,7 +136,7 @@ def test_neg_families_are_nonpositive():
     params = {"amplitude": 2.0, "r_lo": 1.0, "r_hi": 6.0}
     for family in ("neg_bump", "neg_poly_bump"):
         data = builtin_initial_data(family, params, grid, 3)
-        assert data.all_nonpositive
+        assert np.all(data.omega0 <= 0.0)
         assert np.min(data.omega0) == pytest.approx(-2.0, rel=1e-2)
 
 

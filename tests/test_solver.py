@@ -369,6 +369,21 @@ def test_overflowing_state_is_not_a_success():
     assert np.all(np.isfinite(state.gamma)) and np.all(np.isfinite(state.rho))
 
 
+@pytest.mark.parametrize("spec", [KernelSpec(1, 1, n) for n in range(1, 6)]
+                         + [KernelSpec(1, 2, n) for n in range(3, 6)],
+                         ids=lambda s: s.label())
+def test_a_support_past_the_overflow_radius_is_not_a_success(spec):
+    # the unscaled sigma = 1 inner factors grow like e^gamma and overflow
+    # once the support's image passes gamma ~ 709, which the guard (0.9
+    # R_max) allows for R_max > 788: this is why KernelSpec.r_max_limit
+    # keeps sigma = 1 runs at R_max <= 600
+    grid = RadialGrid.uniform(1024, 2000.0)
+    init = make_init(grid, spec.n, lo=1000.0, hi=1100.0)
+    with np.errstate(all="ignore"):
+        record, _ = run(spec, grid, init, dt=1e-3, horizon=0.01)
+    assert record.status == "nonfinite_state"
+
+
 def test_step_raises_on_nonfinite_state(grid):
     spec = KernelSpec(0, 1, 3)
     init = make_init(grid, 3)
