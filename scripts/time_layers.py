@@ -17,16 +17,16 @@ to t = 0.2 in steps of 0.02), and the time per step of a short fixed-step
 ``solver.run`` of 20 RK4 steps of 1e-3 with ``record_every`` = 20: 81 rhs
 calls, as each step hands the rate of its end state to the next step and
 to the energy.  ``run`` takes no initial state, so this run starts from
-the undeformed state gamma = r, rho = 1.  Then prints the best-of-k time
-of ``bessel.alpha_hat`` for the inner orders of each sigma = 1 operator
-with Bessel orders, and of its ``KernelCase.inner`` and
-``KernelCase.outer``, on the radii where its rhs evaluates them (the
-deformed nodes 1 to max(i1, stop) - 1 for alpha and the inner factors and
-i0 + 1 to N - 1 for the outer factors, with (i0, i1) the quadrature's
-reach of the support start to stop - 1) at N = 256 and 2048, and of
-``bessel.alpha_hat`` for the same orders on 1,400 geometric radii of
+the undeformed state gamma = r, rho = 1.  Then prints, for each sigma = 1
+operator with Bessel orders, the best-of-k time of ``KernelCase.inner``
+and ``KernelCase.outer`` on the radii where its rhs evaluates them (the
+deformed nodes 1 to max(i1, stop) - 1 for the inner factors and i0 + 1 to
+N - 1 for the outer factors, with (i0, i1) the quadrature's reach of the
+support start to stop - 1) at N = 256 and 2048, and of
+``bessel.alpha_hat`` for its inner orders on 1,400 geometric radii of
 [1e-3, 600], across both of its branches (the power series below r = 30
-and the Hankel expansion at and above it).  Then prints, for every
+and the Hankel expansion at and above it), which the inner factors take
+at and past r = 30.  Then prints, for every
 in-scope operator, the best-of-k time of ``KernelCase.scaled_factors`` on
 the distinct r and s of the certificates' condition mesh (r_max = 20), as
 ``certify`` forms them.  Then prints the best-of-k time of
@@ -46,11 +46,11 @@ drifts by up to 2x between processes, so timings from separate runs do
 not compare.  The ratio is the median of the 7 ratios of samples taken
 side by side, so a slow stretch that covers the best sample of one
 version alone does not show up as a gain or a loss.  Both versions
-evaluate rhs and the Bessel rows on the deformed state of this checkout.
+evaluate rhs and the factor rows on the deformed state of this checkout.
 It also compares what the two versions return: a column after each
 compared time says ``same`` when every output of that call is byte for
-byte equal (``rhs``, the run's end state and energy series, the alpha
-values, the inner and outer factors, the alpha values on [1e-3, 600], the
+byte equal (``rhs``, the run's end state and energy series, the inner
+and outer factors, the alpha values on [1e-3, 600], the
 scaled factors on the mesh, ``invert_operator``, the certificate report, the
 oracle's times and q history) and ``DIFFER`` otherwise, followed by the largest relative
 difference: over the outputs and their rows, max |this - vs| / max |vs|
@@ -274,10 +274,9 @@ def main(argv=None):
                 case = lib["kernels"].kernel_case(spec)
                 start, stop = init.support_start, init.support_index + 1
                 i0, i1 = grid.quadrature.reach(start, stop)
-                bessel_args.append((
-                    lib["bessel"], case,
-                    (case.alpha_orders, warped.gamma[1:max(i1, stop)]),
-                    warped.gamma[i0 + 1:]))
+                bessel_args.append((lib["bessel"], case,
+                                    warped.gamma[1:max(i1, stop)],
+                                    warped.gamma[i0 + 1:]))
             print(f"{spec.label():<10} {num:>5}"
                   + cells(samples_us(rhs_calls))
                   + compare(f"rhs {spec.label()} {num}", rates)
@@ -286,16 +285,12 @@ def main(argv=None):
             if num in BESSEL_GRID_N and case.alpha_orders:
                 bessel_rows.append((spec.label(), num, bessel_args))
 
-    print(f"{'spec':<10} {'N':>5}" + heading("alpha", names) + output_heading(names)
-          + heading("inner", names) + output_heading(names)
+    print(f"{'spec':<10} {'N':>5}" + heading("inner", names) + output_heading(names)
           + heading("outer", names) + output_heading(names))
     for label, num, bessel_args in bessel_rows:
-        alpha = [lambda f=bes.alpha_hat, a=a: f(*a) for bes, _, a, _ in bessel_args]
-        inner = [lambda f=case.inner, r=a[1]: f(r) for _, case, a, _ in bessel_args]
+        inner = [lambda f=case.inner, r=r: f(r) for _, case, r, _ in bessel_args]
         outer = [lambda f=case.outer, s=s: f(s) for _, case, _, s in bessel_args]
-        print(f"{label:<10} {num:>5}" + cells(samples_us(alpha))
-              + compare(f"alpha {label} {num}", [tuple(f().values()) for f in alpha])
-              + cells(samples_us(inner))
+        print(f"{label:<10} {num:>5}" + cells(samples_us(inner))
               + compare(f"inner {label} {num}", [(f(),) for f in inner])
               + cells(samples_us(outer))
               + compare(f"outer {label} {num}", [(f(),) for f in outer]))

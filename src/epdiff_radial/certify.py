@@ -151,9 +151,20 @@ def _condition_values(case, mesh):
     them once: phi_hat = sum_t a_t b_t gives phi (``phi_from_sum``), and
     since ln(r s) is separable, d^2 ln phi / dr ds = sum_{t<u} (Wf_tu / r^2)
     (Wg_tu / s^2) / phi_hat^2.
+
+    Where max_t |g_hat_t / s| passes 2^256 (H2dot from n = 53, near s =
+    1e-3), the Wronskians and phi_hat^2 would overflow: there the outer rows
+    of that s are scaled by 2^-e, e the binary exponent of that maximum.
+    That is exact, cancels in the mixed derivative and is undone on phi_hat.
     """
     r, s = mesh.r, mesh.s
     f, g = case.scaled_factors(r.distinct, s.distinct)
+    shift = None
+    # max |g_hat| / min s bounds every |g_hat_t / s|, in two calls
+    if not case.separable and np.abs(g[:, 0]).max() > 2.0**256 * s.distinct[0]:
+        top = np.max(np.abs(g[:, 0]), axis=0) / s.distinct
+        shift = np.where(top > 2.0**256, np.frexp(top)[1], 0)
+        g = np.ldexp(g, -shift)
     a, b = case.phi_rows(r.distinct, s.distinct, (f, g))
     terms = len(f)
     pairs = list(combinations(range(terms), 2))
@@ -173,6 +184,8 @@ def _condition_values(case, mesh):
         phi_hat = reduce(np.add, products[:terms])
         if mixed is not None:
             np.divide(reduce(np.add, products[terms:]), phi_hat**2, out=mixed[block])
+        if shift is not None:
+            phi_hat = np.ldexp(phi_hat, shift[j])
         phi[block] = case.phi_from_sum(phi_hat, r.values[block], s.values[block])
     return phi, mixed
 

@@ -13,17 +13,11 @@ __all__ = ["RadialGrid", "InitialData"]
 class RadialGrid:
     """Strictly increasing nodes r_0 = 0 < ... < r_{N-1} = R_max.
 
-    ``r_support`` is the radius inside which initial momenta must be
-    supported (the infinite upper integration limits are truncated at R_max,
-    which is only valid while the flow keeps the data's support well inside
-    the grid -- the solver guards gamma(t, r_support) < 0.9 R_max).
-
     ``quadrature`` is the corrected cumulative trapezoid rule bound to these
     nodes, built once with the grid.
     """
 
     r: np.ndarray
-    r_support: float
     quadrature: CorrectedTrapezoid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -35,8 +29,6 @@ class RadialGrid:
                 or not np.isfinite(self.r[-1])):
             raise ValueError(
                 "grid nodes must start at 0, strictly increase and be finite")
-        if not 0 < self.r_support <= 0.6 * self.r_max:
-            raise ValueError("r_support must lie in (0, 0.6*R_max]")
         self.quadrature = CorrectedTrapezoid(self.r)
 
     @property
@@ -44,21 +36,29 @@ class RadialGrid:
         return float(self.r[-1])
 
     @property
+    def r_support(self):
+        """0.6 R_max, the radius inside which initial momenta must be
+        supported: the infinite upper integration limits are truncated at
+        R_max, which is only valid while the flow keeps the data's support
+        well inside the grid (the solver guards gamma(t, r_support) < 0.9
+        R_max)."""
+        return 0.6 * self.r_max
+
+    @property
     def num(self):
         return len(self.r)
 
     @classmethod
     def uniform(cls, num, r_max):
-        """Equally spaced nodes, r_support = 0.6 R_max."""
-        return cls(np.linspace(0.0, r_max, num), 0.6 * r_max)
+        """Equally spaced nodes."""
+        return cls(np.linspace(0.0, r_max, num))
 
     @classmethod
     def graded(cls, num, r_max, grade):
-        """Nodes clustered near the origin: r_i = R_max (i/(N-1))^g, g in [1, 2],
-        r_support = 0.6 R_max."""
+        """Nodes clustered near the origin: r_i = R_max (i/(N-1))^g, g in [1, 2]."""
         if not 1.0 <= grade <= 2.0:
             raise ValueError("grade must lie in [1, 2]")
-        return cls(r_max * np.linspace(0.0, 1.0, num) ** grade, 0.6 * r_max)
+        return cls(r_max * np.linspace(0.0, 1.0, num) ** grade)
 
 
 @dataclass

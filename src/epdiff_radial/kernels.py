@@ -18,14 +18,15 @@ weight only).  Each case is one subclass of ``KernelCase`` holding all of
 its formulas (Camassa-Holm, n = 1 of H^1, is a subclass of the H^1 case
 with factors of its own); ``kernel_case`` builds the spec's instance,
 which evaluates each Bessel order a formula needs once per call.  The inner
-factors of the sigma = 1 cases with Bessel orders are power series in r^2
-with coefficients of one sign, summed from one table of powers below
-bessel.SERIES_RADIUS, and their outer factors are e^{-s} times a Laurent
-polynomial in 1/s (times the start values beta_hat_0, beta_hat_2 for even
-n), also with coefficients of one sign and summed from one table of powers
-at every s > 0.  So the solver's inner side calls no Bessel function, and
-its outer side only the even-order start values.  The certificate checks
-these same factors, scaled (``KernelCase.scaled_factors``).
+factors of the sigma = 1 cases with Bessel orders are, radius by radius,
+power series in r^2 with coefficients of one sign below bessel.SERIES_RADIUS,
+summed from one table of powers, and from bessel.alpha_hat past it; their
+outer factors are e^{-s} times a Laurent polynomial in 1/s (times the start
+values beta_hat_0, beta_hat_2 for even n), also with coefficients of one
+sign and summed from one table of powers at every s > 0.  So the solver's
+inner side calls no Bessel function below SERIES_RADIUS, and its outer side
+only the even-order start values.  The certificate checks these same
+factors, scaled (``KernelCase.scaled_factors``).
 
 Also evaluates the comparison weight Q(r) = 1/(r phi(0, r)) and the diagonal
 criterion
@@ -112,10 +113,12 @@ class KernelSpec:
         return 600.0 if self.sigma else np.inf
 
 
-def _fresh_factors(method, terms, x):
-    """method(x, out) on a fresh array of shape (terms, 2) + x.shape."""
+def _fresh_factors(method, terms, x, constants):
+    """method(x, out) on a fresh array of shape (terms, 2) + x.shape, after
+    ``_fill_rows(out, constants)``."""
     x = np.asarray(x)
     factors = np.empty((terms, 2, x.size), dtype=np.result_type(x, float))
+    _fill_rows(factors, constants)
     method(x.reshape(-1), factors)
     return factors.reshape((terms, 2) + x.shape)
 
@@ -226,10 +229,10 @@ class KernelCase:
     """Every formula of one spec's kernel; one subclass per case (sigma, k).
 
     ``inner(r)`` and ``outer(s)`` give the separable factors delta(r, s) =
-    sum_t f_t(r) g_t(s) of the ``_terms`` terms at once, as the pairs
-    (f_t, df_t) or (g_t, dg_t), fresh or written into the rows of a caller's
-    buffer through ``_inner(r, out)`` and ``_outer(s, out)``, which a
-    ``kernel_sums`` plan calls directly.
+    sum_t f_t(r) g_t(s) of the ``_terms`` terms at once, as fresh pairs
+    (f_t, df_t) or (g_t, dg_t).  A ``kernel_sums`` plan has the case write
+    them into the plan's rows through ``_inner(r, out)`` and
+    ``_outer(s, out)``.
 
     A sigma = 0 case (``_Homogeneous``) is its table ``_power_rows(n)`` of
     exact power terms (a, p, b, q), f_t = a r^p and g_t = b s^-q, and its
@@ -238,9 +241,10 @@ class KernelCase:
 
     A sigma = 1 case with Bessel orders gives each term's inner factor as a
     row (p, shift, divisor) of ``_series_rows``, f_t = r^(2 shift + 1)
-    alpha_p(r) / divisor (orders ``alpha_orders``), and its outer factors
-    as Laurent polynomials in 1/s (``_outer_rows``, orders ``beta_orders``),
-    summed as ``inner`` and ``outer`` say from tables that a plan keeps.
+    alpha_p(r) / divisor (orders ``alpha_orders``), radius by radius from
+    the rows' power series below ``bessel.SERIES_RADIUS`` and from alpha
+    past it, and its outer factors as Laurent polynomials in 1/s
+    (``_outer_rows``, orders ``beta_orders``), as ``inner`` and ``outer`` say.
 
     ``scaled_factors(r, s)`` gives the solver's inner(r) times e^{-sigma r},
     finite for r <= 709, and outer(s) e^{sigma s}, finite where it underflows.
@@ -291,56 +295,43 @@ class KernelCase:
         self.separable = self._terms == 1
         self.df_origin = tuple(float(df[0]) for _, df in self.inner(np.zeros(1)))
 
-    def inner(self, r, out=None):
-        """out[t] = (f_t(r), df_t(r)) for each term t, r >= 0.
+    def inner(self, r):
+        """(f_t(r), df_t(r)) for each term t, r >= 0, fresh, of shape
+        (terms, 2) + r.shape.
 
-        Without ``out`` the result is a fresh array of shape (terms, 2) +
-        r.shape.  With ``out`` r is one-dimensional, and ``out`` is written
-        in place and returned: one pair of writable rows of len(r) per term,
-        or a (terms, 2, len(r)) array, which a case with Bessel orders
-        requires.
-
-        A case with Bessel orders sums every factor from the power series of
-        its rows when every radius is below ``bessel.SERIES_RADIUS``: the
-        powers r^(2j) the largest radius needs, one product per doubling of
-        their count (``bessel._power_table``, in a table made for the call or
-        kept by a ``kernel_sums`` plan), one contraction with the
-        coefficients into out, in its dtype, and one product of the value
-        rows with r.  A factor is summed over j in order for its radius on
-        its own, and terms past those it needs leave it unchanged, so it
-        depends only on its radius.  A call that reaches the radius forms
-        every factor from alpha = e^r ``bessel.alpha_hat``, with df_t =
-        ((2 shift + 1) r^(2 shift) alpha_p + r^(2 shift + 2) alpha_{p+2} /
-        (p + 2)) / divisor (alpha_p' = r alpha_{p+2} / (p + 2)).
+        A case with Bessel orders sums the factors at the radii below
+        ``bessel.SERIES_RADIUS`` from the power series of its rows: the
+        powers r^(2j) the largest of them needs, one product per doubling of
+        their count (``bessel._power_table``, in a table made for the call
+        or kept by a ``kernel_sums`` plan), one contraction with the
+        coefficients and one product of the value rows with r.  A factor is
+        summed over j in order for its radius on its own, and terms past
+        those it needs leave it unchanged.  The other radii, split off by a
+        mask, take alpha = e^r ``bessel.alpha_hat``, with df_t = ((2 shift +
+        1) r^(2 shift) alpha_p + r^(2 shift + 2) alpha_{p+2} / (p + 2)) /
+        divisor (alpha_p' = r alpha_{p+2} / (p + 2)).  So every factor
+        depends only on its radius, not on the other radii of the call.
         """
-        if out is None:
-            return _fresh_factors(self.inner, self._terms, r)
-        _fill_rows(out, self.constant_rows[0])
-        self._inner(r, out)
-        return out
+        return _fresh_factors(self._inner, self._terms, r, self.constant_rows[0])
 
-    def outer(self, s, out=None):
-        """out[t] = (g_t(s), dg_t(s)) for each term t, s > 0; ``out`` as in
-        ``inner``.
+    def outer(self, s):
+        """(g_t(s), dg_t(s)) for each term t, s > 0, fresh, of shape
+        (terms, 2) + s.shape.
 
         A case with Bessel orders sums every factor from its Laurent
         polynomial (``_outer_laurent``): the powers of u = 1/s (one product
         per doubling of their count), for even n one product with the start
         values beta_hat_0 and beta_hat_2, one contraction and one product
         with e^-s.  It works in float64 whatever the dtype of s, as the
-        Bessel values always did, and casts into out.  Each factor is summed
-        over the same terms for each radius on its own, so it depends only
-        on its radius.  The tables it sums from (``_outer_buffers``) are
-        made for the call, or kept by a ``kernel_sums`` plan.
+        Bessel values always did, and casts the result.  Each factor is
+        summed over the same terms for each radius on its own, so it depends
+        only on its radius.  The tables it sums from (``_outer_buffers``)
+        are made for the call, or kept by a ``kernel_sums`` plan.
         """
-        if out is None:
-            return _fresh_factors(self.outer, self._terms, s)
-        _fill_rows(out, self.constant_rows[1])
-        self._outer(s, out)
-        return out
+        return _fresh_factors(self._outer, self._terms, s, self.constant_rows[1])
 
     def _inner(self, r, out, powers=None):
-        # the series rows of a case with Bessel orders; powers is a table
+        # the rows of a case with Bessel orders on 1-D radii; powers is a table
         # from bessel._power_buffer of len(self._series) rows on len(r) radii
         hi = float(np.maximum.reduce(r, initial=0.0))
         if hi < bessel.SERIES_RADIUS:
@@ -351,17 +342,23 @@ class KernelCase:
             np.einsum("jm,jtd->tdm", table, self._series[:terms], out=out)
             out[:, 0] *= r
             return
-        self._alpha_factors(r, out)
+        near = r < bessel.SERIES_RADIUS  # NaN takes alpha
+        out[..., ~near] = self._alpha_factors(r[~near])
+        if near.any():
+            out[..., near] = self.inner(r[near])
 
-    def _alpha_factors(self, r, out):
-        # the factors of the series rows from alpha = e^r bessel.alpha_hat
+    def _alpha_factors(self, r):
+        # fresh factors of the series rows from alpha = e^r bessel.alpha_hat,
+        # on 1-D radii at and past SERIES_RADIUS
         a = bessel.alpha_hat(self.alpha_orders, r)
         e = np.exp(np.asarray(r, dtype=float))
+        out = np.empty((self._terms, 2, len(r)), np.result_type(r, float))
         for (f, df), (p, shift, divisor) in zip(out, self._series_rows(self.n)):
             power = r ** (2 * shift) / divisor
             alpha, up = a[p] * e, a[p + 2] * e
             np.multiply(power * r, alpha, out=f)
             np.multiply(power, (2 * shift + 1) * alpha + r * r * up / (p + 2), out=df)
+        return out
 
     def _outer_buffers(self, width, dtype):
         """The tables ``_outer`` sums with on ``width`` radii into an out
@@ -414,7 +411,7 @@ class KernelCase:
         """outer(s) e^{sigma s}, fresh, as in ``scaled_factors``."""
         if self.beta_orders:
             return _fresh_factors(self._laurent_sums, self._terms,
-                                  np.asarray(s, dtype=float))
+                                  np.asarray(s, dtype=float), {})
         return self.rescaled(self.outer(s), np.asarray(s))
 
     def rescaled(self, value, x):

@@ -215,12 +215,17 @@ def test_distinct_radius_values_equal_point_by_point(spec):
 def test_certificate_factors_are_the_solvers_rescaled(spec, r_max):
     # the certificate checks the factors the solver integrates: its scaled
     # inner factors are inner(r) e^-r, byte for byte, on the condition
-    # mesh's distinct r and on the radii of the S bound
+    # mesh's distinct r and on the radii of the S bound, and below
+    # SERIES_RADIUS those of a batch with no radius past it, as a solver
+    # stage on [0, 20] forms them
     case = kernel_case(spec)
     for r in (certify_module._condition_mesh(r_max).r.distinct,
               np.geomspace(1e-3, r_max, 500)):
         f, _ = case.scaled_factors(r, r)
         assert f.tobytes() == (case.inner(r) * np.exp(-r)).tobytes()
+        near = r < bessel.SERIES_RADIUS
+        assert f[..., near].tobytes() == (
+            case.inner(r[near]) * np.exp(-r[near])).tobytes()
 
 
 def mixed_log_delta_by_mpmath(n, r, s):
@@ -286,6 +291,25 @@ def test_h2dot_log_supermodularity_matches_closed_form(n, r_max):
     exact = 4.0 * r * s / (c1 * c2 * (s**2 / c1 - r**2 / c2)**2)
     _, got = certify_module._condition_values(kernel_case(KernelSpec(0, 2, n)), mesh)
     assert np.max(np.abs(got / exact - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [53, 60, 100])
+def test_h2dot_log_supermodularity_stays_finite_for_large_n(n):
+    # the outer rows pass 2^256 near s = 1e-3 from n = 53 on, where their
+    # Wronskians and phi_hat^2 overflowed and condition (b) read NaN; scaled
+    # by powers of two, it keeps the closed form and phi stays s^-n Phi
+    grid = RadialGrid.uniform(256, 20.0)
+    spec = KernelSpec(0, 2, n)
+    cond = certify(spec, grid, neg_exp_bump(grid.r, 2.0, 8.0)).conditions[
+        "log_supermodularity"]
+    assert cond["passed"] and np.isfinite(cond["worst_value"])
+    mesh = certify_module._condition_mesh(grid.r_max)
+    r, s = mesh.r.values, mesh.s.values
+    c1, c2 = 2.0 * n * (n - 2.0), 2.0 * n * (n + 2.0)
+    exact = 4.0 * r * s / (c1 * c2 * (s**2 / c1 - r**2 / c2)**2)
+    vals, got = certify_module._condition_values(kernel_case(spec), mesh)
+    assert np.max(np.abs(got / exact - 1.0)) <= 1e-13
+    assert vals.tobytes() == phi(spec, r, s).tobytes()
 
 
 def test_warm_certificate_keeps_its_temporaries_small(grid, omega0):

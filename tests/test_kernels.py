@@ -227,8 +227,8 @@ def test_series_inner_factors_match_mpmath(spec, monkeypatch):
 
 @pytest.mark.parametrize("spec", SERIES_SPECS, ids=lambda s: s.label())
 def test_inner_factors_past_series_radius_take_the_bessel_path(spec, monkeypatch):
-    # a batch that reaches SERIES_RADIUS evaluates alpha once, and agrees
-    # with the series on the radii below it
+    # a batch that reaches SERIES_RADIUS evaluates alpha once, and equals
+    # the series on the radii below it
     case = kernel_case(spec)
     calls = []
     alpha_hat = bessel.alpha_hat
@@ -239,7 +239,7 @@ def test_inner_factors_past_series_radius_take_the_bessel_path(spec, monkeypatch
     assert len(calls) == 1
     series = case.inner(below)
     assert len(calls) == 1
-    assert np.max(np.abs(both[..., :-2] / series - 1.0)) <= 4e-15
+    assert both[..., :-2].tobytes() == series.tobytes()
 
 
 @pytest.mark.parametrize("spec", SERIES_SPECS, ids=lambda s: s.label())
@@ -260,6 +260,36 @@ def test_series_inner_factor_depends_only_on_its_radius(spec):
     full = case.inner(r)
     for part in (slice(0, 1), slice(5, 6), slice(0, 2), slice(10, 30), slice(40, None)):
         assert case.inner(r[part]).tobytes() == full[..., part].tobytes()
+
+
+# radii on both sides of SERIES_RADIUS, 68 of them
+STRADDLING_RADII = np.concatenate(
+    [SERIES_RADII, [bessel.SERIES_RADIUS, 35.0, 40.0, 600.0]])
+
+
+@pytest.mark.parametrize("spec", [s for s in IN_SCOPE if s.sigma],
+                         ids=lambda s: s.label())
+def test_inner_factor_of_a_straddling_batch_depends_only_on_its_radius(
+        spec, monkeypatch):
+    # each radius takes the series below SERIES_RADIUS and alpha past it,
+    # whatever the other radii of the call, their order and their shape
+    case = kernel_case(spec)
+    seen = []
+    alpha_hat = bessel.alpha_hat
+    monkeypatch.setattr(bessel, "alpha_hat",
+                        lambda orders, r: seen.append(r) or alpha_hat(orders, r))
+    rng = np.random.default_rng(11)
+    for r in (np.sort(STRADDLING_RADII), rng.permutation(STRADDLING_RADII)):
+        full = case.inner(r)
+        near = r < bessel.SERIES_RADIUS
+        assert full[..., near].tobytes() == case.inner(r[near]).tobytes()
+        assert full[..., ~near].tobytes() == case.inner(r[~near]).tobytes()
+        for i in range(0, len(r), 9):
+            assert full[..., i].tobytes() == case.inner(r[i]).tobytes()
+        square = case.inner(r.reshape(4, -1))
+        assert square.tobytes() == full.reshape(square.shape).tobytes()
+    assert bool(seen) == bool(case.alpha_orders)
+    assert all((x >= bessel.SERIES_RADIUS).all() for x in seen)
 
 
 @pytest.mark.parametrize("spec", [KernelSpec(1, 1, 2), KernelSpec(1, 2, 3)],
@@ -336,7 +366,7 @@ def test_outer_factor_depends_only_on_its_radius(spec):
         assert case.outer(s[part]).tobytes() == full[..., part].tobytes()
     buffer = np.full((case._terms, 2, len(s) + 7), np.nan)
     view = buffer[..., 7:]
-    assert case.outer(s, out=view) is view
+    case._outer(s, view)
     assert view.tobytes() == full.tobytes()
 
 

@@ -71,7 +71,7 @@ def test_stencil_rule_matches_numpy_gradient(grid):
 
 def test_fewer_than_three_nodes():
     # a two-node grid can be built, but f' cannot be estimated on it
-    grid = RadialGrid(np.array([0.0, 1.0]), 0.5)
+    grid = RadialGrid(np.array([0.0, 1.0]))
     f = np.array([1.0, 2.0])
     with pytest.raises(ValueError):
         grid.quadrature.prefix(f)
@@ -99,7 +99,7 @@ def test_grid_rejects_nodes_that_are_not_finite_and_increasing(nodes):
     # a NaN fails every comparison, so a check for a decrease let it through
     # and built NaN quadrature bands; an infinite last node gave r_max = inf
     with pytest.raises(ValueError, match="strictly increase and be finite"):
-        RadialGrid(np.array(nodes), 1.0)
+        RadialGrid(np.array(nodes))
 
 
 BAND_GRIDS = [RadialGrid.uniform(96, 20.0), RadialGrid.graded(81, 20.0, 1.7)]

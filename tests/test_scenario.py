@@ -351,6 +351,18 @@ def test_initial_data_rejects_a_nonfinite_momentum():
             InitialData.from_omega0(omega0, grid, 3)
 
 
+def test_initial_data_rejects_momentum_past_the_grids_r_support():
+    # r_support is 0.6 r_max, worked out from the nodes, not set
+    grid = RadialGrid.graded(128, 20.0, 1.5)
+    assert grid.r_support == 0.6 * grid.r_max
+    with pytest.raises(AttributeError):
+        grid.r_support = 5.0
+    omega0 = np.where(grid.r < 13.0, -1.0, 0.0)
+    with pytest.raises(ValueError, match=r"^initial momentum must be supported "
+                       r"inside r_support \(= 12\)$"):
+        InitialData.from_omega0(omega0, grid, 3)
+
+
 def test_builtin_data_rejects_a_nonfinite_amplitude():
     grid = RadialGrid.uniform(128, 20.0)
     for amplitude in (math.nan, math.inf):
