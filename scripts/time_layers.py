@@ -1,13 +1,18 @@
 #!/usr/bin/env python3
-"""Time a cold import, then rhs, a short solver run, the Bessel rows, the
-certificate's scaled factors, invert_operator and certify for every
-in-scope kernel, and the Liouville oracle.
+"""Time a cold import, the cumulative quadrature, then rhs, a short solver
+run, the Bessel rows, the certificate's scaled factors, invert_operator and
+certify for every in-scope kernel, and the Liouville oracle.
 
 First comes the cold start: the median wall time, launch to exit, of 7
 fresh interpreters that import ``epdiff_radial`` and its CLI, in
 milliseconds, and the number of ``scipy`` modules such an import loads.
 With ``--against DIR`` the fresh interpreters alternate between this
 checkout and DIR (put first on their ``PYTHONPATH``).
+
+Then it prints the best-of-k time of ``CorrectedTrapezoid.prefix`` and
+``tail`` of a (2, L) stack on the standard support window (z_0 of the
+standard negative bump on [2, 8], n = 1, and z_0 r, on the nodes of its
+support) at N = 512 and 2048 nodes on [0, 20].
 
 Then, for each of the 16 in-scope operators (H1dot n = 1-5, H2dot
 n = 3-5, H1 n = 1-5, H2 n = 3-5) at N = 256, 512 and 2048 nodes on
@@ -49,8 +54,8 @@ version alone does not show up as a gain or a loss.  Both versions
 evaluate rhs and the factor rows on the deformed state of this checkout.
 It also compares what the two versions return: a column after each
 compared time says ``same`` when every output of that call is byte for
-byte equal (``rhs``, the run's end state and energy series, the inner
-and outer factors, the alpha values on [1e-3, 600], the
+byte equal (the prefix and tail sums, ``rhs``, the run's end state and
+energy series, the inner and outer factors, the alpha values on [1e-3, 600], the
 scaled factors on the mesh, ``invert_operator``, the certificate report, the
 oracle's times and q history) and ``DIFFER`` otherwise, followed by the largest relative
 difference: over the outputs and their rows, max |this - vs| / max |vs|
@@ -83,6 +88,7 @@ IN_SCOPE = (
     + [(1, 1, n) for n in range(1, 6)]
     + [(1, 2, n) for n in range(3, 6)]
 )
+QUADRATURE_GRID_N = (512, 2048)
 RHS_GRID_N = (256, 512, 2048)
 BESSEL_GRID_N = (256, 2048)
 INVERT_GRID_N = 4096
@@ -245,6 +251,23 @@ def main(argv=None):
             return f" {'same':>6}"
         differing.append(row)
         return f" {'DIFFER':>6} {largest_difference(*(numbers or outputs)):.1e}"
+
+    print(f"{'job':<10} {'N':>5}" + heading("prefix", names) + output_heading(names)
+          + heading("tail", names) + output_heading(names))
+    for num in QUADRATURE_GRID_N:
+        grid = versions[0]["grid"].RadialGrid.uniform(num, R_MAX)
+        init = versions[0]["scenario"].builtin_initial_data("neg_bump", BUMP, grid, 1)
+        start, stop = init.support_start, init.support_index + 1
+        z0 = init.z0[start:stop]
+        stack = np.stack([z0, z0 * grid.r[start:stop]])
+        quadratures = [lib["grid"].RadialGrid.uniform(num, R_MAX).quadrature
+                       for lib in versions]
+        prefix = [lambda f=q.prefix: f(stack, start) for q in quadratures]
+        tail = [lambda f=q.tail: f(stack, start) for q in quadratures]
+        print(f"{'quadrature':<10} {num:>5}" + cells(samples_us(prefix))
+              + compare(f"prefix {num}", [(f(),) for f in prefix])
+              + cells(samples_us(tail))
+              + compare(f"tail {num}", [(f(),) for f in tail]))
 
     print(f"{'spec':<10} {'N':>5}" + heading("rhs", names) + output_heading(names)
           + heading("run", names) + output_heading(names))

@@ -16,10 +16,10 @@ one pass of prefix and suffix sums gives the kernel integral at every node
 in O(N) (``kernel_sums``, which works over the support window of the
 weight only).  Each case is one subclass of ``KernelCase`` holding all of
 its formulas (Camassa-Holm, n = 1 of H^1, is a subclass of the H^1 case
-with factors of its own); ``kernel_case`` builds the spec's instance,
-which evaluates each Bessel order a formula needs once per call.  The inner
-factors of the sigma = 1 cases with Bessel orders are, radius by radius,
-power series in r^2 with coefficients of one sign below bessel.SERIES_RADIUS,
+with factors of its own); ``kernel_case`` builds the spec's instance once,
+its class picked from one table by (sigma, k).  The inner factors of
+the sigma = 1 cases with Bessel orders are, radius by radius, power
+series in r^2 with coefficients of one sign below bessel.SERIES_RADIUS,
 summed from one table of powers, and from bessel.alpha_hat past it; their
 outer factors are e^{-s} times a Laurent polynomial in 1/s (times the start
 values beta_hat_0, beta_hat_2 for even n), also with coefficients of one
@@ -263,8 +263,9 @@ class KernelCase:
     ``kernel_sums`` does not evaluate them; ``df_origin`` holds df_t(0), the
     only factor the solver needs at the origin node.  kappa, q_power and
     ``s_origin`` serve r = 0, where G is singular for most cases: Q ~ kappa
-    r^q_power and S -> ``s_origin`` (``_power_origin``), which a sigma = 1
-    case takes from the sigma = 0 case of its k and n.
+    r^q_power and S -> ``s_origin`` (``_power_origin``), from the power
+    rows of the sigma = 0 class of its k (``_CASES``) at its n, which a
+    sigma = 1 case reads without building that case.
     """
 
     _series_rows = _outer_rows = _power_rows = None
@@ -290,8 +291,8 @@ class KernelCase:
             self.constant_rows, self._inner_powers, self._outer_powers = (
                 _power_factors(terms))
         # (sigma - Delta)^k and (-Delta)^k agree at leading order at r = 0
-        twin = self if self._power_rows else kernel_case(KernelSpec(0, spec.k, n))
-        self.kappa, self.q_power, self.s_origin = _power_origin(twin._power_rows(n))
+        self.kappa, self.q_power, self.s_origin = _power_origin(
+            _CASES[0, spec.k]._power_rows(n))
         self.separable = self._terms == 1
         self.df_origin = tuple(float(df[0]) for _, df in self.inner(np.zeros(1)))
 
@@ -580,13 +581,15 @@ class _H2(KernelCase):
         (((n - 2, 3 - n, 1),), ((n - 2, 2 - n, 1), (n, 2 - n, -n)))))
 
 
+_CASES = {(0, 1): _H1dot, (0, 2): _H2dot, (1, 1): _H1, (1, 2): _H2}
+
+
 @lru_cache(maxsize=None)
 def kernel_case(spec):
     """The spec's KernelCase, built once."""
     if (spec.sigma, spec.k, spec.n) == (1, 1, 1):
         return _CamassaHolm(spec)
-    cls = {(0, 1): _H1dot, (0, 2): _H2dot, (1, 1): _H1, (1, 2): _H2}
-    return cls[(spec.sigma, spec.k)](spec)
+    return _CASES[spec.sigma, spec.k](spec)
 
 
 def _check_domain(r, s):
@@ -677,7 +680,7 @@ class _SumPlan:
     values of x and the weight, set up once.
 
     For a case with T terms, samples on the nodes start to stop - 1 of an
-    N-node grid and (i0, i1) the quadrature's reach of them, the plan holds
+    N-node grid and (i0, i1) the reach of their window, the plan holds
 
     - the ``quadrature.SumWindow`` of the 2T integrands and a buffer for
       their running sums;
@@ -709,11 +712,11 @@ class _SumPlan:
     """
 
     def __init__(self, case, quadrature, num, start, stop, x_dtype, w_dtype):
-        i0, i1 = quadrature.reach(start, stop)
         terms = case._terms
         fdtype = np.result_type(x_dtype, float)
         dtype = np.result_type(w_dtype, fdtype)
         self.window = quadrature.window(start, stop, (2 * terms,), dtype)
+        i0, i1 = self.window.reach
         m, width = max(i1, stop), i1 - i0 - 1
         factors = np.empty((2, terms, 2, num), fdtype)
         inner, outer = factors

@@ -49,13 +49,17 @@ def liouville_picard_oracle(z0, horizon, grid, dt=None):
 
     Fixed step chosen so max|RHS| dt <= 1e-3 unless ``dt`` is given.
     Aborts (RuntimeError) if min q drops below 1e-3, where the oracle's
-    tolerance claim no longer holds.
+    tolerance claim no longer holds.  Raises ValueError unless the horizon
+    is finite and positive and ``dt`` is None or finite and positive.
 
     Returns
     -------
     times : ndarray, shape (m+1,)
     q : ndarray, shape (m+1, N)
     """
+    # NaN fails both comparisons, 0 divides by 0, a negative value runs backward
+    if not (0.0 < horizon < np.inf and (dt is None or 0.0 < dt < np.inf)):
+        raise ValueError("the horizon and dt must be finite and positive")
     z0 = np.asarray(z0, dtype=float)
     num = len(z0)
     nonzero = z0.nonzero()[0]

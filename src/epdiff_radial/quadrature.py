@@ -15,10 +15,11 @@ every grid carries one as ``RadialGrid.quadrature``.  Its ``prefix`` and
 ``tail`` take samples only: f' is never passed in.  One call integrates a
 whole stack of integrands, and an integrand that vanishes outside a node
 range is passed on that range only (the solver's integrands vanish off the
-support of z_0); the sums are the full-grid ones bit for bit.  ``running``
-returns only the sums that change across that range, which is all the
-kernel sums need, and a ``SumWindow`` holds the set-up of one such range
-for callers that sum over it again and again.
+support of z_0); the sums are the full-grid ones bit for bit.  Its one
+entry point to the sums over such a range is ``window``: a ``SumWindow``
+holds the range's set-up and gives the running sums that change across
+it.  ``prefix`` builds one per call; the kernel-sum plan and the Liouville
+oracle, which sum over one range again and again, keep theirs.
 
 Also houses the 4th-order uniform-grid finite differences used by the
 operator application path (odd extension through r = 0, polynomial
@@ -58,10 +59,9 @@ class CorrectedTrapezoid:
     samples on [a, b] only (``start = a``).  Only the intervals a - 2 to
     b + 1 are summed; every other interval adds an exact zero, so the
     result equals the full-grid one bit for bit.  ``reach`` checks the node
-    range and names those intervals, ``running`` returns just their running
-    sums, and ``prefix`` and ``tail`` spread them over all N nodes.
-    ``window`` sets up those intervals once as a ``SumWindow``, which
-    ``running`` builds on every call.
+    range and names those intervals, ``window`` sets them up as a
+    ``SumWindow``, which gives just their running sums, and ``prefix`` and
+    ``tail`` spread those over all N nodes.
 
     Fewer than three nodes are accepted, but then f' cannot be estimated and
     every integral raises ``ValueError``.
@@ -131,16 +131,16 @@ class CorrectedTrapezoid:
         reach = self.reach(start, stop)
         return SumWindow(self._bands, reach, start, stop, stack, dtype)
 
-    def running(self, f, start, reach):
-        """The window's running sums: out[..., j] = int_{r_i0}^{r_{i0+j+1}} f.
+    def prefix(self, f, start=0):
+        """out[..., i] = int_{r_0}^{r_i} f, out[..., 0] = 0 (O(h^4) on smooth f).
 
         ``f`` holds the samples on the nodes start to start + L - 1 and the
-        integrand is zero on every other node; ``reach`` is the (i0, i1)
-        that ``reach(start, start + L)`` returned, which has checked the
-        node range.  The output has i1 - i0 entries along the last axis,
-        the prefix integrals on nodes i0 + 1 to i1 (the last is the total).
-        Works on a 1-D array or an (m, L) stack and keeps the float dtype of
-        ``f`` (longdouble samples give longdouble sums).
+        integrand is zero on every other node.  Works on a 1-D array or an
+        (m, L) stack and keeps the float dtype of ``f`` (longdouble samples
+        give longdouble sums).  With (i0, i1) the ``reach`` of the samples,
+        the window's running sums are written straight into the nodes
+        i0 + 1 to i1 of the zeroed output, and their total into every node
+        past i1.
 
         f' is the gradient stencil's, folded into the bands.  Second order
         is enough, but it matters that the one-sided edge estimates are
@@ -149,23 +149,13 @@ class CorrectedTrapezoid:
         whole rule to O(h^3).
         """
         f = _as_float_array(f)
-        window = SumWindow(self._bands, reach, start, start + f.shape[-1],
-                           f.shape[:-1], f.dtype)
+        # the dtype of the band products, which the sums keep
+        window = self.window(start, start + f.shape[-1], f.shape[:-1],
+                             np.promote_types(f.dtype, float))
         window.samples[...] = f
-        return window.sums()
-
-    def prefix(self, f, start=0):
-        """out[..., i] = int_{r_0}^{r_i} f, out[..., 0] = 0 (O(h^4) on smooth f).
-
-        ``f`` and ``start`` as in ``running``; the output covers all N
-        nodes.
-        """
-        f = _as_float_array(f)
-        window = self.reach(start, start + f.shape[-1])
-        sums = self.running(f, start, window)
-        i0, i1 = window
-        out = np.zeros(f.shape[:-1] + (self._num,), dtype=sums.dtype)
-        out[..., i0 + 1 : i1 + 1] = sums
+        i0, i1 = window.reach
+        out = np.zeros(f.shape[:-1] + (self._num,), window.samples.dtype)
+        sums = window.sums(out=out[..., i0 + 1 : i1 + 1])
         out[..., i1 + 1 :] = sums[..., -1:]
         return out
 
@@ -184,10 +174,11 @@ class SumWindow:
     i0 - 1 to i1 + 1 with its four-tap view.  ``samples`` is the writable
     part of the buffer on the nodes start to stop - 1; write the integrands
     there (every entry, on every use) and ``sums()`` gives their running
-    sums, as ``CorrectedTrapezoid.running`` does.  Nothing writes the
-    padding, so it stays zero from one use to the next.  Each ``sums()``
-    returns a fresh array, or writes into a caller's buffer (a kernel-sum
-    plan keeps one, and the Liouville oracle its full-length prefix).
+    sums, the prefix integrals on the nodes i0 + 1 to i1 (the last is the
+    total).  Nothing writes the padding, so it stays zero from one use to
+    the next.  Each ``sums()`` returns a fresh array, or writes into a
+    caller's buffer (``CorrectedTrapezoid.prefix`` its output, a kernel-sum
+    plan one it keeps, and the Liouville oracle its full-length prefix).
     """
 
     def __init__(self, bands, reach, start, stop, stack, dtype):

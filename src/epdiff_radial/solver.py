@@ -206,8 +206,7 @@ def energy(grid, init, rho, dgamma):
     if a == b:
         return 0.0
     integrand = init.z0[a:b] * dgamma[a:b] / rho[a:b]
-    q = grid.quadrature
-    return float(q.running(integrand, a, q.reach(a, b))[-1])
+    return float(grid.quadrature.prefix(integrand, a)[-1])
 
 
 def run(

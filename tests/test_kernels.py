@@ -578,6 +578,14 @@ def test_sigma1_origin_constants_are_the_limits_of_the_rows(spec):
         assert s == pytest.approx(case.s_origin, rel=2 * r)
 
 
+def test_sigma1_case_builds_no_other_case():
+    # its origin constants come from the sigma = 0 class's power rows, with
+    # no sigma = 0 case built and cached beside it
+    kernel_case.cache_clear()
+    kernel_case(KernelSpec(1, 2, 3))
+    assert kernel_case.cache_info().currsize == 1
+
+
 @pytest.mark.parametrize("name", ["s_criterion", "q_weight", "phi0_weight"])
 @pytest.mark.parametrize("r", [np.nan, -1.0, [0.5, np.nan]],
                          ids=["nan", "negative", "nan_in_array"])

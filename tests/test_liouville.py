@@ -79,6 +79,21 @@ def test_oracle_zero_momentum_is_constant(grid):
     np.testing.assert_allclose(q_hist, 1.0, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "horizon,dt",
+    [(0.0, None), (1.0, 0.0), (-1.0, None), (1.0, -0.1), (np.inf, None),
+     (np.nan, None), (1.0, np.nan), (1.0, np.inf)],
+    ids=["zero_horizon", "zero_dt", "negative_horizon", "negative_dt",
+         "inf_horizon", "nan_horizon", "nan_dt", "inf_dt"],
+)
+def test_oracle_rejects_horizons_and_steps_that_are_not_finite_and_positive(
+        grid, horizon, dt):
+    # none may divide by zero, run backward or end with a false blowup label
+    z0 = neg_exp_bump(grid.r, 2.0, 8.0)
+    with pytest.raises(ValueError, match="finite and positive"):
+        liouville_picard_oracle(z0, horizon, grid, dt=dt)
+
+
 def reference_oracle(z0, horizon, grid, dt=None):
     """The oracle as a loop of out-of-place operations: each RHS is one
     ``quadrature.tail`` call on the support of z_0, each stage a new array."""

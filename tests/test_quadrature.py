@@ -161,6 +161,14 @@ def test_zero_weight_gives_zero_sums(spec):
         assert not sums.any() and not np.signbit(sums).any()
 
 
+def _window_sums(q, f, start):
+    # the running sums of the samples f on the nodes start to start + L - 1,
+    # from a fresh window
+    window = q.window(start, start + f.shape[-1], f.shape[:-1], f.dtype)
+    window.samples[...] = f
+    return window.sums()
+
+
 @pytest.mark.parametrize("grid", BAND_GRIDS, ids=["uniform", "graded"])
 @pytest.mark.parametrize(
     "window", [(0, 11), (30, -1), (0, -1), (40, 41), (0, 1), (-2, -1), (1, 2),
@@ -176,7 +184,7 @@ def test_running_sums_are_the_window_of_the_prefix(grid, window):
     assert (i0, i1) == (max(start - 2, 0), min(stop + 1, grid.num - 1))
     samples = np.random.default_rng(start).standard_normal((2, stop - start))
     pre = q.prefix(samples, start=start)
-    run = q.running(samples, start, (i0, i1))
+    run = _window_sums(q, samples, start)
     assert run.shape == (2, i1 - i0)
     assert run.tobytes() == pre[:, i0 + 1 : i1 + 1].tobytes()
     assert not pre[:, : i0 + 1].any()
@@ -187,7 +195,7 @@ def test_running_sums_are_the_window_of_the_prefix(grid, window):
 @pytest.mark.parametrize("start,stop", [(0, 11), (20, 50), (70, 81)])
 def test_reused_window_gives_fresh_running_sums(grid, start, stop):
     # nothing writes the window's padding, so every use equals a fresh
-    # running call, and no result shares memory with another
+    # window, and no result shares memory with another
     q = grid.quadrature
     window = q.window(start, stop, (3,), float)
     assert window.reach == q.reach(start, stop)
@@ -197,7 +205,7 @@ def test_reused_window_gives_fresh_running_sums(grid, start, stop):
         samples = rng.standard_normal((3, stop - start))
         window.samples[...] = samples
         got = window.sums()
-        assert got.tobytes() == q.running(samples, start, window.reach).tobytes()
+        assert got.tobytes() == _window_sums(q, samples, start).tobytes()
         assert not any(np.shares_memory(got, prev) for prev in results)
         results.append(got)
 
@@ -216,7 +224,7 @@ def test_running_adds_the_four_bands_in_order():
     seg += w1 * padded[:, 1:-2]
     seg += w2 * padded[:, 2:-1]
     seg += w3 * padded[:, 3:]
-    run = q.running(f, 0, q.reach(0, 81))
+    run = _window_sums(q, f, 0)
     assert run.tobytes() == np.cumsum(seg, axis=-1).tobytes()
 
 
