@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Time a cold import, the cumulative quadrature, then rhs, a short solver
 run, the Bessel rows, the certificate's scaled factors, invert_operator and
-certify for every in-scope kernel, and the Liouville oracle.
+certify for every in-scope kernel, the H2 ratio bounds and the Liouville
+oracle.
 
 First comes the cold start: the median wall time, launch to exit, of 7
 fresh interpreters that import ``epdiff_radial`` and its CLI, in
@@ -28,17 +29,18 @@ and ``KernelCase.outer`` on the radii where its rhs evaluates them (the
 deformed nodes 1 to max(i1, stop) - 1 for the inner factors and i0 + 1 to
 N - 1 for the outer factors, with (i0, i1) the quadrature's reach of the
 support start to stop - 1) at N = 256 and 2048, and of
-``bessel.alpha_hat`` for its inner orders on 1,400 geometric radii of
-[1e-3, 600], across both of its branches (the power series below r = 30
-and the Hankel expansion at and above it), which the inner factors take
-at and past r = 30.  Then prints, for every
-in-scope operator, the best-of-k time of ``KernelCase.scaled_factors`` on
-the distinct r and s of the certificates' condition mesh (r_max = 20), as
-``certify`` forms them.  Then prints the best-of-k time of
+``KernelCase.inner`` on 1,400 geometric radii of [1e-3, 600] (the row
+``inner600``), across both of its branches: the power series below r = 30
+and ``bessel.alpha_hat``, the Hankel expansion, at and past it.  Then
+prints, for every in-scope operator, the best-of-k time of
+``KernelCase.scaled_factors`` on the distinct r and s of the certificates'
+condition mesh (r_max = 20), as ``certify`` forms them.  Then prints the best-of-k time of
 ``invert_operator`` at N = 4096 for a negative bump on [0.5, 2], and of
 ``certify.certify`` at N = 512 for the standard bump, after the time of the
 first ``certify`` call of the process (H1dot_n1), which builds the
-condition mesh.  Last comes the time of one
+condition mesh, and of ``certify.h2_ratio_bounds`` for n = 3, 4 and 5 on
+500 geometric radii of [1e-4, 30], as the benchmark's ``certify_invert``
+workload calls it.  Last comes the time of one
 ``liouville.liouville_picard_oracle`` run at N = 512 with z_0 the standard
 bump (n = 1), to half its blowup time.
 
@@ -55,13 +57,14 @@ evaluate rhs and the factor rows on the deformed state of this checkout.
 It also compares what the two versions return: a column after each
 compared time says ``same`` when every output of that call is byte for
 byte equal (the prefix and tail sums, ``rhs``, the run's end state and
-energy series, the inner and outer factors, the alpha values on [1e-3, 600], the
-scaled factors on the mesh, ``invert_operator``, the certificate report, the
-oracle's times and q history) and ``DIFFER`` otherwise, followed by the largest relative
-difference: over the outputs and their rows, max |this - vs| / max |vs|
-along the row (for a certificate report, over its numbers one by one, and
-inf if its text differs), and the script exits with status 1 if any row
-differs.
+energy series, the inner and outer factors, the inner factors on [1e-3,
+600], the scaled factors on the mesh, ``invert_operator``, the certificate
+report, the ratio bounds' lam_a, lam_b and verdict (their slacks follow
+from lam_a and lam_b), the oracle's times and q history) and ``DIFFER``
+otherwise, followed by the largest relative difference: over the outputs
+and their rows, max |this - vs| / max |vs| along the row (for a
+certificate report, over its numbers one by one, and inf if its text
+differs), and the script exits with status 1 if any row differs.
 
 Usage:
     python3 scripts/time_layers.py [--against DIR]
@@ -94,6 +97,8 @@ BESSEL_GRID_N = (256, 2048)
 INVERT_GRID_N = 4096
 CERTIFY_GRID_N = 512
 ORACLE_GRID_N = 512
+RATIO_N = (3, 4, 5)
+RATIO_RADII = np.geomspace(1e-4, 30.0, 500)
 R_MAX = 20.0
 BUMP = {"amplitude": 1.0, "r_lo": 2.0, "r_hi": 8.0}
 INVERT_BUMP = {"amplitude": 1.0, "r_lo": 0.5, "r_hi": 2.0}
@@ -101,7 +106,7 @@ WARP_STEPS, WARP_DT = 10, 0.02
 RUN_STEPS, STEP_DT = 20, 1e-3
 SAMPLE_S = 0.01
 REPEAT = 7
-LAYERS = ("bessel", "certify", "grid", "kernels", "liouville", "scenario", "solver")
+LAYERS = ("certify", "grid", "kernels", "liouville", "scenario", "solver")
 # what a cold start runs: the package's path and its count of scipy modules
 COLD_PROBE = (
     "import sys, epdiff_radial, epdiff_radial.cli; "
@@ -297,8 +302,7 @@ def main(argv=None):
                 case = lib["kernels"].kernel_case(spec)
                 start, stop = init.support_start, init.support_index + 1
                 i0, i1 = grid.quadrature.reach(start, stop)
-                bessel_args.append((lib["bessel"], case,
-                                    warped.gamma[1:max(i1, stop)],
+                bessel_args.append((case, warped.gamma[1:max(i1, stop)],
                                     warped.gamma[i0 + 1:]))
             print(f"{spec.label():<10} {num:>5}"
                   + cells(samples_us(rhs_calls))
@@ -311,24 +315,23 @@ def main(argv=None):
     print(f"{'spec':<10} {'N':>5}" + heading("inner", names) + output_heading(names)
           + heading("outer", names) + output_heading(names))
     for label, num, bessel_args in bessel_rows:
-        inner = [lambda f=case.inner, r=r: f(r) for _, case, r, _ in bessel_args]
-        outer = [lambda f=case.outer, s=s: f(s) for _, case, _, s in bessel_args]
+        inner = [lambda f=case.inner, r=r: f(r) for case, r, _ in bessel_args]
+        outer = [lambda f=case.outer, s=s: f(s) for case, _, s in bessel_args]
         print(f"{label:<10} {num:>5}" + cells(samples_us(inner))
               + compare(f"inner {label} {num}", [(f(),) for f in inner])
               + cells(samples_us(outer))
               + compare(f"outer {label} {num}", [(f(),) for f in outer]))
 
-    # alpha_hat for each sigma = 1 order set on radii across both of its
-    # branches, the power series below 30 and the Hankel table above
+    # the inner factors on radii across both of their branches, the power
+    # series below 30 and alpha_hat's Hankel table from there on
     wide = np.geomspace(1e-3, 600.0, 1400)
-    print(f"{'spec':<10} {'N':>5}" + heading("alpha600", names)
+    print(f"{'spec':<10} {'N':>5}" + heading("inner600", names)
           + output_heading(names))
     for label, num, bessel_args in bessel_rows:
         if num == BESSEL_GRID_N[0]:
-            calls = [lambda f=bes.alpha_hat, orders=case.alpha_orders: f(orders, wide)
-                     for bes, case, _, _ in bessel_args]
+            calls = [lambda f=case.inner: f(wide) for case, _, _ in bessel_args]
             print(f"{label:<10} {wide.size:>5}" + cells(samples_us(calls))
-                  + compare(f"alpha600 {label}", [tuple(f().values()) for f in calls]))
+                  + compare(f"inner600 {label}", [(f(),) for f in calls]))
 
     # the scaled factors each certificate forms on the condition mesh's
     # distinct radii
@@ -387,6 +390,16 @@ def main(argv=None):
                         [(text_bytes(report),) for report in reports],
                         [(text_bytes(text), numbers) for text, numbers
                          in map(report_numbers, reports)]))
+
+    print(f"{'spec':<10} {'N':>5}" + heading("ratio", names)
+          + output_heading(names))
+    for n in RATIO_N:
+        calls = [lambda f=lib["certify"].h2_ratio_bounds, n=n: f(n, RATIO_RADII)
+                 for lib in versions]
+        bounds = [call() for call in calls]
+        print(f"{f'H2_n{n}':<10} {RATIO_RADII.size:>5}" + cells(samples_us(calls))
+              + compare(f"ratio H2_n{n}", [
+                  (b["lam_a"], b["lam_b"], np.array([b["passed"]])) for b in bounds]))
 
     print(f"{'job':<10} {'N':>5}" + heading("oracle", names)
           + output_heading(names))

@@ -6,7 +6,7 @@ A = (sigma - Delta)^k, restricted to radial vector fields u(r) d/dr.
 
 Subpackage layout:
 
-* ``bessel``        -- scaled modified Bessel functions alpha_p, beta_p
+* ``bessel``        -- the Bessel tables the sigma = 1 kernel rows are built from
 * ``quadrature``    -- trapezoid rules with prefix/suffix cumulative sums
 * ``kernels``       -- Green kernels phi/delta, the weight Q and criterion S,
                        and the apply/invert operator pair

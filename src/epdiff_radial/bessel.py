@@ -1,55 +1,40 @@
-"""Scaled modified Bessel functions.
+"""The Bessel tables the sigma = 1 kernel factors are built from.
 
-The radial Green kernels for the nonhomogeneous inertia operators are built
-from the pair
+The Green kernels of the nonhomogeneous inertia operators (``kernels``,
+H^1 and H^2) are built from the pair
 
     alpha_p(r) = c_p r^{-p/2} I_{p/2}(r),   c_p = 2^{p/2} Gamma(p/2 + 1),
     beta_p(r)  = c_p^{-1} r^{-p/2} K_{p/2}(r),
 
-normalized so that alpha_p(0) = 1 and r^p beta_p(r) -> 1/p as r -> 0.
-alpha_p grows like e^r and beta_p decays like e^{-r}; every kernel only ever
-needs products alpha_p(r) beta_q(s) with s >= r, so the kernels compose the
-exponentially scaled pair below with e^{r-s}, which never overflows.
+normalized so that alpha_p(0) = 1 and r^p beta_p(r) -> 1/p as r -> 0, with
+integer orders p = n, n +- 2, n + 4 in dimension n.  alpha_p grows like e^r
+and beta_p decays like e^{-r}; the derivatives follow from alpha_p' = r
+alpha_{p+2} / (p + 2) and beta_p' = -(p + 2) r beta_{p+2}.
 
-Only nonnegative integer orders p occur (p = n, n +- 2, n + 4 for dimension
-n), so every value comes from the scaled pair
+This module holds only what ``kernels.KernelCase`` forms its factor rows
+from.  Every other Bessel value of the library, such as the certificate's
+and ``certify.h2_ratio_bounds``', is read from those rows.
 
-    alpha_hat_p(r) = e^{-r} alpha_p(r),   beta_hat_p(r) = e^{r} r^p beta_p(r),
+* ``_inner_series``: the inner factors' power series in r^2 below
+  SERIES_RADIUS (DLMF 10.25.2), with coefficients of one sign.
+* :func:`alpha_hat`: e^{-r} alpha_p at and past SERIES_RADIUS from the
+  Hankel expansion (DLMF 10.40.1; ``_hankel_table``), a polynomial in 1/r
+  (times r^{-1/2} for even p), for p <= 21.  Its one caller is
+  ``KernelCase._alpha_factors``.
+* ``_beta_coefficients``: beta_hat_p(r) = e^r r^p beta_p(r) as a polynomial
+  in r for odd p and A_p(r) beta_hat_0 + B_p(r) beta_hat_2 for even p, with
+  positive coefficients from the recurrence DLMF 10.29.1.  The kernels'
+  outer factors are Laurent polynomials built from it.
+* :func:`beta_hat_start`: beta_hat_0 and beta_hat_2 from scipy's
+  ``k0e``/``k1e``, the one place that imports scipy.  Only the outer
+  factors of even n call it, so a sigma = 0 or odd-n run loads no scipy.
+* ``_power_buffer`` and ``_power_table``: the tables of powers that each
+  of these sums is contracted with.
 
-evaluated for a whole set of orders of one parity at once by
-:func:`alpha_hat` and :func:`beta_hat`.  ``alpha``, ``beta`` and
-``beta_scaled`` (r^p beta_p, finite at r = 0) give one order unscaled.  The
-derivatives follow from alpha_p' = r alpha_{p+2} / (p + 2) and beta_p' =
--(p + 2) r beta_{p+2}.
-
-Both are one table of powers contracted with a table of exact
-coefficients, each the correctly rounded quotient of two integers.
-alpha_hat_p is, below SERIES_RADIUS, the power series of alpha_p in r^2
-(DLMF 10.25.2, terms of one sign; ``_inner_series``, whose rows also give
-the kernels' inner factors), and at and above it the Hankel expansion (DLMF
-10.40.1; ``_hankel_table``), a polynomial in 1/r (times r^{-1/2} for even
-p).  Against mpmath at 40 digits the relative error is at most 1.2e-15
-below SERIES_RADIUS and 1.8e-15 on [SERIES_RADIUS, 600] for every p <= 21;
-larger orders have no Hankel table.  beta_hat_p is, at every r > 0, a
-polynomial in r for odd p and A_p(r) beta_hat_0 + B_p(r) beta_hat_2 for even
-p, with positive coefficients from the recurrence DLMF 10.29.1
-(``_beta_coefficients``, which the kernels' outer factors are built from
-too), and beta_hat_0, beta_hat_2 from scipy's ``k0e``/``k1e``
-(:func:`beta_hat_start`, the one place that imports scipy: a sigma = 0 or
-odd-n run and every alpha call load none).  Against mpmath at 40 digits its
-relative error is at most 1e-15 on [1e-3, 600] for p <= 7.
-
-Every caller in the library passes increasing radii: the solver's nodes (to
-``alpha_hat`` only when they reach SERIES_RADIUS; the outer factors call
-only :func:`beta_hat_start`, for even n), a grid, or distinct certificate
-radii.  Each function writes into one output with a row per order.
-:func:`alpha_hat` splits the radii once at SERIES_RADIUS with a binary
-search and sums each side in blocks of SERIES_BLOCK radii into slices of
-its rows; :func:`beta_hat` sets the radii at the origin, which come first,
-and sums its table on the others.  Radii in any other order are sorted
-first and their values mapped back.  A value depends only on its order and
-radius, not on the other radii of the call, so the same radius gives the
-same bits either way.
+Every coefficient is exact before it is rounded once: the correctly
+rounded quotient of two integers, or for even p of the Hankel expansion
+one with (2 pi)^(-1/2) to 40 digits.  Each table is built once, on first
+use.
 """
 
 import bisect
@@ -59,41 +44,16 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = [
-    "alpha_hat",
-    "beta_hat",
-    "beta_hat_start",
-    "alpha",
-    "beta",
-    "beta_scaled",
-    "wronskian_residual",
-]
+__all__ = ["alpha_hat", "beta_hat_start"]
 
-# Below SERIES_RADIUS alpha and the inner kernel factors come from their
-# power series in r^2 (_inner_series), summed until the tail is below
-# SERIES_TAIL of the sum.  Their term count grows with r, so it is a hard
-# limit: alpha on larger radii comes from its Hankel expansion.  Both sides
-# are summed in blocks of SERIES_BLOCK radii.
+# Below SERIES_RADIUS the inner kernel factors come from their power series
+# in r^2 (_inner_series), summed until the tail is below SERIES_TAIL of the
+# sum.  Their term count grows with r, so it is a hard limit: from it on,
+# alpha comes from its Hankel expansion, summed in blocks of SERIES_BLOCK
+# radii.
 SERIES_RADIUS = 30.0
 SERIES_TAIL = 2.0**-64
 SERIES_BLOCK = 1024
-
-
-@lru_cache(maxsize=None)
-def _check_orders(orders):
-    """Orders as a sorted tuple of ints; nonnegative integers of one parity.
-
-    Checked once per tuple of orders: the kernels ask for the same few on
-    every call.
-    """
-    out = []
-    for p in orders:
-        if p < 0 or p != int(p):
-            raise ValueError(f"Bessel order p must be a nonnegative integer, got {p!r}")
-        out.append(int(p))
-    if len({p % 2 for p in out}) != 1:
-        raise ValueError("give one or more orders, all of one parity")
-    return tuple(sorted(set(out)))
 
 
 @lru_cache(maxsize=None)
@@ -215,22 +175,6 @@ def _beta_coefficients(hi):
     return beta
 
 
-@lru_cache(maxsize=None)
-def _beta_table(lo, hi):
-    """``_beta_coefficients`` of p = lo, lo + 2, ..., hi, correctly rounded,
-    as B[i W + w, t] for r^w R_i(r) with W powers of r: a view with a stride
-    of two along j, as in ``_hankel_table``.  Built once per pair of orders.
-    """
-    coefficients = _beta_coefficients(hi)
-    orders = range(lo, hi + 1, 2)
-    width = 1 + max(w for p in orders for _, w in coefficients[p])
-    table = np.zeros(((2 - hi % 2) * width, len(orders), 2))[..., 0]
-    for t, p in enumerate(orders):
-        for (i, w), c in coefficients[p].items():
-            table[i * width + w, t] = float(c)  # correctly rounded
-    return table
-
-
 def _power_buffer(rows, width, dtype):
     """A table for ``_power_table`` on ``width`` radii, of up to ``rows``
     rows: a (rows, width) buffer whose row 0 holds ones, and a dict for the
@@ -269,101 +213,31 @@ def _power_table(first, operands, terms, table):
     return head
 
 
-def _sorted_radii(r, name):
-    """(radii, perm): r flattened and increasing, and the permutation that
-    sorted it (None when it already was).  Raises unless r >= 0."""
-    flat = np.asarray(r, dtype=float).reshape(-1)
-    perm = None
-    # NaN fails every comparison, so radii with a NaN are sorted (to the end)
-    if flat.size > 1 and np.count_nonzero(flat[:-1] <= flat[1:]) < flat.size - 1:
-        perm = np.argsort(flat, kind="stable")
-        flat = flat[perm]
-    if flat.size and flat[0] < 0:
-        raise ValueError(f"{name} requires r >= 0")
-    return flat, perm
-
-
-def _by_order(orders, first, out, perm, shape):
-    """{p: the row of out for order p}, back in the order and shape of the radii."""
-    if perm is not None:
-        unsorted = np.empty_like(out)
-        unsorted[:, perm] = out
-        out = unsorted
-    rows = out.reshape(out.shape[:1] + shape)
-    return {p: rows[(p - first) // 2, ...] for p in orders}
-
-
 def alpha_hat(orders, r):
-    """{p: e^{-r} alpha_p(r)} for nonnegative integer orders of one parity,
-    p <= 21 where a radius reaches SERIES_RADIUS.
+    """{p: e^{-r} alpha_p(r)} at radii r >= SERIES_RADIUS, from the Hankel
+    expansion (``_hankel_table``), for increasing orders p <= 21 of one
+    parity, each step 2 from the last.
 
-    r >= 0, any shape; each value has the shape of r and is an array of its
-    own.  Exactly 1 at r = 0.
+    r is a one-dimensional array, taken as it is: no checks and no sorting
+    (a NaN gives NaN).  Its radii are summed in blocks of SERIES_BLOCK, so
+    that the table of powers stays small on large inputs.  einsum, not BLAS
+    (whose rounding depends on where a radius falls in its block), sums each
+    value over j in order on its own, so a value depends only on its order
+    and radius, not on the other radii or orders of the call.
     """
-    orders = _check_orders(tuple(orders))
-    flat, perm = _sorted_radii(r, "alpha")
     lo, hi = orders[0], orders[-1]
-    out = np.empty(((hi - lo) // 2 + 1, flat.size))
-    # the left side, so that r = SERIES_RADIUS takes the Hankel table
-    cut = int(flat.searchsorted(SERIES_RADIUS))
-    # in blocks of radii, so that the table of powers stays small on large
-    # inputs.  einsum, not BLAS (whose rounding depends on where a radius
-    # falls in its block), sums each value over j in order on its own, and
-    # series terms past those a radius needs leave its sum unchanged, so a
-    # value depends only on its order and radius.
-    if cut:
-        series, reach = _inner_series(tuple((p, 0, 1) for p in range(lo, hi + 1, 2)))
-        for start in range(0, cut, SERIES_BLOCK):
-            x = flat[start : min(start + SERIES_BLOCK, cut)]
-            terms = bisect.bisect_left(reach, x[-1] * x[-1]) + 1
-            powers = _power_table(np.multiply, (x, x), terms,
-                                  _power_buffer(terms, x.size, float))
-            np.einsum("jm,jt->tm", powers, series[:terms, :, 0],
-                      out=out[:, start : start + x.size])
-        out[:, :cut] *= np.exp(-flat[:cut])
-    if cut < flat.size:
-        hankel = _hankel_table(lo, hi)
-        for start in range(cut, flat.size, SERIES_BLOCK):
-            x = flat[start : start + SERIES_BLOCK]
-            u = _power_table(np.divide, (1.0, x), len(hankel),
-                             _power_buffer(len(hankel), x.size, float))
-            block = out[:, start : start + SERIES_BLOCK]
-            np.einsum("jm,jt->tm", u, hankel, out=block)
-            if lo % 2 == 0:
-                block *= np.sqrt(u[1])
-    return _by_order(orders, lo, out, perm, np.shape(r))
-
-
-def beta_hat(orders, r):
-    """{p: e^{r} r^p beta_p(r)} for nonnegative integer orders of one parity.
-
-    r >= 0, any shape; each value has the shape of r and is an array of its
-    own.  Equal to 1/p at r = 0 (infinite for p = 0, whose beta_0 diverges
-    logarithmically).  At r > 0 one table of powers of r (times the start
-    values for even orders) contracted with ``_beta_table``.
-    """
-    orders = _check_orders(tuple(orders))
-    flat, perm = _sorted_radii(r, "beta")
-    lo, hi = orders[0], orders[-1]
-    out = np.empty(((hi - lo) // 2 + 1, flat.size))
-    # the radii at the origin come first, where beta_hat_p = 1/p; the table
-    # is summed on the others
-    zeros = int(flat.searchsorted(0.0, side="right"))
-    for t, p in enumerate(range(lo, hi + 1, 2)):
-        out[t, :zeros] = 1.0 / p if p else np.inf
-    s = flat[zeros:]
-    if s.size:
-        table = _beta_table(lo, hi)
-        width = len(table) // (2 - hi % 2)
-        powers = _power_table(np.positive, (s,), width,
-                              _power_buffer(width, s.size, float))
-        if hi % 2 == 0:
-            starts = np.empty((2, 1, s.size))
-            beta_hat_start(starts, s)
-            powers = (starts * powers).reshape(-1, s.size)
-        # einsum, as in alpha_hat: each value is summed over j on its own
-        np.einsum("jm,jt->tm", powers, table, out=out[:, zeros:])
-    return _by_order(orders, lo, out, perm, np.shape(r))
+    r = np.asarray(r, dtype=float)
+    hankel = _hankel_table(lo, hi)
+    out = np.empty(((hi - lo) // 2 + 1, r.size))
+    for start in range(0, r.size, SERIES_BLOCK):
+        x = r[start : start + SERIES_BLOCK]
+        u = _power_table(np.divide, (1.0, x), len(hankel),
+                         _power_buffer(len(hankel), x.size, float))
+        block = out[:, start : start + SERIES_BLOCK]
+        np.einsum("jm,jt->tm", u, hankel, out=block)
+        if lo % 2 == 0:
+            block *= np.sqrt(u[1])
+    return {p: out[(p - lo) // 2] for p in orders}
 
 
 @lru_cache(maxsize=None)
@@ -390,62 +264,3 @@ def beta_hat_start(out, r):
     second = k1e(r, out=out[1])
     second *= r
     second *= 0.5
-
-
-def _like(out, r):
-    """A value of one order, as a float when r is a scalar."""
-    return float(out) if np.ndim(r) == 0 else out
-
-
-def alpha(p, r):
-    """alpha_p(r) = c_p r^{-p/2} I_{p/2}(r), continuously extended to 1 at r=0.
-
-    Parameters
-    ----------
-    p : int
-        Order, a nonnegative integer (n, n +- 2 or n + 4 for dimension n).
-    r : float or ndarray
-        Radius, r >= 0.
-    """
-    return _like(alpha_hat((p,), r)[p] * np.exp(r), r)
-
-
-def beta(p, r):
-    """beta_p(r) = c_p^{-1} r^{-p/2} K_{p/2}(r); diverges at r = 0.
-
-    Raises
-    ------
-    ValueError
-        If any r <= 0 (use :func:`beta_scaled` for the product r^p beta_p
-        near the origin).
-    """
-    if np.any(np.asarray(r) <= 0):
-        raise ValueError("beta requires r > 0; use beta_scaled near r = 0")
-    b = beta_hat((p,), r)[p]
-    r = np.asarray(r, dtype=float)
-    return _like(b * np.exp(-r) / r**p, r)
-
-
-def beta_scaled(p, r):
-    """Regularized product r^p beta_p(r), continuously extended to 1/p at r=0,
-    where beta_p itself diverges like r^{-p}/p."""
-    if p <= 0 and np.any(np.asarray(r) == 0):
-        raise ValueError("beta_scaled undefined at r = 0 for p = 0")
-    return _like(beta_hat((p,), r)[p] * np.exp(-np.asarray(r, dtype=float)), r)
-
-
-def wronskian_residual(p, r):
-    """Residual of the Wronskian identity beta_p alpha_p' - alpha_p beta_p' = r^{-p-1}.
-
-    Evaluated through the exponentially scaled pair so the e^{+-r} factors
-    cancel analytically; should vanish to roundoff for all p >= 0, r > 0.
-    """
-    r = np.asarray(r, dtype=float)
-    a = alpha_hat((p, p + 2), r)
-    b = beta_hat((p, p + 2), r)
-    # e^r beta_q = beta_hat_q / r^q
-    # beta_p * alpha_p' = [e^r beta_p] * (r/(p+2)) [e^-r alpha_{p+2}]
-    term1 = b[p] / r**p * r / (p + 2.0) * a[p + 2]
-    # alpha_p * beta_p' = -[e^-r alpha_p] * (p+2) r [e^r beta_{p+2}]
-    term2 = -a[p] * (p + 2.0) * r * b[p + 2] / r ** (p + 2)
-    return _like(term1 - term2 - r ** (-p - 1.0), r)

@@ -35,8 +35,7 @@ from itertools import combinations
 
 import numpy as np
 
-from . import bessel
-from .kernels import kernel_case, s_criterion
+from .kernels import KernelSpec, kernel_case, s_criterion
 
 __all__ = [
     "BlowupCertificate",
@@ -266,19 +265,32 @@ def h2_ratio_bounds(n, r):
         lam_b = beta_{n-2} / (n^2 beta_n):    nondecreasing,
                                               >= sqrt(1/4 + r^2/n^2) - 1/2.
 
-    Evaluated through the exponentially scaled variants so the e^{+-r}
-    factors cancel exactly.  ``r`` must be finite, strictly positive and
-    increasing (ValueError otherwise); returns per-inequality pass flags and
-    worst slacks (>= 0 means the inequality holds with that margin).
+    Both are read from the rows of H2's kernel at (r, r), the factors the
+    solver integrates, scaled (``KernelCase.scaled_factors``): f_1 = -r^3
+    alpha_{n+2} / (2(n + 2)), f_2 = r alpha_n / (2n), g_1 = r beta_n and g_2
+    = r beta_{n-2}.  With n^2 (alpha_{n-2} - alpha_n) = n r^2 alpha_{n+2} /
+    (n + 2),
+
+        lam_a = 1 - f_1 / (n^2 f_2),          lam_b = g_2 / (n^2 g_1),
+
+    and the scales e^{-+r} of the rows cancel in each ratio.  So the domain
+    is the rows': n is that of ``KernelSpec(1, 2, n)`` (an integer >= 3),
+    at most 17 where a radius reaches ``bessel.SERIES_RADIUS`` (the Hankel
+    expansion of alpha_{n+4} stops at order 21), and every radius is at
+    most ``KernelSpec.r_max_limit`` (600).  ``r`` must also be finite,
+    strictly positive and increasing.  Raises ValueError outside that
+    domain; returns per-inequality pass flags and worst slacks (>= 0 means
+    the inequality holds with that margin).
     """
+    spec = KernelSpec(1, 2, n)
     r = np.asarray(r, dtype=float)
     if not (np.isfinite(r).all() and (r > 0.0).all() and (np.diff(r) > 0.0).all()):
         raise ValueError("r must be finite, strictly positive and increasing")
-    a = bessel.alpha_hat((n - 2, n), r)
-    b = bessel.beta_hat((n - 2, n), r)
-    lam_a = a[n - 2] / a[n]
-    # e^r beta_p = beta_hat_p / r^p
-    lam_b = b[n - 2] / r ** (n - 2) / (n**2 * (b[n] / r**n))
+    if (r > spec.r_max_limit).any():
+        raise ValueError(f"r must be at most KernelSpec.r_max_limit = {spec.r_max_limit}")
+    f, g = kernel_case(spec).scaled_factors(r, r)
+    lam_a = 1.0 - f[0, 0] / (n**2 * f[1, 0])
+    lam_b = g[1, 0] / (n**2 * g[0, 0])
     root = np.sqrt(0.25 + (r / n) ** 2)
     checks = {
         "lam_a_upper": float(np.min(0.5 + root - lam_a)),

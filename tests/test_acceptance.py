@@ -11,11 +11,15 @@ import time
 import numpy as np
 import pytest
 
-from epdiff_radial import bessel
 from epdiff_radial.certify import certify, check_dominance, h2_ratio_bounds
 from epdiff_radial.grid import InitialData, RadialGrid
 from epdiff_radial.hunter_saxton import HSExactSolution
-from epdiff_radial.kernels import KernelSpec, apply_operator, invert_operator
+from epdiff_radial.kernels import (
+    KernelSpec,
+    apply_operator,
+    invert_operator,
+    kernel_case,
+)
 from epdiff_radial.liouville import (
     liouville_blowup_time,
     liouville_exact,
@@ -41,19 +45,25 @@ def report(num, name, ok, detail):
 
 
 def test_01_bessel_identities():
+    # the Wronskian beta_p alpha_p' - alpha_p beta_p' = r^{-p-1} as the jump
+    # condition of H1_p's rows f = r alpha_p, g = r beta_p, the factors the
+    # solver integrates: r^(p-1) (f dg - df g) = -1
     r = np.geomspace(0.1, 30.0, 200)
     worst = 0.0
+    ok = True
     for p in range(1, 9):
-        rel = np.max(np.abs(bessel.wronskian_residual(p, r)) * r ** (p + 1))
-        worst = max(worst, rel)
-    ok = worst <= 1e-10
-    for p in range(1, 9):
-        ok &= bessel.alpha(p, 0.0) == 1.0
-    # r^p beta_p -> 1/p at the origin; p = 1 approaches its limit only
-    # linearly (r beta_1 = e^{-r} exactly), so it is checked in closed form
-    for p in range(2, 9):
-        ok &= abs(bessel.beta_scaled(p, 1e-6) - 1.0 / p) < 1e-8
-    ok &= abs(bessel.beta_scaled(1, 1e-6) - math.exp(-1e-6)) < 1e-14
+        case = kernel_case(KernelSpec(1, 1, p))
+        ((f, df),), ((g, dg),) = case.inner(r), case.outer(r)
+        worst = max(worst, np.max(np.abs(r ** (p - 1) * (f * dg - df * g) + 1.0)))
+        # alpha_p(0) = df(0) = 1 exactly
+        ok &= case.inner(np.zeros(1))[0, 1, 0] == 1.0
+        # r^p beta_p = r^(p-1) g -> 1/p at the origin; p = 1 approaches its
+        # limit only linearly (r beta_1 = e^{-r} exactly), so it is checked
+        # in closed form
+        g_near = float(case.outer(1e-6)[0, 0]) * 1e-6 ** (p - 1)
+        ok &= (abs(g_near - 1.0 / p) < 1e-8 if p > 1
+               else abs(g_near - math.exp(-1e-6)) < 1e-14)
+    ok &= worst <= 1e-10
     report(1, "bessel identities", ok, f"worst Wronskian rel err {worst:.3e}")
 
 

@@ -4,7 +4,7 @@ Tools that wrap the library from outside look up each ``__all__`` name, so a
 stale entry left behind by a deletion breaks them; the scripts import the
 library at start-up, so a pruned name they use fails their ``--help``.
 Importing the library loads no scipy module: scipy loads only where an
-even-order Bessel value or ``solver.transport_residual`` needs it.
+even-n outer factor or ``solver.transport_residual`` needs it.
 """
 
 import importlib
@@ -31,17 +31,17 @@ EXPORTING = [
 ]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 # Imports the package and the CLI, certifies and steps a sigma = 0 and an
-# odd-n sigma = 1 kernel, then evaluates even-order alpha values on radii
-# across [0, 600] and an even-order beta value, and prints the scipy modules
-# loaded after each stage.
+# odd-n sigma = 1 kernel, then evaluates the inner rows of an even-n sigma = 1
+# kernel on radii across [0, 600] and its outer rows on a grid, and prints
+# the scipy modules loaded after each stage.
 SCIPY_PROBE = """
 import json, sys
 import numpy as np
 import epdiff_radial, epdiff_radial.cli
-from epdiff_radial import bessel, scenario, solver
+from epdiff_radial import scenario, solver
 from epdiff_radial.certify import certify
 from epdiff_radial.grid import RadialGrid
-from epdiff_radial.kernels import KernelSpec
+from epdiff_radial.kernels import KernelSpec, kernel_case
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
@@ -56,10 +56,11 @@ for spec in (KernelSpec(0, 2, 3), KernelSpec(1, 1, 3)):
     for _ in range(3):
         state = solver.step(spec, grid, init, state, 1e-3)
     loaded[spec.label()] = scipy_modules()
-bessel.alpha_hat((2, 4), np.concatenate([[0.0], np.geomspace(1e-3, 600.0, 200)]))
-loaded["even alpha"] = scipy_modules()
-bessel.beta_hat((2,), grid.r)
-loaded["even"] = scipy_modules()
+even = kernel_case(KernelSpec(1, 1, 2))
+even.inner(np.concatenate([[0.0], np.geomspace(1e-3, 600.0, 200)]))
+loaded["even inner"] = scipy_modules()
+even.outer(grid.r[1:])
+loaded["even outer"] = scipy_modules()
 print(json.dumps(loaded))
 """
 
@@ -104,7 +105,7 @@ def test_scipy_loads_only_where_it_is_used():
     )
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stdout)
-    for stage in ("import", "H2dot_n3", "H1_n3", "even alpha"):
+    for stage in ("import", "H2dot_n3", "H1_n3", "even inner"):
         assert loaded[stage] == [], f"{stage} loaded {loaded[stage][:5]}"
-    assert "scipy.special" in loaded["even"]
-    assert not [m for m in loaded["even"] if m.startswith("scipy.interpolate")]
+    assert "scipy.special" in loaded["even outer"]
+    assert not [m for m in loaded["even outer"] if m.startswith("scipy.interpolate")]

@@ -1,4 +1,12 @@
-"""Bessel layer: frozen high-precision oracle values and structural identities.
+"""Bessel layer: the kernel rows against frozen high-precision oracle values,
+closed forms and structural identities.
+
+Every Bessel value is read from the factor rows the solver integrates: with
+H1_p the kernel KernelSpec(1, 1, p), its rows are f = r alpha_p(r), df =
+alpha_p + r^2 alpha_{p+2} / (p + 2), g = r beta_p(r) and dg = beta_p -
+(p + 2) r^2 beta_{p+2}, and ``KernelCase.scaled_factors`` gives f e^-r and
+g e^r.  ``bessel.alpha_hat``, the Hankel expansion the rows take from
+SERIES_RADIUS on, and ``bessel.beta_hat_start`` are checked directly.
 
 The reference values below were generated once with mpmath at 50 digits:
 
@@ -17,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epdiff_radial import bessel
+from epdiff_radial.kernels import KernelSpec, delta, kernel_case, phi
 
 # (p, r, value) triples from the mpmath oracle
 ALPHA_ORACLE = [
@@ -84,44 +93,55 @@ ORDER_ORACLE = [
 ]
 
 
+def _h1(p, r):
+    """(f, df, g, dg) of H1_p at the radii r > 0, each of the shape of r."""
+    case = kernel_case(KernelSpec(1, 1, p))
+    r = np.asarray(r, dtype=float)
+    ((f, df),), ((g, dg),) = case.inner(r), case.outer(r)
+    return f, df, g, dg
+
+
+def _h1_scaled(p, r):
+    """(f e^-r, g e^r) of H1_p at the radii r > 0."""
+    r = np.asarray(r, dtype=float)
+    f, g = kernel_case(KernelSpec(1, 1, p)).scaled_factors(r, r)
+    return f[0, 0], g[0, 0]
+
+
 @pytest.mark.parametrize("p,r,expected", ALPHA_ORACLE)
 def test_alpha_against_mpmath(p, r, expected):
-    assert bessel.alpha(p, r) == pytest.approx(expected, rel=1e-13)
+    # alpha_p = f / r
+    assert float(_h1(p, r)[0] / r) == pytest.approx(expected, rel=1e-13)
 
 
 @pytest.mark.parametrize("p,r,expected", BETA_ORACLE)
 def test_beta_against_mpmath(p, r, expected):
-    assert bessel.beta(p, r) == pytest.approx(expected, rel=1e-13)
-
-
-def _alpha_hat_at(p, r):
-    """e^{-r} alpha_p(r) as a float."""
-    return float(bessel.alpha_hat((p,), r)[p])
-
-
-def _escaled_beta_at(p, r):
-    """e^{r} beta_p(r) = beta_hat_p(r) / r^p as a float (r > 0)."""
-    return float(bessel.beta_hat((p,), r)[p] / r**p)
+    # beta_p = g / r
+    assert float(_h1(p, r)[2] / r) == pytest.approx(expected, rel=1e-13)
 
 
 def test_scaled_variants_against_mpmath():
-    # e^{-40} alpha_3(40) and e^{40} beta_3(40): the unscaled values would
-    # overflow/underflow in these products, the scaled ones are O(1)
-    assert _alpha_hat_at(3, 40.0) == pytest.approx(0.0009140625, rel=1e-13)
-    assert _escaled_beta_at(3, 40.0) == pytest.approx(
+    # e^{-40} alpha_3(40) and e^{40} beta_3(40) from the scaled rows: the
+    # unscaled values would overflow/underflow in these products, the
+    # scaled ones are O(1)
+    f_hat, g_hat = _h1_scaled(3, 40.0)
+    assert float(f_hat / 40.0) == pytest.approx(0.0009140625, rel=1e-13)
+    assert float(g_hat / 40.0) == pytest.approx(
         0.00021354166666666666667, rel=1e-13
     )
-    # r^p beta_p near the origin: 0.24999375085486763279 at r = 0.01, p = 4
-    assert bessel.beta_scaled(4, 0.01) == pytest.approx(
+    # r^p beta_p = r^(p - 1) g near the origin: 0.24999375085486763279 at
+    # r = 0.01, p = 4
+    assert float(0.01**3 * _h1(4, 0.01)[2]) == pytest.approx(
         0.24999375085486763279, rel=1e-13
     )
 
 
 @pytest.mark.parametrize("p,r,a,a_scaled,b_scaled", ORDER_ORACLE)
 def test_orders_against_mpmath(p, r, a, a_scaled, b_scaled):
-    assert bessel.alpha(p, r) == pytest.approx(a, rel=1e-13)
-    assert _alpha_hat_at(p, r) == pytest.approx(a_scaled, rel=1e-13)
-    assert bessel.beta_scaled(p, r) == pytest.approx(b_scaled, rel=1e-13)
+    f, _, g, _ = _h1(p, r)
+    assert float(f / r) == pytest.approx(a, rel=1e-13)
+    assert float(_h1_scaled(p, r)[0] / r) == pytest.approx(a_scaled, rel=1e-13)
+    assert float(r ** (p - 1) * g) == pytest.approx(b_scaled, rel=1e-13)
 
 
 def test_order_oracle_brackets_the_series_cutoff():
@@ -129,227 +149,278 @@ def test_order_oracle_brackets_the_series_cutoff():
 
 
 @pytest.mark.parametrize("parity", [0, 1])
-def test_multi_order_calls_equal_single_order_wrappers(parity):
-    r = np.concatenate([[0.0], np.geomspace(1e-4, 50.0, 400)])
-    pos = r[1:]
+def test_multi_order_alpha_hat_equals_single_order_calls(parity):
+    # a value does not depend on which other orders were asked for: alpha_hat
+    # past SERIES_RADIUS, and the outer row of beta_p in H1_p (orders p, p +
+    # 2) and in H2_{p+2} (orders p to p + 4)
+    r = np.geomspace(bessel.SERIES_RADIUS, 600.0, 400)
     orders = tuple(range(parity, 12, 2))
     a = bessel.alpha_hat(orders, r)
-    b = bessel.beta_hat(orders, r)
     for p in orders:
-        np.testing.assert_array_equal(a[p] * np.exp(r), bessel.alpha(p, r))
-        np.testing.assert_array_equal(
-            b[p][1:] * np.exp(-pos) / pos**p, bessel.beta(p, pos)
-        )
-        if p > 0:
-            np.testing.assert_array_equal(
-                b[p] * np.exp(-r), bessel.beta_scaled(p, r)
-            )
-        # a value does not depend on which other orders were asked for
-        np.testing.assert_array_equal(bessel.alpha_hat((p,), r)[p], a[p])
-        np.testing.assert_array_equal(bessel.beta_hat((p,), pos)[p], b[p][1:])
+        assert bessel.alpha_hat((p,), r)[p].tobytes() == a[p].tobytes()
+    s = np.geomspace(1e-3, 600.0, 400)
+    for p in range(max(parity, 1), 12, 2):
+        h2 = kernel_case(KernelSpec(1, 2, p + 2)).outer(s)[1]
+        assert kernel_case(KernelSpec(1, 1, p)).outer(s)[0].tobytes() == h2.tobytes()
 
 
-def _one_by_one(hat, orders, r):
-    """hat's values at each radius of r evaluated alone, in the shape of r."""
-    alone = [hat(orders, v) for v in np.ravel(r)]
-    return {p: np.array([a[p] for a in alone], dtype=float).reshape(np.shape(r))
-            for p in orders}
-
-
-def _split_cases(rng):
-    """Radii that the split at SERIES_RADIUS can get wrong."""
+def _split_cases(rng, low):
+    """Radii from low on that the split at SERIES_RADIUS can get wrong."""
     cut = bessel.SERIES_RADIUS
-    mixed = np.concatenate([[0.0, cut, cut], rng.uniform(0.0, 2.0 * cut, 147)])
+    mixed = np.concatenate([[low, cut, cut], rng.uniform(low, 2.0 * cut, 147)])
     rng.shuffle(mixed)
     return {
         "reversed": np.sort(mixed)[::-1],
-        "below": rng.uniform(0.0, cut, 150),
+        "below": rng.uniform(low, cut, 150),
         "above": rng.uniform(cut, 3.0 * cut, 150),
-        "at cutoff": np.array([cut, 1.0, cut, 2.0 * cut, 0.0, cut]),
+        "at cutoff": np.array([cut, 1.0, cut, 2.0 * cut, low, cut]),
         "empty": np.array([]),
         "2-D": mixed.reshape(10, 15),
     }
 
 
-def _assert_value_depends_only_on_order_and_radius(hat, parity, rng, r):
+def _assert_value_depends_only_on_radius(values, rng, r):
     # radii evaluated in one batch, one by one, permuted, as a slice at an
-    # offset and inside a wider batch: every value is byte for byte the same
-    orders = tuple(range(parity, 10, 2))
-    batch = hat(orders, r)
+    # offset and inside a wider batch: every value, values(x)[..., i] at
+    # x[i], is byte for byte the same
+    batch = values(r)
     for i in range(0, r.size, 37):
-        alone = hat(orders, r[i])
-        for p in orders:
-            assert alone[p].tobytes() == batch[p][i].tobytes()
+        assert values(r[i : i + 1]).tobytes() == batch[..., i : i + 1].tobytes()
     perm = rng.permutation(r.size)
-    permuted = hat(orders, r[perm])
-    wider = hat(orders, np.concatenate([rng.uniform(0, 30, 333), r]))
+    assert values(r[perm]).tobytes() == batch[..., perm].tobytes()
+    wider = values(np.concatenate([rng.permutation(r)[:333], r]))
+    assert wider[..., 333:].tobytes() == batch.tobytes()
     for offset in (1, 5, 511):
-        sliced = hat(orders, r[offset:])
-        for p in orders:
-            assert sliced[p].tobytes() == batch[p][offset:].tobytes()
-    for p in orders:
-        assert permuted[p].tobytes() == batch[p][perm].tobytes()
-        assert wider[p][333:].tobytes() == batch[p].tobytes()
-    # sorted, reversed and unsorted radii, on one side of SERIES_RADIUS or
-    # both, at it, none and in two dimensions
-    for name, radii in _split_cases(rng).items():
-        values, alone = hat(orders, radii), _one_by_one(hat, orders, radii)
-        for p in orders:
-            assert values[p].shape == radii.shape, name
-            assert values[p].tobytes() == alone[p].tobytes(), name
+        assert values(r[offset:]).tobytes() == batch[..., offset:].tobytes()
+
+
+def _assert_rows_depend_only_on_radius(rows, rng, low):
+    # the kernel rows on sorted, reversed and unsorted radii, on one side
+    # of SERIES_RADIUS or both, at it, none and in two dimensions
+    for name, radii in _split_cases(rng, low).items():
+        values = rows(radii)
+        assert values.shape[2:] == radii.shape, name
+        flat = values.reshape(values.shape[:2] + (-1,))
+        for i, x in enumerate(radii.ravel()):
+            assert flat[..., i].tobytes() == rows(np.array([x]))[..., 0].tobytes(), name
 
 
 @pytest.mark.parametrize("parity", [0, 1])
 def test_alpha_value_depends_only_on_order_and_radius(parity):
-    # on both sides of SERIES_RADIUS, over more than two blocks of the
-    # series
+    # alpha_hat past SERIES_RADIUS over more than two of its blocks, and the
+    # inner rows of H2_{4 + parity} (orders 4 + parity to 8 + parity) on
+    # both sides of it
     rng = np.random.default_rng(7)
-    r = rng.uniform(0.0, 1.5 * bessel.SERIES_RADIUS, 2 * bessel.SERIES_BLOCK + 300)
-    _assert_value_depends_only_on_order_and_radius(bessel.alpha_hat, parity, rng, r)
+    cut, size = bessel.SERIES_RADIUS, 2 * bessel.SERIES_BLOCK + 300
+    orders = tuple(range(parity, 10, 2))
+    _assert_value_depends_only_on_radius(
+        lambda x: np.stack(list(bessel.alpha_hat(orders, x).values())),
+        rng, rng.uniform(cut, 20.0 * cut, size))
+    inner = kernel_case(KernelSpec(1, 2, 4 + parity)).inner
+    _assert_value_depends_only_on_radius(inner, rng, rng.uniform(0.0, 1.5 * cut, size))
+    _assert_rows_depend_only_on_radius(inner, rng, 0.0)
 
 
 @pytest.mark.parametrize("parity", [0, 1])
 def test_beta_value_depends_only_on_order_and_radius(parity):
-    # with radii at the origin, where beta_hat is 1/p
+    # the outer rows of H2_{4 + parity}: for even n from the start values
+    # beta_hat_0 and beta_hat_2
     rng = np.random.default_rng(8)
-    r = rng.uniform(0.0, 1.5 * bessel.SERIES_RADIUS, 2 * bessel.SERIES_BLOCK + 300)
-    r[rng.choice(r.size, 40, replace=False)] = 0.0
-    _assert_value_depends_only_on_order_and_radius(bessel.beta_hat, parity, rng, r)
+    outer = kernel_case(KernelSpec(1, 2, 4 + parity)).outer
+    r = rng.uniform(1e-3, 1.5 * bessel.SERIES_RADIUS, 2 * bessel.SERIES_BLOCK + 300)
+    _assert_value_depends_only_on_radius(outer, rng, r)
+    _assert_rows_depend_only_on_radius(outer, rng, 1e-3)
 
 
-def test_alpha_at_series_radius_takes_the_hankel_table():
+def test_alpha_at_series_radius_takes_the_hankel_table(monkeypatch):
     # r = SERIES_RADIUS is the first radius of the Hankel branch: there
     # e^{-r} alpha_1 is its one term 1 / (2r) (e^{-2r} / (2r) is far below
-    # an ulp), which the series just below does not give, and alpha_2 has
-    # the same bytes in any batch order
+    # an ulp).  The inner rows take alpha_hat at it and the series just
+    # below it, and their value at it has the same bytes in any batch order
     cut = bessel.SERIES_RADIUS
     below = np.nextafter(cut, 0.0)
-    assert _alpha_hat_at(1, below) != 0.5 / below
+    one_term = bessel.alpha_hat((1,), np.array([cut]))[1]
+    assert one_term.tobytes() == np.float64(0.5 / cut).tobytes()
+    seen = []
+    alpha_hat = bessel.alpha_hat
+    monkeypatch.setattr(bessel, "alpha_hat",
+                        lambda orders, r: seen.extend(r) or alpha_hat(orders, r))
+    inner = kernel_case(KernelSpec(1, 1, 2)).inner
     at_cut = {}
     for radii in ([cut], [cut, 1.0, 45.0], [45.0, cut, below, 1.0]):
-        values = bessel.alpha_hat((1,), radii)[1], bessel.alpha_hat((2,), radii)[2]
-        at = radii.index(cut)
-        assert values[0][at].tobytes() == np.float64(0.5 / cut).tobytes(), radii
-        assert at_cut.setdefault(2, values[1][at].tobytes()) == values[1][at].tobytes()
+        rows = inner(np.array(radii))[..., radii.index(cut)]
+        assert at_cut.setdefault(2, rows.tobytes()) == rows.tobytes(), radii
+    assert cut in seen and below not in seen
 
 
-def _largest_error(hat, orders, radii):
-    """max |value - exact| / exact over the orders and radii of
-    bessel.alpha_hat or bessel.beta_hat, against mpmath's besseli or
-    besselk at 40 digits."""
+def _largest_error(got, exact, radii):
+    """max |value - exact| / exact over the values got at the radii, with
+    exact(mpmath, r) at 40 digits."""
     mpmath = pytest.importorskip("mpmath")
     worst = 0.0
     with mpmath.workdps(40):
-        for p in orders:
-            got = hat((p,), np.array(radii, dtype=float))[p]
-            nu = mpmath.mpf(p) / 2
-            c = 2**nu * mpmath.gamma(nu + 1)
-            for value, r in zip(got, radii):
-                r = mpmath.mpf(float(r))
-                if hat is bessel.alpha_hat:
-                    exact = mpmath.exp(-r) * c * r**-nu * mpmath.besseli(nu, r)
-                else:
-                    exact = mpmath.exp(r) * r**p * r**-nu * mpmath.besselk(nu, r) / c
-                worst = max(worst, abs(float((value - exact) / exact)))
+        for value, r in zip(got, radii):
+            e = exact(mpmath, mpmath.mpf(float(r)))
+            worst = max(worst, abs(float((value - e) / e)))
     return worst
 
 
+def _alpha_by_mpmath(mpmath, p, r):
+    """alpha_p(r) = c_p r^{-p/2} I_{p/2}(r)."""
+    nu = mpmath.mpf(p) / 2
+    return 2**nu * mpmath.gamma(nu + 1) * r**-nu * mpmath.besseli(nu, r)
+
+
+def _beta_by_mpmath(mpmath, p, r):
+    """beta_p(r) = c_p^{-1} r^{-p/2} K_{p/2}(r)."""
+    nu = mpmath.mpf(p) / 2
+    return r**-nu * mpmath.besselk(nu, r) / (2**nu * mpmath.gamma(nu + 1))
+
+
 def test_alpha_hat_of_high_orders_around_four_against_mpmath():
-    # the power series holds on both sides of r = 4, where a recurrence in p
-    # started from p = 0, 2 lost up to 3.5e-12 at p = 14
-    assert _largest_error(bessel.alpha_hat, range(8, 15),
-                          [3.999, 4.0, 4.001, 6.0, 10.0]) <= 4e-15
+    # the power series of the rows holds on both sides of r = 4, where a
+    # recurrence in p started from p = 0, 2 lost up to 3.5e-12 at p = 14
+    radii = [3.999, 4.0, 4.001, 6.0, 10.0]
+    worst = max(_largest_error(_h1(p, radii)[0], lambda m, r, p=p: r * _alpha_by_mpmath(m, p, r),
+                               radii)
+                for p in range(8, 15))
+    assert worst <= 4e-15
 
 
 def test_alpha_hat_hankel_branch_against_mpmath():
-    radii = [30.0, 30.5, 31.0, 35.0, 40.0, 60.0, 100.0, 300.0, 600.0]
-    assert _largest_error(bessel.alpha_hat, range(22), radii) <= 4e-15
+    radii = np.array([30.0, 30.5, 31.0, 35.0, 40.0, 60.0, 100.0, 300.0, 600.0])
+    worst = max(_largest_error(bessel.alpha_hat((p,), radii)[p], lambda m, r, p=p: m.exp(-r) * _alpha_by_mpmath(m, p, r),
+                               radii)
+                for p in range(22))
+    assert worst <= 4e-15
 
 
 def test_beta_hat_against_mpmath():
-    # the exact coefficient tables, times the start values of scipy's k0e
-    # and k1e for even orders
+    # the scaled outer rows g e^r = r^(1 - p) beta_hat_p of H1_p, from the
+    # exact coefficient tables times the start values of scipy's k0e and
+    # k1e for even orders, and those start values beta_hat_0, beta_hat_2:
+    # orders 0 to 7
     radii = np.geomspace(1e-3, 600.0, 66)
-    assert _largest_error(bessel.beta_hat, range(8), radii) <= 1e-15
+    worst = max(_largest_error(_h1_scaled(p, radii)[1],
+                               lambda m, r, p=p: m.exp(r) * r * _beta_by_mpmath(m, p, r),
+                               radii)
+                for p in range(2, 8))
+    # p = 1: H2_3's second outer row g_2 = r beta_1
+    g2_hat = kernel_case(KernelSpec(1, 2, 3)).scaled_outer(radii)[1, 0]
+    worst = max(worst, _largest_error(
+        g2_hat, lambda m, r: m.exp(r) * r * _beta_by_mpmath(m, 1, r), radii))
+    starts = np.empty((2, radii.size))
+    bessel.beta_hat_start(starts, radii)
+    for row, p in zip(starts, (0, 2)):
+        worst = max(worst, _largest_error(
+            row, lambda m, r, p=p: m.exp(r) * r**p * _beta_by_mpmath(m, p, r), radii))
+    assert worst <= 1e-15
 
 
 def test_hankel_table_admits_orders_up_to_21():
     # at r = 30 the term (p^2 - 1) / (8 r) of p = 22 passes twice the first,
-    # and the series below SERIES_RADIUS needs no Hankel table
+    # so the rows of H1_20 (orders 20 and 22) raise there; below
+    # SERIES_RADIUS their series needs no Hankel table
+    cut = np.array([bessel.SERIES_RADIUS])
     with pytest.raises(ValueError):
-        bessel.alpha_hat((22,), bessel.SERIES_RADIUS)
-    assert np.isfinite(bessel.alpha_hat((22,), 29.0)[22])
-    assert np.isfinite(bessel.alpha_hat((21,), bessel.SERIES_RADIUS)[21])
+        bessel.alpha_hat((22,), cut)
+    h1_20 = kernel_case(KernelSpec(1, 1, 20))
+    with pytest.raises(ValueError):
+        h1_20.inner(cut)
+    assert np.isfinite(h1_20.inner(np.array([29.0]))).all()
+    assert np.isfinite(bessel.alpha_hat((21,), cut)[21]).all()
+    assert np.isfinite(kernel_case(KernelSpec(1, 1, 19)).inner(cut)).all()
 
 
 def test_orders_must_be_nonnegative_integers_of_one_parity():
-    with pytest.raises(ValueError):
-        bessel.alpha(2.5, 1.0)
-    with pytest.raises(ValueError):
-        bessel.beta_scaled(-1, 1.0)
-    with pytest.raises(ValueError):
-        bessel.alpha_hat((2, 3), np.ones(3))
-    # an integral float order is an integer order
-    assert bessel.alpha(3.0, 1.0) == bessel.alpha(3, 1.0)
+    # the rows' orders are n, n + 2 (and n - 2, n + 4 for H2) of a
+    # KernelSpec, whose n is a positive integer
+    for n in (2.5, -1, 0, True, 3.0):
+        with pytest.raises(ValueError):
+            KernelSpec(1, 1, n)
+    # a numpy integer is an integer order
+    r = np.geomspace(1e-3, 40.0, 30)
+    assert (kernel_case(KernelSpec(1, 1, np.int64(3))).inner(r).tobytes()
+            == kernel_case(KernelSpec(1, 1, 3)).inner(r).tobytes())
+    # every case's orders are of one parity, each step 2 from the last, as
+    # alpha_hat and the Laurent tables take them
+    for spec in ([KernelSpec(1, 1, n) for n in range(2, 12)]
+                 + [KernelSpec(1, 2, n) for n in range(3, 12)]):
+        case = kernel_case(spec)
+        for orders in (case.alpha_orders, case.beta_orders):
+            assert orders == tuple(range(orders[0], orders[-1] + 1, 2)), spec
 
 
 def test_half_integer_closed_forms():
-    # p = 1: alpha_1 = sinh(r)/r, beta_1 = e^{-r}/r
+    # p = 1: alpha_1 = sinh(r)/r (H1_1's f = sinh r) and beta_1 = e^{-r}/r
+    # (H2_3's second outer row g_2 = r beta_1)
     r = np.array([0.3, 1.0, 2.5, 7.0])
-    np.testing.assert_allclose(bessel.alpha(1, r), np.sinh(r) / r, rtol=1e-14)
-    np.testing.assert_allclose(bessel.beta(1, r), np.exp(-r) / r, rtol=1e-14)
+    ((f, _),) = kernel_case(KernelSpec(1, 1, 1)).inner(r)
+    np.testing.assert_allclose(f / r, np.sinh(r) / r, rtol=1e-14)
+    g2 = kernel_case(KernelSpec(1, 2, 3)).outer(r)[1, 0]
+    np.testing.assert_allclose(g2 / r, np.exp(-r) / r, rtol=1e-14)
     # p = 3: alpha_3 = 3 (r cosh r - sinh r)/r^3, beta_3 = e^{-r}(1+r)/(3 r^3)
+    f, _, g, _ = _h1(3, r)
     np.testing.assert_allclose(
-        bessel.alpha(3, r), 3.0 * (r * np.cosh(r) - np.sinh(r)) / r**3, rtol=1e-13
+        f / r, 3.0 * (r * np.cosh(r) - np.sinh(r)) / r**3, rtol=1e-13
     )
     np.testing.assert_allclose(
-        bessel.beta(3, r), np.exp(-r) * (1.0 + r) / (3.0 * r**3), rtol=1e-13
+        g / r, np.exp(-r) * (1.0 + r) / (3.0 * r**3), rtol=1e-13
     )
 
 
 def test_normalization_at_origin():
+    # f = r alpha_p vanishes at r = 0 and df = alpha_p(0) = 1, exact by
+    # construction, scaled too
+    zero = np.zeros(1)
     for p in (1, 2, 3, 4, 5, 6):
-        assert bessel.alpha(p, 0.0) == 1.0  # exact by construction
-        assert _alpha_hat_at(p, 0.0) == 1.0
-        assert bessel.beta_scaled(p, 0.0) == 1.0 / p
+        case = kernel_case(KernelSpec(1, 1, p))
+        assert case.inner(zero).tolist() == [[[0.0], [1.0]]]
+        assert case.scaled_factors(zero, np.ones(1))[0].tolist() == [[[0.0], [1.0]]]
+        assert case.df_origin == (1.0,)
 
 
 def test_beta_scaled_small_r_limit():
-    # r^p beta_p(r) -> 1/p; for p >= 2 the defect at r = 1e-6 is below 1e-8.
-    # p = 1 approaches its limit only linearly (r beta_1 = e^{-r} exactly),
-    # so it is checked against the closed form instead.
+    # r^p beta_p(r) = r^(p - 1) g -> 1/p; for p >= 2 the defect at r = 1e-6
+    # is below 1e-8.  p = 1 approaches its limit only linearly (r beta_1 =
+    # e^{-r} exactly, H2_3's g_2), so it is checked against the closed form
+    # instead.
     for p in (2, 3, 4, 5, 8):
-        assert abs(bessel.beta_scaled(p, 1e-6) - 1.0 / p) < 1e-8
-    assert bessel.beta_scaled(1, 1e-6) == pytest.approx(math.exp(-1e-6), rel=1e-13)
+        assert abs(float(1e-6 ** (p - 1) * _h1(p, 1e-6)[2]) - 1.0 / p) < 1e-8
+    g2 = kernel_case(KernelSpec(1, 2, 3)).outer(1e-6)[1, 0]
+    assert float(g2) == pytest.approx(math.exp(-1e-6), rel=1e-13)
 
 
 def test_derivative_recurrences_against_mpmath():
     # alpha_p' = r alpha_{p+2} / (p+2) and beta_p' = -(p+2) r beta_{p+2}:
     # alpha_1'(1) = alpha_3(1)/3 = cosh(1) - sinh(1) = e^{-1};
-    # beta_1'(1) = -3 beta_3(1)
-    assert bessel.alpha(3, 1.0) / 3.0 == pytest.approx(
-        0.3678794411714423216, rel=1e-13
-    )
-    assert -3.0 * bessel.beta(3, 1.0) == pytest.approx(
-        -0.73575888234288464319, rel=1e-13
-    )
+    # beta_1'(1) = -3 beta_3(1), with alpha_3(1) = f(1) and beta_3(1) =
+    # g(1) of H1_3
+    f, _, g, _ = _h1(3, 1.0)
+    assert float(f) / 3.0 == pytest.approx(0.3678794411714423216, rel=1e-13)
+    assert -3.0 * float(g) == pytest.approx(-0.73575888234288464319, rel=1e-13)
 
 
 def test_wronskian_identity_sweep():
-    # |beta_p alpha_p' - alpha_p beta_p' - r^{-p-1}| <= 1e-10 r^{-p-1}
+    # beta_p alpha_p' - alpha_p beta_p' = r^{-p-1} is the rows' jump
+    # condition r^(p-1) (f dg - df g) = -1; |r^(p-1) (f dg - df g) + 1| <=
+    # 1e-10 for H1_p
     r = np.geomspace(0.1, 30.0, 200)
     for p in range(1, 9):
-        rel = np.abs(bessel.wronskian_residual(p, r)) * r ** (p + 1)
+        f, df, g, dg = _h1(p, r)
+        rel = np.abs(r ** (p - 1) * (f * dg - df * g) + 1.0)
         assert rel.max() < 1e-10, (p, rel.max())
 
 
 def test_domain_errors():
+    # the kernel built from the rows is defined on s >= r >= 0 but (0, 0)
+    spec = KernelSpec(1, 1, 3)
     with pytest.raises(ValueError):
-        bessel.alpha(3, -0.5)
+        phi(spec, -0.5, 1.0)
     with pytest.raises(ValueError):
-        bessel.beta(3, 0.0)
+        delta(spec, 0.0, 0.0)
     with pytest.raises(ValueError):
-        bessel.beta(3, np.array([1.0, 0.0]))
+        delta(spec, np.array([0.5, 2.0]), np.array([1.0, 1.0]))
 
 
 @given(
@@ -358,14 +429,14 @@ def test_domain_errors():
 )
 @settings(max_examples=200, deadline=None)
 def test_positivity_and_scaling_consistency(p, r):
-    a = bessel.alpha(p, r)
-    b = bessel.beta(p, r)
+    f, _, g, _ = _h1(p, r)
+    a, b = float(f / r), float(g / r)
     assert a >= 1.0  # alpha is increasing from alpha(0) = 1
     assert b > 0.0
-    # scaled variants are consistent with the plain ones
-    assert _alpha_hat_at(p, r) == pytest.approx(a * math.exp(-r), rel=1e-12)
-    assert _escaled_beta_at(p, r) == pytest.approx(b * math.exp(r), rel=1e-12)
-    assert bessel.beta_scaled(p, r) == pytest.approx(r**p * b, rel=1e-12)
+    # the scaled rows are consistent with the plain ones
+    f_hat, g_hat = _h1_scaled(p, r)
+    assert float(f_hat / r) == pytest.approx(a * math.exp(-r), rel=1e-12)
+    assert float(g_hat / r) == pytest.approx(b * math.exp(r), rel=1e-12)
 
 
 @given(
@@ -375,7 +446,8 @@ def test_positivity_and_scaling_consistency(p, r):
 )
 @settings(max_examples=100, deadline=None)
 def test_prime_matches_central_difference(p, r, h):
-    # alpha_p' = r alpha_{p+2} / (p+2), the recurrence the kernels use
-    fd = (bessel.alpha(p, r + h) - bessel.alpha(p, r - h)) / (2.0 * h)
-    prime = r / (p + 2.0) * bessel.alpha(p + 2, r)
-    assert prime == pytest.approx(fd, rel=1e-5, abs=1e-10)
+    # df = alpha_p + r alpha_p' with alpha_p' = r alpha_{p+2} / (p+2), the
+    # recurrence the rows use
+    f_lo, f_hi = _h1(p, [r - h, r + h])[0]
+    fd = (f_hi - f_lo) / (2.0 * h)
+    assert float(_h1(p, r)[1]) == pytest.approx(fd, rel=1e-5, abs=1e-10)

@@ -81,6 +81,25 @@ def test_h2_ratio_bounds(n):
             h2_ratio_bounds(n, np.array(bad))
 
 
+def test_h2_ratio_bounds_domain_is_the_rows():
+    # the ratios are read from H2's rows, so n is that of KernelSpec(1, 2,
+    # n), at most 17 from SERIES_RADIUS on (the Hankel expansion of
+    # alpha_{n+4} stops at order 21), and r at most r_max_limit
+    r = np.geomspace(1e-4, 30.0, 500)
+    for n in (2, True, 3.0):
+        with pytest.raises(ValueError):
+            h2_ratio_bounds(n, r)
+    for n in (18, 21):
+        with pytest.raises(ValueError):
+            h2_ratio_bounds(n, r)
+        assert h2_ratio_bounds(n, r[r < bessel.SERIES_RADIUS])["passed"]
+    assert h2_ratio_bounds(17, r)["passed"]
+    limit = KernelSpec(1, 2, 3).r_max_limit
+    assert h2_ratio_bounds(3, np.array([1.0, limit]))["passed"]
+    with pytest.raises(ValueError, match="r_max_limit"):
+        h2_ratio_bounds(3, np.array([1.0, 800.0]))
+
+
 def test_mixed_sign_momentum_not_applicable(grid, omega0):
     mixed = omega0 - neg_exp_bump(grid.r, 9.0, 11.0, amplitude=0.3)
     cert = certify(KernelSpec(1, 1, 3), grid, mixed)

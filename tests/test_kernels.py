@@ -340,11 +340,11 @@ def outer_by_mpmath(spec, s):
 @pytest.mark.parametrize("spec", SERIES_SPECS, ids=lambda s: s.label())
 def test_outer_factors_match_mpmath(spec, monkeypatch):
     # every outer factor is within 4e-15 relative of the 40-digit value,
-    # with no beta_hat call
-    def no_beta(*args):
-        raise AssertionError("beta_hat called for the outer factors")
+    # with no alpha_hat call
+    def no_alpha(*args):
+        raise AssertionError("alpha_hat called for the outer factors")
 
-    monkeypatch.setattr(bessel, "beta_hat", no_beta)
+    monkeypatch.setattr(bessel, "alpha_hat", no_alpha)
     got = kernel_case(spec).outer(OUTER_RADII)
     worst = 0.0
     for i, s in enumerate(OUTER_RADII):
@@ -421,11 +421,11 @@ def test_outer_factors_of_longdouble_radii_are_the_float64_values_cast(spec):
                                   KernelSpec(1, 2, 3), KernelSpec(1, 2, 4)],
                          ids=lambda s: s.label())
 def test_sigma1_rhs_makes_no_beta_call(spec, monkeypatch):
-    # the outer factors call no beta_hat; even n evaluates its two start
-    # values once per rhs
+    # of the Bessel functions the outer factors call only the start values:
+    # even n evaluates its two once per rhs
     grid = RadialGrid.uniform(256, 20.0)
     init = InitialData.from_omega0(neg_exp_bump(grid.r, 2.0, 8.0), grid, spec.n)
-    calls = {"beta_hat": [], "beta_hat_start": []}
+    calls = {name: [] for name in bessel.__all__}
     for name, calls_of in calls.items():
         func = getattr(bessel, name)
         monkeypatch.setattr(bessel, name, lambda *args, f=func, c=calls_of:
@@ -433,7 +433,7 @@ def test_sigma1_rhs_makes_no_beta_call(spec, monkeypatch):
     for _ in range(2):
         rate = solver.rhs(spec, grid, init, grid.r * 1.1, np.full(grid.num, 1.1))
         assert np.isfinite(rate).all()
-    assert not calls["beta_hat"]
+    assert not calls["alpha_hat"]
     assert len(calls["beta_hat_start"]) == (0 if spec.n % 2 else 2)
 
 
@@ -449,7 +449,8 @@ def test_q_weight_closed_forms():
     pos = r[1:]
     np.testing.assert_allclose(
         q_weight(KernelSpec(1, 1, 3), pos),
-        pos**2 / bessel.beta_scaled(3, pos),
+        # r^3 beta_3 = e^-r (1 + r) / 3
+        3.0 * pos**2 / (np.exp(-pos) * (1.0 + pos)),
         rtol=1e-13,
     )
 
@@ -478,13 +479,14 @@ def test_s_criterion_closed_forms():
     np.testing.assert_allclose(
         s_criterion(KernelSpec(0, 2, 5), r), 2.0 * 3.0 / 7.0, rtol=1e-9
     )
-    # 1/(r^n beta_n) for the first-order full metric; e^r in dimension 1
+    # 1/(r^n beta_n) for the first-order full metric, 3 e^r / (1 + r) for
+    # n = 3; e^r in dimension 1
     np.testing.assert_allclose(
         s_criterion(KernelSpec(1, 1, 1), r), np.exp(r), rtol=1e-9
     )
     np.testing.assert_allclose(
         s_criterion(KernelSpec(1, 1, 3), r),
-        1.0 / bessel.beta_scaled(3, r),
+        3.0 * np.exp(r) / (1.0 + r),
         rtol=1e-9,
     )
     # exactly n and 2(n - 2)/(n + 2) for sigma = 0 at every n, where G^2 ~
