@@ -31,7 +31,7 @@ N - 1 for the outer factors, with (i0, i1) the quadrature's reach of the
 support start to stop - 1) at N = 256 and 2048, and of
 ``KernelCase.inner`` on 1,400 geometric radii of [1e-3, 600] (the row
 ``inner600``), across both of its branches: the power series below r = 30
-and ``bessel.alpha_hat``, the Hankel expansion, at and past it.  Then
+and the rows' Hankel table, a polynomial in 1/r, at and past it.  Then
 prints, for every in-scope operator, the best-of-k time of
 ``KernelCase.scaled_factors`` on the distinct r and s of the certificates'
 condition mesh (r_max = 20), as ``certify`` forms them.  Then prints the best-of-k time of
@@ -323,7 +323,7 @@ def main(argv=None):
               + compare(f"outer {label} {num}", [(f(),) for f in outer]))
 
     # the inner factors on radii across both of their branches, the power
-    # series below 30 and alpha_hat's Hankel table from there on
+    # series below 30 and the rows' Hankel table from there on
     wide = np.geomspace(1e-3, 600.0, 1400)
     print(f"{'spec':<10} {'N':>5}" + heading("inner600", names)
           + output_heading(names))

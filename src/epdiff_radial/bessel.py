@@ -17,10 +17,10 @@ and ``certify.h2_ratio_bounds``', is read from those rows.
 
 * ``_inner_series``: the inner factors' power series in r^2 below
   SERIES_RADIUS (DLMF 10.25.2), with coefficients of one sign.
-* :func:`alpha_hat`: e^{-r} alpha_p at and past SERIES_RADIUS from the
-  Hankel expansion (DLMF 10.40.1; ``_hankel_table``), a polynomial in 1/r
-  (times r^{-1/2} for even p), for p <= 21.  Its one caller is
-  ``KernelCase._alpha_factors``.
+* ``_alpha_coefficients``: alpha_hat_p(r) = e^{-r} alpha_p(r) at and past
+  SERIES_RADIUS from the Hankel expansion (DLMF 10.40.1), a polynomial in
+  1/r (times r^{-1/2} for even p), for p <= 21.  The kernels' inner
+  factors past SERIES_RADIUS are polynomials in 1/r built from it.
 * ``_beta_coefficients``: beta_hat_p(r) = e^r r^p beta_p(r) as a polynomial
   in r for odd p and A_p(r) beta_hat_0 + B_p(r) beta_hat_2 for even p, with
   positive coefficients from the recurrence DLMF 10.29.1.  The kernels'
@@ -33,8 +33,9 @@ and ``certify.h2_ratio_bounds``', is read from those rows.
 
 Every coefficient is exact before it is rounded once: the correctly
 rounded quotient of two integers, or for even p of the Hankel expansion
-one with (2 pi)^(-1/2) to 40 digits.  Each table is built once, on first
-use.
+one with (2 pi)^(-1/2) to 40 digits; ``_alpha_coefficients`` and
+``_beta_coefficients`` leave the rounding to the ``kernels`` tables that
+combine them.  Each table is built once, on first use.
 """
 
 import bisect
@@ -44,16 +45,14 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["alpha_hat", "beta_hat_start"]
+__all__ = ["beta_hat_start"]
 
 # Below SERIES_RADIUS the inner kernel factors come from their power series
 # in r^2 (_inner_series), summed until the tail is below SERIES_TAIL of the
 # sum.  Their term count grows with r, so it is a hard limit: from it on,
-# alpha comes from its Hankel expansion, summed in blocks of SERIES_BLOCK
-# radii.
+# alpha comes from its Hankel expansion (_alpha_coefficients).
 SERIES_RADIUS = 30.0
 SERIES_TAIL = 2.0**-64
-SERIES_BLOCK = 1024
 
 
 @lru_cache(maxsize=None)
@@ -96,57 +95,46 @@ def _inner_series(rows):
 
 
 @lru_cache(maxsize=None)
-def _hankel_table(lo, hi):
-    """The Hankel expansion of alpha_hat_p for r >= SERIES_RADIUS and the
-    orders p = lo, lo + 2, ..., hi, as coefficients of powers of u = 1/r.
+def _alpha_coefficients(p):
+    """{j: c}, alpha_hat_p(r) = e^-r alpha_p(r) = R(u) sum c u^j at r >=
+    SERIES_RADIUS, u = 1/r, exactly, with R = u^(1/2) for even p and 1 for
+    odd p.
 
     From e^-r I_nu(r) = (2 pi r)^(-1/2) sum_k (-1)^k a_k(nu) r^-k (DLMF
     10.40.1; it leaves out less than e^-2r relative), with a_k(p/2) =
     prod_{i <= k} (p^2 - (2i - 1)^2) / (k! 8^k),
 
-        alpha_hat_p(r) = c_p (2 pi)^(-1/2) r^(-(p+1)/2) sum_k (-1)^k a_k(p/2) r^-k
-                       = u^((p % 2 - 1) / 2) sum_j H[j, t] u^j,
+        alpha_hat_p(r) = c_p (2 pi)^(-1/2) r^(-(p+1)/2) sum_k (-1)^k a_k(p/2) r^-k,
 
-    with H[(p + 1) // 2 + k, t] = c_p (2 pi)^(-1/2) (-1)^k a_k(p/2): p!! / 2
-    times a ratio of integers for odd p (ending after k = (p - 1) / 2), and
-    2^(p/2) (p/2)! (2 pi)^(-1/2) times one for even p, with (2 pi)^(-1/2)
-    to 40 digits; each is rounded once.  The terms kept leave a tail below
-    SERIES_TAIL of each row's sum at r = SERIES_RADIUS, where the relative
-    tail is largest.  The terms alternate in sign: raises unless none at
-    SERIES_RADIUS exceeds twice the first, which admits every p <= 21.
-    Built once per pair of orders, on the first radius that needs it.
+    so c at j = (p + 1) // 2 + k is c_p (2 pi)^(-1/2) (-1)^k a_k(p/2): p!! /
+    2 times a ratio of integers for odd p (ending after k = (p - 1) / 2),
+    and 2^(p/2) (p/2)! (2 pi)^(-1/2) times one for even p, with (2 pi)^(-1/2)
+    to 40 digits.  It keeps the terms that leave a tail below SERIES_TAIL
+    of the sum at r = SERIES_RADIUS, where the relative tail is largest.
+    The terms alternate in sign: raises unless none at SERIES_RADIUS
+    exceeds twice the first, which admits every p <= 21.  Built once per
+    order.
     """
     # here, not at the top: importing fractions takes a few ms, which only
-    # calls with a radius past SERIES_RADIUS should pay
+    # the callers that build these tables should pay
     from fractions import Fraction
 
     cap = 64
     inverse_sqrt_2pi = Fraction("0.3989422804014326779399460599343818684759")
-    rows = []
-    for p in range(lo, hi + 1, 2):
-        c = (Fraction(math.prod(range(p, 0, -2)), 2) if p % 2
-             else 2 ** (p // 2) * math.factorial(p // 2) * inverse_sqrt_2pi)
-        row = [c]
-        for k in range(1, cap):
-            row.append(row[-1] * (p * p - (2 * k - 1) ** 2) / (-8 * k))
-        rows.append(row)
     # exactly, so that too large an order raises here, not on an overflow
     x = Fraction(SERIES_RADIUS)
-    terms = [[abs(c / row[0]) / x**k for k, c in enumerate(row)] for row in rows]
-    if max(map(max, terms)) > 2:
-        raise ValueError(
-            f"the Hankel expansion of alpha_{hi} has a term larger than twice "
-            f"its first at r = {SERIES_RADIUS}")
-    tails = np.cumsum(np.array(terms, dtype=float)[:, ::-1], axis=1)[:, ::-1]
-    # the last column holds for every order the check above admits
-    needed = int((tails <= SERIES_TAIL * tails[:, :1]).all(axis=0).argmax())
-    # a view with a stride of two along j: einsum sums over j with several
-    # accumulators when both operands are contiguous along j (one order and
-    # one radius), which would make a value depend on the batch size
-    table = np.zeros(((hi + 1) // 2 + needed, len(rows), 2))[..., 0]
-    for t, (p, row) in enumerate(zip(range(lo, hi + 1, 2), rows)):
-        table[(p + 1) // 2 : (p + 1) // 2 + needed, t] = [float(c) for c in row[:needed]]
-    return table
+    row = [Fraction(math.prod(range(p, 0, -2)), 2) if p % 2
+           else 2 ** (p // 2) * math.factorial(p // 2) * inverse_sqrt_2pi]
+    for k in range(1, cap):
+        row.append(row[-1] * (p * p - (2 * k - 1) ** 2) / (-8 * k))
+    terms = [abs(c / row[0]) / x**k for k, c in enumerate(row)]
+    if max(terms) > 2:
+        raise ValueError(f"the Hankel expansion of alpha_{p} has a term larger "
+                         f"than twice its first at r = {SERIES_RADIUS}")
+    tails = np.cumsum(np.array(terms, dtype=float)[::-1])[::-1]
+    # the last term holds for every order the check above admits
+    needed = int((tails <= SERIES_TAIL * tails[0]).argmax())
+    return {(p + 1) // 2 + k: c for k, c in enumerate(row[:needed]) if c}
 
 
 @lru_cache(maxsize=None)
@@ -211,33 +199,6 @@ def _power_table(first, operands, terms, table):
     for below, last, rows in doublings:
         np.multiply(below, last, out=rows)
     return head
-
-
-def alpha_hat(orders, r):
-    """{p: e^{-r} alpha_p(r)} at radii r >= SERIES_RADIUS, from the Hankel
-    expansion (``_hankel_table``), for increasing orders p <= 21 of one
-    parity, each step 2 from the last.
-
-    r is a one-dimensional array, taken as it is: no checks and no sorting
-    (a NaN gives NaN).  Its radii are summed in blocks of SERIES_BLOCK, so
-    that the table of powers stays small on large inputs.  einsum, not BLAS
-    (whose rounding depends on where a radius falls in its block), sums each
-    value over j in order on its own, so a value depends only on its order
-    and radius, not on the other radii or orders of the call.
-    """
-    lo, hi = orders[0], orders[-1]
-    r = np.asarray(r, dtype=float)
-    hankel = _hankel_table(lo, hi)
-    out = np.empty(((hi - lo) // 2 + 1, r.size))
-    for start in range(0, r.size, SERIES_BLOCK):
-        x = r[start : start + SERIES_BLOCK]
-        u = _power_table(np.divide, (1.0, x), len(hankel),
-                         _power_buffer(len(hankel), x.size, float))
-        block = out[:, start : start + SERIES_BLOCK]
-        np.einsum("jm,jt->tm", u, hankel, out=block)
-        if lo % 2 == 0:
-            block *= np.sqrt(u[1])
-    return {p: out[(p - lo) // 2] for p in orders}
 
 
 @lru_cache(maxsize=None)

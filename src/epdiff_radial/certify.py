@@ -278,12 +278,15 @@ def h2_ratio_bounds(n, r):
     at most 17 where a radius reaches ``bessel.SERIES_RADIUS`` (the Hankel
     expansion of alpha_{n+4} stops at order 21), and every radius is at
     most ``KernelSpec.r_max_limit`` (600).  ``r`` must also be finite,
-    strictly positive and increasing.  Raises ValueError outside that
-    domain; returns per-inequality pass flags and worst slacks (>= 0 means
-    the inequality holds with that margin).
+    strictly positive and increasing, a one-dimensional array of at least
+    two radii (the monotone checks compare neighbours).  Raises ValueError
+    outside that domain; returns per-inequality pass flags and worst slacks
+    (>= 0 means the inequality holds with that margin).
     """
     spec = KernelSpec(1, 2, n)
     r = np.asarray(r, dtype=float)
+    if r.ndim != 1 or r.size < 2:
+        raise ValueError("r must be a one-dimensional array of at least two radii")
     if not (np.isfinite(r).all() and (r > 0.0).all() and (np.diff(r) > 0.0).all()):
         raise ValueError("r must be finite, strictly positive and increasing")
     if (r > spec.r_max_limit).any():

@@ -15,18 +15,18 @@ two separable products f(r) g(s), phi is formed from those factors, and
 one pass of prefix and suffix sums gives the kernel integral at every node
 in O(N) (``kernel_sums``, which works over the support window of the
 weight only).  Each case is one subclass of ``KernelCase`` holding all of
-its formulas (Camassa-Holm, n = 1 of H^1, is a subclass of the H^1 case
-with factors of its own); ``kernel_case`` builds the spec's instance once,
-its class picked from one table by (sigma, k).  The inner factors of
-the sigma = 1 cases with Bessel orders are, radius by radius, power
-series in r^2 with coefficients of one sign below bessel.SERIES_RADIUS,
-summed from one table of powers, and from bessel.alpha_hat past it; their
-outer factors are e^{-s} times a Laurent polynomial in 1/s (times the start
-values beta_hat_0, beta_hat_2 for even n), also with coefficients of one
-sign and summed from one table of powers at every s > 0.  So the solver's
-inner side calls no Bessel function below SERIES_RADIUS, and its outer side
-only the even-order start values.  The certificate checks these same
-factors, scaled (``KernelCase.scaled_factors``).
+its formulas (Camassa-Holm, n = 1 of H^1, has its own, e^{-s} and sinh r);
+``kernel_case`` builds the spec's instance once, its class picked from one
+table by (sigma, k).  A sigma = 1 case with Bessel orders sums each factor,
+radius by radius, from an exact coefficient table per kernel row, rounded
+once, and one table of powers: an inner factor is a power series in r^2
+with coefficients of one sign below bessel.SERIES_RADIUS and e^r times a
+polynomial in 1/r (times r^{-1/2} for even n; the Hankel expansion) past
+it, an outer factor e^{-s} times a Laurent polynomial in 1/s (times the
+start values beta_hat_0, beta_hat_2 for even n) with coefficients of one
+sign.  So the inner side calls no Bessel function, and the outer side
+only the start values.  The certificate checks these same factors,
+scaled (``KernelCase.scaled_factors``).
 
 Also evaluates the comparison weight Q(r) = 1/(r phi(0, r)) and the diagonal
 criterion
@@ -196,13 +196,12 @@ def _outer_laurent(rows):
         e^-s sum_{i, k} C[i, k, t, d] u^k R_i(s),
 
     with R = (1) for odd orders and (beta_hat_0, beta_hat_2) for even ones.
-    Each coefficient is summed in fractions and rounded once.  Raises
-    unless no power of s is positive and the coefficients of each factor
-    have one sign, so that its sum adds terms of one sign.  Returns C as an
-    (R K, T, 2) array.
+    Each coefficient is summed in fractions and rounded once (``_rounded``,
+    which raises on a positive power of s).  Raises unless the coefficients
+    of each factor have one sign, so that its sum adds terms of one sign.
+    Returns C as an (R K, T, 2) array.
     """
     orders = {p for term in rows for factor in term for p, _, _ in factor}
-    odd = min(orders) % 2
     # beta_hat_p as {(i, power of s): coefficient} over the start values R_i
     beta = bessel._beta_coefficients(max(orders))
     sums = Counter()
@@ -211,18 +210,50 @@ def _outer_laurent(rows):
             for p, w, c in factor:
                 for (i, v), b in beta[p].items():
                     sums[i, -(w + v), t, d] += c * b
-    coefficients = {key: c for key, c in sums.items() if c}
-    powers = [k for _, k, _, _ in coefficients]
-    if min(powers) < 0:
-        raise ValueError("an outer factor has a positive power of s")
-    positive, negative = ({(t, d) for (_, _, t, d), c in coefficients.items()
-                           if (c > 0) == sign} for sign in (True, False))
-    if positive & negative:
+    table = _rounded(sums, "an outer factor has a positive power of s")
+    table = table.reshape((-1, len(rows), 2))
+    if ((table > 0).any(axis=0) & (table < 0).any(axis=0)).any():
         raise ValueError("the coefficients of an outer factor mix signs")
-    table = np.zeros((2 - odd, 1 + max(powers), len(rows), 2))
+    return table
+
+
+@lru_cache(maxsize=None)
+def _inner_hankel(rows):
+    """The inner factors at and past bessel.SERIES_RADIUS as one contraction
+    in u = 1/r, exactly.  For the rows (p, shift, divisor) of
+    ``bessel._inner_series``, f_t = r^(2 shift + 1) alpha_p / divisor and
+    df_t = ((2 shift + 1) r^(2 shift) alpha_p + r^(2 shift + 2) alpha_{p+2}
+    / (p + 2)) / divisor, and with alpha_hat_p = e^-r alpha_p = R(u) sum c
+    u^j (``bessel._alpha_coefficients``; R = u^(1/2) for even orders and 1
+    for odd ones),
+
+        e^-r f_t = R(u) sum_j C[j, t, 0] u^j,  e^-r df_t = R(u) sum_j C[j, t, 1] u^j,
+
+    each coefficient summed in fractions and rounded once (``_rounded``).
+    Returns C as a (J, T, 2) array.  Built once per rows, on the first
+    radius that needs it.
+    """
+    sums = Counter()
+    for t, (p, shift, divisor) in enumerate(rows):
+        # (d, order, power of r, numerator, denominator) of each part
+        for d, q, w, numerator, denominator in (
+                (0, p, 2 * shift + 1, 1, 1), (1, p, 2 * shift, 2 * shift + 1, 1),
+                (1, p + 2, 2 * shift + 2, 1, p + 2)):
+            for j, c in bessel._alpha_coefficients(q).items():
+                sums[j - w, t, d] += c * numerator / (denominator * divisor)
+    return _rounded(sums, "an inner factor has a positive power of r")
+
+
+def _rounded(sums, rising):
+    """{(..., power, t, d): c} as a float table, each Fraction c rounded once;
+    raises ValueError(rising) if a power is negative (the factor grows)."""
+    coefficients = {key: c for key, c in sums.items() if c}
+    if min(key[-3] for key in coefficients) < 0:
+        raise ValueError(rising)
+    table = np.zeros([1 + max(index) for index in zip(*coefficients)])
     for key, c in coefficients.items():
         table[key] = float(c)  # correctly rounded
-    return table.reshape((-1, len(rows), 2))
+    return table
 
 
 class KernelCase:
@@ -242,8 +273,8 @@ class KernelCase:
     A sigma = 1 case with Bessel orders gives each term's inner factor as a
     row (p, shift, divisor) of ``_series_rows``, f_t = r^(2 shift + 1)
     alpha_p(r) / divisor (orders ``alpha_orders``), radius by radius from
-    the rows' power series below ``bessel.SERIES_RADIUS`` and from alpha
-    past it, and its outer factors as Laurent polynomials in 1/s
+    the rows' power series below ``bessel.SERIES_RADIUS`` and their Hankel
+    table past it, and its outer factors as Laurent polynomials in 1/s
     (``_outer_rows``, orders ``beta_orders``), as ``inner`` and ``outer`` say.
 
     ``scaled_factors(r, s)`` gives the solver's inner(r) times e^{-sigma r},
@@ -308,10 +339,10 @@ class KernelCase:
         coefficients and one product of the value rows with r.  A factor is
         summed over j in order for its radius on its own, and terms past
         those it needs leave it unchanged.  The other radii, split off by a
-        mask, take alpha = e^r ``bessel.alpha_hat``, with df_t = ((2 shift +
-        1) r^(2 shift) alpha_p + r^(2 shift + 2) alpha_{p+2} / (p + 2)) /
-        divisor (alpha_p' = r alpha_{p+2} / (p + 2)).  So every factor
-        depends only on its radius, not on the other radii of the call.
+        mask, take the rows' Hankel table (``_inner_hankel``) the same way,
+        in powers of u = 1/r, then times u^(1/2) for even n and e^r, in
+        float64 and cast as ``outer`` does.  So every factor depends only
+        on its radius, not on the other radii of the call.
         """
         return _fresh_factors(self._inner, self._terms, r, self.constant_rows[0])
 
@@ -343,23 +374,24 @@ class KernelCase:
             np.einsum("jm,jtd->tdm", table, self._series[:terms], out=out)
             out[:, 0] *= r
             return
-        near = r < bessel.SERIES_RADIUS  # NaN takes alpha
-        out[..., ~near] = self._alpha_factors(r[~near])
+        near = r < bessel.SERIES_RADIUS  # NaN takes the Hankel table
+        out[..., ~near] = self._hankel_factors(r[~near])
         if near.any():
             out[..., near] = self.inner(r[near])
 
-    def _alpha_factors(self, r):
-        # fresh factors of the series rows from alpha = e^r bessel.alpha_hat,
+    def _hankel_factors(self, r):
+        # fresh float64 factors of the series rows from their Hankel table,
         # on 1-D radii at and past SERIES_RADIUS
-        a = bessel.alpha_hat(self.alpha_orders, r)
-        e = np.exp(np.asarray(r, dtype=float))
-        out = np.empty((self._terms, 2, len(r)), np.result_type(r, float))
-        for (f, df), (p, shift, divisor) in zip(out, self._series_rows(self.n)):
-            power = r ** (2 * shift) / divisor
-            alpha, up = a[p] * e, a[p + 2] * e
-            np.multiply(power * r, alpha, out=f)
-            np.multiply(power, (2 * shift + 1) * alpha + r * r * up / (p + 2), out=df)
-        return out
+        r, hankel = np.asarray(r, dtype=float), _inner_hankel(self._series_rows(self.n))
+        table = bessel._power_table(np.divide, (1.0, r), len(hankel),
+                                    bessel._power_buffer(len(hankel), r.size, float))
+        # hankel is never contiguous along j, so einsum sums each value over
+        # j in order on its own, whatever the number of radii
+        factors = np.einsum("jm,jtd->tdm", table, hankel)
+        if self.n % 2 == 0:
+            factors *= np.sqrt(table[1])
+        factors *= np.exp(r)
+        return factors
 
     def _outer_buffers(self, width, dtype):
         """The tables ``_outer`` sums with on ``width`` radii into an out
@@ -544,12 +576,10 @@ class _H1(KernelCase):
     _outer_rows = staticmethod(lambda n: (_h1_outer_rows(n),))
 
 
-class _CamassaHolm(_H1):
+class _CamassaHolm(KernelCase):
     """sigma = 1, k = 1, n = 1: the kernel e^{-s} sinh r, from its own
-    factors: H1's rows give the same kernel, but a certificate took about
-    1.5x as long from them, and a run about 1.45x."""
-
-    _series_rows = _outer_rows = None
+    factors: the rows of ``_H1`` give the same kernel, but a certificate took
+    about 1.5x as long from them, and a run about 1.45x."""
 
     def _inner(self, r, out):
         (f, df), = out
@@ -918,6 +948,8 @@ def apply_operator(spec, grid, u):
     well beyond the interior stencil order to stay 4th order there.
     """
     u = np.asarray(u, dtype=float)
+    if grid.num < 6:
+        raise ValueError("apply_operator requires at least 6 nodes")
     h = float(grid.r[1] - grid.r[0])
     if not np.allclose(np.diff(grid.r), h):
         raise ValueError("apply_operator requires a uniform grid")

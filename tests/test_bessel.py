@@ -5,8 +5,10 @@ Every Bessel value is read from the factor rows the solver integrates: with
 H1_p the kernel KernelSpec(1, 1, p), its rows are f = r alpha_p(r), df =
 alpha_p + r^2 alpha_{p+2} / (p + 2), g = r beta_p(r) and dg = beta_p -
 (p + 2) r^2 beta_{p+2}, and ``KernelCase.scaled_factors`` gives f e^-r and
-g e^r.  ``bessel.alpha_hat``, the Hankel expansion the rows take from
-SERIES_RADIUS on, and ``bessel.beta_hat_start`` are checked directly.
+g e^r.  From SERIES_RADIUS on the inner rows come from their Hankel table
+(``kernels._inner_hankel``, built from ``bessel._alpha_coefficients``),
+whose exact coefficients and order cap are checked here too, and
+``bessel.beta_hat_start`` is checked directly.
 
 The reference values below were generated once with mpmath at 50 digits:
 
@@ -24,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epdiff_radial import bessel
+from epdiff_radial import bessel, kernels
 from epdiff_radial.kernels import KernelSpec, delta, kernel_case, phi
 
 # (p, r, value) triples from the mpmath oracle
@@ -45,8 +47,8 @@ BETA_ORACLE = [
 
 # (p, r, alpha_p, e^{-r} alpha_p, r^p beta_p) from the same oracle, for the
 # even orders and the odd orders above 3, at r = 1e-3, around r = 4, just
-# below and just above SERIES_RADIUS (30), where alpha_hat turns from its
-# power series to its Hankel expansion, and at r = 40
+# below and just above SERIES_RADIUS (30), where the inner rows turn from
+# their power series to their Hankel table, and at r = 40
 ORDER_ORACLE = [
     (2, 1e-3, 1.0000001250000052083, 0.99900062470844267397, 0.49999811907804278714),
     (2, 3.999, 4.876522717543828549, 0.089405990429573065077, 0.0249893268229685456),
@@ -150,14 +152,18 @@ def test_order_oracle_brackets_the_series_cutoff():
 
 @pytest.mark.parametrize("parity", [0, 1])
 def test_multi_order_alpha_hat_equals_single_order_calls(parity):
-    # a value does not depend on which other orders were asked for: alpha_hat
-    # past SERIES_RADIUS, and the outer row of beta_p in H1_p (orders p, p +
-    # 2) and in H2_{p+2} (orders p to p + 4)
-    r = np.geomspace(bessel.SERIES_RADIUS, 600.0, 400)
-    orders = tuple(range(parity, 12, 2))
-    a = bessel.alpha_hat(orders, r)
-    for p in orders:
-        assert bessel.alpha_hat((p,), r)[p].tobytes() == a[p].tobytes()
+    # a value does not depend on which other orders were asked for: each
+    # row's column of an inner Hankel table (orders p to p + 4 for H2) is
+    # the table of that row alone, and the outer row of beta_p in H1_p
+    # (orders p, p + 2) and in H2_{p+2} (orders p to p + 4) has the same
+    # bytes
+    for n in range(max(parity, 1) + 2, 12, 2):
+        rows = kernel_case(KernelSpec(1, 2, n))._series_rows(n)
+        table = kernels._inner_hankel(rows)
+        for t, row in enumerate(rows):
+            alone = kernels._inner_hankel((row,))
+            assert table[: len(alone), t].tobytes() == alone[:, 0].tobytes()
+            assert not table[len(alone) :, t].any()
     s = np.geomspace(1e-3, 600.0, 400)
     for p in range(max(parity, 1), 12, 2):
         h2 = kernel_case(KernelSpec(1, 2, p + 2)).outer(s)[1]
@@ -207,16 +213,12 @@ def _assert_rows_depend_only_on_radius(rows, rng, low):
 
 @pytest.mark.parametrize("parity", [0, 1])
 def test_alpha_value_depends_only_on_order_and_radius(parity):
-    # alpha_hat past SERIES_RADIUS over more than two of its blocks, and the
-    # inner rows of H2_{4 + parity} (orders 4 + parity to 8 + parity) on
-    # both sides of it
+    # the inner rows of H2_{4 + parity} (orders 4 + parity to 8 + parity)
+    # on many radii past SERIES_RADIUS, and on both sides of it
     rng = np.random.default_rng(7)
-    cut, size = bessel.SERIES_RADIUS, 2 * bessel.SERIES_BLOCK + 300
-    orders = tuple(range(parity, 10, 2))
-    _assert_value_depends_only_on_radius(
-        lambda x: np.stack(list(bessel.alpha_hat(orders, x).values())),
-        rng, rng.uniform(cut, 20.0 * cut, size))
+    cut, size = bessel.SERIES_RADIUS, 2348
     inner = kernel_case(KernelSpec(1, 2, 4 + parity)).inner
+    _assert_value_depends_only_on_radius(inner, rng, rng.uniform(cut, 20.0 * cut, size))
     _assert_value_depends_only_on_radius(inner, rng, rng.uniform(0.0, 1.5 * cut, size))
     _assert_rows_depend_only_on_radius(inner, rng, 0.0)
 
@@ -227,24 +229,26 @@ def test_beta_value_depends_only_on_order_and_radius(parity):
     # beta_hat_0 and beta_hat_2
     rng = np.random.default_rng(8)
     outer = kernel_case(KernelSpec(1, 2, 4 + parity)).outer
-    r = rng.uniform(1e-3, 1.5 * bessel.SERIES_RADIUS, 2 * bessel.SERIES_BLOCK + 300)
+    r = rng.uniform(1e-3, 1.5 * bessel.SERIES_RADIUS, 2348)
     _assert_value_depends_only_on_radius(outer, rng, r)
     _assert_rows_depend_only_on_radius(outer, rng, 1e-3)
 
 
 def test_alpha_at_series_radius_takes_the_hankel_table(monkeypatch):
-    # r = SERIES_RADIUS is the first radius of the Hankel branch: there
-    # e^{-r} alpha_1 is its one term 1 / (2r) (e^{-2r} / (2r) is far below
-    # an ulp).  The inner rows take alpha_hat at it and the series just
+    # r = SERIES_RADIUS is the first radius of the Hankel branch, whose odd
+    # orders are exact (e^{-2r} of the value is far below an ulp): H1_3's
+    # row f = r alpha_3 = 3 (r cosh r - sinh r) / r^2 has e^{-r} f = 3 (r -
+    # 1) / (2 r^2) and e^{-r} df = 3 (r^2 - 2r + 2) / (2 r^3) there, in u =
+    # 1/r.  The inner rows take the Hankel table at it and the series just
     # below it, and their value at it has the same bytes in any batch order
     cut = bessel.SERIES_RADIUS
     below = np.nextafter(cut, 0.0)
-    one_term = bessel.alpha_hat((1,), np.array([cut]))[1]
-    assert one_term.tobytes() == np.float64(0.5 / cut).tobytes()
+    assert kernels._inner_hankel(((3, 0, 1),)).tolist() == [
+        [[0.0, 0.0]], [[1.5, 1.5]], [[-1.5, -3.0]], [[0.0, 3.0]]]
     seen = []
-    alpha_hat = bessel.alpha_hat
-    monkeypatch.setattr(bessel, "alpha_hat",
-                        lambda orders, r: seen.extend(r) or alpha_hat(orders, r))
+    hankel = kernels.KernelCase._hankel_factors
+    monkeypatch.setattr(kernels.KernelCase, "_hankel_factors",
+                        lambda case, r: seen.extend(r) or hankel(case, r))
     inner = kernel_case(KernelSpec(1, 1, 2)).inner
     at_cut = {}
     for radii in ([cut], [cut, 1.0, 45.0], [45.0, cut, below, 1.0]):
@@ -288,10 +292,13 @@ def test_alpha_hat_of_high_orders_around_four_against_mpmath():
 
 
 def test_alpha_hat_hankel_branch_against_mpmath():
+    # alpha_p = f / r of H1_p from its Hankel table, for every order whose
+    # H1 rows it admits; orders 20 and 21 enter the rows of H1_18 and H1_19
+    # as the alpha_{p+2} of df (test_kernels checks every factor)
     radii = np.array([30.0, 30.5, 31.0, 35.0, 40.0, 60.0, 100.0, 300.0, 600.0])
-    worst = max(_largest_error(bessel.alpha_hat((p,), radii)[p], lambda m, r, p=p: m.exp(-r) * _alpha_by_mpmath(m, p, r),
+    worst = max(_largest_error(_h1(p, radii)[0] / radii, lambda m, r, p=p: _alpha_by_mpmath(m, p, r),
                                radii)
-                for p in range(22))
+                for p in range(2, 20))
     assert worst <= 4e-15
 
 
@@ -323,12 +330,13 @@ def test_hankel_table_admits_orders_up_to_21():
     # SERIES_RADIUS their series needs no Hankel table
     cut = np.array([bessel.SERIES_RADIUS])
     with pytest.raises(ValueError):
-        bessel.alpha_hat((22,), cut)
+        bessel._alpha_coefficients(22)
     h1_20 = kernel_case(KernelSpec(1, 1, 20))
     with pytest.raises(ValueError):
         h1_20.inner(cut)
     assert np.isfinite(h1_20.inner(np.array([29.0]))).all()
-    assert np.isfinite(bessel.alpha_hat((21,), cut)[21]).all()
+    assert all(bessel._alpha_coefficients(21).values())
+    assert all(bessel._alpha_coefficients(20).values())
     assert np.isfinite(kernel_case(KernelSpec(1, 1, 19)).inner(cut)).all()
 
 
@@ -343,7 +351,7 @@ def test_orders_must_be_nonnegative_integers_of_one_parity():
     assert (kernel_case(KernelSpec(1, 1, np.int64(3))).inner(r).tobytes()
             == kernel_case(KernelSpec(1, 1, 3)).inner(r).tobytes())
     # every case's orders are of one parity, each step 2 from the last, as
-    # alpha_hat and the Laurent tables take them
+    # the Hankel and Laurent tables take them
     for spec in ([KernelSpec(1, 1, n) for n in range(2, 12)]
                  + [KernelSpec(1, 2, n) for n in range(3, 12)]):
         case = kernel_case(spec)

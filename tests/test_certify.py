@@ -98,6 +98,11 @@ def test_h2_ratio_bounds_domain_is_the_rows():
     assert h2_ratio_bounds(3, np.array([1.0, limit]))["passed"]
     with pytest.raises(ValueError, match="r_max_limit"):
         h2_ratio_bounds(3, np.array([1.0, 800.0]))
+    # the monotone checks compare neighbours: a 1-D array of two radii or more
+    for few in (np.array([]), np.array([1.0]), np.array(1.0), 1.0,
+                np.array([[1.0, 2.0], [3.0, 4.0]])):
+        with pytest.raises(ValueError, match="at least two radii"):
+            h2_ratio_bounds(3, few)
 
 
 def test_mixed_sign_momentum_not_applicable(grid, omega0):

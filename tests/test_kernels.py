@@ -201,6 +201,21 @@ def inner_by_mpmath(spec, r):
                 (h1[0] / (2 * n), h1[1] / (2 * n))]
 
 
+def spy_hankel(monkeypatch, seen=None):
+    """Record in ``seen`` the radii of every ``KernelCase._hankel_factors``
+    call, the inner factors past SERIES_RADIUS; without ``seen`` a call
+    fails the test."""
+    hankel = kernels.KernelCase._hankel_factors
+
+    def spy(case, r):
+        if seen is None:
+            raise AssertionError("the inner Hankel table was read")
+        seen.append(r)
+        return hankel(case, r)
+
+    monkeypatch.setattr(kernels.KernelCase, "_hankel_factors", spy)
+
+
 def largest_relative_error(got, radii, spec):
     worst = 0.0
     for i, r in enumerate(radii):
@@ -215,25 +230,20 @@ def largest_relative_error(got, radii, spec):
 
 @pytest.mark.parametrize("spec", SERIES_SPECS, ids=lambda s: s.label())
 def test_series_inner_factors_match_mpmath(spec, monkeypatch):
-    # below SERIES_RADIUS no Bessel function is called, and every factor is
+    # below SERIES_RADIUS no Hankel table is read, and every factor is
     # within 4e-15 relative of the 40-digit value
-    def no_alpha(*args):
-        raise AssertionError("alpha_hat called below SERIES_RADIUS")
-
-    monkeypatch.setattr(bessel, "alpha_hat", no_alpha)
+    spy_hankel(monkeypatch)
     got = kernel_case(spec).inner(SERIES_RADII)
     assert largest_relative_error(got, SERIES_RADII, spec) <= 4e-15
 
 
 @pytest.mark.parametrize("spec", SERIES_SPECS, ids=lambda s: s.label())
 def test_inner_factors_past_series_radius_take_the_bessel_path(spec, monkeypatch):
-    # a batch that reaches SERIES_RADIUS evaluates alpha once, and equals
-    # the series on the radii below it
+    # a batch that reaches SERIES_RADIUS reads the Hankel table once, and
+    # equals the series on the radii below it
     case = kernel_case(spec)
     calls = []
-    alpha_hat = bessel.alpha_hat
-    monkeypatch.setattr(bessel, "alpha_hat",
-                        lambda *args: calls.append(args) or alpha_hat(*args))
+    spy_hankel(monkeypatch, calls)
     below = np.geomspace(1e-3, bessel.SERIES_RADIUS, 50)[:-1]
     both = case.inner(np.append(below, [bessel.SERIES_RADIUS, 40.0]))
     assert len(calls) == 1
@@ -242,9 +252,14 @@ def test_inner_factors_past_series_radius_take_the_bessel_path(spec, monkeypatch
     assert both[..., :-2].tobytes() == series.tobytes()
 
 
-@pytest.mark.parametrize("spec", SERIES_SPECS, ids=lambda s: s.label())
+# every sigma = 1 row whose orders the Hankel table admits (up to 21)
+HANKEL_SPECS = ([KernelSpec(1, 1, n) for n in range(2, 20)]
+                + [KernelSpec(1, 2, n) for n in range(3, 18)])
+
+
+@pytest.mark.parametrize("spec", HANKEL_SPECS, ids=lambda s: s.label())
 def test_inner_factors_past_series_radius_match_mpmath(spec):
-    # from the Hankel expansion of alpha and the formula of the case's rows
+    # from the Hankel table of the case's rows
     radii = np.array([bessel.SERIES_RADIUS, 40.0, 600.0])
     got = kernel_case(spec).inner(radii)
     assert largest_relative_error(got, radii, spec) <= 4e-15
@@ -271,13 +286,12 @@ STRADDLING_RADII = np.concatenate(
                          ids=lambda s: s.label())
 def test_inner_factor_of_a_straddling_batch_depends_only_on_its_radius(
         spec, monkeypatch):
-    # each radius takes the series below SERIES_RADIUS and alpha past it,
-    # whatever the other radii of the call, their order and their shape
+    # each radius takes the series below SERIES_RADIUS and the Hankel table
+    # past it, whatever the other radii of the call, their order and their
+    # shape
     case = kernel_case(spec)
     seen = []
-    alpha_hat = bessel.alpha_hat
-    monkeypatch.setattr(bessel, "alpha_hat",
-                        lambda orders, r: seen.append(r) or alpha_hat(orders, r))
+    spy_hankel(monkeypatch, seen)
     rng = np.random.default_rng(11)
     for r in (np.sort(STRADDLING_RADII), rng.permutation(STRADDLING_RADII)):
         full = case.inner(r)
@@ -298,9 +312,7 @@ def test_sigma1_rhs_makes_no_alpha_call_below_series_radius(spec, monkeypatch):
     grid = RadialGrid.uniform(256, 20.0)
     init = InitialData.from_omega0(neg_exp_bump(grid.r, 2.0, 8.0), grid, spec.n)
     calls = []
-    alpha_hat = bessel.alpha_hat
-    monkeypatch.setattr(bessel, "alpha_hat",
-                        lambda *args: calls.append(args) or alpha_hat(*args))
+    spy_hankel(monkeypatch, calls)
     rate = solver.rhs(spec, grid, init, grid.r * 1.1, np.full(grid.num, 1.1))
     assert np.isfinite(rate).all() and not calls
 
@@ -340,11 +352,8 @@ def outer_by_mpmath(spec, s):
 @pytest.mark.parametrize("spec", SERIES_SPECS, ids=lambda s: s.label())
 def test_outer_factors_match_mpmath(spec, monkeypatch):
     # every outer factor is within 4e-15 relative of the 40-digit value,
-    # with no alpha_hat call
-    def no_alpha(*args):
-        raise AssertionError("alpha_hat called for the outer factors")
-
-    monkeypatch.setattr(bessel, "alpha_hat", no_alpha)
+    # with no Hankel table read
+    spy_hankel(monkeypatch)
     got = kernel_case(spec).outer(OUTER_RADII)
     worst = 0.0
     for i, s in enumerate(OUTER_RADII):
@@ -422,7 +431,7 @@ def test_outer_factors_of_longdouble_radii_are_the_float64_values_cast(spec):
                          ids=lambda s: s.label())
 def test_sigma1_rhs_makes_no_beta_call(spec, monkeypatch):
     # of the Bessel functions the outer factors call only the start values:
-    # even n evaluates its two once per rhs
+    # even n evaluates its two once per rhs, and no Hankel table is read
     grid = RadialGrid.uniform(256, 20.0)
     init = InitialData.from_omega0(neg_exp_bump(grid.r, 2.0, 8.0), grid, spec.n)
     calls = {name: [] for name in bessel.__all__}
@@ -430,10 +439,10 @@ def test_sigma1_rhs_makes_no_beta_call(spec, monkeypatch):
         func = getattr(bessel, name)
         monkeypatch.setattr(bessel, name, lambda *args, f=func, c=calls_of:
                             c.append(args) or f(*args))
+    spy_hankel(monkeypatch)
     for _ in range(2):
         rate = solver.rhs(spec, grid, init, grid.r * 1.1, np.full(grid.num, 1.1))
         assert np.isfinite(rate).all()
-    assert not calls["alpha_hat"]
     assert len(calls["beta_hat_start"]) == (0 if spec.n % 2 else 2)
 
 
@@ -706,6 +715,14 @@ def test_apply_requires_uniform_grid():
     grid = RadialGrid.graded(256, 10.0, 1.5)
     with pytest.raises(ValueError):
         apply_operator(KernelSpec(0, 1, 3), grid, np.zeros(grid.num))
+
+
+@pytest.mark.parametrize("num", [3, 4, 5])
+def test_apply_requires_six_nodes(num):
+    # the origin value and the stencils read nodes 0 to 5
+    grid = RadialGrid.uniform(num, 1.0)
+    with pytest.raises(ValueError, match="at least 6 nodes"):
+        apply_operator(KernelSpec(0, 1, 3), grid, np.zeros(num))
 
 
 def test_underresolved_momentum_warns():
