@@ -11,12 +11,14 @@ integer orders p = n, n +- 2, n + 4 in dimension n.  alpha_p grows like e^r
 and beta_p decays like e^{-r}; the derivatives follow from alpha_p' = r
 alpha_{p+2} / (p + 2) and beta_p' = -(p + 2) r beta_{p+2}.
 
-This module holds only what ``kernels.KernelCase`` forms its factor rows
-from.  Every other Bessel value of the library, such as the certificate's
-and ``certify.h2_ratio_bounds``', is read from those rows.
+This module holds only the per-order expansions that ``kernels`` builds
+the tables of its sigma = 1 rows from, and the tables of powers they are
+summed with; no function here reads a kernel row.  Every other Bessel
+value of the library, such as the certificate's and
+``certify.h2_ratio_bounds``', is read from those rows.  Below
+SERIES_RADIUS the kernels sum the inner factors from the power series of
+alpha_p (DLMF 10.25.2, ``kernels._inner_series``).
 
-* ``_inner_series``: the inner factors' power series in r^2 below
-  SERIES_RADIUS (DLMF 10.25.2), with coefficients of one sign.
 * ``_alpha_coefficients``: alpha_hat_p(r) = e^{-r} alpha_p(r) at and past
   SERIES_RADIUS from the Hankel expansion (DLMF 10.40.1), a polynomial in
   1/r (times r^{-1/2} for even p), for p <= 21.  The kernels' inner
@@ -31,14 +33,11 @@ and ``certify.h2_ratio_bounds``', is read from those rows.
 * ``_power_buffer`` and ``_power_table``: the tables of powers that each
   of these sums is contracted with.
 
-Every coefficient is exact before it is rounded once: the correctly
-rounded quotient of two integers, or for even p of the Hankel expansion
-one with (2 pi)^(-1/2) to 40 digits; ``_alpha_coefficients`` and
-``_beta_coefficients`` leave the rounding to the ``kernels`` tables that
-combine them.  Each table is built once, on first use.
+Every coefficient is an exact fraction, for even p of the Hankel
+expansion one with (2 pi)^(-1/2) to 40 digits; the ``kernels`` tables that
+combine them round each sum once.  Each table is built once, on first use.
 """
 
-import bisect
 import math
 from collections import Counter
 from functools import lru_cache
@@ -48,50 +47,11 @@ import numpy as np
 __all__ = ["beta_hat_start"]
 
 # Below SERIES_RADIUS the inner kernel factors come from their power series
-# in r^2 (_inner_series), summed until the tail is below SERIES_TAIL of the
-# sum.  Their term count grows with r, so it is a hard limit: from it on,
-# alpha comes from its Hankel expansion (_alpha_coefficients).
+# in r^2 (kernels._inner_series), summed until the tail is below SERIES_TAIL
+# of the sum.  Their term count grows with r, so it is a hard limit: from it
+# on, alpha comes from its Hankel expansion (_alpha_coefficients).
 SERIES_RADIUS = 30.0
 SERIES_TAIL = 2.0**-64
-
-
-@lru_cache(maxsize=None)
-def _inner_series(rows):
-    """The power series in r^2 of r^(2 shift + 1) alpha_p(r) / divisor, for
-    radii below SERIES_RADIUS.
-
-    ``rows`` gives each term's f_t(r) = r^(2 shift + 1) alpha_p(r) / divisor
-    as (p, shift, divisor), with integer divisor.  From alpha_p(r) =
-    sum_j r^(2j) / prod_{i <= j} 2i (p + 2i) (DLMF 10.25.2),
-
-        f_t(r) = r sum_j A[j, t, 0] r^(2j),  df_t(r) = sum_j A[j, t, 1] r^(2j),
-
-    with A[j, t, 1] = (2j + 1) A[j, t, 0], each coefficient the correctly
-    rounded quotient of two integers.  All the coefficients of a row have
-    one sign, so every sum adds terms of one sign.  Returns (A, reach): A
-    for the terms that SERIES_RADIUS needs, and reach[i], the largest r^2
-    on a grid of [0, SERIES_RADIUS] at which the terms 0 to i leave a tail
-    below SERIES_TAIL of every row's sum.  The relative tail grows with r,
-    so i + 1 terms are enough for every r^2 <= reach[i].  Built once per
-    rows.
-    """
-    cap = 64
-    coefficients = np.zeros((cap, len(rows), 2))
-    for t, (p, shift, divisor) in enumerate(rows):
-        d = divisor
-        for j in range(shift, cap):
-            if j > shift:
-                d *= 2 * (j - shift) * (p + 2 * (j - shift))
-            coefficients[j, t] = 1 / d, (2 * j + 1) / d
-    x = np.linspace(0.0, SERIES_RADIUS, 257)[1:] ** 2
-    terms = np.abs(coefficients.reshape(cap, -1, 1)) * x ** np.arange(cap)[:, None, None]
-    tails = np.cumsum(terms[::-1], axis=0)[::-1]
-    enough = (tails[1:] <= SERIES_TAIL * tails[0]).all(axis=1).sum(axis=1)
-    reach = [float(x[k - 1]) if k else 0.0 for k in enough]
-    needed = bisect.bisect_left(reach, x[-1]) + 1
-    if needed > len(reach):
-        raise ValueError(f"{cap} terms do not reach r = {SERIES_RADIUS}")
-    return coefficients[:needed].copy(), reach[:needed]
 
 
 @lru_cache(maxsize=None)

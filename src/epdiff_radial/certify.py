@@ -217,8 +217,11 @@ def certify(spec, grid, omega0):
 
     Failures are recorded in the certificate, never raised.  C is taken
     from the sampled minimum of S (minus a 1e-9 safety margin), not from
-    closed forms, so the certificate only claims what it verified.
+    closed forms, so the certificate only claims what it verified.  The
+    conditions are sampled on [1e-3, r_max]: ValueError unless r_max > 1e-3.
     """
+    if not grid.r_max > 1e-3:
+        raise ValueError("certify samples from r = 1e-3 on, so it requires r_max > 1e-3")
     omega0 = np.asarray(omega0, dtype=float)
     applicable = bool(np.all(omega0 <= 0.0)) and bool(np.any(omega0 != 0.0))
     case = kernel_case(spec)

@@ -9,24 +9,24 @@ D = {s >= r >= 0} \\ {(0,0)}:
          + int_r^inf delta(r, s) s^{n-1} w(s) ds.
 
 The four cases (sigma, k) in {0,1} x {1,2} have closed-form kernels: a
-homogeneous one is a table of exact power terms, a nonhomogeneous one is
-built from the Bessel pair alpha/beta.  Every delta factors into at most
-two separable products f(r) g(s), phi is formed from those factors, and
-one pass of prefix and suffix sums gives the kernel integral at every node
-in O(N) (``kernel_sums``, which works over the support window of the
-weight only).  Each case is one subclass of ``KernelCase`` holding all of
-its formulas (Camassa-Holm, n = 1 of H^1, has its own, e^{-s} and sinh r);
-``kernel_case`` builds the spec's instance once, its class picked from one
-table by (sigma, k).  A sigma = 1 case with Bessel orders sums each factor,
-radius by radius, from an exact coefficient table per kernel row, rounded
-once, and one table of powers: an inner factor is a power series in r^2
-with coefficients of one sign below bessel.SERIES_RADIUS and e^r times a
-polynomial in 1/r (times r^{-1/2} for even n; the Hankel expansion) past
-it, an outer factor e^{-s} times a Laurent polynomial in 1/s (times the
-start values beta_hat_0, beta_hat_2 for even n) with coefficients of one
-sign.  So the inner side calls no Bessel function, and the outer side
-only the start values.  The certificate checks these same factors,
-scaled (``KernelCase.scaled_factors``).
+homogeneous one is a table of exact power terms, a nonhomogeneous one of
+exact rows of the Bessel pair, delta = sum_t [c r^w alpha_p(r)] [c' s^w'
+beta_hat_p'(s) e^{-s}].  Every delta factors into at most two separable
+products f(r) g(s), phi is formed from those factors, and one pass of
+prefix and suffix sums gives the kernel integral at every node in O(N)
+(``kernel_sums``, over the support window of the weight only).  Each case
+is one subclass of ``KernelCase`` holding all of its formulas
+(Camassa-Holm, n = 1 of H^1, has its own, e^{-s} and sinh r);
+``kernel_case`` builds the spec's instance once.  A sigma = 1 case derives
+every derivative row from its rows and sums each factor, radius by radius,
+from an exact coefficient table, rounded once, and one table of powers: an
+inner factor is a power series in r^2 with coefficients of one sign below
+bessel.SERIES_RADIUS and e^r times a polynomial in 1/r (times r^{-1/2} for
+even n; the Hankel expansion) past it, an outer factor e^{-s} times a
+Laurent polynomial in 1/s (times the start values beta_hat_0, beta_hat_2
+for even n) with coefficients of one sign.  So the inner side calls no
+Bessel function, and the outer side only the start values.  The
+certificate checks these same factors, scaled (``scaled_factors``).
 
 Also evaluates the comparison weight Q(r) = 1/(r phi(0, r)) and the diagonal
 criterion
@@ -184,76 +184,122 @@ def _power_origin(terms):
     return float(1 / c), m, float(sum(a * b * (p + m) for a, p, b, _ in terms) / c)
 
 
-def _outer_laurent(rows):
-    """The outer factors as one contraction in u = 1/s, exactly.
+def _derived(side, row):
+    """(parts of the value, parts of the derivative) of a row (p, w, c): each
+    part (p, w, c) is c x^w alpha_p(r) on the inner side (``side`` 0) and c
+    x^w beta_hat_p(s) e^-s on the outer side (1), c a Fraction.  From
+    alpha_p' = r alpha_{p+2} / (p + 2) and beta_p' = -(p + 2) s beta_{p+2},
 
-    ``rows[t][d]`` gives factor d (g_t, dg_t) of term t as the entries
-    (p, w, c) of sum c s^w beta_hat_p(s) e^-s, with integer c.  beta_hat_p
-    is a polynomial in s for odd p and A_p(s) beta_hat_0 + B_p(s)
-    beta_hat_2 with polynomials A_p, B_p for even p
-    (``bessel._beta_coefficients``).  So each factor is
-
-        e^-s sum_{i, k} C[i, k, t, d] u^k R_i(s),
-
-    with R = (1) for odd orders and (beta_hat_0, beta_hat_2) for even ones.
-    Each coefficient is summed in fractions and rounded once (``_rounded``,
-    which raises on a positive power of s).  Raises unless the coefficients
-    of each factor have one sign, so that its sum adds terms of one sign.
-    Returns C as an (R K, T, 2) array.
+        d/dr c r^w alpha_p = c (w r^(w-1) alpha_p + r^(w+1) alpha_{p+2} / (p + 2)),
+        d/ds c s^w beta_hat_p e^-s
+            = c s^(w-1) ((w + p) beta_hat_p - (p + 2) beta_hat_{p+2}) e^-s.
     """
-    orders = {p for term in rows for factor in term for p, _, _ in factor}
-    # beta_hat_p as {(i, power of s): coefficient} over the start values R_i
-    beta = bessel._beta_coefficients(max(orders))
+    p, w, c = row
+    c = _fraction(c, 1)
+    if side == 0:
+        return ((p, w, c),), ((p, w - 1, c * w), (p + 2, w + 1, c / (p + 2)))
+    return ((p, w, c),), ((p, w - 1, c * (w + p)), (p + 2, w - 1, -c * (p + 2)))
+
+
+def _summed(side, rows, expansion, rising):
+    """The float table of the sums of c a at each (*key, t, d), over the
+    parts (p, w, c) of factor d of each row t (``_derived``) and the pairs
+    (key, a) of ``expansion(p, w, d)``, each summed in fractions and rounded
+    once; raises ValueError(rising) if the power key[-1] of a nonzero sum is
+    negative."""
     sums = Counter()
-    for t, term in enumerate(rows):
-        for d, factor in enumerate(term):
-            for p, w, c in factor:
-                for (i, v), b in beta[p].items():
-                    sums[i, -(w + v), t, d] += c * b
-    table = _rounded(sums, "an outer factor has a positive power of s")
-    table = table.reshape((-1, len(rows), 2))
-    if ((table > 0).any(axis=0) & (table < 0).any(axis=0)).any():
-        raise ValueError("the coefficients of an outer factor mix signs")
+    for t, row in enumerate(rows):
+        for d, parts in enumerate(_derived(side, row)):
+            for p, w, c in parts:
+                for key, a in expansion(p, w, d):
+                    sums[(*key, t, d)] += c * a
+    sums = {key: c for key, c in sums.items() if c}
+    if min(key[-3] for key in sums) < 0:
+        raise ValueError(rising)
+    table = np.zeros([1 + max(index) for index in zip(*sums)])
+    for key, c in sums.items():
+        table[key] = float(c)  # correctly rounded
     return table
+
+
+@lru_cache(maxsize=None)
+def _inner_series(rows):
+    """The inner factors below bessel.SERIES_RADIUS as power series in r^2,
+    exactly.  For the inner rows (p, w, c), f_t = c r^w alpha_p(r) with odd
+    w, and alpha_p(r) = sum_j r^(2j) / prod_{i <= j} 2i (p + 2i) (DLMF
+    10.25.2), each coefficient summed in fractions and rounded once,
+
+        f_t(r) = r sum_j A[j, t, 0] r^(2j),  df_t(r) = sum_j A[j, t, 1] r^(2j).
+
+    All the coefficients of a row have one sign, so every sum adds terms of
+    one sign.  Returns (A, reach): A for the terms that SERIES_RADIUS needs,
+    and reach[i], the largest r^2 on a grid of [0, SERIES_RADIUS] at which
+    the terms 0 to i leave a tail below bessel.SERIES_TAIL of every row's
+    sum.  The relative tail grows with r, so i + 1 terms are enough for
+    every r^2 <= reach[i].  Built once per rows.
+    """
+    cap = 64
+
+    def series(p, w, d):
+        # the terms r^(w + 2j) of r^w alpha_p that fall in rows j < cap of A
+        a = _fraction(1, 1)
+        for j in range((2 * cap + 1 - w - d) // 2):
+            if j:
+                a /= 2 * j * (p + 2 * j)
+            yield ((w + d - 1) // 2 + j,), a
+
+    coefficients = _summed(0, rows, series, "an inner row has a negative power of r")
+    x = np.linspace(0.0, bessel.SERIES_RADIUS, 257)[1:] ** 2
+    terms = np.abs(coefficients.reshape(cap, -1, 1)) * x ** np.arange(cap)[:, None, None]
+    tails = np.cumsum(terms[::-1], axis=0)[::-1]
+    enough = (tails[1:] <= bessel.SERIES_TAIL * tails[0]).all(axis=1).sum(axis=1)
+    reach = [float(x[k - 1]) if k else 0.0 for k in enough]
+    needed = bisect.bisect_left(reach, x[-1]) + 1
+    if needed > len(reach):
+        raise ValueError(f"{cap} terms do not reach r = {bessel.SERIES_RADIUS}")
+    return coefficients[:needed].copy(), reach[:needed]
 
 
 @lru_cache(maxsize=None)
 def _inner_hankel(rows):
     """The inner factors at and past bessel.SERIES_RADIUS as one contraction
-    in u = 1/r, exactly.  For the rows (p, shift, divisor) of
-    ``bessel._inner_series``, f_t = r^(2 shift + 1) alpha_p / divisor and
-    df_t = ((2 shift + 1) r^(2 shift) alpha_p + r^(2 shift + 2) alpha_{p+2}
-    / (p + 2)) / divisor, and with alpha_hat_p = e^-r alpha_p = R(u) sum c
-    u^j (``bessel._alpha_coefficients``; R = u^(1/2) for even orders and 1
-    for odd ones),
+    in u = 1/r, exactly.  For the rows of ``_inner_series`` and alpha_hat_p
+    = e^-r alpha_p = R(u) sum c u^j (``bessel._alpha_coefficients``; R =
+    u^(1/2) for even orders and 1 for odd ones), each coefficient summed in
+    fractions and rounded once,
 
-        e^-r f_t = R(u) sum_j C[j, t, 0] u^j,  e^-r df_t = R(u) sum_j C[j, t, 1] u^j,
+        e^-r f_t = R(u) sum_j C[j, t, 0] u^j,  e^-r df_t = R(u) sum_j C[j, t, 1] u^j.
 
-    each coefficient summed in fractions and rounded once (``_rounded``).
     Returns C as a (J, T, 2) array.  Built once per rows, on the first
     radius that needs it.
     """
-    sums = Counter()
-    for t, (p, shift, divisor) in enumerate(rows):
-        # (d, order, power of r, numerator, denominator) of each part
-        for d, q, w, numerator, denominator in (
-                (0, p, 2 * shift + 1, 1, 1), (1, p, 2 * shift, 2 * shift + 1, 1),
-                (1, p + 2, 2 * shift + 2, 1, p + 2)):
-            for j, c in bessel._alpha_coefficients(q).items():
-                sums[j - w, t, d] += c * numerator / (denominator * divisor)
-    return _rounded(sums, "an inner factor has a positive power of r")
+    return _summed(0, rows, lambda p, w, d: (
+        ((j - w,), a) for j, a in bessel._alpha_coefficients(p).items()),
+        "an inner factor has a positive power of r")
 
 
-def _rounded(sums, rising):
-    """{(..., power, t, d): c} as a float table, each Fraction c rounded once;
-    raises ValueError(rising) if a power is negative (the factor grows)."""
-    coefficients = {key: c for key, c in sums.items() if c}
-    if min(key[-3] for key in coefficients) < 0:
-        raise ValueError(rising)
-    table = np.zeros([1 + max(index) for index in zip(*coefficients)])
-    for key, c in coefficients.items():
-        table[key] = float(c)  # correctly rounded
-    return table
+def _outer_laurent(rows):
+    """The outer factors as one contraction in u = 1/s, exactly.  For the
+    outer rows (p, w, c), g_t = c s^w beta_hat_p(s) e^-s, and beta_hat_p a
+    polynomial in s for odd p and A_p(s) beta_hat_0 + B_p(s) beta_hat_2 with
+    polynomials A_p, B_p for even p (``bessel._beta_coefficients``), each
+    factor is
+
+        e^-s sum_{i, k} C[i, k, t, d] u^k R_i(s),
+
+    with R = (1) for odd orders and (beta_hat_0, beta_hat_2) for even ones,
+    each coefficient summed in fractions and rounded once; raises on a
+    positive power of s.  Returns C as an (R K, T, 2) array.  Each factor's
+    coefficients have one sign: beta_hat_p has positive ones, dg_t = c
+    s^(w-1) (w beta_hat_p - s^2 beta_hat_{p-2} / p) e^-s by its recurrence,
+    and as every beta_hat_p has a constant term, a row passes only if w <= 0.
+    """
+    # beta_hat_p as {(i, power of s): coefficient} over the start values R_i
+    beta = bessel._beta_coefficients(max(p for p, _, _ in rows) + 2)
+    table = _summed(1, rows, lambda p, w, d: (
+        ((i, -(w + v)), b) for (i, v), b in beta[p].items()),
+        "an outer factor has a positive power of s")
+    return table.reshape((-1, len(rows), 2))
 
 
 class KernelCase:
@@ -270,12 +316,10 @@ class KernelCase:
     rows of power or coefficient 0 (H1dot's df = 1/n) are ``constant_rows``,
     which ``inner`` and ``outer`` fill on every call and a plan once.
 
-    A sigma = 1 case with Bessel orders gives each term's inner factor as a
-    row (p, shift, divisor) of ``_series_rows``, f_t = r^(2 shift + 1)
-    alpha_p(r) / divisor (orders ``alpha_orders``), radius by radius from
-    the rows' power series below ``bessel.SERIES_RADIUS`` and their Hankel
-    table past it, and its outer factors as Laurent polynomials in 1/s
-    (``_outer_rows``, orders ``beta_orders``), as ``inner`` and ``outer`` say.
+    A sigma = 1 case with Bessel rows is its table ``_bessel_rows(n)`` of
+    exact rows, one pair per term: (p, w, c), f_t = c r^w alpha_p(r), and
+    (p', w', c'), g_t = c' s^w' beta_hat_p'(s) e^-s; df_t and dg_t are
+    derived (``_derived``).  ``inner`` and ``outer`` say how it sums them.
 
     ``scaled_factors(r, s)`` gives the solver's inner(r) times e^{-sigma r},
     finite for r <= 709, and outer(s) e^{sigma s}, finite where it underflows.
@@ -299,23 +343,18 @@ class KernelCase:
     sigma = 1 case reads without building that case.
     """
 
-    _series_rows = _outer_rows = _power_rows = None
+    _bessel_rows = _power_rows = None
     _terms = 1
     constant_rows = ({}, {})
 
     def __init__(self, spec):
         n = self.n = spec.n
         self.spec = spec
-        self.alpha_orders = self.beta_orders = ()
-        if self._series_rows:
-            rows = self._series_rows(n)
-            self.alpha_orders = tuple(sorted({q for p, _, _ in rows for q in (p, p + 2)}))
-            self._series, self._reach = bessel._inner_series(rows)
-        if self._outer_rows:
-            rows = self._outer_rows(n)
-            self.beta_orders = tuple(sorted(
-                {p for term in rows for factor in term for p, _, _ in factor}))
-            self._laurent = _outer_laurent(rows)
+        if self._bessel_rows:
+            self._inner_rows, outer = zip(*self._bessel_rows(n))
+            self._terms = len(outer)
+            self._series, self._reach = _inner_series(self._inner_rows)
+            self._laurent = _outer_laurent(outer)
         if self._power_rows:
             terms = self._power_rows(n)
             self._terms = len(terms)
@@ -331,7 +370,7 @@ class KernelCase:
         """(f_t(r), df_t(r)) for each term t, r >= 0, fresh, of shape
         (terms, 2) + r.shape.
 
-        A case with Bessel orders sums the factors at the radii below
+        A case with Bessel rows sums the factors at the radii below
         ``bessel.SERIES_RADIUS`` from the power series of its rows: the
         powers r^(2j) the largest of them needs, one product per doubling of
         their count (``bessel._power_table``, in a table made for the call
@@ -350,7 +389,7 @@ class KernelCase:
         """(g_t(s), dg_t(s)) for each term t, s > 0, fresh, of shape
         (terms, 2) + s.shape.
 
-        A case with Bessel orders sums every factor from its Laurent
+        A case with Bessel rows sums every factor from its Laurent
         polynomial (``_outer_laurent``): the powers of u = 1/s (one product
         per doubling of their count), for even n one product with the start
         values beta_hat_0 and beta_hat_2, one contraction and one product
@@ -363,7 +402,7 @@ class KernelCase:
         return _fresh_factors(self._outer, self._terms, s, self.constant_rows[1])
 
     def _inner(self, r, out, powers=None):
-        # the rows of a case with Bessel orders on 1-D radii; powers is a table
+        # the rows of a case with Bessel rows on 1-D radii; powers is a table
         # from bessel._power_buffer of len(self._series) rows on len(r) radii
         hi = float(np.maximum.reduce(r, initial=0.0))
         if hi < bessel.SERIES_RADIUS:
@@ -382,7 +421,7 @@ class KernelCase:
     def _hankel_factors(self, r):
         # fresh float64 factors of the series rows from their Hankel table,
         # on 1-D radii at and past SERIES_RADIUS
-        r, hankel = np.asarray(r, dtype=float), _inner_hankel(self._series_rows(self.n))
+        r, hankel = np.asarray(r, dtype=float), _inner_hankel(self._inner_rows)
         table = bessel._power_table(np.divide, (1.0, r), len(hankel),
                                     bessel._power_buffer(len(hankel), r.size, float))
         # hankel is never contiguous along j, so einsum sums each value over
@@ -409,7 +448,7 @@ class KernelCase:
                 np.empty(width), factors)
 
     def _outer(self, s, out, buffers=None):
-        # the Laurent polynomials of a case with Bessel orders, times e^-s
+        # the Laurent polynomials of a case with Bessel rows, times e^-s
         s = np.asarray(s, dtype=float)
         buffers = buffers or self._outer_buffers(len(s), out.dtype)
         factors, e = self._laurent_sums(s, out, buffers), buffers[4]
@@ -442,7 +481,7 @@ class KernelCase:
 
     def scaled_outer(self, s):
         """outer(s) e^{sigma s}, fresh, as in ``scaled_factors``."""
-        if self.beta_orders:
+        if self._bessel_rows:
             return _fresh_factors(self._laurent_sums, self._terms,
                                   np.asarray(s, dtype=float), {})
         return self.rescaled(self.outer(s), np.asarray(s))
@@ -562,18 +601,11 @@ class _H2dot(_Homogeneous):
         (_fraction(-1, 2 * n * (n + 2)), 3, 1, n - 1)))
 
 
-def _h1_outer_rows(n):
-    # g = s beta_n(s) = s^(1-n) beta_hat_n e^-s and, from beta_p' =
-    # -(p + 2) s beta_{p+2}, dg = s^-n (beta_hat_n - (n + 2) beta_hat_{n+2}) e^-s
-    return ((n, 1 - n, 1),), ((n, -n, 1), (n + 2, -n, -(n + 2)))
-
-
 class _H1(KernelCase):
     """sigma = 1, k = 1: delta = [r alpha_n(r)] [s beta_n(s)]."""
 
-    # f = r alpha_n(r)
-    _series_rows = staticmethod(lambda n: ((n, 0, 1),))
-    _outer_rows = staticmethod(lambda n: (_h1_outer_rows(n),))
+    # f = r alpha_n(r) and g = s beta_n(s) = s^(1-n) beta_hat_n e^-s
+    _bessel_rows = staticmethod(lambda n: (((n, 1, 1), (n, 1 - n, 1)),))
 
 
 class _CamassaHolm(KernelCase):
@@ -600,15 +632,11 @@ class _H2(KernelCase):
         delta = -[r j(r)/(2n)] [s beta_n(s)] + [r alpha_n(r)/(2n)] [s beta_{n-2}(s)]
     """
 
-    _terms = 2
-    # f1 = -r^3 alpha_{n+2}(r) / (2(n + 2)) and f2 = r alpha_n(r) / (2n)
-    _series_rows = staticmethod(
-        lambda n: ((n + 2, 1, -2 * (n + 2)), (n, 0, 2 * n)))
-    # g1 and dg1 as for H1, g2 = s beta_{n-2}(s) = s^(3-n) beta_hat_{n-2} e^-s
-    # and dg2 = s^(2-n) (beta_hat_{n-2} - n beta_hat_n) e^-s
-    _outer_rows = staticmethod(lambda n: (
-        _h1_outer_rows(n),
-        (((n - 2, 3 - n, 1),), ((n - 2, 2 - n, 1), (n, 2 - n, -n)))))
+    # f1 = -r^3 alpha_{n+2}(r) / (2(n + 2)) and g1 as for H1, f2 = r
+    # alpha_n(r) / (2n) and g2 = s beta_{n-2}(s) = s^(3-n) beta_hat_{n-2} e^-s
+    _bessel_rows = staticmethod(lambda n: (
+        ((n + 2, 3, _fraction(-1, 2 * (n + 2))), (n, 1 - n, 1)),
+        ((n, 1, _fraction(1, 2 * n)), (n - 2, 3 - n, 1))))
 
 
 _CASES = {(0, 1): _H1dot, (0, 2): _H2dot, (1, 1): _H1, (1, 2): _H2}
@@ -720,9 +748,9 @@ class _SumPlan:
       the formulas never write, and g_t and dg_t on the nodes i0 + 1 to
       N - 1, its constant rows (``KernelCase.constant_rows``) filled in
       here once, with the views the case writes into: stacked (T, 2, nodes)
-      views for the factors a case with Bessel orders sums from its tables
+      views for the factors a case with Bessel rows sums from its tables
       of powers, and else one row view per term and row;
-    - for a case with Bessel orders, the tables its ``_inner`` and
+    - for a case with Bessel rows, the tables its ``_inner`` and
       ``_outer`` sum from: a table of powers of r^2 on the inner nodes with
       a row for every series term, one of powers of 1/s on the outer nodes,
       and for the outer side the buffers of e^-s and, for even n, of the
@@ -756,17 +784,17 @@ class _SumPlan:
         for side, nodes, constants in zip(factors, self.nodes, case.constant_rows):
             _fill_rows(side[..., nodes], constants)
         # what the case's _inner and _outer take after the radii: a case
-        # with Bessel orders sums its factors straight into the stacked rows,
+        # with Bessel rows sums its factors straight into the stacked rows,
         # from tables it keeps here; the others take their rows split once
         # here: unpacking the stacked view on every call made a sigma = 0
         # rhs about 6 % slower
         self.inner = (
             (inner[..., 1:m], bessel._power_buffer(len(case._series), m - 1, fdtype))
-            if case.alpha_orders
+            if case._bessel_rows
             else (tuple((f[1:m], df[1:m]) for f, df in inner),))
         self.outer = (
             (outer[..., i0 + 1 :], case._outer_buffers(num - i0 - 1, fdtype))
-            if case.beta_orders
+            if case._bessel_rows
             else (tuple((g[i0 + 1 :], dg[i0 + 1 :]) for g, dg in outer),))
         lo = max(start, 1)
         self.weight = slice(lo - start, None)

@@ -64,9 +64,13 @@ class CorrectedTrapezoid:
     ``tail`` spread those over all N nodes.
 
     Fewer than three nodes are accepted, but then f' cannot be estimated and
-    every integral raises ``ValueError``.
+    every integral raises ``ValueError``.  Nodes so spaced that a band weight
+    is not finite (products of spacings underflow or overflow) raise it here.
     """
 
+    # in numpy scalars and with errors ignored, spacings whose products
+    # underflow or overflow give weights that are not finite, checked below
+    @np.errstate(all="ignore")
     def __init__(self, r):
         r = np.asarray(r, dtype=float)
         h = np.diff(r)
@@ -77,13 +81,13 @@ class CorrectedTrapezoid:
             lo = -dx2 / (dx1 * (dx1 + dx2))
             mid = (dx2 - dx1) / (dx1 * dx2)
             hi = dx1 / (dx2 * (dx1 + dx2))
-            d1, d2 = float(h[0]), float(h[1])
+            d1, d2 = h[0], h[1]
             first = (
                 -(2.0 * d1 + d2) / (d1 * (d1 + d2)),
                 (d1 + d2) / (d1 * d2),
                 -d1 / (d2 * (d1 + d2)),
             )
-            d1, d2 = float(h[-2]), float(h[-1])
+            d1, d2 = h[-2], h[-1]
             last = (
                 d2 / (d1 * (d1 + d2)),
                 -(d2 + d1) / (d1 * d2),
@@ -110,6 +114,9 @@ class CorrectedTrapezoid:
             bands[:3, -1] -= last
             bands *= h * h / 12.0
             bands[1:3] += 0.5 * h
+            if not np.isfinite(bands).all():
+                raise ValueError("the node spacing is too small or too large "
+                                 "for finite quadrature weights")
             self._bands = bands
 
     def reach(self, start, stop):

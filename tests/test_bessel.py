@@ -158,7 +158,7 @@ def test_multi_order_alpha_hat_equals_single_order_calls(parity):
     # (orders p, p + 2) and in H2_{p+2} (orders p to p + 4) has the same
     # bytes
     for n in range(max(parity, 1) + 2, 12, 2):
-        rows = kernel_case(KernelSpec(1, 2, n))._series_rows(n)
+        rows = kernel_case(KernelSpec(1, 2, n))._inner_rows
         table = kernels._inner_hankel(rows)
         for t, row in enumerate(rows):
             alone = kernels._inner_hankel((row,))
@@ -243,7 +243,7 @@ def test_alpha_at_series_radius_takes_the_hankel_table(monkeypatch):
     # below it, and their value at it has the same bytes in any batch order
     cut = bessel.SERIES_RADIUS
     below = np.nextafter(cut, 0.0)
-    assert kernels._inner_hankel(((3, 0, 1),)).tolist() == [
+    assert kernels._inner_hankel(((3, 1, 1),)).tolist() == [
         [[0.0, 0.0]], [[1.5, 1.5]], [[-1.5, -3.0]], [[0.0, 3.0]]]
     seen = []
     hankel = kernels.KernelCase._hankel_factors
@@ -350,13 +350,14 @@ def test_orders_must_be_nonnegative_integers_of_one_parity():
     r = np.geomspace(1e-3, 40.0, 30)
     assert (kernel_case(KernelSpec(1, 1, np.int64(3))).inner(r).tobytes()
             == kernel_case(KernelSpec(1, 1, 3)).inner(r).tobytes())
-    # every case's orders are of one parity, each step 2 from the last, as
-    # the Hankel and Laurent tables take them
+    # every case's orders, with those of its derivative rows, are of one
+    # parity, each step 2 from the last, as the Hankel and Laurent tables
+    # take them
     for spec in ([KernelSpec(1, 1, n) for n in range(2, 12)]
                  + [KernelSpec(1, 2, n) for n in range(3, 12)]):
-        case = kernel_case(spec)
-        for orders in (case.alpha_orders, case.beta_orders):
-            assert orders == tuple(range(orders[0], orders[-1] + 1, 2)), spec
+        for side in zip(*kernel_case(spec)._bessel_rows(spec.n)):
+            orders = sorted({q for p, _, _ in side for q in (p, p + 2)})
+            assert orders == list(range(orders[0], orders[-1] + 1, 2)), spec
 
 
 def test_half_integer_closed_forms():

@@ -114,6 +114,20 @@ def test_mixed_sign_momentum_not_applicable(grid, omega0):
     assert cert.passed
 
 
+@pytest.mark.parametrize("r_max", [5e-4, 1e-3, np.nextafter(1e-3, 1.0)])
+def test_certify_requires_r_max_past_the_condition_mesh_start(r_max):
+    # the conditions are sampled on geomspace(1e-3, r_max), which runs
+    # backwards, outside the grid, for r_max < 1e-3
+    grid = RadialGrid.uniform(64, r_max)
+    omega0 = -np.exp(-((grid.r / r_max - 0.3) / 0.1) ** 2)
+    spec = KernelSpec(1, 2, 3)
+    if r_max > 1e-3:
+        assert certify(spec, grid, omega0).passed
+    else:
+        with pytest.raises(ValueError, match="requires r_max > 1e-3"):
+            certify(spec, grid, omega0)
+
+
 def test_zero_momentum_not_applicable(grid):
     cert = certify(KernelSpec(0, 1, 3), grid, np.zeros(grid.num))
     assert not cert.applicable

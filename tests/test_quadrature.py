@@ -81,6 +81,13 @@ def test_fewer_than_three_nodes():
         grid.quadrature.prefix(f[1:], start=1)
 
 
+@pytest.mark.parametrize("r_max", [1e-300, 1e300])
+def test_spacing_without_finite_weights_raises(r_max):
+    # the products of the spacings underflow to 0 or overflow to inf
+    with pytest.raises(ValueError, match="finite quadrature weights"):
+        CorrectedTrapezoid(np.linspace(0.0, r_max, 8))
+
+
 @pytest.mark.parametrize(
     "nodes",
     [

@@ -312,6 +312,29 @@ def test_cli_rejects_bad_run_settings_without_traceback(tmp_path, capsys, text):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_cli_run_on_a_grid_too_fine_for_its_weights_exits_1(tmp_path, capsys):
+    # the products of spacings near 4e-303 underflow to 0: the quadrature
+    # weights are not finite, and the run stops with an error line
+    bad = tmp_path / "tiny.cfg"
+    bad.write_text(fast_config_with("r_max = 1e-300\nr_lo = 0.0\nr_hi = 1e-301\n"))
+    assert main(["run", str(bad), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: the node spacing is too small or too large for "
+                   "finite quadrature weights\n")
+
+
+@pytest.mark.parametrize("r_max", [5e-4, 1e-3])
+def test_cli_certify_below_the_condition_mesh_exits_1(tmp_path, capsys, r_max):
+    # the conditions are sampled from r = 1e-3 on, outside such a grid
+    bad = tmp_path / "small.cfg"
+    bad.write_text(fast_config_with(
+        f"sigma = 1\nk = 2\nr_max = {r_max}\nr_lo = 0.0\nr_hi = {r_max / 4}\n"))
+    assert main(["certify", str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert not out and err == ("error: certify samples from r = 1e-3 on, so it "
+                               "requires r_max > 1e-3\n")
+
+
 @pytest.mark.parametrize("key,text", [
     ("amplitude", "amplitude = nan\n"),
     ("amplitude", "amplitude = inf\n"),
